@@ -100,11 +100,11 @@ bench-serve-smoke:
 	    -rates 40,0 -inflight 0 -duration 1s -check -cluster-nodes 2 \
 	    -json bench-artifacts/BENCH_serve_smoke.json
 
-# Short fuzz passes over the corpus-bundle manifest reader and the B+tree
+# Short fuzz passes over the bundle manifest reader and the B+tree
 # subtree-counter maintenance; longer local runs: go test -fuzz <target>
 # in the respective package.
 fuzz-smoke:
-	$(GO) test -run xxx -fuzz FuzzCorpusManifest -fuzztime 30s ./internal/backend/
+	$(GO) test -run xxx -fuzz FuzzManifest -fuzztime 30s ./internal/backend/
 	$(GO) test -run xxx -fuzz FuzzCounters -fuzztime 30s ./internal/storage/
 
 # CI gate for the query planner (docs/PLANNER.md): on every paper-pattern

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"strings"
 
@@ -14,6 +15,7 @@ import (
 	"approxql/internal/backend"
 	"approxql/internal/cost"
 	"approxql/internal/eval"
+	"approxql/internal/format"
 	"approxql/internal/index"
 	"approxql/internal/schema"
 	"approxql/internal/storage"
@@ -235,6 +237,12 @@ func (db *Database) WriteTo(w io.Writer) (int64, error) {
 	return db.be.Tree().WriteTo(w)
 }
 
+// ErrUnsupportedVersion matches (errors.Is) the error every open function
+// returns for a bundle manifest, collection file, index file, or posting
+// written in a format version this build does not read. Each file kind has
+// one current format; rebuild the bundle with axqlindex to upgrade.
+var ErrUnsupportedVersion = format.ErrUnsupportedVersion
+
 // ReadDatabase loads a collection written by WriteTo, re-encoding the
 // insertion costs under model (nil for defaults).
 func ReadDatabase(r io.Reader, model *CostModel) (*Database, error) {
@@ -258,16 +266,25 @@ func OpenDatabaseFile(path string, model *CostModel) (*Database, error) {
 	if backend.IsBundle(path) {
 		return OpenBundle(path, model)
 	}
+	tree, err := readTreeFile(path, model)
+	if err != nil {
+		return nil, err
+	}
+	return newDatabase(tree), nil
+}
+
+// readTreeFile loads the collection file at path.
+func readTreeFile(path string, model *CostModel) (*xmltree.Tree, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	db, err := ReadDatabase(f, model)
+	tree, err := xmltree.ReadTree(f, model)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return db, nil
+	return tree, nil
 }
 
 // OpenDatabaseFileOptions is OpenDatabaseFile honoring the OpenOptions that
@@ -286,11 +303,11 @@ func OpenDatabaseFileOptions(path string, opts *OpenOptions) (*Database, error) 
 	if !backend.IsBundle(path) {
 		return OpenDatabaseFile(path, o.Model)
 	}
-	ce := o.CacheEntries
-	if ce == 0 {
-		ce = backend.DefaultCacheEntries
+	m, err := backend.ReadManifest(path)
+	if err != nil {
+		return nil, err
 	}
-	return openBundle(path, o.Model, backend.StoredOptions{CacheEntries: ce, MMap: o.MMap})
+	return openSingleShard(path, m, o)
 }
 
 // OpenStored opens a collection over its persisted indexes: collection is
@@ -309,14 +326,9 @@ func OpenStored(collection, postings, secondary string, model *CostModel) (*Data
 }
 
 func openStored(collection, postings, secondary string, model *CostModel, sopts backend.StoredOptions) (*Database, error) {
-	f, err := os.Open(collection)
+	tree, err := readTreeFile(collection, model)
 	if err != nil {
 		return nil, err
-	}
-	tree, err := xmltree.ReadTree(f, model)
-	f.Close()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", collection, err)
 	}
 	be, err := backend.OpenStoredOptions(tree, postings, secondary, sopts)
 	if err != nil {
@@ -325,37 +337,41 @@ func openStored(collection, postings, secondary string, model *CostModel, sopts 
 	return &Database{be: be}, nil
 }
 
-// OpenBundle opens the stored database described by a single-shard bundle
-// manifest, the one-path form of OpenStored. Bundles are written by
-// WriteBundle and by axqlindex when it persists both index files. It is a
-// special case of Open, which also accepts multi-shard corpus bundles.
+// OpenBundle opens the stored database described by a single-database
+// bundle manifest (one shard, no document table), the one-path form of
+// OpenStored. Such bundles are written by WriteBundle and by axqlindex when
+// it persists both index files. It is a special case of Open, which also
+// accepts multi-shard corpus bundles.
 func OpenBundle(path string, model *CostModel) (*Database, error) {
-	return openBundle(path, model,
-		backend.StoredOptions{CacheEntries: backend.DefaultCacheEntries})
-}
-
-func openBundle(path string, model *CostModel, sopts backend.StoredOptions) (*Database, error) {
-	b, err := backend.ReadBundle(path)
+	m, err := backend.ReadManifest(path)
 	if err != nil {
 		return nil, err
 	}
-	db, err := openStored(b.Collection, b.Postings, b.Secondary, model, sopts)
-	if err != nil {
-		return nil, err
-	}
-	if s, ok := db.be.(*backend.Stored); ok {
-		s.SetManifestVersion(b.Version)
-	}
-	return db, nil
+	return openSingleShard(path, m, OpenOptions{Model: model})
 }
 
-// WriteBundle writes a bundle manifest at path referencing a collection
-// file and its two persisted index files, relativized to the manifest's
-// directory so the files can move as a unit.
+// openSingleShard opens the stored database of a single-database manifest
+// read from path, honoring o.Model, o.CacheEntries, and o.MMap.
+func openSingleShard(path string, m backend.Manifest, o OpenOptions) (*Database, error) {
+	if len(m.Docs) > 0 {
+		return nil, fmt.Errorf("approxql: %s is a multi-shard corpus bundle; open it with approxql.Open", path)
+	}
+	ce := o.CacheEntries
+	if ce == 0 {
+		ce = backend.DefaultCacheEntries
+	}
+	sh := m.Shards[0]
+	return openStored(sh.Collection, sh.Postings, sh.Secondary, o.Model,
+		backend.StoredOptions{CacheEntries: ce, MMap: o.MMap})
+}
+
+// WriteBundle writes a single-database bundle manifest at path referencing
+// a collection file and its two persisted index files, relativized to the
+// manifest's directory so the files can move as a unit.
 func WriteBundle(path, collection, postings, secondary string) error {
-	return backend.WriteBundle(path, backend.Bundle{
+	return backend.WriteManifest(path, backend.Manifest{Shards: []backend.ManifestShard{{
 		Collection: collection, Postings: postings, Secondary: secondary,
-	})
+	}}})
 }
 
 // PersistIndexes writes the database's postings (I_struct/I_text) and
@@ -377,9 +393,16 @@ func (db *Database) PersistIndexes(postings, secondary string) error {
 	})
 }
 
+// persistInto writes a fresh store at path through save. A store already at
+// path is removed, never updated: keys of an earlier collection must not
+// survive into this one, and a file in a retired format must not stop the
+// rebuild that upgrades it.
 func persistInto(path string, save func(*storage.DB) error) error {
 	if path == "" {
 		return nil
+	}
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
 	}
 	s, err := storage.Open(path, nil)
 	if err != nil {

@@ -3,13 +3,11 @@ package approxql
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
 	"approxql/internal/backend"
 	"approxql/internal/datagen"
-	"approxql/internal/index"
 	"approxql/internal/querygen"
 )
 
@@ -17,7 +15,13 @@ import (
 // manifest into a temp dir, returning the bundle path.
 func persistBundle(t *testing.T, db *Database) string {
 	t.Helper()
-	dir := t.TempDir()
+	return persistBundleIn(t, db, t.TempDir())
+}
+
+// persistBundleIn is persistBundle into dir, over whatever an earlier call
+// left there: the files are c.axql, c.post, c.sec, and c.bundle.
+func persistBundleIn(t *testing.T, db *Database, dir string) string {
+	t.Helper()
 	collection := filepath.Join(dir, "c.axql")
 	postings := filepath.Join(dir, "c.post")
 	secondary := filepath.Join(dir, "c.sec")
@@ -46,8 +50,8 @@ func persistBundle(t *testing.T, db *Database) string {
 // SearchExplained, and Explain return identical answers whether the postings
 // come from the in-memory indexes or from the persisted B+tree files, for
 // every strategy (planner-resolved Auto included), for sequential and
-// parallel secondary execution, across the page-cache and mmap read paths,
-// and across the v2 (blocked varint) and v3 (group varint) posting codecs.
+// parallel secondary execution, and across the page-cache and mmap read
+// paths.
 func TestBackendEquivalence(t *testing.T) {
 	cfg := datagen.Config{
 		Seed: 42, NumElementNames: 25, VocabularySize: 500,
@@ -60,27 +64,17 @@ func TestBackendEquivalence(t *testing.T) {
 	}
 	mem := newDatabase(tree)
 	bundle := persistBundle(t, mem)
-	// A second copy of the bundle with every posting re-encoded in the v2
-	// codec, as a pre-v5 writer would have left it.
-	bundleV2 := persistBundle(t, mem)
-	downgradeStore(t, strings.TrimSuffix(bundleV2, ".bundle")+".post", index.EncodePostingV2)
-	downgradeStore(t, strings.TrimSuffix(bundleV2, ".bundle")+".sec", index.EncodePostingV2)
 
 	variants := []struct {
 		name string
-		path string
 		mmap bool
 	}{
-		{"pager-v3", bundle, false},
-		{"mmap-v3", bundle, true},
-		{"pager-v2", bundleV2, false},
-		{"mmap-v2", bundleV2, true},
+		{"pager", false},
+		{"mmap", true},
 	}
 	storedDBs := make([]*Database, len(variants))
 	for i, v := range variants {
-		db, err := openBundle(v.path, nil, backend.StoredOptions{
-			CacheEntries: backend.DefaultCacheEntries, MMap: v.mmap,
-		})
+		db, err := OpenDatabaseFileOptions(bundle, &OpenOptions{MMap: v.mmap})
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}

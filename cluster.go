@@ -230,12 +230,10 @@ type ClusterNodeHealth struct {
 	Node string
 	// Err is the probe failure for an unreachable node; the stats fields
 	// are zero then.
-	Err            string
-	Docs           int
-	Shards         int
-	TreeNodes      int
-	BundleVersion  int
-	StorageCounted bool
+	Err       string
+	Docs      int
+	Shards    int
+	TreeNodes int
 }
 
 // Health probes every node's /shard/stats concurrently with the given
@@ -245,13 +243,11 @@ func (cl *Cluster) Health(ctx context.Context, timeout time.Duration) []ClusterN
 	out := make([]ClusterNodeHealth, len(probes))
 	for i, p := range probes {
 		out[i] = ClusterNodeHealth{
-			Node:           p.Node,
-			Err:            p.Err,
-			Docs:           p.Docs,
-			Shards:         p.Shards,
-			TreeNodes:      p.Nodes,
-			BundleVersion:  p.BundleVersion,
-			StorageCounted: p.StorageCounted,
+			Node:      p.Node,
+			Err:       p.Err,
+			Docs:      p.Docs,
+			Shards:    p.Shards,
+			TreeNodes: p.Nodes,
 		}
 	}
 	return out

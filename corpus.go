@@ -55,7 +55,7 @@ type CorpusBuilder struct {
 	cur     *xmltree.Builder
 	curDocs int
 	shards  []*corpus.Shard
-	docs    []backend.CorpusDoc
+	docs    []backend.ManifestDoc
 	err     error
 }
 
@@ -101,7 +101,7 @@ func (cb *CorpusBuilder) AddDocument(name string, r io.Reader) (DocID, error) {
 		return 0, err
 	}
 	id := DocID(len(cb.docs))
-	cb.docs = append(cb.docs, backend.CorpusDoc{Shard: len(cb.shards), Name: name})
+	cb.docs = append(cb.docs, backend.ManifestDoc{Shard: len(cb.shards), Name: name})
 	cb.curDocs++
 	if cb.curDocs >= cb.shardDocs {
 		if err := cb.flushShard(); err != nil {
@@ -201,7 +201,7 @@ func (db *Database) Corpus() (*Corpus, error) {
 // — as a one-shard corpus with an unnamed document table.
 func corpusFromBackend(be backend.Backend) (*Corpus, error) {
 	sh := corpus.NewShard(be, nil)
-	docs := make([]backend.CorpusDoc, sh.NumDocs())
+	docs := make([]backend.ManifestDoc, sh.NumDocs())
 	c, err := corpus.New([]*corpus.Shard{sh}, docs)
 	if err != nil {
 		return nil, err
@@ -416,15 +416,6 @@ type CorpusStats struct {
 	Nodes int
 	// MaxDepth is the deepest root-to-leaf path over all shards.
 	MaxDepth int
-	// BundleVersion is the manifest version the corpus was opened from
-	// (the highest across shards), or 0 for in-memory corpora and stored
-	// backends opened from bare index files.
-	BundleVersion int
-	// StorageCounted reports whether every stored shard's index files
-	// carry per-subtree counters (the v4 storage format), making posting
-	// counts O(log n) for the planner. False when any shard predates the
-	// counter format or when no shard reads from stored indexes.
-	StorageCounted bool
 }
 
 // Stats aggregates the per-shard summaries. Docs counts the documents
@@ -432,24 +423,13 @@ type CorpusStats struct {
 // fewer when opened on a shard subset.
 func (c *Corpus) Stats() CorpusStats {
 	st := CorpusStats{Docs: c.c.NumOwnedDocs(), Shards: c.c.NumShards()}
-	stored, counted := 0, true
 	for _, sh := range c.c.Shards() {
 		sum := sh.Summary()
 		st.Nodes += sum.Nodes
 		if sum.MaxDepth > st.MaxDepth {
 			st.MaxDepth = sum.MaxDepth
 		}
-		if s, ok := sh.Backend().(*backend.Stored); ok {
-			stored++
-			if v := s.ManifestVersion(); v > st.BundleVersion {
-				st.BundleVersion = v
-			}
-			if !s.StorageCounted() {
-				counted = false
-			}
-		}
 	}
-	st.StorageCounted = stored > 0 && counted
 	return st
 }
 
@@ -477,7 +457,7 @@ func (c *Corpus) SetStoredCacheSize(n int) error {
 	return nil
 }
 
-// SaveBundle persists the corpus as a multi-shard (v3) bundle at path:
+// SaveBundle persists the corpus as a multi-shard bundle at path:
 // each shard's collection, postings, and secondary files are written next
 // to the manifest, named after the manifest's base name ("c.bundle" yields
 // "c.s0.axql", "c.s0.post", "c.s0.sec", ...). Open the result with Open.
@@ -485,13 +465,13 @@ func (c *Corpus) SetStoredCacheSize(n int) error {
 // from stored indexes is already persisted.
 func (c *Corpus) SaveBundle(path string) error {
 	base := strings.TrimSuffix(path, ".bundle")
-	m := backend.CorpusManifest{Docs: c.c.DocTable()}
+	m := backend.Manifest{Docs: c.c.DocTable()}
 	for i, sh := range c.c.Shards() {
 		mem, ok := sh.Backend().(*backend.Memory)
 		if !ok {
 			return fmt.Errorf("approxql: corpus already reads from stored indexes")
 		}
-		cs := backend.CorpusShard{
+		cs := backend.ManifestShard{
 			Collection: fmt.Sprintf("%s.s%d.axql", base, i),
 			Postings:   fmt.Sprintf("%s.s%d.post", base, i),
 			Secondary:  fmt.Sprintf("%s.s%d.sec", base, i),
@@ -520,13 +500,13 @@ func (c *Corpus) SaveBundle(path string) error {
 		}
 		m.Shards = append(m.Shards, cs)
 	}
-	return backend.WriteCorpusBundle(path, m)
+	return backend.WriteManifest(path, m)
 }
 
-// IsCorpusBundle reports whether path holds a multi-shard (v3) corpus
-// bundle manifest. Open handles every artifact kind without this check; it
-// exists for callers that branch before opening, for example to reject
-// single-database-only flags.
+// IsCorpusBundle reports whether path holds a corpus bundle manifest: a
+// readable manifest with a document table. Open handles every artifact kind
+// without this check; it exists for callers that branch before opening, for
+// example to reject single-database-only flags.
 func IsCorpusBundle(path string) bool { return backend.IsCorpusBundle(path) }
 
 // OpenOptions tune Open. The zero value (or a nil pointer) uses default
@@ -558,60 +538,49 @@ type OpenOptions struct {
 // single entry point subsuming OpenDatabaseFile, OpenBundle, and
 // OpenStored:
 //
-//   - a multi-shard corpus bundle (v3 manifest, written by SaveBundle or
-//     axqlindex -shard-docs) opens with all its shards;
-//   - a single-shard bundle (v1/v2 manifest) opens as a one-shard corpus
-//     over its stored indexes;
+//   - a corpus bundle (a manifest with a document table, written by
+//     SaveBundle or axqlindex -shard-docs) opens with all its shards;
+//   - a single-database bundle (one shard, no document table, written by
+//     WriteBundle or axqlindex -postings -secondary) opens as a one-shard
+//     corpus over its stored indexes;
 //   - a plain collection file (written by Database.WriteTo) loads into a
 //     one-shard in-memory corpus, rebuilding indexes and schema.
 //
-// Close the corpus to release stored shards' index files.
+// A bundle, collection file, or index file in a format version this build
+// does not read fails with an error matching ErrUnsupportedVersion. Close
+// the corpus to release stored shards' index files.
 func Open(path string, opts *OpenOptions) (*Corpus, error) {
 	var o OpenOptions
 	if opts != nil {
 		o = *opts
 	}
-	switch {
-	case backend.IsCorpusBundle(path):
-		return openCorpusBundle(path, o)
-	case len(o.Shards) > 0:
-		return nil, fmt.Errorf("approxql: %s is not a multi-shard corpus bundle; Shards requires one", path)
-	case backend.IsBundle(path):
-		db, err := openBundle(path, o.Model, backend.StoredOptions{
-			CacheEntries: backend.DefaultCacheEntries, MMap: o.MMap,
-		})
+	if backend.IsBundle(path) {
+		m, err := backend.ReadManifest(path)
 		if err != nil {
 			return nil, err
 		}
-		c, err := db.Corpus()
-		if err != nil {
-			db.Close()
-			return nil, err
+		if len(m.Docs) > 0 {
+			return openCorpusBundle(m, o)
 		}
-		if o.CacheEntries != 0 {
-			if err := c.SetStoredCacheSize(o.CacheEntries); err != nil {
-				c.Close()
-				return nil, err
-			}
-		}
-		return c, nil
-	default:
-		db, err := OpenDatabaseFile(path, o.Model)
-		if err != nil {
-			return nil, err
-		}
-		return db.Corpus()
 	}
-}
-
-// openCorpusBundle opens a v3 manifest: every shard (or just
-// o.Shards) over its stored indexes, with the manifest's pruning
-// summaries.
-func openCorpusBundle(path string, o OpenOptions) (*Corpus, error) {
-	m, err := backend.ReadCorpusBundle(path)
+	if len(o.Shards) > 0 {
+		return nil, fmt.Errorf("approxql: %s is not a multi-shard corpus bundle; Shards requires one", path)
+	}
+	db, err := OpenDatabaseFileOptions(path, &o)
 	if err != nil {
 		return nil, err
 	}
+	c, err := db.Corpus()
+	if err != nil {
+		db.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// openCorpusBundle opens a corpus manifest: every shard (or just o.Shards)
+// over its stored indexes, with the manifest's pruning summaries.
+func openCorpusBundle(m backend.Manifest, o OpenOptions) (*Corpus, error) {
 	keep := o.Shards
 	if len(keep) == 0 {
 		keep = make([]int, len(m.Shards))
@@ -645,16 +614,10 @@ func openCorpusBundle(path string, o OpenOptions) (*Corpus, error) {
 	}
 	for _, si := range keep {
 		cs := m.Shards[si]
-		f, err := os.Open(cs.Collection)
+		tree, err := readTreeFile(cs.Collection, o.Model)
 		if err != nil {
 			closeAll()
 			return nil, err
-		}
-		tree, err := xmltree.ReadTree(f, o.Model)
-		f.Close()
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("%s: %w", cs.Collection, err)
 		}
 		be, err := backend.OpenStoredOptions(tree, cs.Postings, cs.Secondary,
 			backend.StoredOptions{CacheEntries: perShard, MMap: o.MMap})
@@ -662,7 +625,6 @@ func openCorpusBundle(path string, o OpenOptions) (*Corpus, error) {
 			closeAll()
 			return nil, err
 		}
-		be.SetManifestVersion(m.Version)
 		shards = append(shards, corpus.NewShard(be, cs.Summary))
 	}
 	c, err := corpus.NewSubset(shards, keep, len(m.Shards), m.Docs)

@@ -418,23 +418,23 @@ func TestCorpusBundleRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2BundleOpensAsCorpus pins migration: a single-shard bundle written
-// by the previous format (and its v1 downgrade) opens through the unified
-// Open as a one-shard corpus answering identically to the Database API.
-func TestV2BundleOpensAsCorpus(t *testing.T) {
+// TestSingleDatabaseBundleOpensAsCorpus pins that a single-database bundle
+// (one shard, no document table) opens through the unified Open as a
+// one-shard corpus answering identically to the Database API.
+func TestSingleDatabaseBundleOpensAsCorpus(t *testing.T) {
 	mem := buildDB(t)
 	bundle := persistBundle(t, mem)
 
 	c, err := Open(bundle, &OpenOptions{Model: PaperCostModel()})
 	if err != nil {
-		t.Fatalf("Open(v2 bundle): %v", err)
+		t.Fatalf("Open(single-database bundle): %v", err)
 	}
 	defer c.Close()
 	if c.NumShards() != 1 {
-		t.Fatalf("v2 bundle opened with %d shards, want 1", c.NumShards())
+		t.Fatalf("bundle opened with %d shards, want 1", c.NumShards())
 	}
 	if c.NumDocs() != len(mem.Tree().Documents()) {
-		t.Fatalf("v2 bundle corpus has %d docs, want %d", c.NumDocs(), len(mem.Tree().Documents()))
+		t.Fatalf("bundle corpus has %d docs, want %d", c.NumDocs(), len(mem.Tree().Documents()))
 	}
 
 	model := PaperCostModel()

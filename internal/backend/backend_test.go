@@ -1,13 +1,14 @@
 package backend
 
 import (
-	"fmt"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
+	"approxql/internal/format"
 	"approxql/internal/index"
 	"approxql/internal/schema"
 	"approxql/internal/storage"
@@ -55,7 +56,7 @@ func openTestStored(t *testing.T, cacheEntries int) (*Memory, *Stored) {
 		t.Fatal(err)
 	}
 
-	st, err := OpenStored(tree, postPath, secPath, cacheEntries)
+	st, err := OpenStoredOptions(tree, postPath, secPath, StoredOptions{CacheEntries: cacheEntries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,53 +188,71 @@ func TestLRUDisabledStillCounts(t *testing.T) {
 	}
 }
 
-func TestBundleRoundTrip(t *testing.T) {
+func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "c.bundle")
-	b := Bundle{
-		Collection: filepath.Join(dir, "c.axql"),
-		Postings:   filepath.Join(dir, "c.post"),
-		Secondary:  filepath.Join(dir, "sub", "c.sec"),
-		Version:    BundleVersion,
-	}
-	if err := WriteBundle(path, b); err != nil {
-		t.Fatal(err)
-	}
-	if !IsBundle(path) {
-		t.Error("IsBundle = false on a bundle")
-	}
-	got, err := ReadBundle(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != b {
-		t.Errorf("round trip = %+v, want %+v", got, b)
+	for name, m := range map[string]Manifest{
+		"single": {Shards: []ManifestShard{{
+			Collection: filepath.Join(dir, "c.axql"),
+			Postings:   filepath.Join(dir, "c.post"),
+			Secondary:  filepath.Join(dir, "sub", "c.sec"),
+		}}},
+		"corpus": {
+			Shards: []ManifestShard{
+				{Collection: filepath.Join(dir, "a.axql"), Postings: filepath.Join(dir, "a.post"), Secondary: filepath.Join(dir, "a.sec"),
+					Summary: &Summary{Docs: 2, Nodes: 9, MaxDepth: 3, Struct: map[string]int{"cd": 2}, Text: map[string]int{"piano": 1}}},
+				{Collection: filepath.Join(dir, "b.axql"), Postings: filepath.Join(dir, "b.post"), Secondary: filepath.Join(dir, "b.sec")},
+			},
+			Docs: []ManifestDoc{{Shard: 0, Name: "x.xml"}, {Shard: 0}, {Shard: 1, Name: "y.xml"}},
+		},
+	} {
+		path := filepath.Join(dir, name+".bundle")
+		if err := WriteManifest(path, m); err != nil {
+			t.Fatal(err)
+		}
+		if !IsBundle(path) {
+			t.Errorf("%s: IsBundle = false on a bundle", name)
+		}
+		if got := IsCorpusBundle(path); got != (name == "corpus") {
+			t.Errorf("%s: IsCorpusBundle = %v", name, got)
+		}
+		got, err := ReadManifest(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Errorf("%s: round trip = %+v, want %+v", name, got, m)
+		}
 	}
 }
 
-func TestBundleRejectsGarbage(t *testing.T) {
+func TestManifestRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	cases := map[string]string{
-		"magic":   "not a bundle\ncollection c\npostings p\nsecondary s\n",
-		"missing": "axql-bundle v1\ncollection c\npostings p\n",
-		"key":     "axql-bundle v1\ncollection c\npostings p\nsecondary s\nextra x\n",
+		"magic":    "not a bundle\n" + `{"shards":[{"collection":"c","postings":"p","secondary":"s"}]}`,
+		"missing":  manifestMagic + "\n" + `{"shards":[{"collection":"c","postings":"p"}]}`,
+		"key":      manifestMagic + "\n" + `{"shards":[{"collection":"c","postings":"p","secondary":"s","extra":"x"}]}`,
+		"noshards": manifestMagic + "\n" + `{"shards":[]}`,
+		"nodocs": manifestMagic + "\n" + `{"shards":[{"collection":"c","postings":"p","secondary":"s"},` +
+			`{"collection":"d","postings":"q","secondary":"t"}]}`,
+		"docshard": manifestMagic + "\n" + `{"shards":[{"collection":"c","postings":"p","secondary":"s"}],"docs":[{"shard":7}]}`,
+		"trailing": manifestMagic + "\n" + `{"shards":[{"collection":"c","postings":"p","secondary":"s"}]}{}`,
+		"textbody": manifestMagic + "\ncollection c\npostings p\nsecondary s\n",
 	}
-	i := 0
 	for name, content := range cases {
-		i++
-		path := filepath.Join(dir, fmt.Sprintf("b%d", i))
-		if err := writeFile(path, content); err != nil {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadBundle(path); err == nil {
-			t.Errorf("%s: ReadBundle accepted malformed manifest", name)
+		if _, err := ReadManifest(path); err == nil {
+			t.Errorf("%s: ReadManifest accepted malformed manifest", name)
+		} else if errors.Is(err, format.ErrUnsupportedVersion) {
+			t.Errorf("%s: malformed current-version manifest reported as a version problem: %v", name, err)
+		}
+		if IsCorpusBundle(path) {
+			t.Errorf("%s: IsCorpusBundle = true on a malformed manifest", name)
 		}
 		if name == "magic" && IsBundle(path) {
 			t.Error("IsBundle = true without magic")
 		}
 	}
-}
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
 }

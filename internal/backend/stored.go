@@ -27,18 +27,14 @@ type Stored struct {
 	schemaOnce sync.Once
 	sch        *schema.Schema
 
-	manifestVersion int
-
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// StoredOptions tune OpenStoredOptions. The zero value matches the legacy
-// OpenStored defaults except for the cache size, which callers set
-// explicitly (DefaultCacheEntries is the usual choice; <= 0 disables
-// caching).
+// StoredOptions tune OpenStoredOptions.
 type StoredOptions struct {
-	// CacheEntries bounds the shared LRU of decoded postings.
+	// CacheEntries bounds the shared LRU of decoded postings (<= 0 disables
+	// caching; DefaultCacheEntries is the usual choice).
 	CacheEntries int
 	// MMap asks storage to serve pages straight out of a read-only memory
 	// mapping instead of the page cache. It is advisory: platforms or
@@ -47,16 +43,10 @@ type StoredOptions struct {
 	MMap bool
 }
 
-// OpenStored opens the stored backend over tree: postings is the B+tree
-// file holding I_struct/I_text (index.Save), secondary the file holding
-// I_sec (Schema.SaveSec). Both files are opened read-only and shared
-// through one LRU bounded to cacheEntries decoded postings (<= 0 disables
-// caching; DefaultCacheEntries is the usual choice).
-func OpenStored(tree *xmltree.Tree, postings, secondary string, cacheEntries int) (*Stored, error) {
-	return OpenStoredOptions(tree, postings, secondary, StoredOptions{CacheEntries: cacheEntries})
-}
-
-// OpenStoredOptions is OpenStored with the full option set.
+// OpenStoredOptions opens the stored backend over tree: postings is the
+// B+tree file holding I_struct/I_text (index.Save), secondary the file
+// holding I_sec (Schema.SaveSec). Both files are opened read-only and shared
+// through one LRU of decoded postings.
 func OpenStoredOptions(tree *xmltree.Tree, postings, secondary string, opts StoredOptions) (*Stored, error) {
 	sopts := &storage.Options{ReadOnly: true, MMap: opts.MMap}
 	postDB, err := storage.Open(postings, sopts)
@@ -68,8 +58,7 @@ func OpenStoredOptions(tree *xmltree.Tree, postings, secondary string, opts Stor
 		postDB.Close()
 		return nil, fmt.Errorf("backend: secondary %s: %w", secondary, err)
 	}
-	cacheEntries := opts.CacheEntries
-	lru := NewLRU(cacheEntries)
+	lru := NewLRU(opts.CacheEntries)
 	post := index.OpenStored(postDB)
 	post.SetCache(lru)
 	sec := schema.OpenStoredSec(secDB)
@@ -104,22 +93,6 @@ func (s *Stored) StructCount(name string) (int, error) { return s.post.StructCou
 
 // TextCount implements CountSource from the encoded posting header.
 func (s *Stored) TextCount(term string) (int, error) { return s.post.TextCount(term) }
-
-// StorageCounted reports whether both index files carry the per-subtree
-// counter format (fresh bundles do; files from older bundles fall back to
-// linear counting).
-func (s *Stored) StorageCounted() bool {
-	return s.postDB.Counted() && s.secDB.Counted()
-}
-
-// SetManifestVersion records the version of the bundle manifest this backend
-// was opened from, for reporting through stats surfaces (CorpusStats,
-// /healthz). Call it right after opening, before the backend is shared.
-func (s *Stored) SetManifestVersion(v int) { s.manifestVersion = v }
-
-// ManifestVersion returns the recorded bundle manifest version, or 0 when
-// the backend was opened from bare index files rather than a bundle.
-func (s *Stored) ManifestVersion() int { return s.manifestVersion }
 
 // SecInstances implements schema.SecSource.
 func (s *Stored) SecInstances(c schema.NodeID) ([]xmltree.NodeID, error) {

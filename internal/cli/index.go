@@ -17,9 +17,8 @@ import (
 //
 // With -shard-docs N the inputs are indexed as a sharded corpus instead:
 // each shard holds up to N documents with its own collection and index
-// files, and -out names the multi-shard (v3) bundle manifest tying them
-// together. Query it with `axql -db <bundle>` or serve it with
-// `axqlserve -db <bundle>`.
+// files, and -out names the corpus bundle manifest tying them together.
+// Query it with `axql -db <bundle>` or serve it with `axqlserve -db <bundle>`.
 func Index(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("axqlindex", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -127,7 +126,7 @@ func Index(args []string, stdout, stderr io.Writer) error {
 }
 
 // indexCorpus builds a sharded corpus from the input files and persists it
-// as a v3 bundle at out: per-shard collection/postings/secondary files
+// as a corpus bundle at out: per-shard collection/postings/secondary files
 // named after the manifest plus the manifest itself.
 func indexCorpus(inputs []string, out string, shardDocs int, model *approxql.CostModel, stderr io.Writer, quiet bool) error {
 	cb := approxql.NewCorpusBuilder(model)

@@ -110,7 +110,8 @@ func ServeContext(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	if *shardNode && *nodes != "" {
 		return fmt.Errorf("axqlserve: -shard-node and -nodes are mutually exclusive (a process is a shard node or a gatherer, not both)")
 	}
-	if *shards != "" && !(*dbPath != "" && approxql.IsCorpusBundle(*dbPath)) {
+	corpusBundle := *dbPath != "" && approxql.IsCorpusBundle(*dbPath)
+	if *shards != "" && !corpusBundle {
 		return fmt.Errorf("axqlserve: -shards requires a corpus bundle -db")
 	}
 	shardIdx, err := parseShardList(*shards)
@@ -150,7 +151,7 @@ func ServeContext(ctx context.Context, args []string, stdout, stderr io.Writer) 
 			total++
 		}
 		serving = fmt.Sprintf("gatherer over %d nodes", total)
-	case *dbPath != "" && approxql.IsCorpusBundle(*dbPath):
+	case corpusBundle:
 		c, err := approxql.Open(*dbPath, &approxql.OpenOptions{Model: model, CacheEntries: *cache, Shards: shardIdx, MMap: *mmap})
 		if err != nil {
 			return err

@@ -83,11 +83,9 @@ type NodeStatus struct {
 
 // NodeStats is a node's corpus summary, as probed for health reporting.
 type NodeStats struct {
-	Docs           int
-	Shards         int
-	Nodes          int
-	BundleVersion  int
-	StorageCounted bool
+	Docs   int
+	Shards int
+	Nodes  int
 }
 
 // NodeError wraps a node failure so fail-closed gatherers can surface

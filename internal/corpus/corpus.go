@@ -112,11 +112,11 @@ type Corpus struct {
 }
 
 // New assembles a corpus from its shards and the global document table
-// (backend.CorpusDoc entries in DocID order, as stored in a v3 manifest).
-// The table must assign to each shard exactly as many documents as its tree
-// holds; documents of one shard must appear in the table in the shard
-// tree's preorder.
-func New(shards []*Shard, docs []backend.CorpusDoc) (*Corpus, error) {
+// (backend.ManifestDoc entries in DocID order, as stored in a bundle
+// manifest). The table must assign to each shard exactly as many documents
+// as its tree holds; documents of one shard must appear in the table in the
+// shard tree's preorder.
+func New(shards []*Shard, docs []backend.ManifestDoc) (*Corpus, error) {
 	idx := make([]int, len(shards))
 	for i := range idx {
 		idx[i] = i
@@ -131,7 +131,7 @@ func New(shards []*Shard, docs []backend.CorpusDoc) (*Corpus, error) {
 // document the same identity — so documents living on dropped shards keep
 // their table entries (name included) but have no backing shard; queries
 // against the subset can only ever hit owned documents.
-func NewSubset(shards []*Shard, shardIdx []int, totalShards int, docs []backend.CorpusDoc) (*Corpus, error) {
+func NewSubset(shards []*Shard, shardIdx []int, totalShards int, docs []backend.ManifestDoc) (*Corpus, error) {
 	if len(shards) != len(shardIdx) {
 		return nil, fmt.Errorf("corpus: %d shards with %d indices", len(shards), len(shardIdx))
 	}
@@ -225,12 +225,12 @@ func (c *Corpus) DocRoot(doc DocID) xmltree.NodeID {
 	return sh.docRoots[c.docLocal[doc]]
 }
 
-// DocTable rebuilds the global document table for persistence into a v3
+// DocTable rebuilds the global document table for persistence into a bundle
 // manifest.
-func (c *Corpus) DocTable() []backend.CorpusDoc {
-	docs := make([]backend.CorpusDoc, len(c.docShard))
+func (c *Corpus) DocTable() []backend.ManifestDoc {
+	docs := make([]backend.ManifestDoc, len(c.docShard))
 	for id := range docs {
-		docs[id] = backend.CorpusDoc{Shard: int(c.docShard[id]), Name: c.docNames[id]}
+		docs[id] = backend.ManifestDoc{Shard: int(c.docShard[id]), Name: c.docNames[id]}
 	}
 	return docs
 }

@@ -81,11 +81,9 @@ type shardStreamLine struct {
 
 // ShardStatsResponse is the GET /shard/stats body.
 type ShardStatsResponse struct {
-	Docs           int  `json:"docs"`
-	Shards         int  `json:"shards"`
-	Nodes          int  `json:"nodes"`
-	BundleVersion  int  `json:"bundle_version"`
-	StorageCounted bool `json:"storage_counted"`
+	Docs   int `json:"docs"`
+	Shards int `json:"shards"`
+	Nodes  int `json:"nodes"`
 }
 
 // boundWire encodes a cost for the wire (-1 = no bound yet).
@@ -189,13 +187,7 @@ func (r *RemoteShard) Stats(ctx context.Context) (NodeStats, error) {
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		return NodeStats{}, err
 	}
-	return NodeStats{
-		Docs:           sr.Docs,
-		Shards:         sr.Shards,
-		Nodes:          sr.Nodes,
-		BundleVersion:  sr.BundleVersion,
-		StorageCounted: sr.StorageCounted,
-	}, nil
+	return NodeStats(sr), nil
 }
 
 // Query implements Node: it POSTs the query, streams hit lines into

@@ -8,12 +8,9 @@
 package dict
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 	"sync"
 )
 
@@ -94,68 +91,6 @@ func (d *Dict) Sorted() []string {
 	out := d.Strings()
 	sort.Strings(out)
 	return out
-}
-
-// WriteTo serializes the dictionary as a line-oriented text format:
-// a count line followed by one quoted string per line, in ID order.
-// It implements io.WriterTo.
-func (d *Dict) WriteTo(w io.Writer) (int64, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	bw := bufio.NewWriter(w)
-	var n int64
-	c, err := fmt.Fprintf(bw, "%d\n", len(d.strings))
-	n += int64(c)
-	if err != nil {
-		return n, err
-	}
-	for _, s := range d.strings {
-		c, err := fmt.Fprintf(bw, "%s\n", strconv.Quote(s))
-		n += int64(c)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
-// ReadFrom replaces the dictionary contents with a serialized dictionary
-// previously written by WriteTo. It implements io.ReaderFrom.
-func (d *Dict) ReadFrom(r io.Reader) (int64, error) {
-	br := bufio.NewReader(r)
-	var n int64
-	line, err := br.ReadString('\n')
-	n += int64(len(line))
-	if err != nil {
-		return n, fmt.Errorf("dict: reading count: %w", err)
-	}
-	count, err := strconv.Atoi(line[:len(line)-1])
-	if err != nil || count < 0 {
-		return n, fmt.Errorf("dict: bad count line %q", line)
-	}
-	strings := make([]string, 0, count)
-	ids := make(map[string]ID, count)
-	for i := 0; i < count; i++ {
-		line, err := br.ReadString('\n')
-		n += int64(len(line))
-		if err != nil {
-			return n, fmt.Errorf("dict: reading entry %d: %w", i, err)
-		}
-		s, err := strconv.Unquote(line[:len(line)-1])
-		if err != nil {
-			return n, fmt.Errorf("dict: bad entry %d: %w", i, err)
-		}
-		if _, dup := ids[s]; dup {
-			return n, fmt.Errorf("dict: duplicate entry %q", s)
-		}
-		ids[s] = ID(len(strings))
-		strings = append(strings, s)
-	}
-	d.mu.Lock()
-	d.strings = strings
-	d.ids = ids
-	d.mu.Unlock()
-	return n, nil
 }
 
 // ErrNotFound reports a lookup of a string that was never interned.

@@ -1,12 +1,9 @@
 package dict
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestInternAssignsDenseIDs(t *testing.T) {
@@ -76,78 +73,6 @@ func TestSorted(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Sorted = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	d := New()
-	words := []string{"cd", "", "multi word", "line\nbreak", `quote"inside`, "ünïcode"}
-	for _, w := range words {
-		d.Intern(w)
-	}
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	d2 := New()
-	if _, err := d2.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	}
-	if d2.Len() != d.Len() {
-		t.Fatalf("Len after round trip = %d, want %d", d2.Len(), d.Len())
-	}
-	for i, w := range words {
-		if got := d2.String(ID(i)); got != w {
-			t.Fatalf("String(%d) = %q, want %q", i, got, w)
-		}
-		if got := d2.Lookup(w); got != ID(i) {
-			t.Fatalf("Lookup(%q) = %d, want %d", w, got, i)
-		}
-	}
-}
-
-func TestReadFromRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"not a number\n",
-		"2\n\"only one\"\n",
-		"1\nunquoted\x01\n",
-		"2\n\"dup\"\n\"dup\"\n",
-		"-1\n",
-	}
-	for _, c := range cases {
-		d := New()
-		if _, err := d.ReadFrom(strings.NewReader(c)); err == nil {
-			t.Errorf("ReadFrom(%q) succeeded, want error", c)
-		}
-	}
-}
-
-func TestSerializationQuick(t *testing.T) {
-	f := func(words []string) bool {
-		d := New()
-		for _, w := range words {
-			d.Intern(w)
-		}
-		var buf bytes.Buffer
-		if _, err := d.WriteTo(&buf); err != nil {
-			return false
-		}
-		d2 := New()
-		if _, err := d2.ReadFrom(&buf); err != nil {
-			return false
-		}
-		if d2.Len() != d.Len() {
-			return false
-		}
-		for i := 0; i < d.Len(); i++ {
-			if d.String(ID(i)) != d2.String(ID(i)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -6,18 +6,16 @@ import (
 	"math"
 	"math/bits"
 
+	"approxql/internal/format"
 	"approxql/internal/xmltree"
 )
 
-// Posting wire formats. The v1 format is a bare delta-varint stream:
+// Posting wire format. A non-empty posting is grouped into blocks with a
+// skip table:
 //
-//	uvarint(count) | count × uvarint(delta)
-//
-// The v2 format groups entries into blocks with a skip table:
-//
-//	0x00 | 0x02 | uvarint(count) | uvarint(blockSize)
+//	0x00 | 0x03 | uvarint(count) | uvarint(blockSize)
 //	| per block: uvarint(firstDelta) uvarint(bodyLen)   (the skip table)
-//	| per block: (len-1) × uvarint(delta)               (the bodies)
+//	| per block: the other (len-1) deltas, group-varint   (the bodies)
 //
 // firstDelta is the difference between this block's first entry and the
 // previous block's first entry (the first block's against zero), so the skip
@@ -26,29 +24,22 @@ import (
 // entry exceeds the bound. Body deltas run from the block's own first entry,
 // which lives in the skip table and is not repeated in the body.
 //
-// The v3 format keeps v2's header and skip table byte for byte but encodes
-// each block body in group-varint form instead of a varint stream:
+// A body is a sequence of groups of up to 4 deltas: ctrl | deltas, where the
+// control byte holds each delta's byte length minus one in two bits (delta i
+// in bits 2i..2i+1) and the deltas follow little-endian in that many bytes.
+// The decoder reads four fixed-width values per control byte with masked
+// 32-bit loads — no per-byte continuation branch. A final group with fewer
+// than 4 deltas uses only the low bits of its control byte.
 //
-//	per group of up to 4 deltas: ctrl | deltas
-//
-// where the control byte holds each delta's byte length minus one in two
-// bits (delta i in bits 2i..2i+1) and the deltas follow little-endian in
-// that many bytes. The decoder reads four fixed-width values per control
-// byte with masked 32-bit loads — no per-byte continuation branch. A final
-// group with fewer than 4 deltas uses only the low bits of its control byte.
-//
-// The leading 0x00 cannot begin a non-empty v1 posting (its first byte is
-// uvarint(count) with count ≥ 1), and a v1 empty posting is the single byte
-// 0x00 with nothing following — so the formats are self-describing and
-// every reader accepts all of them.
+// The empty posting is the single byte 0x00. Anything else — another byte
+// after the 0x00 marker, or no marker at all — is not decoded.
 const (
-	formatMarker = 0x00
-	formatV2     = 0x02
-	formatV3     = 0x03
+	formatMarker      = 0x00
+	formatGroupVarint = 0x03
 
-	// BlockSize is the number of entries per v2/v3 block. 128 four-byte IDs
-	// keep a block body near cache-line-friendly sizes after delta
-	// compression while making the skip table ~1% of the posting.
+	// BlockSize is the number of entries per block. 128 four-byte IDs keep
+	// a block body near cache-line-friendly sizes after delta compression
+	// while making the skip table ~1% of the posting.
 	BlockSize = 128
 )
 
@@ -64,18 +55,6 @@ func uvarintLen(v uint64) int {
 		n++
 	}
 	return n
-}
-
-// varintDeltaSize returns the total uvarint-encoded size of the deltas of
-// post against prev (post[0]-prev, post[1]-post[0], …) — the one sizing
-// function shared by every delta-varint writer.
-func varintDeltaSize(post []xmltree.NodeID, prev xmltree.NodeID) int {
-	size := 0
-	for _, u := range post {
-		size += uvarintLen(uint64(u - prev))
-		prev = u
-	}
-	return size
 }
 
 // gvMask[n] keeps the low n bytes of a little-endian 32-bit load.
@@ -133,13 +112,12 @@ func appendGroupVarint(buf []byte, blk []xmltree.NodeID) []byte {
 	return buf
 }
 
-// EncodePosting serializes a sorted posting in the current (v3, group-varint
-// blocked) format. The buffer is sized exactly by a first measuring pass, so
-// encoding performs a single allocation with no slack. The schema's
-// secondary index shares this codec.
+// EncodePosting serializes a sorted posting. The buffer is sized exactly by a
+// first measuring pass, so encoding performs a single allocation with no
+// slack. The schema's secondary index shares this codec.
 func EncodePosting(post []xmltree.NodeID) []byte {
 	if len(post) == 0 {
-		return []byte{formatMarker} // the (v1) empty posting
+		return []byte{formatMarker}
 	}
 	nBlocks := (len(post) + BlockSize - 1) / BlockSize
 
@@ -156,7 +134,7 @@ func EncodePosting(post []xmltree.NodeID) []byte {
 
 	// Pass 2: fill.
 	buf := make([]byte, 0, size)
-	buf = append(buf, formatMarker, formatV3)
+	buf = append(buf, formatMarker, formatGroupVarint)
 	buf = binary.AppendUvarint(buf, uint64(len(post)))
 	buf = binary.AppendUvarint(buf, BlockSize)
 	prevFirst = 0
@@ -172,234 +150,80 @@ func EncodePosting(post []xmltree.NodeID) []byte {
 	return buf
 }
 
-// EncodePostingV2 serializes a posting in the v2 blocked delta-varint
-// format, for compatibility fixtures and cross-version tests.
-func EncodePostingV2(post []xmltree.NodeID) []byte {
-	if len(post) == 0 {
-		return []byte{formatMarker} // the (v1) empty posting
+// postingBody strips the format marker of a non-empty posting. A marker
+// naming another format version is a format.VersionError; bytes without a
+// marker (the flat varint stream of the first codec among them) are a plain
+// decode error.
+func postingBody(data []byte) ([]byte, error) {
+	if len(data) < 2 || data[0] != formatMarker {
+		return nil, fmt.Errorf("index: posting lacks the %#02x %#02x format marker", formatMarker, formatGroupVarint)
 	}
-	nBlocks := (len(post) + BlockSize - 1) / BlockSize
-
-	size := 2 + uvarintLen(uint64(len(post))) + uvarintLen(BlockSize)
-	bodyLens := make([]int, nBlocks)
-	prevFirst := xmltree.NodeID(0)
-	for b := range bodyLens {
-		blk := post[b*BlockSize : min((b+1)*BlockSize, len(post))]
-		bodyLens[b] = varintDeltaSize(blk[1:], blk[0])
-		size += uvarintLen(uint64(blk[0]-prevFirst)) + uvarintLen(uint64(bodyLens[b])) + bodyLens[b]
-		prevFirst = blk[0]
-	}
-
-	buf := make([]byte, 0, size)
-	buf = append(buf, formatMarker, formatV2)
-	buf = binary.AppendUvarint(buf, uint64(len(post)))
-	buf = binary.AppendUvarint(buf, BlockSize)
-	prevFirst = 0
-	for b := range bodyLens {
-		blk := post[b*BlockSize : min((b+1)*BlockSize, len(post))]
-		buf = binary.AppendUvarint(buf, uint64(blk[0]-prevFirst))
-		buf = binary.AppendUvarint(buf, uint64(bodyLens[b]))
-		prevFirst = blk[0]
-	}
-	for b := range bodyLens {
-		blk := post[b*BlockSize : min((b+1)*BlockSize, len(post))]
-		prev := blk[0]
-		for _, u := range blk[1:] {
-			buf = binary.AppendUvarint(buf, uint64(u-prev))
-			prev = u
+	if data[1] != formatGroupVarint {
+		return nil, &format.VersionError{
+			Kind:      "posting",
+			Found:     fmt.Sprintf("%#02x %#02x", data[0], data[1]),
+			Supported: fmt.Sprintf("%#02x %#02x", formatMarker, formatGroupVarint),
 		}
 	}
-	return buf
+	return data[2:], nil
 }
 
-// EncodePostingV1 serializes a posting in the legacy unblocked format, for
-// compatibility fixtures and tooling that must produce old bundles.
-func EncodePostingV1(post []xmltree.NodeID) []byte {
-	size := uvarintLen(uint64(len(post))) + varintDeltaSize(post, 0)
-	buf := make([]byte, 0, size)
-	buf = binary.AppendUvarint(buf, uint64(len(post)))
-	prev := xmltree.NodeID(0)
-	for _, u := range post {
-		buf = binary.AppendUvarint(buf, uint64(u-prev))
-		prev = u
-	}
-	return buf
+// isEmptyPosting reports whether data is the one-byte empty posting.
+func isEmptyPosting(data []byte) bool {
+	return len(data) == 1 && data[0] == formatMarker
 }
 
-// PostingCount reads the entry count of an encoded posting (any format)
-// without decoding the entries — the count-only fast path used when only a
-// posting's size is wanted.
+// PostingCount reads the entry count of an encoded posting without decoding
+// the entries — the count-only fast path used when only a posting's size is
+// wanted. data may be a prefix of the posting that covers its header.
 func PostingCount(data []byte) (int, error) {
-	if len(data) >= 2 && data[0] == formatMarker {
-		if data[1] != formatV2 && data[1] != formatV3 {
-			return 0, fmt.Errorf("index: unknown posting format %#x", data[1])
-		}
-		data = data[2:]
+	if isEmptyPosting(data) {
+		return 0, nil
 	}
-	count, n := binary.Uvarint(data)
+	body, err := postingBody(data)
+	if err != nil {
+		return 0, err
+	}
+	count, n := binary.Uvarint(body)
 	if n <= 0 {
 		return 0, fmt.Errorf("index: bad posting header")
 	}
 	return int(count), nil
 }
 
-// DecodePosting reverses EncodePosting (accepting either format) into a
-// freshly allocated slice.
+// DecodePosting reverses EncodePosting into a freshly allocated slice.
 func DecodePosting(data []byte) ([]xmltree.NodeID, error) {
 	return DecodePostingInto(nil, data)
 }
 
-// DecodePostingInto appends the decoded posting (either format) to dst and
-// returns the extended slice, like append. Callers that decode repeatedly
-// pass a reused buffer truncated to zero length; decoding then allocates only
-// when the posting outgrows the buffer's capacity.
+// DecodePostingInto appends the decoded posting to dst and returns the
+// extended slice, like append. Callers that decode repeatedly pass a reused
+// buffer truncated to zero length; decoding then allocates only when the
+// posting outgrows the buffer's capacity.
 func DecodePostingInto(dst []xmltree.NodeID, data []byte) ([]xmltree.NodeID, error) {
-	return decodePosting(dst, data, noBound)
+	return DecodePostingUpTo(dst, data, noBound)
 }
 
 // DecodePostingUpTo is DecodePostingInto restricted to entries ≤ bound.
-// Postings are sorted, so the decode stops at the first larger entry; in the
-// blocked format, blocks whose first entry exceeds the bound are skipped from
-// the skip table without reading their bodies.
+// Postings are sorted, so the decode stops at the first larger entry, and
+// blocks whose first entry exceeds the bound are skipped from the skip table
+// without reading their bodies.
 func DecodePostingUpTo(dst []xmltree.NodeID, data []byte, bound xmltree.NodeID) ([]xmltree.NodeID, error) {
-	return decodePosting(dst, data, bound)
+	if isEmptyPosting(data) {
+		return dst, nil
+	}
+	body, err := postingBody(data)
+	if err != nil {
+		return dst, err
+	}
+	return decodeGroupVarint(dst, body, bound)
 }
 
-func decodePosting(dst []xmltree.NodeID, data []byte, bound xmltree.NodeID) ([]xmltree.NodeID, error) {
-	if len(data) >= 2 && data[0] == formatMarker {
-		switch data[1] {
-		case formatV2:
-			return decodeV2(dst, data[2:], bound)
-		case formatV3:
-			return decodeV3(dst, data[2:], bound)
-		}
-		return dst, fmt.Errorf("index: unknown posting format %#x", data[1])
-	}
-	return decodeV1(dst, data, bound)
-}
-
-func decodeV1(dst []xmltree.NodeID, data []byte, bound xmltree.NodeID) ([]xmltree.NodeID, error) {
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return dst, fmt.Errorf("index: bad posting header")
-	}
-	data = data[n:]
-	// Each entry takes at least one byte; a count beyond that is corrupt,
-	// and catching it here keeps the pre-sizing below honest.
-	if count > uint64(len(data)) {
-		return dst, fmt.Errorf("index: posting count %d exceeds payload", count)
-	}
-	if need := len(dst) + int(count); cap(dst) < need {
-		dst = append(make([]xmltree.NodeID, 0, need), dst...)
-	}
-	prev := xmltree.NodeID(0)
-	for i := uint64(0); i < count; i++ {
-		d, n := binary.Uvarint(data)
-		if n <= 0 {
-			return dst, fmt.Errorf("index: truncated posting at entry %d", i)
-		}
-		data = data[n:]
-		prev += xmltree.NodeID(d)
-		if prev > bound {
-			return dst, nil
-		}
-		dst = append(dst, prev)
-	}
-	if len(data) != 0 {
-		return dst, fmt.Errorf("index: %d trailing bytes after posting", len(data))
-	}
-	return dst, nil
-}
-
-func decodeV2(dst []xmltree.NodeID, data []byte, bound xmltree.NodeID) ([]xmltree.NodeID, error) {
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return dst, fmt.Errorf("index: bad posting header")
-	}
-	data = data[n:]
-	bs, n := binary.Uvarint(data)
-	if n <= 0 || bs == 0 {
-		return dst, fmt.Errorf("index: bad posting block size")
-	}
-	data = data[n:]
-	nBlocks := int((count + bs - 1) / bs)
-	// Every entry costs at least one byte (in the skip table or a body),
-	// so a count beyond the payload is corrupt; checking before pre-sizing
-	// keeps corrupt headers from forcing huge allocations.
-	if count > uint64(len(data)) {
-		return dst, fmt.Errorf("index: posting count %d exceeds payload", count)
-	}
-	if need := len(dst) + int(count); cap(dst) < need {
-		dst = append(make([]xmltree.NodeID, 0, need), dst...)
-	}
-
-	// First walk the skip table to find where the bodies start; then walk
-	// table and bodies with two cursors.
-	p := 0
-	for b := 0; b < nBlocks; b++ {
-		for f := 0; f < 2; f++ {
-			_, n := binary.Uvarint(data[p:])
-			if n <= 0 {
-				return dst, fmt.Errorf("index: truncated skip table at block %d", b)
-			}
-			p += n
-		}
-	}
-	table, bodies := data[:p], data[p:]
-
-	decoded := uint64(0)
-	first := xmltree.NodeID(0)
-	for b := 0; b < nBlocks; b++ {
-		firstDelta, n := binary.Uvarint(table)
-		table = table[n:]
-		bodyLen, n := binary.Uvarint(table)
-		table = table[n:]
-		first += xmltree.NodeID(firstDelta)
-		if first > bound {
-			return dst, nil // later blocks start higher still
-		}
-		if bodyLen > uint64(len(bodies)) {
-			return dst, fmt.Errorf("index: truncated body at block %d", b)
-		}
-		body := bodies[:bodyLen]
-		bodies = bodies[bodyLen:]
-
-		dst = append(dst, first)
-		decoded++
-		blockLen := min(bs, count-decoded+1) // entries in this block
-		prev := first
-		for i := uint64(1); i < blockLen; i++ {
-			d, n := binary.Uvarint(body)
-			if n <= 0 {
-				return dst, fmt.Errorf("index: truncated posting in block %d", b)
-			}
-			body = body[n:]
-			prev += xmltree.NodeID(d)
-			if prev > bound {
-				return dst, nil
-			}
-			dst = append(dst, prev)
-			decoded++
-		}
-		if len(body) != 0 {
-			return dst, fmt.Errorf("index: %d trailing bytes in block %d", len(body), b)
-		}
-	}
-	if decoded != count {
-		return dst, fmt.Errorf("index: decoded %d entries, header said %d", decoded, count)
-	}
-	if len(bodies) != 0 {
-		return dst, fmt.Errorf("index: %d trailing bytes after posting", len(bodies))
-	}
-	return dst, nil
-}
-
-// decodeV3 decodes a group-varint blocked posting. The header and skip table
-// are v2's; only the block bodies differ. Full groups of four deltas decode
-// through masked little-endian 32-bit loads with no per-byte branching; the
-// byte-wise path handles block tails and bodies too short for unaligned
-// loads.
-func decodeV3(dst []xmltree.NodeID, data []byte, bound xmltree.NodeID) ([]xmltree.NodeID, error) {
+// decodeGroupVarint decodes the bytes after the format marker. Full groups
+// of four deltas decode through masked little-endian 32-bit loads with no
+// per-byte branching; the byte-wise path handles block tails and bodies too
+// short for unaligned loads.
+func decodeGroupVarint(dst []xmltree.NodeID, data []byte, bound xmltree.NodeID) ([]xmltree.NodeID, error) {
 	count, n := binary.Uvarint(data)
 	if n <= 0 {
 		return dst, fmt.Errorf("index: bad posting header")

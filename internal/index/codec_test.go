@@ -18,44 +18,40 @@ func randomPosting(rng *rand.Rand, n, maxGap int) []xmltree.NodeID {
 	return post
 }
 
-// TestCodecFormats pins the wire-format discrimination: blocked postings
-// carry the 0x00 marker plus a version byte (0x02 varint bodies, 0x03
-// group-varint bodies), v1 postings never start with 0x00 unless empty, and
-// all formats decode through the same entry points.
-func TestCodecFormats(t *testing.T) {
-	post := []xmltree.NodeID{3, 7, 1000, 1001}
+// Encodings of {3, 7, 1000, 1001} in the two retired codecs — the flat
+// varint stream and the 0x00 0x02 blocked varint — which must never decode.
+var (
+	flatVarintPosting    = []byte{0x04, 0x03, 0x04, 0xe1, 0x07, 0x01}
+	blockedVarintPosting = []byte{0x00, 0x02, 0x04, 0x80, 0x01, 0x03, 0x04, 0x04, 0xe1, 0x07, 0x01}
+)
 
-	v3 := EncodePosting(post)
-	if v3[0] != 0x00 || v3[1] != 0x03 {
-		t.Fatalf("v3 header = %#x %#x, want 0x00 0x03", v3[0], v3[1])
+// TestCodecFormat pins the wire format: a non-empty posting carries the
+// 0x00 0x03 marker, the empty posting is the single byte 0x00, and both
+// read back through the count and decode entry points.
+func TestCodecFormat(t *testing.T) {
+	post := []xmltree.NodeID{3, 7, 1000, 1001}
+	data := EncodePosting(post)
+	want := []byte{0x00, 0x03, 0x04, 0x80, 0x01, 0x03, 0x05, 0x04, 0x04, 0xe1, 0x03, 0x01}
+	if !reflect.DeepEqual(data, want) {
+		t.Fatalf("encoded posting = %#v, want %#v", data, want)
 	}
-	v2 := EncodePostingV2(post)
-	if v2[0] != 0x00 || v2[1] != 0x02 {
-		t.Fatalf("v2 header = %#x %#x, want 0x00 0x02", v2[0], v2[1])
+	got, err := DecodePosting(data)
+	if err != nil || !reflect.DeepEqual(got, post) {
+		t.Fatalf("decode = %v, %v, want %v", got, err, post)
 	}
-	v1 := EncodePostingV1(post)
-	if v1[0] == 0x00 {
-		t.Fatalf("non-empty v1 posting starts with 0x00")
+	if n, err := PostingCount(data[:postingHeaderLen]); err != nil || n != len(post) {
+		t.Fatalf("PostingCount = %d, %v, want %d", n, err, len(post))
 	}
-	if empty := EncodePosting(nil); len(empty) != 1 || empty[0] != 0x00 {
+
+	empty := EncodePosting(nil)
+	if len(empty) != 1 || empty[0] != 0x00 {
 		t.Fatalf("encoded empty posting = %v, want [0x00]", empty)
 	}
-	if empty := EncodePostingV2(nil); len(empty) != 1 || empty[0] != 0x00 {
-		t.Fatalf("encoded empty v2 posting = %v, want [0x00]", empty)
+	if got, err := DecodePosting(empty); err != nil || len(got) != 0 {
+		t.Fatalf("empty decode = %v, %v", got, err)
 	}
-
-	for name, data := range map[string][]byte{"v1": v1, "v2": v2, "v3": v3} {
-		got, err := DecodePosting(data)
-		if err != nil {
-			t.Fatalf("%s decode: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, post) {
-			t.Fatalf("%s decode = %v, want %v", name, got, post)
-		}
-		n, err := PostingCount(data)
-		if err != nil || n != len(post) {
-			t.Fatalf("%s PostingCount = %d, %v, want %d", name, n, err, len(post))
-		}
+	if n, err := PostingCount(empty); err != nil || n != 0 {
+		t.Fatalf("empty PostingCount = %d, %v", n, err)
 	}
 }
 
@@ -65,39 +61,34 @@ func TestEncodePostingExactSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
 		post := randomPosting(rng, rng.Intn(5*BlockSize), 1<<uint(rng.Intn(20)))
-		for name, enc := range map[string]func([]xmltree.NodeID) []byte{
-			"v3": EncodePosting, "v2": EncodePostingV2, "v1": EncodePostingV1,
-		} {
-			buf := enc(post)
-			if len(buf) != cap(buf) {
-				t.Fatalf("%s: encoded %d entries into len %d cap %d, want exact",
-					name, len(post), len(buf), cap(buf))
-			}
+		buf := EncodePosting(post)
+		if len(buf) != cap(buf) {
+			t.Fatalf("encoded %d entries into len %d cap %d, want exact", len(post), len(buf), cap(buf))
 		}
 	}
 }
 
-// TestCodecRoundTripBothFormats drives both encoders through sizes around
-// the block boundaries, where the v2 skip table changes shape.
-func TestCodecRoundTripBothFormats(t *testing.T) {
+// TestCodecRoundTrip drives the codec through sizes around the block
+// boundaries, where the skip table changes shape, and through delta widths
+// of one to four bytes.
+func TestCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sizes := []int{0, 1, 2, BlockSize - 1, BlockSize, BlockSize + 1,
 		2*BlockSize - 1, 2 * BlockSize, 3*BlockSize + 17, 1000}
 	for _, n := range sizes {
-		post := randomPosting(rng, n, 2000)
-		for name, data := range map[string][]byte{
-			"v1": EncodePostingV1(post), "v2": EncodePostingV2(post), "v3": EncodePosting(post),
-		} {
-			got, err := DecodePosting(data)
+		// The second gap spreads the entries over the NodeID range.
+		for _, maxGap := range []int{2000, (1 << 30) / max(n, 1)} {
+			post := randomPosting(rng, n, maxGap)
+			got, err := DecodePosting(EncodePosting(post))
 			if err != nil {
-				t.Fatalf("%s n=%d: %v", name, n, err)
+				t.Fatalf("n=%d: %v", n, err)
 			}
 			if len(got) != len(post) {
-				t.Fatalf("%s n=%d: got %d entries", name, n, len(got))
+				t.Fatalf("n=%d: got %d entries", n, len(got))
 			}
 			for i := range post {
 				if got[i] != post[i] {
-					t.Fatalf("%s n=%d: entry %d = %d, want %d", name, n, i, got[i], post[i])
+					t.Fatalf("n=%d: entry %d = %d, want %d", n, i, got[i], post[i])
 				}
 			}
 		}
@@ -129,234 +120,140 @@ func TestDecodePostingInto(t *testing.T) {
 }
 
 // TestDecodePostingUpTo checks the bounded decode against a filtered full
-// decode over both formats and bounds landing inside, between, and past
-// blocks.
+// decode, with bounds landing inside, between, and past blocks.
 func TestDecodePostingUpTo(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 30; trial++ {
 		post := randomPosting(rng, rng.Intn(4*BlockSize), 50)
-		for name, data := range map[string][]byte{
-			"v1": EncodePostingV1(post), "v2": EncodePostingV2(post), "v3": EncodePosting(post),
-		} {
-			bounds := []xmltree.NodeID{0, 1, 25, 1000, 1 << 30}
-			if len(post) > 0 {
-				mid := post[len(post)/2]
-				bounds = append(bounds, mid-1, mid, mid+1, post[len(post)-1])
+		data := EncodePosting(post)
+		bounds := []xmltree.NodeID{0, 1, 25, 1000, 1 << 30}
+		if len(post) > 0 {
+			mid := post[len(post)/2]
+			bounds = append(bounds, mid-1, mid, mid+1, post[len(post)-1])
+		}
+		for _, bound := range bounds {
+			var want []xmltree.NodeID
+			for _, u := range post {
+				if u <= bound {
+					want = append(want, u)
+				}
 			}
-			for _, bound := range bounds {
-				var want []xmltree.NodeID
-				for _, u := range post {
-					if u <= bound {
-						want = append(want, u)
-					}
-				}
-				got, err := DecodePostingUpTo(nil, data, bound)
-				if err != nil {
-					t.Fatalf("%s bound=%d: %v", name, bound, err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s bound=%d: got %d entries, want %d", name, bound, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s bound=%d: entry %d = %d, want %d", name, bound, i, got[i], want[i])
-					}
+			got, err := DecodePostingUpTo(nil, data, bound)
+			if err != nil {
+				t.Fatalf("bound=%d: %v", bound, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("bound=%d: got %d entries, want %d", bound, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("bound=%d: entry %d = %d, want %d", bound, i, got[i], want[i])
 				}
 			}
 		}
 	}
 }
 
-// FuzzDecodePosting throws arbitrary bytes at the decoder: it must never
-// panic or over-allocate, and whatever it accepts must re-encode and decode
-// to the same entries.
+// sorted reports whether post ascends. Overflowing deltas can wrap NodeID;
+// such postings are out of the encoder's domain and the fuzzers skip them.
+func sorted(post []xmltree.NodeID) bool {
+	for i := 1; i < len(post); i++ {
+		if post[i] < post[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkRoundTrip is the full-decode fuzz property: the decoder must never
+// panic or over-allocate, it accepts nothing but the empty posting and bytes
+// under the 0x00 0x03 marker, and whatever it accepts must re-encode and
+// decode to the same entries.
+func checkRoundTrip(t *testing.T, data []byte) {
+	post, err := DecodePosting(data)
+	if err != nil {
+		return
+	}
+	if !(len(data) == 1 && data[0] == 0x00) && !(len(data) >= 2 && data[0] == 0x00 && data[1] == 0x03) {
+		t.Fatalf("decoded % x, which is neither empty nor marked 0x00 0x03", data)
+	}
+	if !sorted(post) {
+		return
+	}
+	again, err := DecodePosting(EncodePosting(post))
+	if err != nil {
+		t.Fatalf("re-decode: %v", err)
+	}
+	if !reflect.DeepEqual(again, post) && len(again)+len(post) > 0 {
+		t.Fatalf("re-decode = %v, want %v", again, post)
+	}
+}
+
+// checkUpTo is the bounded-decode fuzz property: on every accepted input the
+// bounded decode agrees with filtering the full decode.
+func checkUpTo(t *testing.T, data []byte, bound int32) {
+	if bound < 0 {
+		bound = -bound
+	}
+	full, err := DecodePosting(data)
+	if err != nil || !sorted(full) {
+		return
+	}
+	got, err := DecodePostingUpTo(nil, data, bound)
+	if err != nil {
+		t.Fatalf("bounded decode rejected accepted input: %v", err)
+	}
+	var want []xmltree.NodeID
+	for _, u := range full {
+		if u <= bound {
+			want = append(want, u)
+		}
+	}
+	if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+		t.Fatalf("bound %d: got %v, want %v", bound, got, want)
+	}
+}
+
+// FuzzDecodePosting throws arbitrary bytes at the decoder. The retired
+// codecs' encodings are seeds that must be rejected.
 func FuzzDecodePosting(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add(EncodePosting([]xmltree.NodeID{1, 2, 3}))
-	f.Add(EncodePostingV1([]xmltree.NodeID{1, 2, 3}))
+	f.Add(flatVarintPosting)
+	f.Add(blockedVarintPosting)
 	rng := rand.New(rand.NewSource(17))
 	f.Add(EncodePosting(randomPosting(rng, 3*BlockSize, 100)))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		post, err := DecodePosting(data)
-		if err != nil {
-			return
-		}
-		for i := 1; i < len(post); i++ {
-			if post[i] < post[i-1] {
-				// Overflowing deltas can wrap NodeID; such postings
-				// are out of the encoder's domain.
-				return
-			}
-		}
-		again, err := DecodePosting(EncodePosting(post))
-		if err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		if len(again) != len(post) {
-			t.Fatalf("re-decode got %d entries, want %d", len(again), len(post))
-		}
-		for i := range post {
-			if again[i] != post[i] {
-				t.Fatalf("re-decode entry %d = %d, want %d", i, again[i], post[i])
-			}
-		}
-	})
+	f.Fuzz(checkRoundTrip)
 }
 
-// FuzzDecodePostingUpTo checks the bounded decode agrees with filtering the
-// full decode, for arbitrary accepted inputs.
+// FuzzDecodePostingUpTo is FuzzDecodePosting for the bounded decode.
 func FuzzDecodePostingUpTo(f *testing.F) {
 	f.Add(EncodePosting([]xmltree.NodeID{1, 200, 300}), int32(250))
-	f.Add(EncodePostingV1([]xmltree.NodeID{1, 200, 300}), int32(0))
-	f.Fuzz(func(t *testing.T, data []byte, bound int32) {
-		if bound < 0 {
-			bound = -bound
-		}
-		full, err := DecodePosting(data)
-		if err != nil {
-			return
-		}
-		for i := 1; i < len(full); i++ {
-			if full[i] < full[i-1] {
-				return
-			}
-		}
-		got, err := DecodePostingUpTo(nil, data, bound)
-		if err != nil {
-			t.Fatalf("bounded decode rejected accepted input: %v", err)
-		}
-		var want []xmltree.NodeID
-		for _, u := range full {
-			if u <= bound {
-				want = append(want, u)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("bound %d: got %d entries, want %d", bound, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("bound %d: entry %d = %d, want %d", bound, i, got[i], want[i])
-			}
-		}
-	})
+	f.Add(flatVarintPosting, int32(0))
+	f.Add(blockedVarintPosting, int32(1000))
+	f.Fuzz(checkUpTo)
 }
 
-// TestGroupVarintMatchesV2 pins the cross-format contract the stored
-// backend relies on: a v3 posting decodes (full and bounded) to exactly
-// what the same posting's v2 encoding decodes to.
-func TestGroupVarintMatchesV2(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 50; trial++ {
-		post := randomPosting(rng, rng.Intn(4*BlockSize), 1<<uint(rng.Intn(26)))
-		v2, v3 := EncodePostingV2(post), EncodePosting(post)
-		a, err := DecodePosting(v2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := DecodePosting(v3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("trial %d: v2 decode %v, v3 decode %v", trial, a, b)
-		}
-		bounds := []xmltree.NodeID{0, 1, 1 << 10, 1 << 30}
-		if len(post) > 0 {
-			mid := post[len(post)/2]
-			bounds = append(bounds, mid-1, mid, mid+1)
-		}
-		for _, bound := range bounds {
-			a, err := DecodePostingUpTo(nil, v2, bound)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := DecodePostingUpTo(nil, v3, bound)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("trial %d bound %d: v2 %v, v3 %v", trial, bound, a, b)
-			}
-		}
-	}
-}
-
-// FuzzGroupVarint throws arbitrary bytes at the v3 decoder under the 0x00
-// 0x03 header: it must never panic or over-allocate, and whatever it accepts
-// must re-encode (v3) and decode to the same entries.
+// FuzzGroupVarint throws arbitrary bytes at the decoder under the 0x00 0x03
+// marker, so every input reaches the block decoder.
 func FuzzGroupVarint(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodePosting([]xmltree.NodeID{1, 2, 3})[2:])
 	rng := rand.New(rand.NewSource(37))
 	f.Add(EncodePosting(randomPosting(rng, 3*BlockSize, 100))[2:])
 	f.Fuzz(func(t *testing.T, body []byte) {
-		data := append([]byte{0x00, 0x03}, body...)
-		post, err := DecodePosting(data)
-		if err != nil {
-			return
-		}
-		for i := 1; i < len(post); i++ {
-			if post[i] < post[i-1] {
-				// Overflowing deltas can wrap NodeID; such postings are
-				// out of the encoder's domain.
-				return
-			}
-		}
-		again, err := DecodePosting(EncodePosting(post))
-		if err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		if len(again) != len(post) {
-			t.Fatalf("re-decode got %d entries, want %d", len(again), len(post))
-		}
-		for i := range post {
-			if again[i] != post[i] {
-				t.Fatalf("re-decode entry %d = %d, want %d", i, again[i], post[i])
-			}
-		}
+		checkRoundTrip(t, append([]byte{0x00, 0x03}, body...))
 	})
 }
 
-// FuzzGroupVarintUpTo checks the v3 bounded decode agrees with filtering the
-// full decode, for arbitrary accepted inputs.
+// FuzzGroupVarintUpTo is FuzzGroupVarint for the bounded decode.
 func FuzzGroupVarintUpTo(f *testing.F) {
 	f.Add(EncodePosting([]xmltree.NodeID{1, 200, 300})[2:], int32(250))
 	rng := rand.New(rand.NewSource(41))
 	f.Add(EncodePosting(randomPosting(rng, 2*BlockSize, 60))[2:], int32(900))
 	f.Fuzz(func(t *testing.T, body []byte, bound int32) {
-		if bound < 0 {
-			bound = -bound
-		}
-		data := append([]byte{0x00, 0x03}, body...)
-		full, err := DecodePosting(data)
-		if err != nil {
-			return
-		}
-		for i := 1; i < len(full); i++ {
-			if full[i] < full[i-1] {
-				return
-			}
-		}
-		got, err := DecodePostingUpTo(nil, data, bound)
-		if err != nil {
-			t.Fatalf("bounded decode rejected accepted input: %v", err)
-		}
-		var want []xmltree.NodeID
-		for _, u := range full {
-			if u <= bound {
-				want = append(want, u)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("bound %d: got %d entries, want %d", bound, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("bound %d: entry %d = %d, want %d", bound, i, got[i], want[i])
-			}
-		}
+		checkUpTo(t, append([]byte{0x00, 0x03}, body...), bound)
 	})
 }
 

@@ -33,9 +33,6 @@ func TestStoredCountPageOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if !db.Counted() {
-		t.Fatal("fresh store is not counter-format")
-	}
 	if err := Save(ix, db); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"approxql/internal/storage"
@@ -101,12 +102,12 @@ func (s *Stored) Text(term string) ([]xmltree.NodeID, error) {
 	return s.fetch(textPrefix + term)
 }
 
-// postingHeaderLen bounds the encoded posting prefix that holds the entry
-// count: an optional two-byte format marker plus one uvarint.
-const postingHeaderLen = 12
+// postingHeaderLen is the encoded posting prefix that holds the entry
+// count: the two-byte format marker plus one uvarint.
+const postingHeaderLen = 2 + binary.MaxVarintLen64
 
 // StructCount returns the length of the posting for name without decoding
-// (or, on counter-format stores, even materializing) it.
+// or even materializing it.
 func (s *Stored) StructCount(name string) (int, error) {
 	return s.count(structPrefix + name)
 }

@@ -362,12 +362,6 @@ type HealthResponse struct {
 	Docs     int   `json:"docs"`
 	Shards   int   `json:"shards"`
 	Inflight int64 `json:"inflight"`
-	// BundleVersion is the manifest version the served bundle was opened
-	// from (0 for in-memory collections); StorageCounted reports whether
-	// every stored shard carries the counter-format index stores the
-	// planner's O(log n) count probes rely on.
-	BundleVersion  int  `json:"bundle_version"`
-	StorageCounted bool `json:"storage_counted"`
 	// ClusterNodes is a gatherer's per-node probe detail; Status is then
 	// "degraded" when any node is unreachable. The aggregate fields above
 	// sum over the reachable nodes.
@@ -391,13 +385,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.corpus.Stats()
 	writeJSON(w, http.StatusOK, HealthResponse{
-		Status:         "ok",
-		Nodes:          st.Nodes,
-		Docs:           st.Docs,
-		Shards:         st.Shards,
-		Inflight:       s.admission.inflight.Load(),
-		BundleVersion:  st.BundleVersion,
-		StorageCounted: st.StorageCounted,
+		Status:   "ok",
+		Nodes:    st.Nodes,
+		Docs:     st.Docs,
+		Shards:   st.Shards,
+		Inflight: s.admission.inflight.Load(),
 	})
 }
 
@@ -407,11 +399,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleClusterHealthz(w http.ResponseWriter, r *http.Request) {
 	probes := s.cluster.Health(r.Context(), 0)
 	resp := HealthResponse{
-		Status:         "ok",
-		Inflight:       s.admission.inflight.Load(),
-		StorageCounted: true,
+		Status:   "ok",
+		Inflight: s.admission.inflight.Load(),
 	}
-	reachable := 0
 	for _, p := range probes {
 		nh := NodeHealth{Node: p.Node, Status: "ok", Docs: p.Docs, Shards: p.Shards}
 		if p.Err != "" {
@@ -419,21 +409,11 @@ func (s *Server) handleClusterHealthz(w http.ResponseWriter, r *http.Request) {
 			nh.Error = p.Err
 			resp.Status = "degraded"
 		} else {
-			reachable++
 			resp.Docs += p.Docs
 			resp.Shards += p.Shards
 			resp.Nodes += p.TreeNodes
-			if p.BundleVersion > resp.BundleVersion {
-				resp.BundleVersion = p.BundleVersion
-			}
-			if !p.StorageCounted {
-				resp.StorageCounted = false
-			}
 		}
 		resp.ClusterNodes = append(resp.ClusterNodes, nh)
-	}
-	if reachable == 0 {
-		resp.StorageCounted = false
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -217,10 +217,8 @@ func (s *Server) handleShardBound(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleShardStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.corpus.Stats()
 	writeJSON(w, http.StatusOK, corpus.ShardStatsResponse{
-		Docs:           st.Docs,
-		Shards:         st.Shards,
-		Nodes:          st.Nodes,
-		BundleVersion:  st.BundleVersion,
-		StorageCounted: st.StorageCounted,
+		Docs:   st.Docs,
+		Shards: st.Shards,
+		Nodes:  st.Nodes,
 	})
 }

@@ -14,8 +14,8 @@ import (
 //   - the next-leaf chain visits exactly the leaves, in key order,
 //   - the stored key count matches the number of leaf cells,
 //   - overflow chains terminate and carry the advertised lengths,
-//   - on counted databases, every branch page is flagged and every
-//     per-subtree counter equals the key count of the leaves below it.
+//   - every branch page is flagged as counted and every per-subtree counter
+//     equals the key count of the leaves below it.
 //
 // Check is intended for tests and for verifying files of unknown
 // provenance; it reads every page once.
@@ -100,9 +100,8 @@ func (c *checker) walk(id uint32, low, high []byte) (uint32, uint32, int, error)
 		if n == 0 {
 			return 0, 0, 0, corruptf("page %d: branch without separators", id)
 		}
-		if counted(pg) != c.db.counted {
-			return 0, 0, 0, corruptf("page %d: counter flag %v on a counted=%v database",
-				id, counted(pg), c.db.counted)
+		if pg.data[offFlags]&pageFlagCounted == 0 {
+			return 0, 0, 0, corruptf("page %d: branch page without the subtree-counter flag", id)
 		}
 		// Collect the key bounds per child. Separator keys live in the
 		// subtree to their right.
@@ -125,17 +124,15 @@ func (c *checker) walk(id uint32, low, high []byte) (uint32, uint32, int, error)
 			if err != nil {
 				return 0, 0, 0, err
 			}
-			if c.db.counted {
-				// The stored counter for this child must match the leaf
-				// walk exactly.
-				stored := leftCount(pg)
-				if i > 0 {
-					stored = branchCellCount(pg, i-1)
-				}
-				if int(stored) != sub {
-					return 0, 0, 0, corruptf("page %d: child %d counter %d, subtree holds %d keys",
-						id, i, stored, sub)
-				}
+			// The stored counter for this child must match the leaf walk
+			// exactly.
+			stored := leftCount(pg)
+			if i > 0 {
+				stored = branchCellCount(pg, i-1)
+			}
+			if int(stored) != sub {
+				return 0, 0, 0, corruptf("page %d: child %d counter %d, subtree holds %d keys",
+					id, i, stored, sub)
 			}
 			total += sub
 			if i == 0 {

@@ -1,11 +1,7 @@
 package storage
 
-import "bytes"
-
-// Count and rank operations. On counted databases (every freshly created
-// one) these run in O(log n) by descending the tree and summing the
-// per-subtree counters on branch pages; files written before the counter
-// format fall back to a linear leaf walk with identical semantics.
+// Count and rank operations. They run in O(log n) by descending the tree and
+// summing the per-subtree counters on branch pages.
 
 // Rank returns the number of stored keys strictly smaller than key.
 func (db *DB) Rank(key []byte) (int, error) {
@@ -72,56 +68,27 @@ func (db *DB) rankLocked(key []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if db.counted {
-		total := 0
-		for pg.data[offType] == pageBranch {
-			idx := childIndexFor(pg, key)
-			// Children left of the descent target hold only smaller keys;
-			// their counters contribute without descending.
-			if idx >= 0 {
-				total += int(leftCount(pg))
-			}
-			for j := 0; j < idx; j++ {
-				total += int(branchCellCount(pg, j))
-			}
-			pg, err = db.pager.get(childAt(pg, idx))
-			if err != nil {
-				return 0, err
-			}
-		}
-		if pg.data[offType] != pageLeaf {
-			return 0, corruptf("page %d: expected leaf, got type %d", pg.id, pg.data[offType])
-		}
-		i, _ := search(pg, key)
-		return total + i, nil
-	}
-	// Uncounted fallback: walk the leaf chain up to the key's leaf.
-	for pg.data[offType] == pageBranch {
-		pg, err = db.pager.get(leftChild(pg))
-		if err != nil {
-			return 0, err
-		}
-	}
 	total := 0
-	for {
-		if pg.data[offType] != pageLeaf {
-			return 0, corruptf("page %d: expected leaf, got type %d", pg.id, pg.data[offType])
+	for pg.data[offType] == pageBranch {
+		idx := childIndexFor(pg, key)
+		// Children left of the descent target hold only smaller keys;
+		// their counters contribute without descending.
+		if idx >= 0 {
+			total += int(leftCount(pg))
 		}
-		n := nCells(pg)
-		if n > 0 && bytes.Compare(cellKey(pg, n-1), key) >= 0 {
-			i, _ := search(pg, key)
-			return total + i, nil
+		for j := 0; j < idx; j++ {
+			total += int(branchCellCount(pg, j))
 		}
-		total += n
-		next := nextLeaf(pg)
-		if next == 0 {
-			return total, nil
-		}
-		pg, err = db.pager.get(next)
+		pg, err = db.pager.get(childAt(pg, idx))
 		if err != nil {
 			return 0, err
 		}
 	}
+	if pg.data[offType] != pageLeaf {
+		return 0, corruptf("page %d: expected leaf, got type %d", pg.id, pg.data[offType])
+	}
+	i, _ := search(pg, key)
+	return total + i, nil
 }
 
 // ValueHeader returns up to max leading bytes of the value stored under

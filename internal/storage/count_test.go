@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// openCounted returns a fresh in-memory database (always counted) seeded
-// with n keys "k%06d" → small values.
+// openCounted returns a fresh in-memory database seeded with n keys
+// "k%06d" → small values.
 func openCounted(t *testing.T, n int) *DB {
 	t.Helper()
 	db, err := Open("", nil)
@@ -25,79 +25,47 @@ func openCounted(t *testing.T, n int) *DB {
 	return db
 }
 
-// openUncounted builds a database in the pre-counter format by clearing the
-// counted flag before any page is written, exercising the linear fallbacks
-// old files take.
-func openUncounted(t *testing.T, n int) *DB {
-	t.Helper()
-	db, err := Open("", nil)
-	if err != nil {
+func TestCountRange(t *testing.T) {
+	const n = 3000
+	db := openCounted(t, n)
+	if err := db.Check(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
-	db.counted = false
-	for i := 0; i < n; i++ {
-		if err := db.Put(fmt.Appendf(nil, "k%06d", i), fmt.Appendf(nil, "v%d", i)); err != nil {
+	key := func(i int) []byte { return fmt.Appendf(nil, "k%06d", i) }
+	cases := []struct {
+		lo, hi []byte
+		want   int
+	}{
+		{nil, nil, n},
+		{key(0), nil, n},
+		{nil, key(0), 0},
+		{key(100), key(200), 100},
+		{key(0), key(1), 1},
+		{key(n - 1), nil, 1},
+		{key(200), key(100), 0},
+		{key(n), nil, 0},
+		{[]byte("a"), []byte("j"), 0},
+		{[]byte("l"), nil, 0},
+	}
+	for _, c := range cases {
+		got, err := db.CountRange(c.lo, c.hi)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if got != c.want {
+			t.Errorf("CountRange(%q, %q) = %d, want %d", c.lo, c.hi, got, c.want)
+		}
 	}
-	return db
-}
-
-func TestCountRange(t *testing.T) {
-	for _, variant := range []struct {
-		name string
-		open func(*testing.T, int) *DB
-	}{
-		{"counted", openCounted},
-		{"uncounted", openUncounted},
-	} {
-		t.Run(variant.name, func(t *testing.T) {
-			const n = 3000
-			db := variant.open(t, n)
-			if got := db.Counted(); got != (variant.name == "counted") {
-				t.Fatalf("Counted() = %v", got)
-			}
-			if err := db.Check(); err != nil {
-				t.Fatal(err)
-			}
-			key := func(i int) []byte { return fmt.Appendf(nil, "k%06d", i) }
-			cases := []struct {
-				lo, hi []byte
-				want   int
-			}{
-				{nil, nil, n},
-				{key(0), nil, n},
-				{nil, key(0), 0},
-				{key(100), key(200), 100},
-				{key(0), key(1), 1},
-				{key(n - 1), nil, 1},
-				{key(200), key(100), 0},
-				{key(n), nil, 0},
-				{[]byte("a"), []byte("j"), 0},
-				{[]byte("l"), nil, 0},
-			}
-			for _, c := range cases {
-				got, err := db.CountRange(c.lo, c.hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != c.want {
-					t.Errorf("CountRange(%q, %q) = %d, want %d", c.lo, c.hi, got, c.want)
-				}
-			}
-			if got, err := db.CountPrefix([]byte("k")); err != nil || got != n {
-				t.Fatalf("CountPrefix(k) = %d, %v; want %d", got, err, n)
-			}
-			if got, err := db.CountPrefix([]byte("k0001")); err != nil || got != 100 {
-				t.Fatalf("CountPrefix(k0001) = %d, %v; want 100", got, err)
-			}
-			for _, i := range []int{0, 1, 57, n / 2, n - 1} {
-				if got, err := db.Rank(key(i)); err != nil || got != i {
-					t.Fatalf("Rank(%d) = %d, %v", i, got, err)
-				}
-			}
-		})
+	if got, err := db.CountPrefix([]byte("k")); err != nil || got != n {
+		t.Fatalf("CountPrefix(k) = %d, %v; want %d", got, err, n)
+	}
+	if got, err := db.CountPrefix([]byte("k0001")); err != nil || got != 100 {
+		t.Fatalf("CountPrefix(k0001) = %d, %v; want 100", got, err)
+	}
+	for _, i := range []int{0, 1, 57, n / 2, n - 1} {
+		if got, err := db.Rank(key(i)); err != nil || got != i {
+			t.Fatalf("Rank(%d) = %d, %v", i, got, err)
+		}
 	}
 }
 
@@ -157,49 +125,11 @@ func TestCountedFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	if !ro.Counted() {
-		t.Fatal("reopened fresh file is not counted")
-	}
 	if err := ro.Check(); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := ro.CountPrefix([]byte("k")); err != nil || got != 2000 {
 		t.Fatalf("CountPrefix = %d, %v", got, err)
-	}
-}
-
-func TestUncountedFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "old.db")
-	db, err := Open(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.counted = false // write the file in the pre-counter format
-	for i := 0; i < 2000; i++ {
-		if err := db.Put(fmt.Appendf(nil, "k%06d", i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ro, err := Open(path, &Options{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
-	if ro.Counted() {
-		t.Fatal("v1-format file reports counted")
-	}
-	if err := ro.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := ro.CountPrefix([]byte("k")); err != nil || got != 2000 {
-		t.Fatalf("CountPrefix fallback = %d, %v", got, err)
-	}
-	c := ro.NewCursor()
-	if !c.SeekRank(1234) || string(c.Key()) != "k001234" {
-		t.Fatalf("SeekRank fallback landed on %q, err %v", c.Key(), c.Err())
 	}
 }
 

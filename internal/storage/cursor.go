@@ -72,9 +72,8 @@ func (c *Cursor) Seek(key []byte) bool {
 }
 
 // SeekRank positions the cursor at the key with the given zero-based rank
-// in ascending key order: the offset jump of paginated serving. On counted
-// databases one root-to-leaf descent suffices (O(log n)); older files walk
-// the leaf chain, skipping whole leaves by their cell counts.
+// in ascending key order: the offset jump of paginated serving. One
+// root-to-leaf descent over the subtree counters suffices (O(log n)).
 func (c *Cursor) SeekRank(rank int) bool {
 	c.db.mu.Lock()
 	defer c.db.mu.Unlock()
@@ -91,46 +90,26 @@ func (c *Cursor) SeekRank(rank int) bool {
 		return false
 	}
 	r := rank
-	if c.db.counted {
-		for pg.data[offType] == pageBranch {
-			child := uint32(0)
-			if r < int(leftCount(pg)) {
-				child = leftChild(pg)
-			} else {
-				r -= int(leftCount(pg))
-				for j := 0; j < nCells(pg); j++ {
-					if r < int(branchCellCount(pg, j)) {
-						child = branchChild(pg, j)
-						break
-					}
-					r -= int(branchCellCount(pg, j))
+	for pg.data[offType] == pageBranch {
+		child := uint32(0)
+		if r < int(leftCount(pg)) {
+			child = leftChild(pg)
+		} else {
+			r -= int(leftCount(pg))
+			for j := 0; j < nCells(pg); j++ {
+				if r < int(branchCellCount(pg, j)) {
+					child = branchChild(pg, j)
+					break
 				}
-			}
-			if child == 0 {
-				return !c.fail(corruptf("page %d: rank %d beyond subtree counters", pg.id, rank))
-			}
-			pg, err = c.db.pager.get(child)
-			if c.fail(err) {
-				return false
+				r -= int(branchCellCount(pg, j))
 			}
 		}
-	} else {
-		for pg.data[offType] == pageBranch {
-			pg, err = c.db.pager.get(leftChild(pg))
-			if c.fail(err) {
-				return false
-			}
+		if child == 0 {
+			return !c.fail(corruptf("page %d: rank %d beyond subtree counters", pg.id, rank))
 		}
-		for r >= nCells(pg) {
-			r -= nCells(pg)
-			next := nextLeaf(pg)
-			if next == 0 {
-				return !c.fail(corruptf("rank %d beyond leaf chain", rank))
-			}
-			pg, err = c.db.pager.get(next)
-			if c.fail(err) {
-				return false
-			}
+		pg, err = c.db.pager.get(child)
+		if c.fail(err) {
+			return false
 		}
 	}
 	c.leaf, c.idx = pg.id, r

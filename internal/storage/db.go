@@ -3,15 +3,17 @@ package storage
 import (
 	"fmt"
 	"os"
+	"strings"
 	"sync"
+
+	"approxql/internal/format"
 )
 
-// Meta magics: v1 files predate per-subtree counters, v2 files maintain
-// them on every branch page. Fresh databases are always written as v2;
-// v1 files still open and serve every operation through linear fallbacks.
+// metaMagic opens the meta page. Its last two bytes are the layout version:
+// 02 files maintain per-subtree key counters on every branch page.
 const (
-	metaMagic   = "AXQLBT01"
-	metaMagicV2 = "AXQLBT02"
+	metaMagic       = "AXQLBT02"
+	metaMagicPrefix = "AXQLBT"
 )
 
 // DB is an embedded B+tree key-value store. Open one with Open; a DB with
@@ -22,7 +24,6 @@ type DB struct {
 	file     *os.File
 	root     uint32
 	keys     uint64
-	counted  bool // branch pages maintain per-subtree key counters
 	readonly bool
 	closed   bool
 	mem      []byte // read-only mapping of the file; nil in pager mode
@@ -55,7 +56,7 @@ func Open(path string, opts *Options) (*DB, error) {
 	if cache <= 0 {
 		cache = 4096
 	}
-	db := &DB{counted: true}
+	db := &DB{}
 	if path == "" {
 		db.pager = newPager(nil, cache)
 		return db, db.initEmpty()
@@ -130,13 +131,11 @@ func (db *DB) readMeta(pageCount int64) error {
 	if _, err := db.file.ReadAt(meta, 0); err != nil {
 		return err
 	}
-	switch string(meta[:len(metaMagic)]) {
-	case metaMagicV2:
-		db.counted = true
-	case metaMagic:
-		db.counted = false
-	default:
-		return corruptf("bad magic %q", meta[:len(metaMagic)])
+	if magic := string(meta[:len(metaMagic)]); magic != metaMagic {
+		if strings.HasPrefix(magic, metaMagicPrefix) {
+			return &format.VersionError{Kind: "B+tree file", Found: magic, Supported: metaMagic}
+		}
+		return corruptf("bad magic %q", magic)
 	}
 	db.root = getU32(meta, 8)
 	db.pager.freeHead = getU32(meta, 12)
@@ -153,11 +152,7 @@ func (db *DB) readMeta(pageCount int64) error {
 
 func (db *DB) writeMeta() error {
 	meta := make([]byte, PageSize)
-	if db.counted {
-		copy(meta, metaMagicV2)
-	} else {
-		copy(meta, metaMagic)
-	}
+	copy(meta, metaMagic)
 	putU32(meta, 8, db.root)
 	putU32(meta, 12, db.pager.freeHead)
 	putU32(meta, 16, db.pager.nextID)
@@ -219,15 +214,6 @@ func (db *DB) Len() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return int(db.keys)
-}
-
-// Counted reports whether the database maintains per-subtree key counters
-// on its branch pages (all fresh databases do; files written before the
-// counter format fall back to linear counting).
-func (db *DB) Counted() bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.counted
 }
 
 // PageOps returns the cumulative number of logical page accesses the
@@ -320,12 +306,10 @@ func (db *DB) Put(key, value []byte) error {
 		if err != nil {
 			return err
 		}
-		db.initBranch(newRoot)
+		initBranch(newRoot)
 		setLeftChild(newRoot, db.root)
-		if db.counted {
-			setLeftCount(newRoot, split.leftKeys)
-		}
-		if !insertCellAt(newRoot, 0, makeBranchCell(split.key, split.right, split.rightKeys, db.counted)) {
+		setLeftCount(newRoot, split.leftKeys)
+		if !insertCellAt(newRoot, 0, makeBranchCell(split.key, split.right, split.rightKeys)) {
 			return corruptf("separator does not fit into an empty root")
 		}
 		db.root = newRoot.id
@@ -333,13 +317,11 @@ func (db *DB) Put(key, value []byte) error {
 	return db.pager.trim()
 }
 
-// initBranch formats pg as an empty branch page in the database's cell
-// layout (counted databases tag the page and maintain subtree counters).
-func (db *DB) initBranch(pg *page) {
+// initBranch formats pg as an empty branch page, tagged as carrying subtree
+// counters.
+func initBranch(pg *page) {
 	initPage(pg, pageBranch)
-	if db.counted {
-		pg.data[offFlags] |= pageFlagCounted
-	}
+	pg.data[offFlags] |= pageFlagCounted
 }
 
 // Delete removes key. It reports whether the key existed.
@@ -383,10 +365,8 @@ func (db *DB) Delete(key []byte) (bool, error) {
 	}
 	deleteCellAt(pg, i)
 	db.keys--
-	if db.counted {
-		for _, s := range path {
-			addChildCount(s.pg, s.idx, -1)
-		}
+	for _, s := range path {
+		addChildCount(s.pg, s.idx, -1)
 	}
 	return true, db.pager.trim()
 }
@@ -414,7 +394,7 @@ type splitResult struct {
 	key   []byte // separator key: smallest key in the right sibling's subtree
 	right uint32
 	// leftKeys and rightKeys are the absolute post-insert key counts of
-	// the two subtree halves (maintained only on counted databases).
+	// the two subtree halves.
 	leftKeys  uint32
 	rightKeys uint32
 }
@@ -438,17 +418,15 @@ func (db *DB) insert(pageID uint32, key, value []byte) (*splitResult, bool, erro
 			return nil, false, err
 		}
 		if split == nil {
-			if added && db.counted {
+			if added {
 				addChildCount(pg, idx, 1)
 			}
 			return nil, added, nil
 		}
 		// The child split: its counter becomes the left half's total and
 		// the new separator cell carries the right half's.
-		if db.counted {
-			setChildCount(pg, idx, split.leftKeys)
-		}
-		cell := makeBranchCell(split.key, split.right, split.rightKeys, db.counted)
+		setChildCount(pg, idx, split.leftKeys)
+		cell := makeBranchCell(split.key, split.right, split.rightKeys)
 		if insertCellAt(pg, idx+1, cell) {
 			return nil, added, nil
 		}
@@ -553,7 +531,7 @@ func (db *DB) splitBranch(pg *page, i int, cell []byte) (*splitResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.initBranch(right)
+	initBranch(right)
 
 	n := nCells(pg)
 	mid := n / 2
@@ -561,9 +539,7 @@ func (db *DB) splitBranch(pg *page, i int, cell []byte) (*splitResult, error) {
 	// leftmost child (carrying its subtree counter into the header slot).
 	sep := append([]byte(nil), cellKey(pg, mid)...)
 	setLeftChild(right, branchChild(pg, mid))
-	if db.counted {
-		setLeftCount(right, branchCellCount(pg, mid))
-	}
+	setLeftCount(right, branchCellCount(pg, mid))
 	for j := mid + 1; j < n; j++ {
 		off := cellOffset(pg, j)
 		sz := cellSize(pg, j)
@@ -583,12 +559,12 @@ func (db *DB) splitBranch(pg *page, i int, cell []byte) (*splitResult, error) {
 			return nil, corruptf("branch split: cell does not fit into right half")
 		}
 	}
-	res := &splitResult{key: sep, right: right.id}
-	if db.counted {
-		res.leftKeys = subtreeKeys(pg)
-		res.rightKeys = subtreeKeys(right)
-	}
-	return res, nil
+	return &splitResult{
+		key:       sep,
+		right:     right.id,
+		leftKeys:  subtreeKeys(pg),
+		rightKeys: subtreeKeys(right),
+	}, nil
 }
 
 // readValue materializes the value of leaf cell i, following overflow

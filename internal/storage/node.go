@@ -12,10 +12,9 @@ import (
 //	flags 0 (inline):   vlen uint16 | value
 //	flags 1 (overflow): vlen uint32 | first overflow page id uint32
 //
-// Branch cell: klen uint16 | key | child page id uint32
+// Branch cell: klen uint16 | key | child page id uint32 | count uint32
 //
-// On counted branch pages (pageFlagCounted set) every branch cell carries a
-// trailing uint32: the number of keys stored in the child's subtree.
+// count is the number of keys stored in the child's subtree.
 const (
 	flagInline   = 0
 	flagOverflow = 1
@@ -93,11 +92,8 @@ func setLeftChild(pg *page, c uint32) {
 	pg.dirty = true
 }
 
-// counted reports whether pg's branch cells carry subtree key counters.
-func counted(pg *page) bool { return pg.data[offFlags]&pageFlagCounted != 0 }
-
-// leftCount returns the key count of the leftmost child's subtree on a
-// counted branch page.
+// leftCount returns the key count of a branch page's leftmost child's
+// subtree.
 func leftCount(pg *page) uint32 { return getU32(pg.data, offLeftCount) }
 
 func setLeftCount(pg *page, v uint32) {
@@ -105,8 +101,7 @@ func setLeftCount(pg *page, v uint32) {
 	pg.dirty = true
 }
 
-// branchCellCount returns the subtree key count of branch cell i; the page
-// must be counted.
+// branchCellCount returns the subtree key count of branch cell i.
 func branchCellCount(pg *page, i int) uint32 {
 	off := cellOffset(pg, i)
 	klen := int(getU16(pg.data, off))
@@ -120,8 +115,7 @@ func setBranchCellCount(pg *page, i int, v uint32) {
 	pg.dirty = true
 }
 
-// childCount returns the subtree key count for a childIndexFor result on a
-// counted branch page.
+// childCount returns the subtree key count for a childIndexFor result.
 func childCount(pg *page, idx int) uint32 {
 	if idx < 0 {
 		return leftCount(pg)
@@ -143,8 +137,8 @@ func addChildCount(pg *page, idx int, delta int) {
 	setChildCount(pg, idx, uint32(int(childCount(pg, idx))+delta))
 }
 
-// subtreeKeys sums a counted branch page's child counters: the key count of
-// the whole subtree rooted at pg.
+// subtreeKeys sums a branch page's child counters: the key count of the
+// whole subtree rooted at pg.
 func subtreeKeys(pg *page) uint32 {
 	total := leftCount(pg)
 	for i := 0; i < nCells(pg); i++ {
@@ -211,10 +205,7 @@ func cellSize(pg *page, i int) int {
 	off := cellOffset(pg, i)
 	klen := int(getU16(pg.data, off))
 	if pg.data[offType] == pageBranch {
-		if counted(pg) {
-			return 2 + klen + 4 + 4
-		}
-		return 2 + klen + 4
+		return 2 + klen + 4 + 4
 	}
 	flags := pg.data[off+2]
 	if flags == flagInline {
@@ -299,19 +290,13 @@ func makeLeafCell(key, value []byte, ovfLen uint32, ovfPage uint32) []byte {
 	return cell
 }
 
-// makeBranchCell builds a branch cell; counted pages append the child's
-// subtree key count.
-func makeBranchCell(key []byte, child uint32, count uint32, withCount bool) []byte {
-	size := 2 + len(key) + 4
-	if withCount {
-		size += 4
-	}
-	cell := make([]byte, size)
+// makeBranchCell builds a branch cell: the separator key, the child, and the
+// child's subtree key count.
+func makeBranchCell(key []byte, child uint32, count uint32) []byte {
+	cell := make([]byte, 2+len(key)+4+4)
 	putU16(cell, 0, uint16(len(key)))
 	copy(cell[2:], key)
 	putU32(cell, 2+len(key), child)
-	if withCount {
-		putU32(cell, 2+len(key)+4, count)
-	}
+	putU32(cell, 2+len(key)+4, count)
 	return cell
 }

@@ -53,8 +53,8 @@ const (
 //	[1:3]   number of cells (uint16)
 //	[3:7]   leaf: next-leaf page id; branch: leftmost child page id
 //	[7:9]   upper: offset where cell content begins (cells grow downward)
-//	[9]     flags (bit 0: branch cells carry subtree counters)
-//	[10:14] counted branch: key count of the leftmost child's subtree
+//	[9]     flags (bit 0, set on every branch page: cells carry subtree counters)
+//	[10:14] branch: key count of the leftmost child's subtree
 //	[14:16] reserved
 //	[16:..] cell pointer array (uint16 offsets, sorted by key)
 //
@@ -80,8 +80,7 @@ const (
 )
 
 // pageFlagCounted marks a branch page whose cells carry a trailing uint32
-// subtree key count. Pages written before counters existed have a zero flag
-// byte (it was reserved space), so the accessors parse both layouts.
+// subtree key count. Every branch page has it set; Check rejects one without.
 const pageFlagCounted = 1
 
 // maxInlineCell is the largest cell stored inline in a leaf; larger values

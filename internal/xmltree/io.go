@@ -5,28 +5,29 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strings"
 
 	"approxql/internal/cost"
 	"approxql/internal/dict"
+	"approxql/internal/format"
 )
 
-// Tree magics identify the on-disk format. Both formats store only the
-// dictionaries, node kinds, labels, and bounds; parent links and the cost
-// encoding (inscost, pathcost) are reconstructed at load time from the cost
-// model, so a stored collection can be re-encoded under different insert
-// costs without regeneration. v1 stores the dictionaries as quoted text
-// lines; v2 stores them as front-coded sorted blocks (dict.Pack), which
-// open without materializing any string. Writers emit v2; readers accept
-// both.
+// treeMagic opens a collection file; the digit before the newline is the
+// format version. The file stores only the dictionaries (as front-coded
+// sorted blocks, dict.Pack, which open without materializing any string),
+// node kinds, labels, and bounds; parent links and the cost encoding
+// (inscost, pathcost) are reconstructed at load time from the cost model, so
+// a stored collection can be re-encoded under different insert costs without
+// regeneration.
 const (
-	treeMagic   = "AXQLTREE1\n"
-	treeMagicV2 = "AXQLTREE2\n"
+	treeMagic       = "AXQLTREE2\n"
+	treeMagicPrefix = "AXQLTREE"
 )
 
-// WriteTo serializes the tree in the v2 format. It implements io.WriterTo.
+// WriteTo serializes the tree. It implements io.WriterTo.
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: bufio.NewWriter(w)}
-	if _, err := io.WriteString(cw, treeMagicV2); err != nil {
+	if _, err := io.WriteString(cw, treeMagic); err != nil {
 		return cw.n, err
 	}
 	var hdr [binary.MaxVarintLen64]byte
@@ -74,7 +75,14 @@ func ReadTree(r io.Reader, model *cost.Model) (*Tree, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("xmltree: reading magic: %w", err)
 	}
-	if string(magic) != treeMagic && string(magic) != treeMagicV2 {
+	if string(magic) != treeMagic {
+		if strings.HasPrefix(string(magic), treeMagicPrefix) {
+			return nil, &format.VersionError{
+				Kind:      "collection file",
+				Found:     strings.TrimSpace(string(magic)),
+				Supported: strings.TrimSpace(treeMagic),
+			}
+		}
 		return nil, fmt.Errorf("xmltree: bad magic %q", magic)
 	}
 	n64, err := binary.ReadUvarint(br)
@@ -93,40 +101,29 @@ func ReadTree(r io.Reader, model *cost.Model) (*Tree, error) {
 		inscost:  make([]cost.Cost, n),
 		pathcost: make([]cost.Cost, n),
 	}
-	if string(magic) == treeMagicV2 {
-		readPacked := func(what string) (*dict.Packed, error) {
-			bl, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("xmltree: reading %s dictionary size: %w", what, err)
-			}
-			if bl > 1<<33 {
-				return nil, fmt.Errorf("xmltree: implausible %s dictionary size %d", what, bl)
-			}
-			blob := make([]byte, bl)
-			if _, err := io.ReadFull(br, blob); err != nil {
-				return nil, fmt.Errorf("xmltree: reading %s dictionary: %w", what, err)
-			}
-			return dict.OpenPacked(blob)
-		}
-		names, err := readPacked("names")
+	readPacked := func(what string) (*dict.Packed, error) {
+		bl, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("xmltree: reading %s dictionary size: %w", what, err)
 		}
-		terms, err := readPacked("terms")
-		if err != nil {
-			return nil, err
+		if bl > 1<<33 {
+			return nil, fmt.Errorf("xmltree: implausible %s dictionary size %d", what, bl)
 		}
-		t.Names, t.Terms = names, terms
-	} else {
-		names, terms := dict.New(), dict.New()
-		if _, err := names.ReadFrom(br); err != nil {
-			return nil, err
+		blob := make([]byte, bl)
+		if _, err := io.ReadFull(br, blob); err != nil {
+			return nil, fmt.Errorf("xmltree: reading %s dictionary: %w", what, err)
 		}
-		if _, err := terms.ReadFrom(br); err != nil {
-			return nil, err
-		}
-		t.Names, t.Terms = names, terms
+		return dict.OpenPacked(blob)
 	}
+	names, err := readPacked("names")
+	if err != nil {
+		return nil, err
+	}
+	terms, err := readPacked("terms")
+	if err != nil {
+		return nil, err
+	}
+	t.Names, t.Terms = names, terms
 	for u := 0; u < n; u++ {
 		lk, err := binary.ReadUvarint(br)
 		if err != nil {

@@ -1,10 +1,8 @@
 package xmltree
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
-	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -47,83 +45,43 @@ func TestTreeSerializationWithModel(t *testing.T) {
 	assertTreesEqual(t, tree, got)
 }
 
-// writeTreeV1 serializes tree in the legacy v1 format (quoted-line
-// dictionaries) so the v1 read path stays pinned.
-func writeTreeV1(t *testing.T, tree *Tree, w io.Writer) {
-	t.Helper()
-	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, treeMagic); err != nil {
-		t.Fatal(err)
-	}
-	var hdr [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) {
-		n := binary.PutUvarint(hdr[:], v)
-		if _, err := bw.Write(hdr[:n]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeUvarint(uint64(tree.Len()))
-	if _, err := tree.Names.(*dict.Dict).WriteTo(bw); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tree.Terms.(*dict.Dict).WriteTo(bw); err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < tree.Len(); u++ {
-		kindBit := uint64(0)
-		if tree.kind[u] == cost.Text {
-			kindBit = 1
-		}
-		writeUvarint(uint64(tree.label[u])<<1 | kindBit)
-		writeUvarint(uint64(tree.bound[u] - NodeID(u)))
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestV1TreeStillLoads(t *testing.T) {
-	tree := mustParse(t, paperDataXML, `<dvd><title>Sonata</title></dvd>`)
-	var buf bytes.Buffer
-	writeTreeV1(t, tree, &buf)
-	got, err := ReadTree(bytes.NewReader(buf.Bytes()), nil)
-	if err != nil {
-		t.Fatalf("ReadTree(v1): %v", err)
-	}
-	assertTreesEqual(t, tree, got)
-	if _, ok := got.Names.(*dict.Dict); !ok {
-		t.Errorf("v1 load produced %T names, want *dict.Dict", got.Names)
-	}
-}
-
-func TestV2TreeUsesPackedDicts(t *testing.T) {
+func TestTreeFileUsesPackedDicts(t *testing.T) {
 	tree := mustParse(t, paperDataXML)
 	var buf bytes.Buffer
 	if _, err := tree.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte(treeMagicV2)) {
-		t.Fatalf("WriteTo emitted magic %q, want %q", buf.Bytes()[:10], treeMagicV2)
+	if !bytes.HasPrefix(buf.Bytes(), []byte("AXQLTREE2\n")) {
+		t.Fatalf("WriteTo emitted magic %q, want AXQLTREE2", buf.Bytes()[:10])
 	}
 	got, err := ReadTree(bytes.NewReader(buf.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := got.Names.(*dict.Packed); !ok {
-		t.Errorf("v2 load produced %T names, want *dict.Packed", got.Names)
+		t.Errorf("load produced %T names, want *dict.Packed", got.Names)
 	}
 	if _, ok := got.Terms.(*dict.Packed); !ok {
-		t.Errorf("v2 load produced %T terms, want *dict.Packed", got.Terms)
+		t.Errorf("load produced %T terms, want *dict.Packed", got.Terms)
 	}
 }
 
 func TestReadTreeRejectsGarbage(t *testing.T) {
+	// Two nodes, one name, one term, then a first node whose bound lies
+	// past the tree.
+	boundOutOfRange := []byte(treeMagic + "\x02")
+	for _, strs := range [][]string{{"a"}, {"w"}} {
+		blob := dict.Pack(strs)
+		boundOutOfRange = binary.AppendUvarint(boundOutOfRange, uint64(len(blob)))
+		boundOutOfRange = append(boundOutOfRange, blob...)
+	}
+	boundOutOfRange = append(boundOutOfRange, 0x00, 0x05)
 	cases := [][]byte{
 		nil,
 		[]byte("bogus"),
 		[]byte(treeMagic),          // missing everything after magic
 		[]byte(treeMagic + "\x00"), // zero nodes
-		[]byte(treeMagic + "\x02" + "1\n\"a\"\n" + "1\n\"w\"\n" + "\x00\x05"), // bound out of range
+		boundOutOfRange,
 	}
 	for i, c := range cases {
 		if _, err := ReadTree(bytes.NewReader(c), nil); err == nil {

@@ -141,6 +141,35 @@ done
 wait "$server_pid" || fail "mmap server exited non-zero"
 server_pid=""
 
+# --- upgrade rule: older formats are refused; re-indexing replaces them ------
+
+echo "smoke: upgrade: a bundle of an older format version is refused"
+{ echo 'axql-bundle v5'; tail -n +2 "$workdir/c.axdb.bundle"; } >"$workdir/old.bundle"
+mv "$workdir/old.bundle" "$workdir/c.axdb.bundle"
+printf 'AXQLBT01' | dd of="$workdir/c.postings" bs=1 conv=notrunc 2>/dev/null
+if "$workdir/axql" -db "$workdir/c.axdb.bundle" -n 5 "$name" >/dev/null 2>"$workdir/old.err"; then
+    fail "axql answered from an axql-bundle v5 manifest"
+fi
+grep -q 'axqlindex' "$workdir/old.err" ||
+    fail "axql's version error does not name axqlindex: $(cat "$workdir/old.err")"
+if timeout 10 "$workdir/axqlserve" -db "$workdir/c.axdb.bundle" -addr 127.0.0.1:0 \
+    >/dev/null 2>"$workdir/old.err"; then
+    fail "axqlserve served an axql-bundle v5 manifest"
+fi
+grep -q 'axqlindex' "$workdir/old.err" ||
+    fail "axqlserve's version error does not name axqlindex: $(cat "$workdir/old.err")"
+
+echo "smoke: upgrade: re-running axqlindex onto the same paths"
+"$workdir/axqlindex" -out "$workdir/c.axdb" -postings "$workdir/c.postings" \
+    -secondary "$workdir/c.sec" -mmap -q "$workdir/data.xml" ||
+    fail "axqlindex did not replace the old-format files"
+head -1 "$workdir/c.axdb.bundle" | grep -qx 'axql-bundle v6' ||
+    fail "re-indexed bundle is not an axql-bundle v6 manifest"
+"$workdir/axql" -db "$workdir/c.axdb.bundle" -n 5 "$name" >"$workdir/upgraded.out" ||
+    fail "axql over the re-indexed bundle failed"
+cmp -s "$workdir/pager.out" "$workdir/upgraded.out" ||
+    fail "re-indexed ranking differs: $(diff "$workdir/pager.out" "$workdir/upgraded.out" | head -5)"
+
 # --- multi-document corpus: index with -shard-docs, query, serve -----------
 
 echo "smoke: corpus: generating three documents"
@@ -153,8 +182,8 @@ echo "smoke: corpus: indexing with -shard-docs"
 "$workdir/axqlindex" -out "$workdir/corpus.axql" -shard-docs 1 -q \
     "$workdir/doc1.xml" "$workdir/doc2.xml" "$workdir/doc3.xml"
 [ -f "$workdir/corpus.axql" ] || fail "corpus bundle not written"
-head -1 "$workdir/corpus.axql" | grep -q 'axql-bundle v5' ||
-    fail "corpus bundle is not a v5 manifest"
+head -1 "$workdir/corpus.axql" | grep -qx 'axql-bundle v6' ||
+    fail "corpus bundle is not an axql-bundle v6 manifest"
 
 cname=$(grep -o '<n[0-9]*' "$workdir/doc1.xml" | sort | uniq -c | sort -rn |
     head -1 | tr -d ' <' | sed 's/^[0-9]*//')
