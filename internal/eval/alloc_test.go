@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"approxql/internal/cost"
 	"approxql/internal/index"
@@ -34,7 +35,7 @@ func TestListOpAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
-	lA, lD := benchLists(2_000, 8_000)
+	tree, lA, lD := benchLists(2_000, 8_000)
 	lB := &List{entries: make([]Entry, 0, 1_000)}
 	for i := 0; i < len(lA.entries); i += 2 {
 		lB.entries = append(lB.entries, lA.entries[i])
@@ -44,8 +45,8 @@ func TestListOpAllocBudgets(t *testing.T) {
 	sc.grow(len(lA.entries))
 
 	ops := map[string]func(){
-		"appendJoin":      func() { dst = appendJoin(dst[:0], lA.entries, lD.entries, 1, &sc) },
-		"appendOuterjoin": func() { dst = appendOuterjoin(dst[:0], lA.entries, lD.entries, 1, 5, &sc) },
+		"appendJoin":      func() { dst = appendJoin(dst[:0], lA.entries, lD.entries, 1, tree, &sc) },
+		"appendOuterjoin": func() { dst = appendOuterjoin(dst[:0], lA.entries, lD.entries, 1, 5, tree, &sc) },
 		"appendIntersect": func() { dst = appendIntersect(dst[:0], lA.entries, lB.entries, 1) },
 		"appendUnion":     func() { dst = appendUnion(dst[:0], lA.entries, lB.entries, 0, 1) },
 		"appendMerge":     func() { dst = appendMerge(dst[:0], lA.entries, lB.entries, 3, false) },
@@ -57,6 +58,59 @@ func TestListOpAllocBudgets(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, op); allocs > 0 {
 			t.Errorf("%s: %.1f allocs/run with preallocated buffers, want 0", name, allocs)
 		}
+	}
+}
+
+// TestEntryLayout pins the list entry at 24 bytes: pre, bound and the two
+// costs. Every list operation copies or clears whole entries, so each byte
+// added here is paid per entry by the whole algebra — and the arena, the
+// chunk pool's byte budget and the memory figures in docs/PERFORMANCE.md
+// all assume this size. Data that only some operations read (the join's
+// pathcost and inscost) belongs in the tree, not in the entry.
+func TestEntryLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 24 {
+		t.Errorf("sizeof(Entry) = %d bytes, want 24", got)
+	}
+}
+
+// TestChunkPoolByteBudget checks that putChunks retains chunks up to
+// chunkPoolBytes and no further, and that getChunk gives the bytes back.
+func TestChunkPoolByteBudget(t *testing.T) {
+	chunkPool.mu.Lock()
+	saved, savedBytes := chunkPool.bufs, chunkPool.bytes
+	chunkPool.bufs, chunkPool.bytes = nil, 0
+	chunkPool.mu.Unlock()
+	t.Cleanup(func() {
+		chunkPool.mu.Lock()
+		chunkPool.bufs, chunkPool.bytes = saved, savedBytes
+		chunkPool.mu.Unlock()
+	})
+
+	const entry = int(unsafe.Sizeof(Entry{}))
+	per := arenaChunkMax * entry
+	fit := chunkPoolBytes / per
+	bufs := make([][]Entry, fit+2)
+	for i := range bufs {
+		bufs[i] = make([]Entry, 0, arenaChunkMax)
+	}
+	putChunks(bufs)
+	if len(chunkPool.bufs) != fit || chunkPool.bytes != fit*per {
+		t.Fatalf("pool kept %d chunks (%d bytes), want %d (%d bytes)",
+			len(chunkPool.bufs), chunkPool.bytes, fit, fit*per)
+	}
+	// The room left takes a chunk that exactly fits, not one entry more.
+	rest := (chunkPoolBytes - fit*per) / entry
+	putChunks([][]Entry{make([]Entry, 0, rest+1), make([]Entry, 0, rest)})
+	full := fit*per + rest*entry
+	if len(chunkPool.bufs) != fit+1 || chunkPool.bytes != full {
+		t.Fatalf("pool kept %d chunks (%d bytes), want %d (%d bytes)",
+			len(chunkPool.bufs), chunkPool.bytes, fit+1, full)
+	}
+	if _, ok := getChunk(arenaChunkMax); !ok {
+		t.Fatal("getChunk missed a pooled chunk")
+	}
+	if chunkPool.bytes != full-per {
+		t.Errorf("pool bytes after get = %d, want %d", chunkPool.bytes, full-per)
 	}
 }
 

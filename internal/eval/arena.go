@@ -1,9 +1,12 @@
 package eval
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 // Arena chunks grow geometrically from arenaChunkMin to arenaChunkMax
-// entries (40 bytes each): short-lived contexts — forked subtree workers in
+// entries (24 bytes each): short-lived contexts — forked subtree workers in
 // particular — stay at a few KiB, while a context evaluating large lists
 // quickly reaches chunks big enough that a query costs a handful of chunk
 // allocations.
@@ -136,13 +139,17 @@ func (sc *joinScratch) grow(n int) {
 // recycling them removes both the allocation and the clear of several
 // megabytes per query.
 var chunkPool struct {
-	mu   sync.Mutex
-	bufs [][]Entry
+	mu    sync.Mutex
+	bufs  [][]Entry
+	bytes int // summed capacity of bufs, in bytes
 }
 
-// chunkPoolMax bounds retained chunks (at arenaChunkMax entries each, 32
-// chunks cap retention at ~20 MiB).
-const chunkPoolMax = 32
+// chunkPoolBytes bounds the memory the pool retains. It is a byte budget,
+// not a chunk count, so that it stays 20 MiB whatever the entry size.
+const chunkPoolBytes = 20 << 20
+
+// chunkBytes is the memory held by chunk b.
+func chunkBytes(b []Entry) int { return cap(b) * int(unsafe.Sizeof(Entry{})) }
 
 // getChunk returns a pooled chunk with capacity ≥ n, if one exists.
 func getChunk(n int) ([]Entry, bool) {
@@ -155,21 +162,24 @@ func getChunk(n int) ([]Entry, bool) {
 			chunkPool.bufs[i] = chunkPool.bufs[last]
 			chunkPool.bufs[last] = nil
 			chunkPool.bufs = chunkPool.bufs[:last]
+			chunkPool.bytes -= chunkBytes(b)
 			return b[:0], true
 		}
 	}
 	return nil, false
 }
 
-// putChunks shelves chunks for reuse, dropping overflow beyond chunkPoolMax.
+// putChunks shelves chunks for reuse, dropping each one that would take the
+// pool past chunkPoolBytes.
 func putChunks(bufs [][]Entry) {
 	chunkPool.mu.Lock()
 	defer chunkPool.mu.Unlock()
 	for _, b := range bufs {
-		if len(chunkPool.bufs) >= chunkPoolMax {
-			break
+		if chunkPool.bytes+chunkBytes(b) > chunkPoolBytes {
+			continue
 		}
 		chunkPool.bufs = append(chunkPool.bufs, b[:0])
+		chunkPool.bytes += chunkBytes(b)
 	}
 }
 

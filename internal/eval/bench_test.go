@@ -9,59 +9,86 @@ import (
 	"approxql/internal/xmltree"
 )
 
-// synthetic lists for micro-benchmarking the list algebra: an ancestor list
-// of nested/sibling intervals and a dense descendant list.
-func benchLists(nA, nD int) (*List, *List) {
+// benchLists builds a synthetic data tree for micro-benchmarking the list
+// algebra and lists over it: lA holds the first nA "a" nodes, which come in
+// groups of up to four nested under a shared parent, and lD the first nD
+// "d" leaves, which fill the groups and the gaps between them.
+func benchLists(nA, nD int) (*xmltree.Tree, *List, *List) {
 	rng := rand.New(rand.NewSource(9))
-	lA := &List{entries: make([]Entry, 0, nA)}
-	// Ancestor intervals must be laminar (properly nested or disjoint)
-	// like real tree nodes: emit groups of up to four nested intervals.
-	pre := xmltree.NodeID(1)
-	for len(lA.entries) < nA {
-		depth := 1 + rng.Intn(4)
-		width := xmltree.NodeID(40 + rng.Intn(40))
-		for d := 0; d < depth && len(lA.entries) < nA; d++ {
-			lA.entries = append(lA.entries, Entry{
-				Pre: pre + xmltree.NodeID(d), Bound: pre + width - xmltree.NodeID(d),
-				PathCost: cost.Cost(d), InsCost: 1,
-				EmbCost: 0, LeafCost: cost.Inf,
-			})
+	m := cost.NewModel()
+	m.SetInsert("g", cost.Struct, 3)
+	b := xmltree.NewBuilder(m)
+	ds := 0
+	leaves := func(n int) {
+		for ; n > 0; n-- {
+			label := "x"
+			if rng.Intn(2) == 0 {
+				label = "d"
+				ds++
+			}
+			b.BeginElement(label)
+			b.End()
 		}
-		pre += width + xmltree.NodeID(2+rng.Intn(8))
 	}
+	b.BeginElement("r")
+	for as := 0; as < nA || ds < nD; {
+		depth := 1 + rng.Intn(4)
+		for d := 0; d < depth; d++ {
+			b.BeginElement("a")
+			leaves(rng.Intn(3))
+		}
+		b.BeginElement("g")
+		leaves(8 + rng.Intn(16))
+		b.End()
+		for d := 0; d < depth; d++ {
+			b.End()
+		}
+		leaves(2 + rng.Intn(8))
+		as += depth
+	}
+	b.End()
+	tree, err := b.Finish()
+	if err != nil {
+		panic(err)
+	}
+	lA := &List{entries: make([]Entry, 0, nA)}
 	lD := &List{entries: make([]Entry, 0, nD)}
-	dpre := xmltree.NodeID(2)
-	for i := 0; i < nD; i++ {
-		lD.entries = append(lD.entries, Entry{
-			Pre: dpre, Bound: dpre, PathCost: cost.Cost(3 + i%5), InsCost: 0,
-			EmbCost: cost.Cost(i % 4), LeafCost: cost.Cost(i % 4),
-		})
-		dpre += xmltree.NodeID(1 + rng.Intn(4))
+	for u := xmltree.NodeID(0); int(u) < tree.Len(); u++ {
+		switch tree.Label(u) {
+		case "a":
+			if len(lA.entries) < nA {
+				lA.entries = append(lA.entries, Entry{Pre: u, Bound: tree.Bound(u), EmbCost: 0, LeafCost: cost.Inf})
+			}
+		case "d":
+			if i := len(lD.entries); i < nD {
+				lD.entries = append(lD.entries, Entry{Pre: u, Bound: tree.Bound(u), EmbCost: cost.Cost(i % 4), LeafCost: cost.Cost(i % 4)})
+			}
+		}
 	}
-	return lA, lD
+	return tree, lA, lD
 }
 
 func BenchmarkJoin(b *testing.B) {
 	for _, size := range []int{100, 10_000} {
-		lA, lD := benchLists(size, size*4)
+		tree, lA, lD := benchLists(size, size*4)
 		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				join(lA, lD, 1)
+				join(tree, lA, lD, 1)
 			}
 		})
 	}
 }
 
 func BenchmarkOuterjoin(b *testing.B) {
-	lA, lD := benchLists(10_000, 40_000)
+	tree, lA, lD := benchLists(10_000, 40_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		outerjoin(lA, lD, 1, 5)
+		outerjoin(tree, lA, lD, 1, 5)
 	}
 }
 
 func BenchmarkIntersect(b *testing.B) {
-	lA, _ := benchLists(50_000, 1)
+	_, lA, _ := benchLists(50_000, 1)
 	lB := &List{entries: make([]Entry, 0, 25_000)}
 	for i := 0; i < len(lA.entries); i += 2 {
 		lB.entries = append(lB.entries, lA.entries[i])
@@ -73,8 +100,8 @@ func BenchmarkIntersect(b *testing.B) {
 }
 
 func BenchmarkUnion(b *testing.B) {
-	lA, _ := benchLists(25_000, 1)
-	lB, _ := benchLists(25_000, 1)
+	_, lA, _ := benchLists(25_000, 1)
+	lB := lA // benchLists is deterministic: a second call returns equal lists
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		union(lA, lB, 1)
@@ -82,8 +109,8 @@ func BenchmarkUnion(b *testing.B) {
 }
 
 func BenchmarkMerge(b *testing.B) {
-	lA, _ := benchLists(25_000, 1)
-	lB, _ := benchLists(25_000, 1)
+	_, lA, _ := benchLists(25_000, 1)
+	lB := lA // benchLists is deterministic: a second call returns equal lists
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		merge(lA, lB, 3)

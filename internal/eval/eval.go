@@ -390,14 +390,7 @@ func (ev *Evaluator) computeFetch(ctx *evalCtx, label string, kind cost.Kind) (*
 	ctx.stats.Fetches++
 	dst := ctx.arena.alloc(len(post))
 	for _, u := range post {
-		dst = append(dst, Entry{
-			Pre:      u,
-			Bound:    ev.tree.Bound(u),
-			PathCost: ev.tree.PathCost(u),
-			InsCost:  ev.tree.InsCost(u),
-			EmbCost:  0,
-			LeafCost: cost.Inf,
-		})
+		dst = append(dst, Entry{Pre: u, Bound: ev.tree.Bound(u), EmbCost: 0, LeafCost: cost.Inf})
 	}
 	return ctx.arena.commitList(dst), nil
 }
@@ -715,7 +708,7 @@ func (ev *Evaluator) computeEval(ctx *evalCtx, u *lang.XNode, lA *List) (*List, 
 		ctx.stats.ListOps++
 		ctx.stats.EntriesIn += lA.Len() + ld.Len()
 		dst := ctx.arena.alloc(lA.Len())
-		dst = appendOuterjoin(dst, lA.entries, ld.entries, 0, u.DelCost, &ctx.sc.join)
+		dst = appendOuterjoin(dst, lA.entries, ld.entries, 0, u.DelCost, ev.tree, &ctx.sc.join)
 		return ctx.arena.commitList(dst), nil
 	case lang.RepNode:
 		ld, err := ev.inner(ctx, u)
@@ -725,7 +718,7 @@ func (ev *Evaluator) computeEval(ctx *evalCtx, u *lang.XNode, lA *List) (*List, 
 		ctx.stats.ListOps++
 		ctx.stats.EntriesIn += lA.Len() + ld.Len()
 		dst := ctx.arena.alloc(lA.Len())
-		dst = appendJoin(dst, lA.entries, ld.entries, 0, &ctx.sc.join)
+		dst = appendJoin(dst, lA.entries, ld.entries, 0, ev.tree, &ctx.sc.join)
 		return ctx.arena.commitList(dst), nil
 	case lang.RepAnd:
 		ll, lr, err := ev.evalPair(ctx, u.Left, u.Right, lA)

@@ -19,28 +19,27 @@
 package eval
 
 import (
+	"sort"
+
 	"approxql/internal/cost"
 	"approxql/internal/xmltree"
 )
 
-// Entry is a list entry (Section 6.3): four numbers copied from the data
-// node plus the embedding cost, extended with LeafCost for the full
-// version's leaf rule (Section 6.5): the cheapest embedding of the query
-// subtree whose image contains at least one query-leaf match. Entries whose
-// subtree cannot be embedded at all are never stored.
+// Entry is a list entry (Section 6.3) plus the embedding cost, extended with
+// LeafCost for the full version's leaf rule (Section 6.5): the cheapest
+// embedding of the query subtree whose image contains at least one
+// query-leaf match. Entries whose subtree cannot be embedded at all are
+// never stored.
+//
+// The paper's entry copies four numbers from the data node; this one keeps
+// only pre and bound, which every operation reads. Pathcost and inscost feed
+// nothing but the join's distance, so joinCore reads them from the tree's
+// arrays (xmltree.Tree.Distance) instead of every list copying them.
 type Entry struct {
 	Pre      xmltree.NodeID
 	Bound    xmltree.NodeID
-	PathCost cost.Cost
-	InsCost  cost.Cost
 	EmbCost  cost.Cost
 	LeafCost cost.Cost
-}
-
-// distance returns the total insert cost of the nodes strictly between the
-// ancestor a and its descendant d (Section 6.2).
-func distance(a, d *Entry) cost.Cost {
-	return d.PathCost - a.PathCost - a.InsCost
 }
 
 // isAncestor reports whether a is a proper ancestor of d.
@@ -58,12 +57,6 @@ type List struct {
 
 // Len returns the number of entries.
 func (l *List) Len() int { return len(l.entries) }
-
-// At returns the i-th entry.
-func (l *List) At(i int) Entry { return l.entries[i] }
-
-// Entries exposes the raw slice; callers must not modify it.
-func (l *List) Entries() []Entry { return l.entries }
 
 var emptyList = &List{}
 
@@ -159,9 +152,12 @@ func appendMerge(dst, lL, lR []Entry, cRen cost.Cost, markRight bool) []Entry {
 // and subtrees nest, a stack of open ancestors processes both lists in one
 // merge pass: every descendant contributes to exactly the ancestors
 // currently open, of which there are at most l (the recursivity of the data
-// tree) — the paper's O(s·l) bound. Results land in sc.tmp/sc.matched,
-// indexed like lA; the caller emits them under its own cost rule.
-func joinCore(lA, lD []Entry, sc *joinScratch) {
+// tree) — the paper's O(s·l) bound. Descendants that no open ancestor
+// covers are skipped by galloping to the next ancestor's Pre. Distances come
+// from t, the data tree both lists were fetched from. Results land in
+// sc.tmp/sc.matched, indexed like lA; the caller emits them under its own
+// cost rule.
+func joinCore(t *xmltree.Tree, lA, lD []Entry, sc *joinScratch) {
 	sc.grow(len(lA))
 	tmp, matched, open := sc.tmp, sc.matched, sc.open
 
@@ -181,15 +177,22 @@ func joinCore(lA, lD []Entry, sc *joinScratch) {
 		}
 		// Close ancestors whose subtree ended.
 		open = closeExpired(open, tmp, d.Pre)
-		if len(open) == 0 && i >= len(lA) {
-			break
+		if len(open) == 0 {
+			if i >= len(lA) {
+				break
+			}
+			// Nothing covers d, and the next ancestor starts at or after
+			// it: no descendant up to that Pre can match. Insertions only
+			// change distances, never containment, so skipping is sound.
+			j = skipPast(lD, j, lA[i].Pre)
+			continue
 		}
 		for _, ai := range open {
 			a := &tmp[ai]
 			if !isAncestor(a, d) {
 				continue
 			}
-			dist := distance(a, d)
+			dist := t.Distance(a.Pre, d.Pre)
 			if c := cost.Add(dist, d.EmbCost); c < a.EmbCost {
 				a.EmbCost = c
 			}
@@ -203,15 +206,29 @@ func joinCore(lA, lD []Entry, sc *joinScratch) {
 	sc.open = open // keep the grown stack for reuse
 }
 
+// skipPast returns the index of the first entry of l after j whose Pre
+// exceeds pre; l[j].Pre must not exceed it. It gallops (steps 1, 2, 4, …)
+// and then binary-searches the last step, so a short gap costs a few
+// comparisons and a long one O(log gap).
+func skipPast(l []Entry, j int, pre xmltree.NodeID) int {
+	step := 1
+	for j+step < len(l) && l[j+step].Pre <= pre {
+		j += step
+		step *= 2
+	}
+	hi := min(j+step, len(l))
+	return j + 1 + sort.Search(hi-j-1, func(k int) bool { return l[j+1+k].Pre > pre })
+}
+
 // appendJoin appends the join of lA with lD (Section 6.4, function join):
 // copies of the entries from lA that have descendants in lD, each costing
 // the cheapest distance+cost over its descendants plus cEdge. Appends at
 // most len(lA).
-func appendJoin(dst, lA, lD []Entry, cEdge cost.Cost, sc *joinScratch) []Entry {
+func appendJoin(dst, lA, lD []Entry, cEdge cost.Cost, t *xmltree.Tree, sc *joinScratch) []Entry {
 	if len(lA) == 0 || len(lD) == 0 {
 		return dst
 	}
-	joinCore(lA, lD, sc)
+	joinCore(t, lA, lD, sc)
 	for ai := range sc.tmp {
 		if sc.matched[ai] {
 			e := sc.tmp[ai]
@@ -229,11 +246,11 @@ func appendJoin(dst, lA, lD []Entry, cEdge cost.Cost, sc *joinScratch) []Entry {
 // LeafCost tracks the cheapest genuine match only — deleting the leaf never
 // contributes a query-leaf match. Entries whose cost is infinite (no match
 // and cDel=∞) are dropped. Appends at most len(lA).
-func appendOuterjoin(dst, lA, lD []Entry, cEdge, cDel cost.Cost, sc *joinScratch) []Entry {
+func appendOuterjoin(dst, lA, lD []Entry, cEdge, cDel cost.Cost, t *xmltree.Tree, sc *joinScratch) []Entry {
 	if len(lA) == 0 {
 		return dst
 	}
-	joinCore(lA, lD, sc)
+	joinCore(t, lA, lD, sc)
 	for ai, a := range lA {
 		e := a
 		if sc.matched[ai] {
@@ -332,21 +349,21 @@ func merge(lL, lR *List, cRen cost.Cost) *List {
 
 // join returns copies of the entries from lA that have descendants in lD;
 // see appendJoin.
-func join(lA, lD *List, cEdge cost.Cost) *List {
+func join(t *xmltree.Tree, lA, lD *List, cEdge cost.Cost) *List {
 	if lA.Len() == 0 || lD.Len() == 0 {
 		return emptyList
 	}
 	var sc joinScratch
 	dst := make([]Entry, 0, lA.Len())
-	return &List{entries: appendJoin(dst, lA.entries, lD.entries, cEdge, &sc)}
+	return &List{entries: appendJoin(dst, lA.entries, lD.entries, cEdge, t, &sc)}
 }
 
 // outerjoin returns copies of all entries from lA with the deletion rule
 // applied; see appendOuterjoin.
-func outerjoin(lA, lD *List, cEdge, cDel cost.Cost) *List {
+func outerjoin(t *xmltree.Tree, lA, lD *List, cEdge, cDel cost.Cost) *List {
 	var sc joinScratch
 	dst := make([]Entry, 0, lA.Len())
-	return &List{entries: appendOuterjoin(dst, lA.entries, lD.entries, cEdge, cDel, &sc)}
+	return &List{entries: appendOuterjoin(dst, lA.entries, lD.entries, cEdge, cDel, t, &sc)}
 }
 
 // intersect returns the entries present in both lists; see appendIntersect.

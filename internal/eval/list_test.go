@@ -3,27 +3,52 @@ package eval
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"approxql/internal/cost"
 	"approxql/internal/xmltree"
 )
 
-// mkList builds a list from (pre, bound, pathcost, inscost, emb, leaf)
-// tuples; cost.Inf is abbreviated by -1 in the leaf column.
-func mkList(rows ...[6]int64) *List {
+// buildTree parses doc into a data tree. Struct labels listed in ins get that
+// insert cost, all others the default of 1.
+func buildTree(tb testing.TB, doc string, ins map[string]cost.Cost) *xmltree.Tree {
+	tb.Helper()
+	m := cost.NewModel()
+	for label, c := range ins {
+		m.SetInsert(label, cost.Struct, c)
+	}
+	b := xmltree.NewBuilder(m)
+	if err := b.AddDocument(strings.NewReader(doc)); err != nil {
+		tb.Fatal(err)
+	}
+	tr, err := b.Finish()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
+// flatTree returns a tree whose nodes 2..n+1 are leaves under one element:
+// a backdrop for the operations that never look past Pre.
+func flatTree(tb testing.TB, n int) *xmltree.Tree {
+	return buildTree(tb, "<r>"+strings.Repeat("<n/>", n)+"</r>", nil)
+}
+
+// mkList builds a list of nodes of tr from (pre, emb, leaf) rows; the bound
+// comes from the tree, and cost.Inf is abbreviated by -1 in the leaf column.
+func mkList(tr *xmltree.Tree, rows ...[3]int64) *List {
 	l := &List{}
 	for _, r := range rows {
-		leaf := cost.Cost(r[5])
-		if r[5] < 0 {
+		leaf := cost.Cost(r[2])
+		if r[2] < 0 {
 			leaf = cost.Inf
 		}
+		pre := xmltree.NodeID(r[0])
 		l.entries = append(l.entries, Entry{
-			Pre:      xmltree.NodeID(r[0]),
-			Bound:    xmltree.NodeID(r[1]),
-			PathCost: cost.Cost(r[2]),
-			InsCost:  cost.Cost(r[3]),
-			EmbCost:  cost.Cost(r[4]),
+			Pre:      pre,
+			Bound:    tr.Bound(pre),
+			EmbCost:  cost.Cost(r[1]),
 			LeafCost: leaf,
 		})
 	}
@@ -51,7 +76,8 @@ func presOf(l *List) []xmltree.NodeID {
 }
 
 func TestBump(t *testing.T) {
-	l := mkList([6]int64{1, 1, 0, 0, 2, 2}, [6]int64{5, 5, 0, 0, 0, -1})
+	tr := flatTree(t, 8)
+	l := mkList(tr, [3]int64{1, 2, 2}, [3]int64{5, 0, -1})
 	b := bump(l, 3)
 	want := [][2]int64{{5, 5}, {3, -1}}
 	if !reflect.DeepEqual(costsOf(b), want) {
@@ -68,8 +94,9 @@ func TestBump(t *testing.T) {
 }
 
 func TestMergeDisjoint(t *testing.T) {
-	lL := mkList([6]int64{1, 1, 0, 0, 0, 0}, [6]int64{5, 5, 0, 0, 0, 0})
-	lR := mkList([6]int64{3, 3, 0, 0, 0, 0})
+	tr := flatTree(t, 8)
+	lL := mkList(tr, [3]int64{1, 0, 0}, [3]int64{5, 0, 0})
+	lR := mkList(tr, [3]int64{3, 0, 0})
 	m := merge(lL, lR, 4)
 	if !reflect.DeepEqual(presOf(m), []xmltree.NodeID{1, 3, 5}) {
 		t.Fatalf("merge order = %v", presOf(m))
@@ -81,8 +108,9 @@ func TestMergeDisjoint(t *testing.T) {
 }
 
 func TestMergeCollisionKeepsCheaper(t *testing.T) {
-	lL := mkList([6]int64{2, 2, 0, 0, 5, 5})
-	lR := mkList([6]int64{2, 2, 0, 0, 2, 2})
+	tr := flatTree(t, 8)
+	lL := mkList(tr, [3]int64{2, 5, 5})
+	lR := mkList(tr, [3]int64{2, 2, 2})
 	if got := costsOf(merge(lL, lR, 1)); !reflect.DeepEqual(got, [][2]int64{{3, 3}}) {
 		t.Errorf("collision costs = %v, want [[3 3]]", got)
 	}
@@ -92,91 +120,270 @@ func TestMergeCollisionKeepsCheaper(t *testing.T) {
 }
 
 func TestJoinBasics(t *testing.T) {
-	// Ancestor a: pre 1, bound 10, pathcost 0, inscost 1.
-	// Descendants at pre 3 (pathcost 4, emb 2) and pre 7 (pathcost 2, emb 9).
-	lA := mkList([6]int64{1, 10, 0, 1, 0, -1})
-	lD := mkList([6]int64{3, 3, 4, 0, 2, 2}, [6]int64{7, 7, 2, 0, 9, -1})
-	j := join(lA, lD, 5)
+	// Pre: a 1, p 2, d 3, d 4. Inserting p costs 3, so the distance from
+	// a is 3 to node 3 (inside p) and 0 to node 4 (a's child).
+	tr := buildTree(t, `<a><p><d/></p><d/></a>`, map[string]cost.Cost{"p": 3})
+	lA := mkList(tr, [3]int64{1, 0, -1})
+	lD := mkList(tr, [3]int64{3, 2, 2}, [3]int64{4, 9, -1})
+	j := join(tr, lA, lD, 5)
 	if j.Len() != 1 {
 		t.Fatalf("join = %v", costsOf(j))
 	}
-	// distance to 3: 4-0-1 = 3 → 3+2 = 5; distance to 7: 2-0-1 = 1 → 10.
-	// min = 5, plus edge 5 → 10. Leaf: only pre 3 has a leaf: 3+2+5 = 10.
+	// Node 3: 3+2 = 5; node 4: 0+9 = 9. min = 5, plus edge 5 → 10. Leaf:
+	// only node 3 has a leaf: 3+2+5 = 10.
 	if j.entries[0].EmbCost != 10 || j.entries[0].LeafCost != 10 {
 		t.Errorf("join costs = %v", costsOf(j))
 	}
 }
 
 func TestJoinDropsAncestorsWithoutDescendants(t *testing.T) {
-	lA := mkList([6]int64{1, 2, 0, 1, 0, -1}, [6]int64{5, 9, 0, 1, 0, -1})
-	lD := mkList([6]int64{7, 7, 3, 0, 0, 0})
-	j := join(lA, lD, 0)
-	if !reflect.DeepEqual(presOf(j), []xmltree.NodeID{5}) {
-		t.Errorf("join kept %v, want [5]", presOf(j))
+	// Pre: r 1, a 2, x 3, a 4, x 5, d 6.
+	tr := buildTree(t, `<r><a><x/></a><a><x/><d/></a></r>`, nil)
+	lA := mkList(tr, [3]int64{2, 0, -1}, [3]int64{4, 0, -1})
+	lD := mkList(tr, [3]int64{6, 0, 0})
+	j := join(tr, lA, lD, 0)
+	if !reflect.DeepEqual(presOf(j), []xmltree.NodeID{4}) {
+		t.Errorf("join kept %v, want [4]", presOf(j))
 	}
 }
 
 func TestJoinNestedAncestors(t *testing.T) {
-	// a1 [1..10] contains a2 [2..6]; descendant at 4 touches both; a
-	// second descendant at 8 touches only a1.
-	lA := mkList([6]int64{1, 10, 0, 1, 0, -1}, [6]int64{2, 6, 1, 1, 0, -1})
-	lD := mkList([6]int64{4, 4, 5, 0, 1, 1}, [6]int64{8, 8, 3, 0, 7, -1})
-	j := join(lA, lD, 0)
+	// Pre: a 1, a 2, p 3, d 4, q 5, d 6. The inner a [2..4] holds node 4;
+	// node 6 lies under the outer a only.
+	tr := buildTree(t, `<a><a><p><d/></p></a><q><d/></q></a>`, map[string]cost.Cost{"p": 2, "q": 3})
+	lA := mkList(tr, [3]int64{1, 0, -1}, [3]int64{2, 0, -1})
+	lD := mkList(tr, [3]int64{4, 1, 1}, [3]int64{6, 0, -1})
+	j := join(tr, lA, lD, 0)
 	if !reflect.DeepEqual(presOf(j), []xmltree.NodeID{1, 2}) {
 		t.Fatalf("join pres = %v", presOf(j))
 	}
-	// a1: min(dist(1,4)=5-0-1=4 → 5, dist(1,8)=3-0-1=2 → 9) = 5.
-	// a2: dist(2,4)=5-1-1=3 → 4 (node 8 is outside a2's subtree).
-	if j.entries[0].EmbCost != 5 || j.entries[1].EmbCost != 4 {
-		t.Errorf("join costs = %v", costsOf(j))
+	// Outer a: dist to 4 = a+p = 3 → 4; dist to 6 = q = 3 → 3. Emb 3, but
+	// the leaf comes from node 4 only: 4.
+	// Inner a: dist to 4 = p = 2 → 3 (node 6 is outside its subtree).
+	want := [][2]int64{{3, 4}, {3, 3}}
+	if !reflect.DeepEqual(costsOf(j), want) {
+		t.Errorf("join costs = %v, want %v", costsOf(j), want)
 	}
 }
 
 func TestJoinSiblingAncestorsDoNotLeak(t *testing.T) {
 	// Two sibling ancestors; each descendant belongs to exactly one.
-	lA := mkList([6]int64{1, 3, 0, 1, 0, -1}, [6]int64{4, 6, 0, 1, 0, -1})
-	lD := mkList([6]int64{2, 2, 2, 0, 0, 0}, [6]int64{5, 5, 4, 0, 0, 0})
-	j := join(lA, lD, 0)
+	// Pre: r 1, a 2, p 3, d 4, a 5, d 6.
+	tr := buildTree(t, `<r><a><p><d/></p></a><a><d/></a></r>`, map[string]cost.Cost{"p": 2})
+	lA := mkList(tr, [3]int64{2, 0, -1}, [3]int64{5, 0, -1})
+	lD := mkList(tr, [3]int64{4, 3, 3}, [3]int64{6, 0, 0})
+	j := join(tr, lA, lD, 0)
 	if j.Len() != 2 {
 		t.Fatalf("join = %v", presOf(j))
 	}
-	// a1 → node 2: dist 2-0-1 = 1; a2 → node 5: dist 4-0-1 = 3.
-	if j.entries[0].EmbCost != 1 || j.entries[1].EmbCost != 3 {
+	// a 2 → node 4: dist 2 → 5; a 5 → node 6: dist 0 → 0.
+	if j.entries[0].EmbCost != 5 || j.entries[1].EmbCost != 0 {
 		t.Errorf("join costs = %v", costsOf(j))
 	}
 }
 
+// TestJoinDistancesVaryPerPair pins join and outerjoin on nested ancestors
+// at depths 1, 2 and 3 with non-uniform insert costs, so that every
+// ancestor-descendant pair has its own distance.
+func TestJoinDistancesVaryPerPair(t *testing.T) {
+	// Pre: a 1, b 2, a 3, c 4, d 5, d 6, c 7, d 8. Insert costs: a 1, b 4,
+	// c 2. Distances (insert costs strictly between):
+	//   a1→d5 = b+a+c = 7   a1→d6 = b+a = 5   a1→d8 = c = 2
+	//   b2→d5 = a+c = 3     b2→d6 = a = 1
+	//   a3→d5 = c = 2       a3→d6 = 0
+	tr := buildTree(t, `<a><b><a><c><d/></c><d/></a></b><c><d/></c></a>`,
+		map[string]cost.Cost{"a": 1, "b": 4, "c": 2})
+	lA := mkList(tr, [3]int64{1, 0, -1}, [3]int64{2, 0, -1}, [3]int64{3, 0, -1})
+	lD := mkList(tr, [3]int64{5, 0, 0}, [3]int64{6, 1, -1}, [3]int64{8, 4, -1})
+	// a1: emb min(7+0, 5+1, 2+4) = 6, leaf 7 (node 5 only).
+	// b2: emb min(3+0, 1+1) = 2, leaf 3.
+	// a3: emb min(2+0, 0+1) = 1, leaf 2.
+	if got, want := costsOf(join(tr, lA, lD, 1)), [][2]int64{{7, 8}, {3, 4}, {2, 3}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("join costs = %v, want %v", got, want)
+	}
+	// Deleting costs 3: it undercuts a1's match but not the others'.
+	if got, want := costsOf(outerjoin(tr, lA, lD, 0, 3)), [][2]int64{{3, 7}, {2, 3}, {1, 2}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("outerjoin costs = %v, want %v", got, want)
+	}
+}
+
 func TestOuterjoin(t *testing.T) {
-	lA := mkList([6]int64{1, 5, 0, 1, 0, -1}, [6]int64{8, 9, 0, 1, 0, -1})
-	lD := mkList([6]int64{3, 3, 2, 0, 0, 0})
-	// delete cost 4, edge 1: matched ancestor gets min(4, 1+0)+1 = 2 with
-	// leaf 1+0+1 = 2; unmatched gets 4+1 = 5 with leaf Inf.
-	o := outerjoin(lA, lD, 1, 4)
+	// Pre: r 1, a 2, p 3, d 4, a 5, x 6.
+	tr := buildTree(t, `<r><a><p><d/></p></a><a><x/></a></r>`, nil)
+	lA := mkList(tr, [3]int64{2, 0, -1}, [3]int64{5, 0, -1})
+	lD := mkList(tr, [3]int64{4, 0, 0})
+	// delete cost 4, edge 1: matched ancestor (dist 1) gets min(4, 1+0)+1
+	// = 2 with leaf 1+0+1 = 2; unmatched gets 4+1 = 5 with leaf Inf.
+	o := outerjoin(tr, lA, lD, 1, 4)
 	want := [][2]int64{{2, 2}, {5, -1}}
 	if !reflect.DeepEqual(costsOf(o), want) {
 		t.Errorf("outerjoin costs = %v, want %v", costsOf(o), want)
 	}
 	// Deletion can undercut an expensive match.
-	lD2 := mkList([6]int64{3, 3, 9, 0, 0, 0})
-	o2 := outerjoin(lA, lD2, 0, 4)
-	// match = 9-0-1 = 8; min(4, 8) = 4; leaf stays at the match: 8.
+	lD2 := mkList(tr, [3]int64{4, 7, 7})
+	o2 := outerjoin(tr, lA, lD2, 0, 4)
+	// match = 1+7 = 8; min(4, 8) = 4; leaf stays at the match: 8.
 	if o2.entries[0].EmbCost != 4 || o2.entries[0].LeafCost != 8 {
 		t.Errorf("outerjoin costs = %v", costsOf(o2))
 	}
 }
 
 func TestOuterjoinInfiniteDeleteDropsUnmatched(t *testing.T) {
-	lA := mkList([6]int64{1, 2, 0, 1, 0, -1}, [6]int64{5, 9, 0, 1, 0, -1})
-	lD := mkList([6]int64{7, 7, 2, 0, 0, 0})
-	o := outerjoin(lA, lD, 0, cost.Inf)
-	if !reflect.DeepEqual(presOf(o), []xmltree.NodeID{5}) {
-		t.Errorf("outerjoin kept %v, want [5]", presOf(o))
+	// Pre: r 1, a 2, x 3, a 4, x 5, d 6.
+	tr := buildTree(t, `<r><a><x/></a><a><x/><d/></a></r>`, nil)
+	lA := mkList(tr, [3]int64{2, 0, -1}, [3]int64{4, 0, -1})
+	lD := mkList(tr, [3]int64{6, 0, 0})
+	o := outerjoin(tr, lA, lD, 0, cost.Inf)
+	if !reflect.DeepEqual(presOf(o), []xmltree.NodeID{4}) {
+		t.Errorf("outerjoin kept %v, want [4]", presOf(o))
+	}
+}
+
+// runTree builds a random tree whose d leaves form runs outside every a:
+// before the first, between sibling a subtrees, and after the last. Inside
+// each a, labels nest at random. Insert costs are random per label.
+func runTree(rng *rand.Rand) *xmltree.Tree {
+	m := cost.NewModel()
+	for _, l := range []string{"r", "a", "d", "x"} {
+		m.SetInsert(l, cost.Struct, cost.Cost(rng.Intn(5)))
+	}
+	b := xmltree.NewBuilder(m)
+	leaves := func(max int) {
+		for k := rng.Intn(max); k > 0; k-- {
+			b.BeginElement("d")
+			b.End()
+		}
+	}
+	var sub func(depth int)
+	sub = func(depth int) {
+		b.BeginElement([]string{"a", "d", "x"}[rng.Intn(3)])
+		for k := rng.Intn(4); depth < 4 && k > 0; k-- {
+			sub(depth + 1)
+		}
+		leaves(3)
+		b.End()
+	}
+	b.BeginElement("r")
+	leaves(40)
+	for k := 1 + rng.Intn(4); k > 0; k-- {
+		b.BeginElement("a")
+		for c := rng.Intn(4); c > 0; c-- {
+			sub(1)
+		}
+		b.End()
+		leaves(40)
+	}
+	b.End()
+	tr, err := b.Finish()
+	if err != nil {
+		panic(err)
+	}
+	return tr
+}
+
+// labelList lists the nodes of tr labeled label, keeping each with
+// probability keep, with random costs (LeafCost ≥ EmbCost, or Inf).
+func labelList(rng *rand.Rand, tr *xmltree.Tree, label string, keep float64) *List {
+	l := &List{}
+	for u := xmltree.NodeID(0); int(u) < tr.Len(); u++ {
+		if tr.Label(u) != label || rng.Float64() >= keep {
+			continue
+		}
+		e := Entry{Pre: u, Bound: tr.Bound(u), EmbCost: cost.Cost(rng.Intn(6)), LeafCost: cost.Inf}
+		if rng.Intn(3) != 0 {
+			e.LeafCost = e.EmbCost + cost.Cost(rng.Intn(4))
+		}
+		l.entries = append(l.entries, e)
+	}
+	return l
+}
+
+// naiveJoin is the O(|lA|·|lD|) definition of join (outer=false) and
+// outerjoin (outer=true): every ancestor against every descendant, with the
+// distance summed along the parent chain instead of read from pathcost.
+func naiveJoin(tr *xmltree.Tree, lA, lD *List, cEdge, cDel cost.Cost, outer bool) *List {
+	out := &List{}
+	for _, a := range lA.entries {
+		emb, leaf, matched := cost.Inf, cost.Inf, false
+		for _, d := range lD.entries {
+			if !tr.IsAncestor(a.Pre, d.Pre) {
+				continue
+			}
+			var dist cost.Cost
+			for v := tr.Parent(d.Pre); v != a.Pre; v = tr.Parent(v) {
+				dist = cost.Add(dist, tr.InsCost(v))
+			}
+			emb = cost.Min(emb, cost.Add(dist, d.EmbCost))
+			leaf = cost.Min(leaf, cost.Add(dist, d.LeafCost))
+			matched = true
+		}
+		e := a
+		switch {
+		case matched && outer:
+			e.EmbCost = cost.Add(cost.Min(cDel, emb), cEdge)
+			e.LeafCost = cost.Add(leaf, cEdge)
+		case matched:
+			e.EmbCost, e.LeafCost = cost.Add(emb, cEdge), cost.Add(leaf, cEdge)
+		case outer:
+			e.EmbCost, e.LeafCost = cost.Add(cDel, cEdge), cost.Inf
+		default:
+			continue
+		}
+		if !cost.IsInf(e.EmbCost) {
+			out.entries = append(out.entries, e)
+		}
+	}
+	return out
+}
+
+// TestJoinMatchesNestedLoop checks join and outerjoin against the nested
+// loop on trees whose descendant lists have long uncovered runs — the
+// stretches joinCore skips.
+func TestJoinMatchesNestedLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 300; trial++ {
+		tr := runTree(rng)
+		lA := labelList(rng, tr, "a", 0.8)
+		lD := labelList(rng, tr, "d", 0.9)
+		cEdge, cDel := cost.Cost(rng.Intn(3)), cost.Cost(rng.Intn(8))
+		if rng.Intn(4) == 0 {
+			cDel = cost.Inf
+		}
+		check := func(op string, got, want *List) {
+			if !reflect.DeepEqual(presOf(got), presOf(want)) || !reflect.DeepEqual(costsOf(got), costsOf(want)) {
+				t.Fatalf("trial %d: %s = %v %v, nested loop %v %v", trial, op,
+					presOf(got), costsOf(got), presOf(want), costsOf(want))
+			}
+		}
+		check("join", join(tr, lA, lD, cEdge), naiveJoin(tr, lA, lD, cEdge, 0, false))
+		check("outerjoin", outerjoin(tr, lA, lD, cEdge, cDel), naiveJoin(tr, lA, lD, cEdge, cDel, true))
+	}
+}
+
+func TestSkipPast(t *testing.T) {
+	tr := flatTree(t, 40)
+	var rows [][3]int64
+	for pre := int64(2); pre <= 41; pre += 3 {
+		rows = append(rows, [3]int64{pre, 0, 0})
+	}
+	l := mkList(tr, rows...).entries
+	for j := range l {
+		for pre := l[j].Pre; pre <= 45; pre++ {
+			want := j
+			for want < len(l) && l[want].Pre <= pre {
+				want++
+			}
+			if got := skipPast(l, j, pre); got != want {
+				t.Fatalf("skipPast(j=%d, pre=%d) = %d, want %d", j, pre, got, want)
+			}
+		}
 	}
 }
 
 func TestIntersect(t *testing.T) {
-	lL := mkList([6]int64{2, 2, 0, 0, 1, 1}, [6]int64{4, 4, 0, 0, 2, -1})
-	lR := mkList([6]int64{2, 2, 0, 0, 3, -1}, [6]int64{4, 4, 0, 0, 1, 1}, [6]int64{9, 9, 0, 0, 0, 0})
+	tr := flatTree(t, 10)
+	lL := mkList(tr, [3]int64{2, 1, 1}, [3]int64{4, 2, -1})
+	lR := mkList(tr, [3]int64{2, 3, -1}, [3]int64{4, 1, 1}, [3]int64{9, 0, 0})
 	x := intersect(lL, lR, 2)
 	if !reflect.DeepEqual(presOf(x), []xmltree.NodeID{2, 4}) {
 		t.Fatalf("intersect pres = %v", presOf(x))
@@ -190,8 +397,9 @@ func TestIntersect(t *testing.T) {
 }
 
 func TestIntersectLeafNeedsOneSide(t *testing.T) {
-	lL := mkList([6]int64{2, 2, 0, 0, 1, -1})
-	lR := mkList([6]int64{2, 2, 0, 0, 1, -1})
+	tr := flatTree(t, 4)
+	lL := mkList(tr, [3]int64{2, 1, -1})
+	lR := mkList(tr, [3]int64{2, 1, -1})
 	x := intersect(lL, lR, 0)
 	if x.entries[0].LeafCost != cost.Inf {
 		t.Errorf("leafless intersect produced LeafCost %d", x.entries[0].LeafCost)
@@ -199,8 +407,9 @@ func TestIntersectLeafNeedsOneSide(t *testing.T) {
 }
 
 func TestUnion(t *testing.T) {
-	lL := mkList([6]int64{2, 2, 0, 0, 1, 1}, [6]int64{4, 4, 0, 0, 5, -1})
-	lR := mkList([6]int64{4, 4, 0, 0, 2, 2}, [6]int64{6, 6, 0, 0, 3, 3})
+	tr := flatTree(t, 8)
+	lL := mkList(tr, [3]int64{2, 1, 1}, [3]int64{4, 5, -1})
+	lR := mkList(tr, [3]int64{4, 2, 2}, [3]int64{6, 3, 3})
 	u := union(lL, lR, 1)
 	if !reflect.DeepEqual(presOf(u), []xmltree.NodeID{2, 4, 6}) {
 		t.Fatalf("union pres = %v", presOf(u))
@@ -213,6 +422,7 @@ func TestUnion(t *testing.T) {
 
 func TestOpsCommutativity(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	tr := flatTree(t, 60)
 	randList := func() *List {
 		l := &List{}
 		pre := int64(0)
@@ -226,7 +436,7 @@ func TestOpsCommutativity(t *testing.T) {
 			if leaf >= 0 && leaf < emb {
 				leaf = emb
 			}
-			l.entries = append(l.entries, mkList([6]int64{pre, pre, 0, 0, emb, leaf}).entries[0])
+			l.entries = append(l.entries, mkList(tr, [3]int64{pre, emb, leaf}).entries[0])
 		}
 		return l
 	}
@@ -253,29 +463,16 @@ func TestLeafCostNeverBelowEmbCost(t *testing.T) {
 			}
 		}
 	}
-	randList := func() *List {
-		l := &List{}
-		pre := int64(0)
-		for i := 0; i < 1+rng.Intn(8); i++ {
-			pre += 1 + int64(rng.Intn(4))
-			emb := int64(rng.Intn(6))
-			leaf := emb + int64(rng.Intn(5))
-			if rng.Intn(3) == 0 {
-				leaf = -1
-			}
-			bound := pre + int64(rng.Intn(4))
-			l.entries = append(l.entries, mkList([6]int64{pre, bound, int64(rng.Intn(5)), int64(rng.Intn(3)), emb, leaf}).entries[0])
-		}
-		return l
-	}
 	for trial := 0; trial < 200; trial++ {
-		a, b := randList(), randList()
+		tr := randomTree(rng, randomModel(rng), 30)
+		a := labelList(rng, tr, propNames[rng.Intn(len(propNames))], 0.7)
+		b := labelList(rng, tr, propNames[rng.Intn(len(propNames))], 0.7)
 		c := cost.Cost(rng.Intn(3))
 		check(intersect(a, b, c), "intersect")
 		check(union(a, b, c), "union")
 		check(merge(a, b, c), "merge")
 		check(bump(a, c), "bump")
-		check(join(a, b, c), "join")
-		check(outerjoin(a, b, c, cost.Cost(rng.Intn(6))), "outerjoin")
+		check(join(tr, a, b, c), "join")
+		check(outerjoin(tr, a, b, c, cost.Cost(rng.Intn(6))), "outerjoin")
 	}
 }
