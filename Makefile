@@ -100,12 +100,13 @@ bench-serve-smoke:
 	    -rates 40,0 -inflight 0 -duration 1s -check -cluster-nodes 2 \
 	    -json bench-artifacts/BENCH_serve_smoke.json
 
-# Short fuzz passes over the bundle manifest reader and the B+tree
-# subtree-counter maintenance; longer local runs: go test -fuzz <target>
-# in the respective package.
+# Short fuzz passes over the bundle manifest reader and the B+tree builder
+# (fuzzer-chosen key sets and value sizes, read back through every lookup,
+# count and rank operation); longer local runs: go test -fuzz <target> in
+# the respective package.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzManifest -fuzztime 30s ./internal/backend/
-	$(GO) test -run xxx -fuzz FuzzCounters -fuzztime 30s ./internal/storage/
+	$(GO) test -run xxx -fuzz FuzzBuild -fuzztime 30s ./internal/storage/
 
 # CI gate for the query planner (docs/PLANNER.md): on every paper-pattern
 # point the Auto pick must stay under twice the best forced strategy.

@@ -393,10 +393,11 @@ func (db *Database) PersistIndexes(postings, secondary string) error {
 	})
 }
 
-// persistInto writes a fresh store at path through save. A store already at
-// path is removed, never updated: keys of an earlier collection must not
-// survive into this one, and a file in a retired format must not stop the
-// rebuild that upgrades it.
+// persistInto writes a fresh store at path through save, then reopens it
+// read-only and verifies it with storage.Check. A store already at path is
+// removed, never updated: keys of an earlier collection must not survive
+// into this one, and a file in a retired format must not stop the rebuild
+// that upgrades it. A store that fails to write or to verify is removed.
 func persistInto(path string, save func(*storage.DB) error) error {
 	if path == "" {
 		return nil
@@ -404,11 +405,29 @@ func persistInto(path string, save func(*storage.DB) error) error {
 	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
+	if err := writeStore(path, save); err != nil {
+		os.Remove(path) // best effort: the write error is the one to report
+		return fmt.Errorf("approxql: writing %s: %w", path, err)
+	}
+	return nil
+}
+
+func writeStore(path string, save func(*storage.DB) error) error {
 	s, err := storage.Open(path, nil)
 	if err != nil {
 		return err
 	}
 	if err := save(s); err != nil {
+		s.Close()
+		return err
+	}
+	if err := s.Close(); err != nil {
+		return err
+	}
+	if s, err = storage.Open(path, &storage.Options{ReadOnly: true}); err != nil {
+		return err
+	}
+	if err := s.Check(); err != nil {
 		s.Close()
 		return err
 	}

@@ -1,14 +1,19 @@
 package approxql
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"approxql/internal/backend"
 	"approxql/internal/datagen"
 	"approxql/internal/querygen"
+	"approxql/internal/schema"
+	"approxql/internal/xmltree"
 )
 
 // persistBundle writes db's collection file, both index stores, and a bundle
@@ -19,7 +24,9 @@ func persistBundle(t *testing.T, db *Database) string {
 }
 
 // persistBundleIn is persistBundle into dir, over whatever an earlier call
-// left there: the files are c.axql, c.post, c.sec, and c.bundle.
+// left there: the files are c.axql, c.post, c.sec, and c.bundle. Every
+// I_struct and I_text posting of db, and every struct class's I_sec
+// posting, must read back unchanged from the stored files.
 func persistBundleIn(t *testing.T, db *Database, dir string) string {
 	t.Helper()
 	collection := filepath.Join(dir, "c.axql")
@@ -43,7 +50,69 @@ func persistBundleIn(t *testing.T, db *Database, dir string) string {
 	if err := WriteBundle(bundle, collection, postings, secondary); err != nil {
 		t.Fatal(err)
 	}
+
+	mem := db.be.(*backend.Memory)
+	stored, err := backend.OpenStoredOptions(db.Tree(), postings, secondary, backend.StoredOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stored.Close()
+	readBack := func(what string, want, got []xmltree.NodeID, err error) {
+		t.Helper()
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("stored %s: %d entries, %v; memory has %d", what, len(got), err, len(want))
+		}
+	}
+	for _, name := range db.Tree().Names.Strings() {
+		want, _ := mem.Struct(name)
+		got, err := stored.Struct(name)
+		readBack("I_struct "+name, want, got, err)
+	}
+	for _, term := range db.Tree().Terms.Strings() {
+		want, _ := mem.Text(term)
+		got, err := stored.Text(term)
+		readBack("I_text "+term, want, got, err)
+	}
+	sch := mem.Schema()
+	for c := schema.NodeID(0); c < schema.NodeID(sch.Len()); c++ {
+		want, _ := mem.SecInstances(c)
+		got, err := stored.SecInstances(c)
+		readBack(fmt.Sprintf("I_sec class %d", c), want, got, err)
+	}
 	return bundle
+}
+
+// TestPersistIndexesDeterministic: persisting one database twice writes
+// byte-identical stores, so a bundle is reproducible from its collection.
+func TestPersistIndexesDeterministic(t *testing.T) {
+	tree, err := datagen.GenerateTree(datagen.Config{
+		Seed: 7, NumElementNames: 25, VocabularySize: 300,
+		TargetElements: 3000, TargetWords: 12000,
+		TemplateNodes: 60, MaxDepth: 6, MaxRepeat: 3, ZipfSkew: 1.2,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := newDatabase(tree)
+	var files [2][2][]byte
+	for i := range files {
+		dir := t.TempDir()
+		post, sec := filepath.Join(dir, "c.post"), filepath.Join(dir, "c.sec")
+		if err := db.PersistIndexes(post, sec); err != nil {
+			t.Fatal(err)
+		}
+		for j, path := range []string{post, sec} {
+			if files[i][j], err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for j, name := range []string{".post", ".sec"} {
+		if !bytes.Equal(files[0][j], files[1][j]) {
+			t.Errorf("two persists of one database wrote different %s files (%d and %d bytes)",
+				name, len(files[0][j]), len(files[1][j]))
+		}
+	}
 }
 
 // TestBackendEquivalence is the cross-backend contract: Search,
@@ -51,13 +120,27 @@ func persistBundleIn(t *testing.T, db *Database, dir string) string {
 // come from the in-memory indexes or from the persisted B+tree files, for
 // every strategy (planner-resolved Auto included), for sequential and
 // parallel secondary execution, and across the page-cache and mmap read
-// paths.
+// paths. The second fixture's flat term distribution gives many mid-size
+// (200–1 400-byte) postings, the values whose leaf placement a B+tree that
+// splits pages is most likely to get wrong.
 func TestBackendEquivalence(t *testing.T) {
-	cfg := datagen.Config{
-		Seed: 42, NumElementNames: 25, VocabularySize: 500,
-		TargetElements: 4000, TargetWords: 15000,
-		TemplateNodes: 80, MaxDepth: 6, MaxRepeat: 3, ZipfSkew: 1.3,
+	for name, cfg := range map[string]datagen.Config{
+		"default": {
+			Seed: 42, NumElementNames: 25, VocabularySize: 500,
+			TargetElements: 4000, TargetWords: 15000,
+			TemplateNodes: 80, MaxDepth: 6, MaxRepeat: 3, ZipfSkew: 1.3,
+		},
+		"mid-size postings": {
+			Seed: 42, NumElementNames: 25, VocabularySize: 150,
+			TargetElements: 5000, TargetWords: 50000,
+			TemplateNodes: 80, MaxDepth: 6, MaxRepeat: 3, ZipfSkew: 1.05,
+		},
+	} {
+		t.Run(name, func(t *testing.T) { testBackendEquivalence(t, cfg) })
 	}
+}
+
+func testBackendEquivalence(t *testing.T, cfg datagen.Config) {
 	tree, err := datagen.GenerateTree(cfg, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -16,11 +16,11 @@ import (
 	"approxql/internal/xmltree"
 )
 
-// The magics earlier builds wrote for the two binary file kinds.
-const (
-	retiredTreeMagic  = "AXQLTREE1\n"
-	retiredStoreMagic = "AXQLBT01"
-)
+// The magics earlier builds wrote for the two binary file kinds. AXQLBT02
+// stores were written by an insert/split engine that could misplace keys.
+const retiredTreeMagic = "AXQLTREE1\n"
+
+var retiredStoreMagics = []string{"AXQLBT01", "AXQLBT02"}
 
 // TestReindexReplacesStaleStores pins that persisting over the files of an
 // earlier collection leaves no trace of it: a key the new collection lacks
@@ -45,7 +45,7 @@ func TestReindexReplacesStaleStores(t *testing.T) {
 		bundle := persistBundleIn(t, build("piano concerto"), dir)
 		// The secondary store is left behind by a build that predates the
 		// current B+tree layout.
-		patchFile(t, filepath.Join(dir, "c.sec"), 0, []byte(retiredStoreMagic))
+		patchFile(t, filepath.Join(dir, "c.sec"), 0, []byte(retiredStoreMagics[1]))
 		mem := build("violin sonata")
 		persistBundleIn(t, mem, dir)
 
@@ -125,8 +125,8 @@ func patchFile(t *testing.T, path string, off int64, data []byte) {
 
 // TestRetiredFormatsRejected feeds every reader the formats earlier builds
 // wrote — manifests v1–v5 with a text and with a JSON body, an AXQLTREE1
-// collection file, an AXQLBT01 B+tree file, a flat-varint and a 0x00 0x02
-// posting — bare and behind each facade entry point. Each must come back as
+// collection file, AXQLBT01 and AXQLBT02 B+tree files, a flat-varint and a
+// 0x00 0x02 posting — bare and behind each facade entry point. Each must come back as
 // the one unsupported-version error (for the markerless flat-varint posting,
 // which carries no version to report, a decode error): never a panic, never
 // a partial answer.
@@ -218,34 +218,36 @@ func TestRetiredFormatsRejected(t *testing.T) {
 		})
 	}
 
-	// An empty pre-counter store: the meta page (magic, root page 1, two
-	// pages), then the root leaf.
-	oldStore := make([]byte, 2*storage.PageSize)
-	copy(oldStore, retiredStoreMagic)
-	oldStore[8], oldStore[16] = 1, 2
-	oldStore[storage.PageSize] = 2 // page type: leaf
-	for _, store := range []string{"c.post", "c.sec"} {
-		dir, bundle := freshBundle(t)
-		path := filepath.Join(dir, store)
-		if err := os.WriteFile(path, oldStore, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		for mode, opts := range map[string]*storage.Options{
-			"read-write": nil,
-			"read-only":  {ReadOnly: true},
-			"mmap":       {ReadOnly: true, MMap: true},
-		} {
-			add("AXQLBT01 "+store+": storage.Open "+mode, true, func() (any, error) {
-				db, err := storage.Open(path, opts)
-				if err != nil {
-					return nil, err
-				}
-				db.Close()
-				return db, nil
-			})
-		}
-		for entry, open := range opens(bundle) {
-			add("AXQLBT01 "+store+" in a bundle: "+entry, true, open)
+	// An empty store of each retired layout: the meta page (magic, root
+	// page 1, two pages), then the root leaf.
+	for _, magic := range retiredStoreMagics {
+		oldStore := make([]byte, 2*storage.PageSize)
+		copy(oldStore, magic)
+		oldStore[8], oldStore[16] = 1, 2
+		oldStore[storage.PageSize] = 2 // page type: leaf
+		for _, store := range []string{"c.post", "c.sec"} {
+			dir, bundle := freshBundle(t)
+			path := filepath.Join(dir, store)
+			if err := os.WriteFile(path, oldStore, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for mode, opts := range map[string]*storage.Options{
+				"read-write": nil,
+				"read-only":  {ReadOnly: true},
+				"mmap":       {ReadOnly: true, MMap: true},
+			} {
+				add(magic+" "+store+": storage.Open "+mode, true, func() (any, error) {
+					db, err := storage.Open(path, opts)
+					if err != nil {
+						return nil, err
+					}
+					db.Close()
+					return db, nil
+				})
+			}
+			for entry, open := range opens(bundle) {
+				add(magic+" "+store+" in a bundle: "+entry, true, open)
+			}
 		}
 	}
 
@@ -273,18 +275,17 @@ func TestRetiredFormatsRejected(t *testing.T) {
 
 		// Current stores whose every posting is in the old encoding, as
 		// an old bundle's were: every strategy must fail the query, not
-		// skip the postings.
+		// skip the postings. Each store is rebuilt under the keys of a
+		// fresh one.
 		dir, bundle := freshBundle(t)
 		for _, store := range []string{"c.post", "c.sec"} {
-			db, err := storage.Open(filepath.Join(dir, store), nil)
-			if err != nil {
+			path := filepath.Join(dir, store)
+			keys := storeKeys(t, path)
+			if err := os.Remove(path); err != nil {
 				t.Fatal(err)
 			}
-			var keys [][]byte
-			if err := db.Scan(nil, func(key, _ []byte) bool {
-				keys = append(keys, bytes.Clone(key))
-				return true
-			}); err != nil {
+			db, err := storage.Open(path, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
 			for _, key := range keys {
@@ -326,6 +327,24 @@ func TestRetiredFormatsRejected(t *testing.T) {
 			t.Errorf("%s: error does not name the upgrade path: %v", c.name, err)
 		}
 	}
+}
+
+// storeKeys returns the keys of the store at path, in order.
+func storeKeys(t *testing.T, path string) [][]byte {
+	t.Helper()
+	db, err := storage.Open(path, &storage.Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var keys [][]byte
+	if err := db.Scan(nil, func(key, _ []byte) bool {
+		keys = append(keys, bytes.Clone(key))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return keys
 }
 
 // nilIfErr returns an untyped nil for a failed open, so a typed nil pointer

@@ -6,8 +6,10 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -195,7 +197,11 @@ func (r *Runner) openStored(tree *xmltree.Tree) error {
 	return nil
 }
 
+// persist writes a fresh store at path; a store already there is replaced.
 func persist(path string, save func(*storage.DB) error) error {
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
 	s, err := storage.Open(path, nil)
 	if err != nil {
 		return err

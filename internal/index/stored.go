@@ -3,7 +3,10 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"strings"
 
+	"approxql/internal/dict"
 	"approxql/internal/storage"
 	"approxql/internal/xmltree"
 )
@@ -38,23 +41,29 @@ type Stored struct {
 	cache PostingCache // nil: every fetch reads and decodes from storage
 }
 
-// Save persists all postings of a Memory index into db.
+// Save persists all postings of a Memory index into db, in key order: the
+// I_struct postings by element name, then the I_text postings by term.
 func Save(ix *Memory, db *storage.DB) error {
-	for id, post := range ix.structPost {
-		if len(post) == 0 {
-			continue
-		}
-		key := structPrefix + ix.tree.Names.String(int32(id))
-		if err := db.Put([]byte(key), EncodePosting(post)); err != nil {
-			return fmt.Errorf("index: saving %q: %w", key, err)
+	if err := savePostings(db, structPrefix, ix.tree.Names, ix.structPost); err != nil {
+		return err
+	}
+	return savePostings(db, textPrefix, ix.tree.Terms, ix.textPost)
+}
+
+// savePostings puts the non-empty postings of one namespace under prefix
+// plus their label, sorted by label.
+func savePostings(db *storage.DB, prefix string, labels dict.Reader, posts [][]xmltree.NodeID) error {
+	names := labels.Strings()
+	ids := make([]int, 0, len(posts))
+	for id, post := range posts {
+		if len(post) > 0 {
+			ids = append(ids, id)
 		}
 	}
-	for id, post := range ix.textPost {
-		if len(post) == 0 {
-			continue
-		}
-		key := textPrefix + ix.tree.Terms.String(int32(id))
-		if err := db.Put([]byte(key), EncodePosting(post)); err != nil {
+	slices.SortFunc(ids, func(a, b int) int { return strings.Compare(names[a], names[b]) })
+	for _, id := range ids {
+		key := prefix + names[id]
+		if err := db.Put([]byte(key), EncodePosting(posts[id])); err != nil {
 			return fmt.Errorf("index: saving %q: %w", key, err)
 		}
 	}

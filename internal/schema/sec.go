@@ -1,8 +1,10 @@
 package schema
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"approxql/internal/index"
@@ -102,20 +104,25 @@ func secTermKey(c NodeID, term string) []byte {
 	return append(buf, term...)
 }
 
-// SaveSec persists the complete secondary index into db.
+// SaveSec persists the complete secondary index into db, in key order.
 func (s *Schema) SaveSec(db *storage.DB) error {
+	type posting struct {
+		key  []byte
+		inst []xmltree.NodeID
+	}
+	posts := make([]posting, 0, len(s.instances)+len(s.termInstances))
 	for c, inst := range s.instances {
-		if len(inst) == 0 {
-			continue
-		}
-		if err := db.Put(secStructKey(NodeID(c)), index.EncodePosting(inst)); err != nil {
-			return fmt.Errorf("schema: saving class %d: %w", c, err)
+		if len(inst) > 0 {
+			posts = append(posts, posting{secStructKey(NodeID(c)), inst})
 		}
 	}
 	for key, inst := range s.termInstances {
-		term := s.tree.Terms.String(key.term)
-		if err := db.Put(secTermKey(key.class, term), index.EncodePosting(inst)); err != nil {
-			return fmt.Errorf("schema: saving class %d term %q: %w", key.class, term, err)
+		posts = append(posts, posting{secTermKey(key.class, s.tree.Terms.String(key.term)), inst})
+	}
+	slices.SortFunc(posts, func(a, b posting) int { return bytes.Compare(a.key, b.key) })
+	for _, p := range posts {
+		if err := db.Put(p.key, index.EncodePosting(p.inst)); err != nil {
+			return fmt.Errorf("schema: saving %q: %w", p.key, err)
 		}
 	}
 	return nil

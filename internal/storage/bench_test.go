@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 )
 
@@ -31,22 +30,6 @@ func BenchmarkPutSequential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("key-%010d", i)), val); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPutRandom(b *testing.B) {
-	db, err := Open("", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	rng := rand.New(rand.NewSource(1))
-	val := []byte("posting-payload-00000000")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%010d", rng.Int63())), val); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,11 +72,7 @@ func BenchmarkOverflowValues(b *testing.B) {
 	val := make([]byte, 3*PageSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		key := []byte(fmt.Sprintf("key-%06d", i%512))
-		if err := db.Put(key, val); err != nil {
-			b.Fatal(err)
-		}
-		if _, ok, err := db.Get(key); err != nil || !ok {
+		if err := db.Put([]byte(fmt.Sprintf("key-%010d", i)), val); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,9 +21,9 @@ import (
 // provenance; it reads every page once.
 func (db *DB) Check() error {
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
+	defer db.unlock()
+	if err := db.ready(); err != nil {
+		return err
 	}
 	c := &checker{db: db}
 	firstLeaf, lastLeaf, _, err := c.walk(db.root, nil, nil)
@@ -54,7 +54,7 @@ func (db *DB) Check() error {
 	if c.keys != int(db.keys) {
 		return corruptf("meta key count %d, leaves hold %d", db.keys, c.keys)
 	}
-	return db.pager.trim()
+	return nil
 }
 
 type checker struct {

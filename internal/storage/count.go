@@ -6,24 +6,20 @@ package storage
 // Rank returns the number of stored keys strictly smaller than key.
 func (db *DB) Rank(key []byte) (int, error) {
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	r, err := db.rankLocked(key)
-	if err != nil {
+	defer db.unlock()
+	if err := db.ready(); err != nil {
 		return 0, err
 	}
-	return r, db.pager.trim()
+	return db.rankLocked(key)
 }
 
 // CountRange returns the number of stored keys k with lo <= k < hi. A nil
 // lo means "from the smallest key"; a nil hi means "to the end".
 func (db *DB) CountRange(lo, hi []byte) (int, error) {
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
+	defer db.unlock()
+	if err := db.ready(); err != nil {
+		return 0, err
 	}
 	below := 0
 	var err error
@@ -38,10 +34,7 @@ func (db *DB) CountRange(lo, hi []byte) (int, error) {
 			return 0, err
 		}
 	}
-	if upper < below {
-		return 0, db.pager.trim()
-	}
-	return upper - below, db.pager.trim()
+	return max(upper-below, 0), nil
 }
 
 // CountPrefix returns the number of stored keys that start with prefix.
@@ -99,9 +92,9 @@ func (db *DB) rankLocked(key []byte) (int, error) {
 // page read per overflow hop.
 func (db *DB) ValueHeader(key []byte, max int) ([]byte, bool, error) {
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, false, ErrClosed
+	defer db.unlock()
+	if err := db.ready(); err != nil {
+		return nil, false, err
 	}
 	pg, err := db.findLeaf(key)
 	if err != nil {
@@ -109,7 +102,7 @@ func (db *DB) ValueHeader(key []byte, max int) ([]byte, bool, error) {
 	}
 	i, found := search(pg, key)
 	if !found {
-		return nil, false, db.pager.trim()
+		return nil, false, nil
 	}
 	val, ovfLen, ovfPage := leafCellValue(pg, i)
 	if ovfPage == 0 {
@@ -119,8 +112,7 @@ func (db *DB) ValueHeader(key []byte, max int) ([]byte, bool, error) {
 		if db.mem != nil {
 			return val[:max], true, nil
 		}
-		out := append([]byte(nil), val[:max]...)
-		return out, true, db.pager.trim()
+		return append([]byte(nil), val[:max]...), true, nil
 	}
 	opg, err := db.pager.get(ovfPage)
 	if err != nil {
@@ -139,6 +131,5 @@ func (db *DB) ValueHeader(key []byte, max int) ([]byte, bool, error) {
 	if db.mem != nil {
 		return opg.data[ovfHdrSize : ovfHdrSize+max], true, nil
 	}
-	out := append([]byte(nil), opg.data[ovfHdrSize:ovfHdrSize+max]...)
-	return out, true, db.pager.trim()
+	return append([]byte(nil), opg.data[ovfHdrSize:ovfHdrSize+max]...), true, nil
 }

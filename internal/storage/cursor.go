@@ -3,9 +3,7 @@ package storage
 import "bytes"
 
 // Cursor iterates over keys in ascending order. A cursor reads its current
-// entry eagerly, so the Key and Value accessors never fail. Cursors are
-// invalidated by writes to the DB; results after a concurrent or interleaved
-// write are unspecified (the store is built for read-mostly workloads).
+// entry eagerly, so the Key and Value accessors never fail.
 type Cursor struct {
 	db    *DB
 	leaf  uint32
@@ -37,8 +35,8 @@ func (c *Cursor) Value() []byte { return c.value }
 // First positions the cursor at the smallest key.
 func (c *Cursor) First() bool {
 	c.db.mu.Lock()
-	defer c.db.mu.Unlock()
-	if c.fail(c.checkOpen()) {
+	defer c.db.unlock()
+	if c.fail(c.db.ready()) {
 		return false
 	}
 	pg, err := c.db.pager.get(c.db.root)
@@ -58,8 +56,8 @@ func (c *Cursor) First() bool {
 // Seek positions the cursor at the first key >= key.
 func (c *Cursor) Seek(key []byte) bool {
 	c.db.mu.Lock()
-	defer c.db.mu.Unlock()
-	if c.fail(c.checkOpen()) {
+	defer c.db.unlock()
+	if c.fail(c.db.ready()) {
 		return false
 	}
 	pg, err := c.db.findLeaf(key)
@@ -76,8 +74,8 @@ func (c *Cursor) Seek(key []byte) bool {
 // root-to-leaf descent over the subtree counters suffices (O(log n)).
 func (c *Cursor) SeekRank(rank int) bool {
 	c.db.mu.Lock()
-	defer c.db.mu.Unlock()
-	if c.fail(c.checkOpen()) {
+	defer c.db.unlock()
+	if c.fail(c.db.ready()) {
 		return false
 	}
 	if rank < 0 || rank >= int(c.db.keys) {
@@ -119,8 +117,8 @@ func (c *Cursor) SeekRank(rank int) bool {
 // Next advances to the next key.
 func (c *Cursor) Next() bool {
 	c.db.mu.Lock()
-	defer c.db.mu.Unlock()
-	if c.fail(c.checkOpen()) {
+	defer c.db.unlock()
+	if c.fail(c.db.ready()) {
 		return false
 	}
 	if !c.valid {
@@ -164,17 +162,7 @@ func (c *Cursor) settle(pg *page) bool {
 	}
 	c.value = val
 	c.valid = true
-	if err := c.db.pager.trim(); c.fail(err) {
-		return false
-	}
 	return true
-}
-
-func (c *Cursor) checkOpen() error {
-	if c.db.closed {
-		return ErrClosed
-	}
-	return nil
 }
 
 func (c *Cursor) fail(err error) bool {

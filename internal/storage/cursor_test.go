@@ -78,30 +78,6 @@ func TestCursorOnEmptyDB(t *testing.T) {
 	}
 }
 
-func TestCursorAcrossDeletedRange(t *testing.T) {
-	db := openMem(t)
-	defer db.Close()
-	fill(t, db, 1000)
-	// Delete a whole stretch spanning several leaves.
-	for i := 200; i < 800; i++ {
-		if _, err := db.Delete([]byte(fmt.Sprintf("key-%05d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := db.NewCursor()
-	var got []string
-	for ok := c.Seek([]byte("key-00195")); ok && len(got) < 10; ok = c.Next() {
-		got = append(got, string(c.Key()))
-	}
-	want := []string{"key-00195", "key-00196", "key-00197", "key-00198", "key-00199",
-		"key-00800", "key-00801", "key-00802", "key-00803", "key-00804"}
-	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
 func TestScanPrefix(t *testing.T) {
 	db := openMem(t)
 	defer db.Close()

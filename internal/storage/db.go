@@ -10,23 +10,29 @@ import (
 )
 
 // metaMagic opens the meta page. Its last two bytes are the layout version:
-// 02 files maintain per-subtree key counters on every branch page.
+// 03 files are written once, bottom-up from ascending keys, and carry
+// per-subtree key counters on every branch page.
 const (
-	metaMagic       = "AXQLBT02"
+	metaMagic       = "AXQLBT03"
 	metaMagicPrefix = "AXQLBT"
 )
 
 // DB is an embedded B+tree key-value store. Open one with Open; a DB with
 // an empty path lives entirely in memory.
+//
+// A store is written once. A DB over a fresh file, or in memory, takes Puts
+// in strictly ascending key order; its first read, or Close, finishes the
+// tree. From then on, and on a DB opened over an existing file, it only
+// reads.
 type DB struct {
-	mu       sync.Mutex
-	pager    *pager
-	file     *os.File
-	root     uint32
-	keys     uint64
-	readonly bool
-	closed   bool
-	mem      []byte // read-only mapping of the file; nil in pager mode
+	mu     sync.Mutex
+	pager  *pager
+	file   *os.File
+	root   uint32
+	keys   uint64
+	closed bool
+	mem    []byte   // read-only mapping of the file; nil in pager mode
+	build  *builder // non-nil while the store takes Puts
 }
 
 // Options configure Open.
@@ -46,8 +52,8 @@ type Options struct {
 	MMap bool
 }
 
-// Open opens (or creates) the database at path. An empty path creates a
-// purely in-memory database.
+// Open opens the database at path, or creates it to be built. An empty
+// path creates a purely in-memory database.
 func Open(path string, opts *Options) (*DB, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -56,10 +62,9 @@ func Open(path string, opts *Options) (*DB, error) {
 	if cache <= 0 {
 		cache = 4096
 	}
-	db := &DB{}
 	if path == "" {
-		db.pager = newPager(nil, cache)
-		return db, db.initEmpty()
+		p := newPager(nil, cache)
+		return &DB{pager: p, build: &builder{pager: p}}, nil
 	}
 	flag := os.O_RDWR | os.O_CREATE
 	if opts.ReadOnly {
@@ -74,23 +79,14 @@ func Open(path string, opts *Options) (*DB, error) {
 		f.Close()
 		return nil, err
 	}
-	db.file = f
-	db.readonly = opts.ReadOnly
-	db.pager = newPager(f, cache)
-	if st.Size() == 0 {
-		if err := db.initEmpty(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := db.sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
+	db := &DB{file: f, pager: newPager(f, cache)}
+	if st.Size() == 0 && !opts.ReadOnly {
+		db.build = &builder{pager: db.pager}
 		return db, nil
 	}
-	if st.Size()%PageSize != 0 {
+	if st.Size() == 0 || st.Size()%PageSize != 0 {
 		f.Close()
-		return nil, corruptf("file size %d is not a multiple of the page size", st.Size())
+		return nil, corruptf("file size %d is not a positive multiple of the page size", st.Size())
 	}
 	if err := db.readMeta(st.Size() / PageSize); err != nil {
 		f.Close()
@@ -116,16 +112,6 @@ func (db *DB) MMapped() bool {
 	return db.mem != nil
 }
 
-func (db *DB) initEmpty() error {
-	root, err := db.pager.allocate()
-	if err != nil {
-		return err
-	}
-	initPage(root, pageLeaf)
-	db.root = root.id
-	return nil
-}
-
 func (db *DB) readMeta(pageCount int64) error {
 	meta := make([]byte, PageSize)
 	if _, err := db.file.ReadAt(meta, 0); err != nil {
@@ -138,7 +124,6 @@ func (db *DB) readMeta(pageCount int64) error {
 		return corruptf("bad magic %q", magic)
 	}
 	db.root = getU32(meta, 8)
-	db.pager.freeHead = getU32(meta, 12)
 	db.pager.nextID = getU32(meta, 16)
 	db.keys = getU64(meta, 24)
 	if int64(db.pager.nextID) != pageCount {
@@ -150,23 +135,37 @@ func (db *DB) readMeta(pageCount int64) error {
 	return nil
 }
 
+// writeMeta writes the meta page: magic, root, the free-list head (always
+// 0: a store built once frees no page), page count, and key count.
 func (db *DB) writeMeta() error {
 	meta := make([]byte, PageSize)
 	copy(meta, metaMagic)
 	putU32(meta, 8, db.root)
-	putU32(meta, 12, db.pager.freeHead)
 	putU32(meta, 16, db.pager.nextID)
 	putU64(meta, 24, db.keys)
 	_, err := db.file.WriteAt(meta, 0)
 	return err
 }
 
-func (db *DB) sync() error {
-	if db.file == nil || db.readonly {
+// ready prepares the store for a read: it refuses a closed store and
+// finishes a build in progress, which ends the store's Puts. Callers hold
+// db.mu.
+func (db *DB) ready() error {
+	if db.closed {
+		return ErrClosed
+	}
+	b := db.build
+	if b == nil {
 		return nil
 	}
-	if err := db.pager.flush(); err != nil {
+	db.build = nil
+	root, err := b.finish()
+	if err != nil {
 		return err
+	}
+	db.root = root
+	if db.file == nil {
+		return nil
 	}
 	if err := db.writeMeta(); err != nil {
 		return err
@@ -174,39 +173,35 @@ func (db *DB) sync() error {
 	return db.file.Sync()
 }
 
-// Sync writes all buffered state to disk.
-func (db *DB) Sync() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	return db.sync()
+// unlock ends an operation: it trims the page cache back to its bound,
+// which is safe only between operations, and releases db.mu.
+func (db *DB) unlock() {
+	db.pager.trim()
+	db.mu.Unlock()
 }
 
-// Close syncs and closes the database. The DB is unusable afterwards.
+// Close finishes a build in progress and closes the database. The DB is
+// unusable afterwards.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return nil
 	}
+	err := db.ready()
 	db.closed = true
-	if db.file == nil {
-		return nil
-	}
 	if db.mem != nil {
-		if err := munmapFile(db.mem); err != nil {
-			db.file.Close()
-			return err
+		if uerr := munmapFile(db.mem); err == nil {
+			err = uerr
 		}
 		db.mem = nil
 	}
-	if err := db.sync(); err != nil {
-		db.file.Close()
-		return err
+	if db.file != nil {
+		if cerr := db.file.Close(); err == nil {
+			err = cerr
+		}
 	}
-	return db.file.Close()
+	return err
 }
 
 // Len returns the number of stored keys.
@@ -239,9 +234,9 @@ func (db *DB) PageStats() (reads, evictions uint64) {
 // until Close.
 func (db *DB) Get(key []byte) ([]byte, bool, error) {
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, false, ErrClosed
+	defer db.unlock()
+	if err := db.ready(); err != nil {
+		return nil, false, err
 	}
 	pg, err := db.findLeaf(key)
 	if err != nil {
@@ -249,38 +244,35 @@ func (db *DB) Get(key []byte) ([]byte, bool, error) {
 	}
 	i, found := search(pg, key)
 	if !found {
-		return nil, false, db.pager.trim()
+		return nil, false, nil
 	}
 	val, err := db.readValue(pg, i)
 	if err != nil {
 		return nil, false, err
 	}
-	return val, true, db.pager.trim()
+	return val, true, nil
 }
 
 // Has reports whether key exists.
 func (db *DB) Has(key []byte) (bool, error) {
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return false, ErrClosed
+	defer db.unlock()
+	if err := db.ready(); err != nil {
+		return false, err
 	}
 	pg, err := db.findLeaf(key)
 	if err != nil {
 		return false, err
 	}
 	_, found := search(pg, key)
-	return found, db.pager.trim()
+	return found, nil
 }
 
-// ErrReadOnly reports a write to a database opened with Options.ReadOnly.
-var ErrReadOnly = errReadOnly{}
-
-type errReadOnly struct{}
-
-func (errReadOnly) Error() string { return "storage: database is read-only" }
-
-// Put stores value under key, replacing any existing value.
+// Put appends (key, value) to a store being built. Keys must arrive in
+// strictly ascending order: a key not above the previous one fails with
+// ErrKeyOrder, and a Put after the store's first read, or on a store opened
+// over an existing file, fails with ErrReadOnly. A failed Put leaves the
+// store as it was.
 func (db *DB) Put(key, value []byte) error {
 	if len(key) > MaxKeyLen {
 		return ErrKeyTooLarge
@@ -293,82 +285,14 @@ func (db *DB) Put(key, value []byte) error {
 	if db.closed {
 		return ErrClosed
 	}
-	if db.readonly {
+	if db.build == nil {
 		return ErrReadOnly
 	}
-	split, _, err := db.insert(db.root, key, value)
-	if err != nil {
+	if err := db.build.put(key, value); err != nil {
 		return err
 	}
-	if split != nil {
-		// The root split: grow the tree by one level.
-		newRoot, err := db.pager.allocate()
-		if err != nil {
-			return err
-		}
-		initBranch(newRoot)
-		setLeftChild(newRoot, db.root)
-		setLeftCount(newRoot, split.leftKeys)
-		if !insertCellAt(newRoot, 0, makeBranchCell(split.key, split.right, split.rightKeys)) {
-			return corruptf("separator does not fit into an empty root")
-		}
-		db.root = newRoot.id
-	}
-	return db.pager.trim()
-}
-
-// initBranch formats pg as an empty branch page, tagged as carrying subtree
-// counters.
-func initBranch(pg *page) {
-	initPage(pg, pageBranch)
-	pg.data[offFlags] |= pageFlagCounted
-}
-
-// Delete removes key. It reports whether the key existed.
-func (db *DB) Delete(key []byte) (bool, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return false, ErrClosed
-	}
-	if db.readonly {
-		return false, ErrReadOnly
-	}
-	// Record the descent so subtree counters can be decremented after a
-	// successful delete.
-	type step struct {
-		pg  *page
-		idx int
-	}
-	var path []step
-	pg, err := db.pager.get(db.root)
-	if err != nil {
-		return false, err
-	}
-	for pg.data[offType] == pageBranch {
-		idx := childIndexFor(pg, key)
-		path = append(path, step{pg, idx})
-		pg, err = db.pager.get(childAt(pg, idx))
-		if err != nil {
-			return false, err
-		}
-	}
-	if pg.data[offType] != pageLeaf {
-		return false, corruptf("page %d: expected leaf, got type %d", pg.id, pg.data[offType])
-	}
-	i, found := search(pg, key)
-	if !found {
-		return false, db.pager.trim()
-	}
-	if err := db.freeCellOverflow(pg, i); err != nil {
-		return false, err
-	}
-	deleteCellAt(pg, i)
-	db.keys--
-	for _, s := range path {
-		addChildCount(s.pg, s.idx, -1)
-	}
-	return true, db.pager.trim()
+	db.keys++
+	return nil
 }
 
 // findLeaf descends from the root to the leaf responsible for key.
@@ -388,183 +312,6 @@ func (db *DB) findLeaf(key []byte) (*page, error) {
 		return nil, corruptf("page %d: expected leaf, got type %d", pg.id, pg.data[offType])
 	}
 	return pg, nil
-}
-
-type splitResult struct {
-	key   []byte // separator key: smallest key in the right sibling's subtree
-	right uint32
-	// leftKeys and rightKeys are the absolute post-insert key counts of
-	// the two subtree halves.
-	leftKeys  uint32
-	rightKeys uint32
-}
-
-// insert descends to the leaf for key and inserts (key, value). It returns
-// a non-nil splitResult when the page split, and added reports whether the
-// key count of the subtree grew (false for in-place replacements), which
-// drives the counter maintenance in the parents.
-func (db *DB) insert(pageID uint32, key, value []byte) (*splitResult, bool, error) {
-	pg, err := db.pager.get(pageID)
-	if err != nil {
-		return nil, false, err
-	}
-	switch pg.data[offType] {
-	case pageLeaf:
-		return db.insertLeaf(pg, key, value)
-	case pageBranch:
-		idx := childIndexFor(pg, key)
-		split, added, err := db.insert(childAt(pg, idx), key, value)
-		if err != nil {
-			return nil, false, err
-		}
-		if split == nil {
-			if added {
-				addChildCount(pg, idx, 1)
-			}
-			return nil, added, nil
-		}
-		// The child split: its counter becomes the left half's total and
-		// the new separator cell carries the right half's.
-		setChildCount(pg, idx, split.leftKeys)
-		cell := makeBranchCell(split.key, split.right, split.rightKeys)
-		if insertCellAt(pg, idx+1, cell) {
-			return nil, added, nil
-		}
-		sp, err := db.splitBranch(pg, idx+1, cell)
-		return sp, added, err
-	default:
-		return nil, false, corruptf("page %d: unexpected type %d during insert", pg.id, pg.data[offType])
-	}
-}
-
-func (db *DB) insertLeaf(pg *page, key, value []byte) (*splitResult, bool, error) {
-	i, found := search(pg, key)
-	if found {
-		if err := db.freeCellOverflow(pg, i); err != nil {
-			return nil, false, err
-		}
-		deleteCellAt(pg, i)
-		db.keys--
-	}
-	cell, err := db.makeValueCell(key, value)
-	if err != nil {
-		return nil, false, err
-	}
-	if insertCellAt(pg, i, cell) {
-		db.keys++
-		return nil, !found, nil
-	}
-	split, err := db.splitLeaf(pg, i, cell)
-	if err != nil {
-		return nil, false, err
-	}
-	db.keys++
-	return split, !found, nil
-}
-
-// makeValueCell builds the leaf cell for (key, value), spilling large values
-// into an overflow chain.
-func (db *DB) makeValueCell(key, value []byte) ([]byte, error) {
-	if 3+len(key)+2+len(value) <= maxInlineCell {
-		return makeLeafCell(key, value, 0, 0), nil
-	}
-	first, err := db.writeOverflow(value)
-	if err != nil {
-		return nil, err
-	}
-	return makeLeafCell(key, nil, uint32(len(value)), first), nil
-}
-
-// splitLeaf splits pg and inserts cell at logical index i across the halves.
-func (db *DB) splitLeaf(pg *page, i int, cell []byte) (*splitResult, error) {
-	right, err := db.pager.allocate()
-	if err != nil {
-		return nil, err
-	}
-	initPage(right, pageLeaf)
-	setNextLeaf(right, nextLeaf(pg))
-	setNextLeaf(pg, right.id)
-
-	n := nCells(pg)
-	mid := (n + 1) / 2
-	// Move cells mid..n-1 to the right page.
-	for j := mid; j < n; j++ {
-		off := cellOffset(pg, j)
-		sz := cellSize(pg, j)
-		if !insertCellAt(right, j-mid, pg.data[off:off+sz]) {
-			return nil, corruptf("leaf split: cell does not fit into fresh page")
-		}
-	}
-	setNCells(pg, mid)
-	compact(pg)
-
-	target, pos := pg, i
-	if i > mid {
-		target, pos = right, i-mid
-	} else if i == mid {
-		// Inserting at the boundary: choose the side with room; prefer
-		// the right page so the separator stays the right's first key.
-		target, pos = right, 0
-	}
-	if !insertCellAt(target, pos, cell) {
-		// The cell must fit into the other half then.
-		if target == right {
-			target, pos = pg, nCells(pg)
-		} else {
-			target, pos = right, 0
-		}
-		if !insertCellAt(target, pos, cell) {
-			return nil, corruptf("leaf split: cell does not fit into either half")
-		}
-	}
-	return &splitResult{
-		key:       append([]byte(nil), cellKey(right, 0)...),
-		right:     right.id,
-		leftKeys:  uint32(nCells(pg)),
-		rightKeys: uint32(nCells(right)),
-	}, nil
-}
-
-// splitBranch splits a full branch page and inserts cell at index i.
-func (db *DB) splitBranch(pg *page, i int, cell []byte) (*splitResult, error) {
-	right, err := db.pager.allocate()
-	if err != nil {
-		return nil, err
-	}
-	initBranch(right)
-
-	n := nCells(pg)
-	mid := n / 2
-	// The middle key is promoted; its child becomes the right page's
-	// leftmost child (carrying its subtree counter into the header slot).
-	sep := append([]byte(nil), cellKey(pg, mid)...)
-	setLeftChild(right, branchChild(pg, mid))
-	setLeftCount(right, branchCellCount(pg, mid))
-	for j := mid + 1; j < n; j++ {
-		off := cellOffset(pg, j)
-		sz := cellSize(pg, j)
-		if !insertCellAt(right, j-mid-1, pg.data[off:off+sz]) {
-			return nil, corruptf("branch split: cell does not fit into fresh page")
-		}
-	}
-	setNCells(pg, mid)
-	compact(pg)
-
-	if i <= mid {
-		if !insertCellAt(pg, i, cell) {
-			return nil, corruptf("branch split: cell does not fit into left half")
-		}
-	} else {
-		if !insertCellAt(right, i-mid-1, cell) {
-			return nil, corruptf("branch split: cell does not fit into right half")
-		}
-	}
-	return &splitResult{
-		key:       sep,
-		right:     right.id,
-		leftKeys:  subtreeKeys(pg),
-		rightKeys: subtreeKeys(right),
-	}, nil
 }
 
 // readValue materializes the value of leaf cell i, following overflow
@@ -596,48 +343,4 @@ func (db *DB) readValue(pg *page, i int) ([]byte, error) {
 		return nil, corruptf("overflow chain yields %d bytes, expected %d", len(out), ovfLen)
 	}
 	return out, nil
-}
-
-// writeOverflow stores value in a chain of overflow pages, returning the
-// first page id.
-func (db *DB) writeOverflow(value []byte) (uint32, error) {
-	var first, prev *page
-	for off := 0; off < len(value) || first == nil; off += ovfCapacity {
-		pg, err := db.pager.allocate()
-		if err != nil {
-			return 0, err
-		}
-		pg.data[offType] = pageOverflow
-		end := off + ovfCapacity
-		if end > len(value) {
-			end = len(value)
-		}
-		putU16(pg.data, ovfOffLen, uint16(end-off))
-		copy(pg.data[ovfHdrSize:], value[off:end])
-		putU32(pg.data, ovfOffNext, 0)
-		pg.dirty = true
-		if prev != nil {
-			putU32(prev.data, ovfOffNext, pg.id)
-			prev.dirty = true
-		} else {
-			first = pg
-		}
-		prev = pg
-	}
-	return first.id, nil
-}
-
-// freeCellOverflow releases the overflow chain of leaf cell i, if any.
-func (db *DB) freeCellOverflow(pg *page, i int) error {
-	_, _, ovfPage := leafCellValue(pg, i)
-	for pid := ovfPage; pid != 0; {
-		opg, err := db.pager.get(pid)
-		if err != nil {
-			return err
-		}
-		next := getU32(opg.data, ovfOffNext)
-		db.pager.free(opg)
-		pid = next
-	}
-	return nil
 }

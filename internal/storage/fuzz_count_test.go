@@ -2,121 +2,84 @@ package storage
 
 import (
 	"bytes"
-	"fmt"
-	"sort"
 	"testing"
 )
 
-// FuzzCounters drives counter maintenance across insert/split/overflow/
-// delete interleavings with an opcode tape, and cross-checks every count
-// and rank operation against a sorted-map model. Check at the end verifies
-// the stored per-subtree counters against a full leaf walk.
+// FuzzCounters builds a store from an opcode tape and cross-checks every
+// count and rank operation against the model of accepted keys: CountPrefix,
+// CountRange, Rank and SeekRank, over built keys, absent keys between them
+// and keys past the last. The first of these reads ends the build; Check at
+// the end verifies the stored per-subtree counters against a full leaf walk.
 func FuzzCounters(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 2, 1, 3, 0, 4})
-	f.Add(bytes.Repeat([]byte{0, 7, 0, 9, 2, 7}, 50))
+	f.Add(append(bytes.Repeat([]byte{0, 7, 9, 0, 2, 70}, 50), bytes.Repeat([]byte{4, 3, 1, 9, 3, 2, 1}, 10)...))
 	f.Add([]byte{0, 0, 200, 0, 1, 200, 3, 0, 4, 255})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, tape []byte) {
-		db, err := Open("", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		model := make(map[string]int) // key -> value length
-		i := 0
-		next := func() byte {
-			if i >= len(tape) {
-				return 0
+		s := newTapeStore(t)
+		defer s.db.Close()
+		r := newTapeReader(tape)
+		for ops := 0; !r.done() && ops < 300; ops++ {
+			op, kb := r.next(), r.next()
+			if op%5 == 0 {
+				s.put(kb, r.next())
+				continue
 			}
-			b := tape[i]
-			i++
-			return b
-		}
-		sortedKeys := func() []string {
-			keys := make([]string, 0, len(model))
-			for k := range model {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			return keys
-		}
-		modelRank := func(key string) int {
-			r := 0
-			for k := range model {
-				if k < key {
-					r++
-				}
-			}
-			return r
-		}
-		ops := 0
-		for i < len(tape) && ops < 300 {
-			ops++
-			op := next()
-			kb := next()
-			key := fmt.Sprintf("k%03d", kb%48)
+			key := s.key(kb)
+			s.sealed = true
 			switch op % 5 {
-			case 0: // put; occasionally overflow-sized
-				vlen := int(next())
-				if vlen%5 == 0 {
-					vlen *= 61
-				}
-				val := bytes.Repeat([]byte{kb}, vlen)
-				if err := db.Put([]byte(key), val); err != nil {
-					t.Fatal(err)
-				}
-				model[key] = vlen
 			case 1: // count a prefix
-				prefix := key[:1+int(next())%3]
-				got, err := db.CountPrefix([]byte(prefix))
+				prefix := key[:1+int(r.next())%len(key)]
+				got, err := s.db.CountPrefix(prefix)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := 0
-				for k := range model {
-					if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
+				for _, k := range s.keys {
+					if bytes.HasPrefix(k, prefix) {
 						want++
 					}
 				}
 				if got != want {
 					t.Fatalf("CountPrefix(%q) = %d, model %d", prefix, got, want)
 				}
-			case 2: // delete
-				existed, err := db.Delete([]byte(key))
+			case 2: // count a range
+				hi := s.key(r.next())
+				got, err := s.db.CountRange(key, hi)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, wantOK := model[key]; existed != wantOK {
-					t.Fatalf("Delete(%q) diverged from model", key)
+				if want := max(s.rank(hi)-s.rank(key), 0); got != want {
+					t.Fatalf("CountRange(%q, %q) = %d, model %d", key, hi, got, want)
 				}
-				delete(model, key)
 			case 3: // rank
-				got, err := db.Rank([]byte(key))
+				got, err := s.db.Rank(key)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := modelRank(key); got != want {
+				if want := s.rank(key); got != want {
 					t.Fatalf("Rank(%q) = %d, model %d", key, got, want)
 				}
-			case 4: // rank jump
-				if len(model) == 0 {
+			case 4: // rank jump, one past the last rank included
+				i := int(r.next()) % (len(s.keys) + 1)
+				c := s.db.NewCursor()
+				if i == len(s.keys) {
+					if c.SeekRank(i) || c.Err() != nil {
+						t.Fatalf("SeekRank(%d) past %d keys = %q, %v", i, len(s.keys), c.Key(), c.Err())
+					}
 					continue
 				}
-				r := int(next()) % len(model)
-				c := db.NewCursor()
-				if !c.SeekRank(r) {
-					t.Fatalf("SeekRank(%d) failed: %v", r, c.Err())
+				if !c.SeekRank(i) {
+					t.Fatalf("SeekRank(%d) failed: %v", i, c.Err())
 				}
-				if want := sortedKeys()[r]; string(c.Key()) != want {
-					t.Fatalf("SeekRank(%d) = %q, model %q", r, c.Key(), want)
+				if want := s.keys[i]; !bytes.Equal(c.Key(), want) {
+					t.Fatalf("SeekRank(%d) = %q, model %q", i, c.Key(), want)
 				}
 			}
 		}
-		if err := db.Check(); err != nil {
-			t.Fatalf("Check after tape: %v", err)
-		}
-		if got, err := db.CountRange(nil, nil); err != nil || got != len(model) {
-			t.Fatalf("CountRange(nil,nil) = %d, %v; model %d", got, err, len(model))
+		s.verify()
+		if got, err := s.db.CountRange(nil, nil); err != nil || got != len(s.keys) {
+			t.Fatalf("CountRange(nil, nil) = %d, %v; model %d", got, err, len(s.keys))
 		}
 	})
 }

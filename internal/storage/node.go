@@ -39,7 +39,6 @@ func initPage(pg *page, typ byte) {
 	for i := offFlags; i < hdrSize; i++ {
 		pg.data[i] = 0
 	}
-	pg.dirty = true
 }
 
 func cellOffset(pg *page, i int) int {
@@ -87,19 +86,13 @@ func branchChild(pg *page, i int) uint32 {
 // leftChild returns the leftmost child of a branch page.
 func leftChild(pg *page) uint32 { return getU32(pg.data, offLink) }
 
-func setLeftChild(pg *page, c uint32) {
-	putU32(pg.data, offLink, c)
-	pg.dirty = true
-}
+func setLeftChild(pg *page, c uint32) { putU32(pg.data, offLink, c) }
 
 // leftCount returns the key count of a branch page's leftmost child's
 // subtree.
 func leftCount(pg *page) uint32 { return getU32(pg.data, offLeftCount) }
 
-func setLeftCount(pg *page, v uint32) {
-	putU32(pg.data, offLeftCount, v)
-	pg.dirty = true
-}
+func setLeftCount(pg *page, v uint32) { putU32(pg.data, offLeftCount, v) }
 
 // branchCellCount returns the subtree key count of branch cell i.
 func branchCellCount(pg *page, i int) uint32 {
@@ -108,52 +101,10 @@ func branchCellCount(pg *page, i int) uint32 {
 	return getU32(pg.data, off+2+klen+4)
 }
 
-func setBranchCellCount(pg *page, i int, v uint32) {
-	off := cellOffset(pg, i)
-	klen := int(getU16(pg.data, off))
-	putU32(pg.data, off+2+klen+4, v)
-	pg.dirty = true
-}
-
-// childCount returns the subtree key count for a childIndexFor result.
-func childCount(pg *page, idx int) uint32 {
-	if idx < 0 {
-		return leftCount(pg)
-	}
-	return branchCellCount(pg, idx)
-}
-
-// setChildCount stores the subtree key count for a childIndexFor result.
-func setChildCount(pg *page, idx int, v uint32) {
-	if idx < 0 {
-		setLeftCount(pg, v)
-		return
-	}
-	setBranchCellCount(pg, idx, v)
-}
-
-// addChildCount adjusts the subtree key count for a childIndexFor result.
-func addChildCount(pg *page, idx int, delta int) {
-	setChildCount(pg, idx, uint32(int(childCount(pg, idx))+delta))
-}
-
-// subtreeKeys sums a branch page's child counters: the key count of the
-// whole subtree rooted at pg.
-func subtreeKeys(pg *page) uint32 {
-	total := leftCount(pg)
-	for i := 0; i < nCells(pg); i++ {
-		total += branchCellCount(pg, i)
-	}
-	return total
-}
-
 // nextLeaf returns the next-leaf link of a leaf page.
 func nextLeaf(pg *page) uint32 { return getU32(pg.data, offLink) }
 
-func setNextLeaf(pg *page, c uint32) {
-	putU32(pg.data, offLink, c)
-	pg.dirty = true
-}
+func setNextLeaf(pg *page, c uint32) { putU32(pg.data, offLink, c) }
 
 // search returns the index of the first cell whose key is >= key and whether
 // an exact match was found.
@@ -192,81 +143,19 @@ func freeSpace(pg *page) int {
 	return upper(pg) - (hdrSize + 2*nCells(pg)) - 2
 }
 
-// liveBytes returns the total size of all live cells (excluding pointers).
-func liveBytes(pg *page) int {
-	total := 0
-	for i := 0; i < nCells(pg); i++ {
-		total += cellSize(pg, i)
-	}
-	return total
-}
-
-func cellSize(pg *page, i int) int {
-	off := cellOffset(pg, i)
-	klen := int(getU16(pg.data, off))
-	if pg.data[offType] == pageBranch {
-		return 2 + klen + 4 + 4
-	}
-	flags := pg.data[off+2]
-	if flags == flagInline {
-		vlen := int(getU16(pg.data, off+3+klen))
-		return 3 + klen + 2 + vlen
-	}
-	return 3 + klen + 8
-}
-
-// compact rewrites all live cells tightly against the end of the page.
-func compact(pg *page) {
-	n := nCells(pg)
-	cells := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		off := cellOffset(pg, i)
-		sz := cellSize(pg, i)
-		c := make([]byte, sz)
-		copy(c, pg.data[off:off+sz])
-		cells[i] = c
-	}
-	u := PageSize
-	for i := 0; i < n; i++ {
-		u -= len(cells[i])
-		copy(pg.data[u:], cells[i])
-		putU16(pg.data, hdrSize+2*i, uint16(u))
-	}
-	setUpper(pg, u)
-	pg.dirty = true
-}
-
-// insertCellAt places cell at index i, shifting pointers right. It reports
-// false when the page lacks space even after compaction.
-func insertCellAt(pg *page, i int, cell []byte) bool {
+// appendCell places cell after the page's last cell. It reports false when
+// the page lacks the room.
+func appendCell(pg *page, cell []byte) bool {
 	if freeSpace(pg) < len(cell) {
-		if hdrSize+2*(nCells(pg)+1)+liveBytes(pg)+len(cell) > PageSize {
-			return false
-		}
-		compact(pg)
-		if freeSpace(pg) < len(cell) {
-			return false
-		}
+		return false
 	}
 	n := nCells(pg)
 	u := upper(pg) - len(cell)
 	copy(pg.data[u:], cell)
 	setUpper(pg, u)
-	// Shift the pointer array.
-	copy(pg.data[hdrSize+2*(i+1):hdrSize+2*(n+1)], pg.data[hdrSize+2*i:hdrSize+2*n])
-	putU16(pg.data, hdrSize+2*i, uint16(u))
+	putU16(pg.data, hdrSize+2*n, uint16(u))
 	setNCells(pg, n+1)
-	pg.dirty = true
 	return true
-}
-
-// deleteCellAt removes the pointer for cell i; the cell bytes become garbage
-// reclaimed by the next compact.
-func deleteCellAt(pg *page, i int) {
-	n := nCells(pg)
-	copy(pg.data[hdrSize+2*i:hdrSize+2*(n-1)], pg.data[hdrSize+2*(i+1):hdrSize+2*n])
-	setNCells(pg, n-1)
-	pg.dirty = true
 }
 
 // makeLeafCell builds an inline or overflow leaf cell. ovfPage is used when

@@ -8,25 +8,24 @@ import (
 
 // page is an in-memory copy of an on-disk page.
 type page struct {
-	id    uint32
-	data  []byte // always PageSize bytes
-	dirty bool
+	id   uint32
+	data []byte // always PageSize bytes
 
 	// elem is the page's position in the LRU list (file-backed pagers only).
 	elem *list.Element
 }
 
 // pager provides cached page access. With a nil file, all pages live in
-// memory and are never evicted. A memory-mapped pager (setupMmap) serves
-// every page as a slice directly into the mapped region: no cache, no
-// eviction, no per-page allocation.
+// memory and are never evicted. The builder writes each page once, straight
+// to the file, so the cache only ever holds clean copies. A memory-mapped
+// pager (setupMmap) serves every page as a slice directly into the mapped
+// region: no cache, no eviction, no per-page allocation.
 type pager struct {
 	file     *os.File
 	pages    map[uint32]*page
 	lru      *list.List // front = most recent; file-backed only
 	maxCache int
 	nextID   uint32 // next page id to allocate (== page count)
-	freeHead uint32 // head of the free-page list, 0 = empty
 	reads    uint64 // logical page accesses (cache hits included)
 	evicts   uint64 // pages evicted from the cache
 
@@ -57,8 +56,8 @@ func newPager(file *os.File, cachePages int) *pager {
 
 // setupMmap switches the pager to serve pages out of mem, a read-only
 // mapping of the whole file. Page data slices alias the mapping directly,
-// so the pager must never be written through afterwards (the DB guards
-// this with ReadOnly).
+// so the pager must never be written through afterwards (only a read-only
+// store is mapped).
 func (p *pager) setupMmap(mem []byte) {
 	p.mem = mem
 	p.lru = nil
@@ -100,71 +99,44 @@ func (p *pager) get(id uint32) (*page, error) {
 		}
 		return nil, err
 	}
-	if err := p.insert(pg); err != nil {
-		return nil, err
-	}
+	p.insert(pg)
 	return pg, nil
 }
 
-// allocate returns a zeroed page, reusing a freed page if available.
-func (p *pager) allocate() (*page, error) {
-	if p.freeHead != 0 {
-		pg, err := p.get(p.freeHead)
-		if err != nil {
-			return nil, err
-		}
-		if pg.data[offType] != pageFree {
-			return nil, corruptf("free-list page %d has type %d", pg.id, pg.data[offType])
-		}
-		p.freeHead = getU32(pg.data, ovfOffNext)
-		for i := range pg.data {
-			pg.data[i] = 0
-		}
-		pg.dirty = true
-		return pg, nil
-	}
-	pg := &page{id: p.nextID, data: make([]byte, PageSize), dirty: true}
+// allocate reserves the next page id.
+func (p *pager) allocate() uint32 {
 	p.nextID++
-	if err := p.insert(pg); err != nil {
-		return nil, err
-	}
-	return pg, nil
+	return p.nextID - 1
 }
 
-// free links the page into the free list for later reuse.
-func (p *pager) free(pg *page) {
-	for i := range pg.data {
-		pg.data[i] = 0
+// write stores a finished page: in the file, or in the page map of an
+// in-memory pager.
+func (p *pager) write(pg *page) error {
+	if p.file == nil {
+		p.pages[pg.id] = pg
+		return nil
 	}
-	pg.data[offType] = pageFree
-	putU32(pg.data, ovfOffNext, p.freeHead)
-	p.freeHead = pg.id
-	pg.dirty = true
+	_, err := p.file.WriteAt(pg.data, int64(pg.id)*PageSize)
+	return err
 }
 
-func (p *pager) insert(pg *page) error {
+func (p *pager) insert(pg *page) {
 	p.pages[pg.id] = pg
 	if p.lru != nil {
 		pg.elem = p.lru.PushFront(pg)
 	}
-	return nil
 }
 
 // trim evicts least-recently-used pages until the cache is within bounds.
-// It must only be called between operations: tree operations hold direct
-// *page pointers, and evicting a page mid-operation would detach those
-// pointers from the cache and lose updates.
-func (p *pager) trim() error {
+// It must only be called between operations: an operation holds direct
+// *page pointers, whose buffers an eviction recycles.
+func (p *pager) trim() {
 	if p.lru == nil {
-		return nil
+		return
 	}
 	for p.lru.Len() > p.maxCache {
-		victim := p.lru.Back().Value.(*page)
-		if err := p.evict(victim); err != nil {
-			return err
-		}
+		p.evict(p.lru.Back().Value.(*page))
 	}
-	return nil
 }
 
 func (p *pager) touch(pg *page) {
@@ -173,12 +145,7 @@ func (p *pager) touch(pg *page) {
 	}
 }
 
-func (p *pager) evict(pg *page) error {
-	if pg.dirty {
-		if err := p.writeBack(pg); err != nil {
-			return err
-		}
-	}
+func (p *pager) evict(pg *page) {
 	p.lru.Remove(pg.elem)
 	delete(p.pages, pg.id)
 	p.evicts++
@@ -188,30 +155,6 @@ func (p *pager) evict(pg *page) error {
 		p.spare = append(p.spare, pg.data)
 		pg.data = nil
 	}
-	return nil
-}
-
-func (p *pager) writeBack(pg *page) error {
-	if _, err := p.file.WriteAt(pg.data, int64(pg.id)*PageSize); err != nil {
-		return err
-	}
-	pg.dirty = false
-	return nil
-}
-
-// flush writes all dirty pages back to the file (no-op for in-memory mode).
-func (p *pager) flush() error {
-	if p.file == nil {
-		return nil
-	}
-	for _, pg := range p.pages {
-		if pg.dirty {
-			if err := p.writeBack(pg); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 func getU16(b []byte, off int) uint16 { return uint16(b[off]) | uint16(b[off+1])<<8 }

@@ -8,12 +8,15 @@
 // algorithms only require sorted key access and range scans, which a B+tree
 // provides.
 //
-// Concurrency: all operations are serialized by an internal mutex, so a DB
-// may be shared between goroutines. Cursors are invalidated by writes.
+// A store is written once, the way the paper's indexes are: bulk
+// construction, then query workloads. Keys are put in ascending order and
+// packed into full leaves; each finished page hands its first key, page id
+// and subtree key count to the branch page being filled above it, and the
+// first read closes the right spine. Nothing is ever updated in place,
+// split, or freed.
 //
-// Space management: deleting a key frees its overflow chain but does not
-// merge underfull pages; the store is built for the paper's read-mostly
-// usage (bulk index construction followed by query workloads).
+// Concurrency: all operations are serialized by an internal mutex, so a DB
+// may be shared between goroutines.
 package storage
 
 import (
@@ -44,7 +47,6 @@ const (
 	pageBranch   = 1
 	pageLeaf     = 2
 	pageOverflow = 3
-	pageFree     = 4
 )
 
 // Common page header layout (branch and leaf pages):
