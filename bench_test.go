@@ -34,7 +34,6 @@ import (
 	"approxql/internal/eval"
 	"approxql/internal/exec"
 	"approxql/internal/index"
-	"approxql/internal/kbest"
 	"approxql/internal/lang"
 	"approxql/internal/querygen"
 	"approxql/internal/schema"
@@ -197,7 +196,8 @@ func BenchmarkAblationInitialK(b *testing.B) {
 	for _, k0 := range []int{1, 5, 10, 50, 200} {
 		b.Run(fmt.Sprintf("initialK=%d", k0), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := kbest.BestN(sch, x, n, kbest.Options{InitialK: k0, MaxK: 1 << 16}); err != nil {
+				eng := exec.New(sch, sch, exec.Config{N: n, InitialK: k0, MaxK: 1 << 16, Parallelism: 1})
+				if err := eng.Run(context.Background(), x, func(exec.Item) bool { return true }); err != nil {
 					b.Fatal(err)
 				}
 			}

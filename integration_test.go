@@ -2,12 +2,13 @@ package approxql
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"approxql/internal/datagen"
 	"approxql/internal/eval"
+	"approxql/internal/exec"
 	"approxql/internal/index"
-	"approxql/internal/kbest"
 	"approxql/internal/lang"
 	"approxql/internal/querygen"
 	"approxql/internal/schema"
@@ -110,7 +111,13 @@ func TestEndToEndPipeline(t *testing.T) {
 				}
 
 				// Schema-driven evaluation over the stored I_sec.
-				viaSec, _, err := kbest.BestNWithSecondary(db.Schema(), storedSec, x, n, kbest.Options{})
+				// Items arrive in ascending cost order.
+				var viaSec []Result
+				err = exec.New(db.Schema(), storedSec, exec.Config{N: n, Parallelism: 1}).Run(
+					context.Background(), x, func(it exec.Item) bool {
+						viaSec = append(viaSec, Result{Root: it.Root, Cost: it.Cost})
+						return len(viaSec) < n
+					})
 				if err != nil {
 					t.Fatal(err)
 				}

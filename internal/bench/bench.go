@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -18,8 +19,8 @@ import (
 	"approxql/internal/backend"
 	"approxql/internal/datagen"
 	"approxql/internal/eval"
+	"approxql/internal/exec"
 	"approxql/internal/index"
-	"approxql/internal/kbest"
 	"approxql/internal/lang"
 	"approxql/internal/querygen"
 	"approxql/internal/schema"
@@ -255,28 +256,55 @@ func (r *Runner) Evaluate(g *querygen.Generated, n int, algo Algo) (int, error) 
 	return c, err
 }
 
-// EvaluateStats is Evaluate with the schema-driven statistics (zero for the
-// direct algorithm).
-func (r *Runner) EvaluateStats(g *querygen.Generated, n int, algo Algo) (int, kbest.Stats, error) {
+// EvaluateStats is Evaluate with the schema-driven engine's metrics (zero
+// for the direct algorithm).
+func (r *Runner) EvaluateStats(g *querygen.Generated, n int, algo Algo) (int, exec.Metrics, error) {
 	x := lang.Expand(g.Query, g.Model)
 	switch algo {
 	case Direct:
 		ev := eval.New(r.tree, r.be)
 		res, err := ev.BestN(x, n)
 		ev.Release()
-		return len(res), kbest.Stats{}, err
+		return len(res), exec.Metrics{}, err
 	case Schema:
-		opt := kbest.Options{}
-		if n > 0 {
-			opt.InitialK = n
-		} else {
-			opt.InitialK = 16
-			opt.MaxK = allNMaxK
-		}
-		res, stats, err := kbest.BestNWithSecondary(r.sch, r.be, x, n, opt)
-		return len(res), stats, err
+		res, m, err := schemaBestN(r.sch, r.be, x, n, schemaConfig(n))
+		return len(res), m, err
 	}
-	return 0, kbest.Stats{}, fmt.Errorf("bench: unknown algorithm %q", algo)
+	return 0, exec.Metrics{}, fmt.Errorf("bench: unknown algorithm %q", algo)
+}
+
+// schemaConfig is the forced schema-driven schedule of the harness: k
+// starts at n, and the n = ∞ points keep the allNMaxK cap.
+func schemaConfig(n int) exec.Config {
+	if n > 0 {
+		return exec.Config{InitialK: n}
+	}
+	return exec.Config{InitialK: 16, MaxK: allNMaxK}
+}
+
+// schemaBestN answers the best-n-pairs problem with the incremental
+// schema-driven engine, sequentially, in the shape the direct evaluator
+// returns: sorted by (cost, root) and cut at n (the engine finishes the
+// second-level query that delivers the n-th result). n <= 0 retrieves all
+// results.
+func schemaBestN(sch *schema.Schema, sec schema.SecSource, x *lang.Expanded, n int, cfg exec.Config) ([]eval.Result, exec.Metrics, error) {
+	var m exec.Metrics
+	cfg.N, cfg.Parallelism, cfg.Metrics = n, 1, &m
+	var res []eval.Result
+	err := exec.New(sch, sec, cfg).Run(context.Background(), x, func(it exec.Item) bool {
+		res = append(res, eval.Result{Root: it.Root, Cost: it.Cost})
+		return true
+	})
+	sort.SliceStable(res, func(i, j int) bool {
+		if res[i].Cost != res[j].Cost {
+			return res[i].Cost < res[j].Cost
+		}
+		return res[i].Root < res[j].Root
+	})
+	if n > 0 && n < len(res) {
+		res = res[:n]
+	}
+	return res, m, err
 }
 
 // Measure times one (pattern, renamings, n, algo) point: the mean over the

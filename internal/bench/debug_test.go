@@ -5,8 +5,8 @@ import (
 
 	"approxql/internal/datagen"
 	"approxql/internal/eval"
+	"approxql/internal/exec"
 	"approxql/internal/index"
-	"approxql/internal/kbest"
 	"approxql/internal/lang"
 	"approxql/internal/querygen"
 	"approxql/internal/schema"
@@ -48,7 +48,7 @@ func TestTruncationRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Bounded n: exact regardless of the skeleton-space size.
-		viaSchema, _, err := kbest.BestN(sch, x, 10, kbest.Options{MaxK: 4096})
+		viaSchema, _, err := schemaBestN(sch, sch, x, 10, exec.Config{MaxK: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestTruncationRegression(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		allSchema, stats, err := kbest.BestN(sch, x, 0, kbest.Options{MaxK: 512})
+		allSchema, stats, err := schemaBestN(sch, sch, x, 0, exec.Config{MaxK: 512})
 		if err != nil {
 			t.Fatal(err)
 		}

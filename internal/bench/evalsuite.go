@@ -8,7 +8,7 @@ import (
 	"approxql/internal/backend"
 	"approxql/internal/cost"
 	"approxql/internal/eval"
-	"approxql/internal/kbest"
+	"approxql/internal/exec"
 	"approxql/internal/lang"
 	"approxql/internal/plan"
 	"approxql/internal/xmltree"
@@ -75,8 +75,8 @@ func (r *Runner) MeasureStrategy(pattern string, renamings, n, workers int, minT
 		ev.Release()
 		return len(res), err
 	}
-	runSchema := func(x *lang.Expanded, opt kbest.Options) (int, error) {
-		res, _, err := kbest.BestNWithSecondary(r.sch, r.be, x, n, opt)
+	runSchema := func(x *lang.Expanded, cfg exec.Config) (int, error) {
+		res, _, err := schemaBestN(r.sch, r.be, x, n, cfg)
 		return len(res), err
 	}
 	runOne := func(x *lang.Expanded) (int, error) {
@@ -84,18 +84,13 @@ func (r *Runner) MeasureStrategy(pattern string, renamings, n, workers int, minT
 		case "direct":
 			return runDirect(x)
 		case "schema":
-			opt := kbest.Options{InitialK: n}
-			if n <= 0 {
-				opt.InitialK = 16
-				opt.MaxK = allNMaxK
-			}
-			return runSchema(x, opt)
+			return runSchema(x, schemaConfig(n))
 		case "auto":
 			d := plan.Decide(r.sch, cs, x, n)
 			if d.Strategy == plan.Direct {
 				return runDirect(x)
 			}
-			return runSchema(x, kbest.Options{
+			return runSchema(x, exec.Config{
 				InitialK: d.InitialK, Delta: d.Delta, Growth: d.Growth,
 			})
 		}

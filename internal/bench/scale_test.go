@@ -5,8 +5,8 @@ import (
 
 	"approxql/internal/datagen"
 	"approxql/internal/eval"
+	"approxql/internal/exec"
 	"approxql/internal/index"
-	"approxql/internal/kbest"
 	"approxql/internal/lang"
 	"approxql/internal/querygen"
 	"approxql/internal/schema"
@@ -52,7 +52,7 @@ func TestModerateScaleSmoke(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				viaSchema, _, err := kbest.BestN(sch, x, 10, kbest.Options{})
+				viaSchema, _, err := schemaBestN(sch, sch, x, 10, exec.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}

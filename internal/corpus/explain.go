@@ -3,7 +3,6 @@ package corpus
 import (
 	"context"
 	"sort"
-	"strings"
 	"sync"
 
 	"approxql/internal/cost"
@@ -103,10 +102,10 @@ func (c *Corpus) Explain(ctx context.Context, x *lang.Expanded, k int, cfg Confi
 	var order []key
 	for _, plans := range perShard {
 		for _, p := range plans {
-			k := key{cost: p.Entry.Cost, sig: labelSignature(p.Entry)}
+			k := key{cost: p.Entry.Cost, sig: kbest.LabelSignature(p.Entry)}
 			pl := merged[k]
 			if pl == nil {
-				pl = &Plan{Rendered: renderLabels(p.Entry), Cost: p.Entry.Cost}
+				pl = &Plan{Rendered: kbest.RenderLabels(p.Entry), Cost: p.Entry.Cost}
 				merged[k] = pl
 				order = append(order, k)
 			}
@@ -128,52 +127,4 @@ func (c *Corpus) Explain(ctx context.Context, x *lang.Expanded, k int, cfg Confi
 		out = out[:k]
 	}
 	return out, nil
-}
-
-// labelSignature canonicalizes a second-level query by labels alone:
-// children are sorted, class identifiers dropped. Two entries with equal
-// signatures are the same transformed query planned against different
-// shard schemas.
-func labelSignature(e *kbest.Entry) string {
-	var b strings.Builder
-	writeLabelSignature(&b, e)
-	return b.String()
-}
-
-func writeLabelSignature(b *strings.Builder, e *kbest.Entry) {
-	b.WriteString(e.Label)
-	if len(e.Pointers) == 0 {
-		return
-	}
-	parts := make([]string, len(e.Pointers))
-	for i, p := range e.Pointers {
-		parts[i] = labelSignature(p)
-	}
-	sort.Strings(parts)
-	b.WriteByte('(')
-	b.WriteString(strings.Join(parts, ","))
-	b.WriteByte(')')
-}
-
-// renderLabels formats the label structure for display, preserving the
-// planner's child order: "cd[title[concerto] and year]".
-func renderLabels(e *kbest.Entry) string {
-	var b strings.Builder
-	writeRenderLabels(&b, e)
-	return b.String()
-}
-
-func writeRenderLabels(b *strings.Builder, e *kbest.Entry) {
-	b.WriteString(e.Label)
-	if len(e.Pointers) == 0 {
-		return
-	}
-	b.WriteByte('[')
-	for i, p := range e.Pointers {
-		if i > 0 {
-			b.WriteString(" and ")
-		}
-		writeRenderLabels(b, p)
-	}
-	b.WriteByte(']')
 }

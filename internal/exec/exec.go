@@ -182,8 +182,10 @@ func (g *Engine) Run(ctx context.Context, x *lang.Expanded, emit func(Item) bool
 	// executed identifies already-evaluated second-level queries by their
 	// skeleton signature. The paper erases the first k_prev entries (the
 	// list for k' > k extends the list for k); signatures additionally
-	// survive reordering among equal-cost queries across rounds.
+	// survive reordering among equal-cost queries across rounds. Signatures
+	// are built in one reused buffer; only an insert copies one out.
 	executed := make(map[string]bool)
+	var sig []byte
 	emitted := 0
 	stopped := false // emit returned false, or target reached
 
@@ -228,11 +230,11 @@ func (g *Engine) Run(ctx context.Context, x *lang.Expanded, emit func(Item) bool
 
 		pending := lp[:0:0]
 		for _, e := range lp {
-			sig := kbest.Signature(e)
-			if executed[sig] {
+			sig = kbest.AppendSignature(sig[:0], e)
+			if executed[string(sig)] {
 				continue
 			}
-			executed[sig] = true
+			executed[string(sig)] = true
 			pending = append(pending, e)
 		}
 		m.Deduped += len(lp) - len(pending)
@@ -276,7 +278,7 @@ func (g *Engine) Run(ctx context.Context, x *lang.Expanded, emit func(Item) bool
 			// second-level queries, so every one of them was planned this
 			// round and the answer is exact; only a user-supplied MaxK
 			// (or a saturated derived bound) cuts the search short.
-			m.Truncated = !derivedMax || maxK >= 1<<30
+			m.Truncated = !derivedMax || maxK >= kbest.PlanBoundCeiling
 			return nil
 		}
 		k += delta

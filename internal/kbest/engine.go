@@ -1,66 +1,36 @@
 package kbest
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"approxql/internal/cost"
-	"approxql/internal/eval"
 	"approxql/internal/lang"
 	"approxql/internal/schema"
 	"approxql/internal/xmltree"
 )
 
-// Stats counts the work done by a schema-driven evaluation.
+// Stats counts the planning work of an Engine; Executors count their own.
 type Stats struct {
-	Fetches          int // schema index fetches (cache misses)
-	ListOps          int // adapted list operations
-	SecondLevelRuns  int // second-level queries executed by secondary
-	PostingsScanned  int // instance-posting entries touched by secondary
-	Rounds           int // incremental rounds (k, k+δ, ...)
-	FinalK           int // the k of the last round
-	SecondLevelTotal int // second-level queries generated in the last round
-	// Truncated reports that the search hit Options.MaxK before finding n
-	// results or exhausting the second-level queries: the returned list
-	// is best-effort. This happens when most cheap transformed queries
-	// retrieve nothing — the regime where the paper's direct evaluation
-	// is the better algorithm.
-	Truncated bool
+	Fetches int // schema index fetches (cache misses)
+	ListOps int // adapted list operations
 }
 
 // Engine evaluates the adapted algorithm primary against a schema with a
 // fixed k. Use SecondLevel to obtain the sorted second-level queries and
-// Secondary to execute them. The incremental driver BestN creates engines
-// with growing k (Section 7.4).
+// Secondary to execute them. The incremental loop, internal/exec, creates
+// engines with growing k (Section 7.4).
 type Engine struct {
-	sch *schema.Schema
-	sec schema.SecSource
-	k   int
-
-	// ctx, when non-nil, is checked between planning steps so a cancelled
-	// or deadline-bounded query stops mid-plan. Set by SecondLevelContext.
-	ctx context.Context
-
-	stats      Stats
-	seq        int
-	fetchCache map[fetchKey]*List
-	innerCache map[*lang.XNode]*List
-	evalCache  map[evalKey]*List
+	sch   *schema.Schema
+	sec   schema.SecSource
+	k     int
+	stats Stats
 
 	// defaultExec serves the engine's own Secondary calls; a parallel
 	// driver bypasses it with per-goroutine Executors (NewExecutor).
 	defaultExec *Executor
-}
-
-type fetchKey struct {
-	label string
-	kind  cost.Kind
-}
-
-type evalKey struct {
-	node *lang.XNode
-	list *List
 }
 
 // NewEngine returns an engine over sch that keeps the best k embeddings per
@@ -74,36 +44,11 @@ func NewEngine(sch *schema.Schema, k int) *Engine {
 // source, e.g. a schema.StoredSec reading path-dependent postings from the
 // embedded B+tree store.
 func NewEngineWithSecondary(sch *schema.Schema, k int, sec schema.SecSource) *Engine {
-	if k < 1 {
-		k = 1
-	}
-	return &Engine{
-		sch:        sch,
-		sec:        sec,
-		k:          k,
-		fetchCache: make(map[fetchKey]*List),
-		innerCache: make(map[*lang.XNode]*List),
-		evalCache:  make(map[evalKey]*List),
-	}
+	return &Engine{sch: sch, sec: sec, k: max(k, 1)}
 }
 
-// Stats returns the engine's counters, including the secondary executions
-// performed through the engine's own Secondary method. Work done by detached
-// Executors (NewExecutor) is reported by their own Stats.
-func (en *Engine) Stats() Stats {
-	s := en.stats
-	if en.defaultExec != nil {
-		es := en.defaultExec.Stats()
-		s.SecondLevelRuns += es.Runs
-		s.PostingsScanned += es.PostingsScanned
-	}
-	return s
-}
-
-func (en *Engine) nextSeq() int {
-	en.seq++
-	return en.seq
-}
+// Stats returns the engine's planning counters.
+func (en *Engine) Stats() Stats { return en.stats }
 
 // SecondLevel runs the adapted algorithm primary against the schema and
 // returns the best k second-level queries sorted by ascending cost
@@ -117,150 +62,197 @@ func (en *Engine) SecondLevel(x *lang.Expanded) ([]*Entry, error) {
 // checked between dynamic-programming steps, so a cancelled or expired
 // context aborts planning with ctx.Err() instead of running to completion.
 func (en *Engine) SecondLevelContext(ctx context.Context, x *lang.Expanded) ([]*Entry, error) {
-	en.ctx = ctx
-	defer func() { en.ctx = nil }()
 	if x.Root.Rep != lang.RepNode {
 		return nil, fmt.Errorf("kbest: expanded root has type %v, want node", x.Root.Rep)
 	}
-	l, err := en.inner(x.Root)
+	p := getPlanner(en.sch, en.k, ctx)
+	defer putPlanner(p)
+	l, err := p.inner(x.Root)
+	en.stats.Fetches += p.stats.Fetches
+	en.stats.ListOps += p.stats.ListOps
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Entry, 0, l.Len())
-	for _, e := range l.entries {
-		if e.HasLeaf && !cost.IsInf(e.Cost) {
-			out = append(out, e)
+	sel := p.sel[:0]
+	for _, i := range p.at(l) {
+		if n := &p.nodes[i]; n.hasLeaf && !cost.IsInf(n.cost) {
+			sel = append(sel, i)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cost != out[j].Cost {
-			return out[i].Cost < out[j].Cost
+	slices.SortFunc(sel, func(a, b int32) int {
+		na, nb := &p.nodes[a], &p.nodes[b]
+		if c := cmp.Compare(na.cost, nb.cost); c != 0 {
+			return c
 		}
-		if out[i].Class != out[j].Class {
-			return out[i].Class < out[j].Class
+		if c := cmp.Compare(na.class, nb.class); c != 0 {
+			return c
 		}
-		return out[i].seq < out[j].seq
+		return cmp.Compare(a, b)
 	})
-	if len(out) > en.k {
-		out = out[:en.k]
-	}
-	en.stats.SecondLevelTotal = len(out)
-	return out, nil
+	p.sel = sel
+	return p.export(sel[:min(len(sel), en.k)]), nil
 }
 
 // inner computes the ancestor-independent list of a RepNode or RepLeaf, the
 // memoized quantity of the dynamic programming (as in the direct evaluator).
-func (en *Engine) inner(u *lang.XNode) (*List, error) {
-	if l, ok := en.innerCache[u]; ok {
+func (p *planner) inner(u *lang.XNode) (list, error) {
+	if l, ok := p.innerMemo[u]; ok {
 		return l, nil
 	}
-	if en.ctx != nil {
-		if err := en.ctx.Err(); err != nil {
-			return nil, err
-		}
+	if err := p.ctx.Err(); err != nil {
+		return list{}, err
 	}
-	l, err := en.computeInner(u)
+	l, err := p.computeInner(u)
 	if err != nil {
-		return nil, err
+		return list{}, err
 	}
-	en.innerCache[u] = l
+	p.innerMemo[u] = l
 	return l, nil
 }
 
-func (en *Engine) computeInner(u *lang.XNode) (*List, error) {
+func (p *planner) computeInner(u *lang.XNode) (list, error) {
 	switch u.Rep {
-	case lang.RepLeaf:
-		out := en.markLeaf(en.fetch(u.Label, u.Kind))
-		for _, r := range u.Renamings {
-			lt := en.markLeaf(en.fetch(r.To, u.Kind))
-			en.stats.ListOps++
-			out = en.merge(out, lt, r.Cost)
-		}
-		return out, nil
-	case lang.RepNode:
-		out, err := en.nodeVariant(u, u.Label)
+	case lang.RepLeaf, lang.RepNode:
+		// The variant lists of the label and its renamings (each renaming's
+		// list bumped by its cost right after it is built) are pushed on
+		// planner.variants, above those of enclosing nodes still being
+		// computed, and merged once at the end. A failed run leaves them to
+		// putPlanner.
+		base := len(p.variants)
+		l, err := p.variant(u, u.Label)
 		if err != nil {
-			return nil, err
+			return list{}, err
 		}
+		p.variants = append(p.variants, l)
 		for _, r := range u.Renamings {
-			lt, err := en.nodeVariant(u, r.To)
+			lt, err := p.variant(u, r.To)
 			if err != nil {
-				return nil, err
+				return list{}, err
 			}
-			en.stats.ListOps++
-			out = en.merge(out, lt, r.Cost)
+			p.stats.ListOps++
+			p.variants = append(p.variants, p.bump(lt, r.Cost))
 		}
+		out := p.union(p.variants[base:])
+		p.variants = p.variants[:base]
 		return out, nil
 	}
-	return nil, fmt.Errorf("kbest: inner called on %v node", u.Rep)
+	return list{}, fmt.Errorf("kbest: inner called on %v node", u.Rep)
 }
 
-func (en *Engine) nodeVariant(u *lang.XNode, label string) (*List, error) {
-	ld := en.fetch(label, u.Kind)
-	if u.Child == nil {
-		return en.markLeaf(ld), nil
+// variant is the match list of u under one of its labels: the marked
+// fetch of a leaf, or the evaluation of u's content against the fetch.
+func (p *planner) variant(u *lang.XNode, label string) (list, error) {
+	f := p.fetch(label, u.Kind)
+	if u.Rep == lang.RepLeaf || u.Child == nil {
+		return p.markLeaf(p.fetches[f].list), nil
 	}
-	return en.eval(u.Child, ld)
+	return p.eval(u.Child, f)
 }
 
-func (en *Engine) eval(u *lang.XNode, lA *List) (*List, error) {
-	key := evalKey{u, lA}
-	if l, ok := en.evalCache[key]; ok {
+// eval evaluates u against the ancestor list of fetch f. The ancestor list
+// is always a fetch list, so the fetch index identifies it in the memo.
+func (p *planner) eval(u *lang.XNode, f int32) (list, error) {
+	key := evalKey{u, f}
+	if l, ok := p.evalMemo[key]; ok {
 		return l, nil
 	}
-	if en.ctx != nil {
-		if err := en.ctx.Err(); err != nil {
-			return nil, err
-		}
+	if err := p.ctx.Err(); err != nil {
+		return list{}, err
 	}
-	l, err := en.computeEval(u, lA)
+	l, err := p.computeEval(u, f)
 	if err != nil {
-		return nil, err
+		return list{}, err
 	}
-	en.evalCache[key] = l
+	p.evalMemo[key] = l
 	return l, nil
 }
 
-func (en *Engine) computeEval(u *lang.XNode, lA *List) (*List, error) {
+func (p *planner) computeEval(u *lang.XNode, f int32) (list, error) {
 	switch u.Rep {
-	case lang.RepLeaf:
-		ld, err := en.inner(u)
+	case lang.RepLeaf, lang.RepNode:
+		ld, err := p.inner(u)
 		if err != nil {
-			return nil, err
+			return list{}, err
 		}
-		en.stats.ListOps++
-		return en.outerjoin(lA, ld, 0, u.DelCost), nil
-	case lang.RepNode:
-		ld, err := en.inner(u)
+		p.stats.ListOps++
+		if u.Rep == lang.RepLeaf {
+			return p.outerjoin(p.fetches[f].list, ld, u.DelCost), nil
+		}
+		return p.join(p.fetches[f].list, ld), nil
+	case lang.RepAnd, lang.RepOr:
+		ll, err := p.eval(u.Left, f)
 		if err != nil {
-			return nil, err
+			return list{}, err
 		}
-		en.stats.ListOps++
-		return en.join(lA, ld, 0), nil
-	case lang.RepAnd:
-		ll, err := en.eval(u.Left, lA)
+		lr, err := p.eval(u.Right, f)
 		if err != nil {
-			return nil, err
+			return list{}, err
 		}
-		lr, err := en.eval(u.Right, lA)
-		if err != nil {
-			return nil, err
+		p.stats.ListOps++
+		if u.Rep == lang.RepAnd {
+			return p.intersect(ll, lr), nil
 		}
-		en.stats.ListOps++
-		return en.intersect(ll, lr, 0), nil
-	case lang.RepOr:
-		ll, err := en.eval(u.Left, lA)
-		if err != nil {
-			return nil, err
-		}
-		lr, err := en.eval(u.Right, lA)
-		if err != nil {
-			return nil, err
-		}
-		en.stats.ListOps++
-		return en.union(ll, en.bump(lr, u.EdgeCost), 0), nil
+		alts := [2]list{ll, p.bump(lr, u.EdgeCost)}
+		return p.union(alts[:]), nil
 	}
-	return nil, fmt.Errorf("kbest: unknown representation type %v", u.Rep)
+	return list{}, fmt.Errorf("kbest: unknown representation type %v", u.Rep)
+}
+
+// export builds the exported plans of the selected nodes. Every distinct
+// node reachable from them becomes one Entry, so children shared between
+// plans stay shared; Entries and pointer sets come from two allocations.
+func (p *planner) export(sel []int32) []*Entry {
+	p.order = p.order[:0]
+	for _, i := range sel {
+		p.collect(i)
+	}
+	ptrs := 0
+	for _, i := range p.order {
+		ptrs += int(p.nodes[i].nkids)
+	}
+	ents := make([]Entry, len(p.order))
+	ptrSlab := make([]*Entry, ptrs)
+	for slot, i := range p.order {
+		n := &p.nodes[i]
+		f := &p.fetches[n.fetch]
+		e := &ents[slot]
+		*e = Entry{
+			Class:    n.class,
+			Bound:    p.sch.Bound(n.class),
+			PathCost: p.sch.PathCost(n.class),
+			InsCost:  p.sch.InsCost(n.class),
+			Cost:     n.cost,
+			HasLeaf:  n.hasLeaf,
+			Label:    f.label,
+			Kind:     f.kind,
+		}
+		if n.nkids == 0 {
+			continue
+		}
+		e.Pointers, ptrSlab = ptrSlab[:n.nkids:n.nkids], ptrSlab[n.nkids:]
+		for x, c := range p.kids[n.kids : n.kids+n.nkids] {
+			e.Pointers[x] = &ents[p.exported[c]]
+		}
+	}
+	out := make([]*Entry, len(sel))
+	for x, i := range sel {
+		out[x] = &ents[p.exported[i]]
+	}
+	return out
+}
+
+// collect numbers node i and everything reachable from it in
+// planner.exported, in first-visit order.
+func (p *planner) collect(i int32) {
+	if _, ok := p.exported[i]; ok {
+		return
+	}
+	p.exported[i] = int32(len(p.order))
+	p.order = append(p.order, i)
+	n := &p.nodes[i]
+	for _, c := range p.kids[n.kids : n.kids+n.nkids] {
+		p.collect(c)
+	}
 }
 
 // Secondary executes a second-level query against the data tree (Figure 5):
@@ -285,9 +277,10 @@ func (en *Engine) SecondaryCount(ctx context.Context, e *Entry) (int, error) {
 	return en.defaultExec.SecondaryCount(ctx, e)
 }
 
-// planBoundCeiling saturates PlanBound's product so it cannot overflow; it
-// still exceeds any k a driver could realistically plan with.
-const planBoundCeiling = 1 << 30
+// PlanBoundCeiling saturates PlanBound's product so it cannot overflow; it
+// still exceeds any k a caller could realistically plan with. A bound at
+// the ceiling proves nothing about the plan space.
+const PlanBoundCeiling = 1 << 30
 
 // PlanBound returns an upper bound on the number of distinct second-level
 // queries that planning can generate for x against sch, derived from the
@@ -296,8 +289,8 @@ const planBoundCeiling = 1 << 30
 // product of (candidates + 1) over all selector nodes bounds the number of
 // skeletons. Incremental drivers use it as the termination guard — once k
 // reaches the bound, growing k cannot produce new second-level queries. The
-// product saturates at an implementation ceiling for pathological cost
-// models whose closure is astronomically large.
+// product saturates at PlanBoundCeiling for pathological cost models whose
+// closure is astronomically large.
 func PlanBound(sch *schema.Schema, x *lang.Expanded) int {
 	bound := 1
 	for _, u := range x.Nodes {
@@ -308,8 +301,8 @@ func PlanBound(sch *schema.Schema, x *lang.Expanded) int {
 		for _, r := range u.Renamings {
 			cand += classCount(sch, r.To, u.Kind)
 		}
-		if bound > planBoundCeiling/(cand+1) {
-			return planBoundCeiling
+		if bound > PlanBoundCeiling/(cand+1) {
+			return PlanBoundCeiling
 		}
 		bound *= cand + 1
 	}
@@ -321,163 +314,4 @@ func classCount(sch *schema.Schema, label string, kind cost.Kind) int {
 		return len(sch.TextClasses(label))
 	}
 	return len(sch.StructClasses(label))
-}
-
-// Options tune the incremental best-n algorithm of Figure 6.
-type Options struct {
-	// InitialK is the first guess for k ("a good initial guess of k is
-	// crucial"). Zero means max(n, 8), or 16 when all results are wanted.
-	InitialK int
-	// Delta is the increment applied when the first k second-level
-	// queries retrieve too few results. Zero means InitialK. The
-	// increment doubles after every round so the number of rounds stays
-	// logarithmic even when the skeleton space grows with k.
-	Delta int
-	// MaxK is a safety valve: the search stops once k reaches it even if
-	// fewer than n results were found (the closure can contain
-	// astronomically many transformed queries that all retrieve already
-	// known roots). Zero derives the bound from the schema with PlanBound:
-	// the maximum number of distinct second-level queries the plan can
-	// generate, past which growing k is provably useless.
-	MaxK int
-	// Growth is the factor applied to Delta after every round. The
-	// skeleton space can grow with k, so a fixed δ may never catch up when
-	// many results are wanted; growing δ geometrically keeps the number of
-	// rounds logarithmic. Zero means 2 (the paper-era doubling policy);
-	// 1 keeps δ constant, i.e. the literal k ← k + δ of Figure 6.
-	Growth int
-}
-
-// BestN solves the best-n-pairs problem with the incremental schema-driven
-// algorithm (Figure 6): generate the best k second-level queries, execute
-// them in cost order, collect distinct result roots, and grow k by δ until n
-// results are found or the second-level queries are exhausted. n <= 0
-// retrieves all results.
-//
-// The answer is exact whenever Stats.Truncated is false. Permissive cost
-// models can induce astronomically many cheap transformed queries that
-// retrieve nothing; once k exceeds Options.MaxK the search stops with the
-// results found so far and sets Truncated — the regime in which the paper's
-// direct evaluation is the better algorithm anyway.
-func BestN(sch *schema.Schema, x *lang.Expanded, n int, opt Options) ([]eval.Result, Stats, error) {
-	return BestNWithSecondary(sch, sch, x, n, opt)
-}
-
-// BestNWithSecondary is BestN with an explicit secondary-index source.
-func BestNWithSecondary(sch *schema.Schema, sec schema.SecSource, x *lang.Expanded, n int, opt Options) ([]eval.Result, Stats, error) {
-	k := opt.InitialK
-	if k <= 0 {
-		if n > 0 {
-			k = n
-			if k < 8 {
-				k = 8
-			}
-		} else {
-			k = 16
-		}
-	}
-	delta := opt.Delta
-	if delta <= 0 {
-		delta = k
-	}
-	growth := opt.Growth
-	if growth <= 0 {
-		growth = 2
-	}
-	maxK := opt.MaxK
-	derivedMax := maxK <= 0
-	if derivedMax {
-		maxK = PlanBound(sch, x)
-	}
-
-	// maxResults bounds the achievable result count: every result root is
-	// an instance of a schema class carrying the root label or one of its
-	// renamings. Reaching the bound ends the search even when more
-	// second-level queries exist — they can only re-find known roots.
-	maxResults := 0
-	rootLabels := []string{x.Root.Label}
-	for _, r := range x.Root.Renamings {
-		rootLabels = append(rootLabels, r.To)
-	}
-	for _, label := range rootLabels {
-		for _, c := range sch.StructClasses(label) {
-			maxResults += len(sch.Instances(c))
-		}
-	}
-	if n <= 0 || n > maxResults {
-		n = maxResults
-	}
-
-	var results []eval.Result
-	seen := make(map[xmltree.NodeID]bool)
-	// executed identifies already-evaluated second-level queries by their
-	// skeleton signature. The paper erases the first k_prev entries (the
-	// list for k' > k extends the list for k); signatures additionally
-	// survive reordering among equal-cost queries across rounds.
-	executed := make(map[string]bool)
-	var stats Stats
-
-	for {
-		en := NewEngineWithSecondary(sch, k, sec)
-		lp, err := en.SecondLevel(x)
-		if err != nil {
-			return nil, stats, err
-		}
-		done := false
-		for _, e := range lp {
-			sig := Signature(e)
-			if executed[sig] {
-				continue
-			}
-			executed[sig] = true
-			roots, err := en.Secondary(e)
-			if err != nil {
-				return nil, stats, err
-			}
-			for _, u := range roots {
-				if !seen[u] {
-					seen[u] = true
-					results = append(results, eval.Result{Root: u, Cost: e.Cost})
-				}
-			}
-			if len(results) >= n {
-				done = true
-				break
-			}
-		}
-		s := en.Stats()
-		stats.Fetches += s.Fetches
-		stats.ListOps += s.ListOps
-		stats.SecondLevelRuns += s.SecondLevelRuns
-		stats.PostingsScanned += s.PostingsScanned
-		stats.Rounds++
-		stats.FinalK = k
-		stats.SecondLevelTotal = s.SecondLevelTotal
-		if done || len(lp) < k || n == 0 {
-			break
-		}
-		if k >= maxK {
-			// A derived bound dominates the number of distinct
-			// second-level queries, so every one of them was planned this
-			// round and the answer is exact; only a user-supplied MaxK (or
-			// a saturated derived bound) can cut the search short.
-			stats.Truncated = !derivedMax || maxK >= planBoundCeiling
-			break
-		}
-		k += delta
-		delta *= growth
-	}
-
-	// Results arrive in ascending cost order; sort ties by preorder for
-	// deterministic output and truncate to n.
-	sort.SliceStable(results, func(i, j int) bool {
-		if results[i].Cost != results[j].Cost {
-			return results[i].Cost < results[j].Cost
-		}
-		return results[i].Root < results[j].Root
-	})
-	if n > 0 && n < len(results) {
-		results = results[:n]
-	}
-	return results, stats, nil
 }

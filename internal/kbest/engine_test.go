@@ -1,13 +1,18 @@
-package kbest
+package kbest_test
 
 import (
+	"cmp"
+	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"approxql/internal/cost"
 	"approxql/internal/eval"
+	"approxql/internal/exec"
 	"approxql/internal/index"
+	"approxql/internal/kbest"
 	"approxql/internal/lang"
 	"approxql/internal/schema"
 	"approxql/internal/xmltree"
@@ -48,7 +53,7 @@ func TestSecondLevelPathQuery(t *testing.T) {
 	_, sch := buildCatalog(t)
 	q := lang.MustParse(`cd[title["concerto"]]`)
 	x := lang.Expand(q, cost.PaperExample())
-	en := NewEngine(sch, 10)
+	en := kbest.NewEngine(sch, 10)
 	lp, err := en.SecondLevel(x)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +64,7 @@ func TestSecondLevelPathQuery(t *testing.T) {
 	// The cheapest second-level query must be the exact one: cost 0,
 	// rooted at the cd class, with a title pointer chain.
 	if lp[0].Cost != 0 || lp[0].Label != "cd" {
-		t.Errorf("best second-level query = %s cost %d", Render(lp[0]), lp[0].Cost)
+		t.Errorf("best second-level query = %s cost %d", kbest.Render(lp[0]), lp[0].Cost)
 	}
 	// Costs ascend.
 	for i := 1; i < len(lp); i++ {
@@ -70,7 +75,7 @@ func TestSecondLevelPathQuery(t *testing.T) {
 	// Every second-level query must have a leaf match.
 	for _, e := range lp {
 		if !e.HasLeaf {
-			t.Errorf("leafless second-level query %s", Render(e))
+			t.Errorf("leafless second-level query %s", kbest.Render(e))
 		}
 	}
 }
@@ -79,7 +84,7 @@ func TestSecondaryExactPath(t *testing.T) {
 	tree, sch := buildCatalog(t)
 	q := lang.MustParse(`cd[title["concerto"]]`)
 	x := lang.Expand(q, cost.PaperExample())
-	en := NewEngine(sch, 1)
+	en := kbest.NewEngine(sch, 1)
 	lp, err := en.SecondLevel(x)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +122,7 @@ func TestBestNMatchesDirectOnCatalog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaSchema, _, err := BestN(sch, x, 0, Options{})
+		viaSchema, _, err := bestN(sch, sch, x, 0, exec.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,6 +130,29 @@ func TestBestNMatchesDirectOnCatalog(t *testing.T) {
 			t.Errorf("query %s:\ndirect: %v\nschema: %v", src, direct, viaSchema)
 		}
 	}
+}
+
+// bestN answers the best-n-pairs problem with the incremental engine
+// (internal/exec, sequential) in the shape the direct evaluator returns:
+// sorted by (cost, root) and cut at n. n <= 0 retrieves all results.
+func bestN(sch *schema.Schema, sec schema.SecSource, x *lang.Expanded, n int, cfg exec.Config) ([]eval.Result, exec.Metrics, error) {
+	var m exec.Metrics
+	cfg.N, cfg.Parallelism, cfg.Metrics = n, 1, &m
+	var res []eval.Result
+	err := exec.New(sch, sec, cfg).Run(context.Background(), x, func(it exec.Item) bool {
+		res = append(res, eval.Result{Root: it.Root, Cost: it.Cost})
+		return true
+	})
+	slices.SortStableFunc(res, func(a, b eval.Result) int {
+		if a.Cost != b.Cost {
+			return cmp.Compare(a.Cost, b.Cost)
+		}
+		return cmp.Compare(a.Root, b.Root)
+	})
+	if n > 0 && n < len(res) {
+		res = res[:n]
+	}
+	return res, m, err
 }
 
 func sameResults(a, b []eval.Result) bool {
@@ -262,7 +290,7 @@ func TestSchemaDrivenMatchesDirectRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaSchema, _, err := BestN(sch, x, 0, Options{InitialK: 1 + rng.Intn(4), Delta: 1 + rng.Intn(4)})
+		viaSchema, _, err := bestN(sch, sch, x, 0, exec.Config{InitialK: 1 + rng.Intn(4), Delta: 1 + rng.Intn(4)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +308,7 @@ func TestSchemaDrivenMatchesDirectRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, _, err := BestN(sch, x, n, Options{InitialK: 2, Delta: 3})
+			s, _, err := bestN(sch, sch, x, n, exec.Config{InitialK: 2, Delta: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,7 +332,7 @@ func TestIncrementalGrowsK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := BestN(sch, x, len(direct), Options{InitialK: 1, Delta: 1})
+	res, stats, err := bestN(sch, sch, x, len(direct), exec.Config{InitialK: 1, Delta: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,11 +358,11 @@ func TestSecondLevelPrefixProperty(t *testing.T) {
 		x := lang.Expand(q, model)
 		sch := schema.Build(tree)
 
-		small, err := NewEngine(sch, 3).SecondLevel(x)
+		small, err := kbest.NewEngine(sch, 3).SecondLevel(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		large, err := NewEngine(sch, 12).SecondLevel(x)
+		large, err := kbest.NewEngine(sch, 12).SecondLevel(x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,29 +383,29 @@ func TestSignature(t *testing.T) {
 	_, sch := buildCatalog(t)
 	q := lang.MustParse(`cd[title["concerto"]]`)
 	x := lang.Expand(q, cost.PaperExample())
-	lp, err := NewEngine(sch, 10).SecondLevel(x)
+	lp, err := kbest.NewEngine(sch, 10).SecondLevel(x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sigs := make(map[string]int)
 	for _, e := range lp {
-		sigs[Signature(e)]++
+		sigs[kbest.Signature(e)]++
 	}
 	for sig, n := range sigs {
 		if n > 1 {
 			t.Errorf("signature %q appears %d times among second-level queries", sig, n)
 		}
 	}
-	lp2, err := NewEngine(sch, 10).SecondLevel(x)
+	lp2, err := kbest.NewEngine(sch, 10).SecondLevel(x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range lp {
-		if Signature(lp[i]) != Signature(lp2[i]) {
+		if kbest.Signature(lp[i]) != kbest.Signature(lp2[i]) {
 			t.Errorf("signatures unstable across engines at %d", i)
 		}
 	}
-	if Render(lp[0]) == "" {
+	if kbest.Render(lp[0]) == "" {
 		t.Error("Render is empty")
 	}
 }
@@ -392,7 +420,7 @@ func TestLeafRule(t *testing.T) {
 	sch := schema.Build(tree)
 	q := lang.MustParse(`cd["piano" and "concerto"]`)
 	x := lang.Expand(q, cost.PaperExample())
-	res, _, err := BestN(sch, x, 0, Options{})
+	res, _, err := bestN(sch, sch, x, 0, exec.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,20 +222,17 @@ func (ex *Executor) fetchPosting(e *Entry) ([]xmltree.NodeID, error) {
 // semijoinInto appends the nodes of la that have a descendant in ld to dst.
 // Both lists are sorted by preorder. dst may alias la: the output is an
 // order-preserving subsequence of la, so the write index never passes the
-// read index.
+// read index. The first entry of ld after u is u's first descendant if u
+// has any, so one bound check per ancestor decides; j never moves back,
+// because a nested ancestor starts after its parent.
 func (ex *Executor) semijoinInto(dst, la, ld []xmltree.NodeID) []xmltree.NodeID {
 	j := 0
 	for _, u := range la {
 		for j < len(ld) && ld[j] <= u {
 			j++
 		}
-		// Nested ancestors overlap, so scan without moving j.
-		for x := j; x < len(ld); x++ {
-			if ld[x] > ex.tree.Bound(u) {
-				break
-			}
+		if j < len(ld) && ld[j] <= ex.tree.Bound(u) {
 			dst = append(dst, u)
-			break
 		}
 		ex.stats.PostingsScanned++
 	}

@@ -2,30 +2,36 @@
 // the adapted algorithm primary that finds the best k second-level queries
 // against the schema (Section 7.2), algorithm secondary that executes a
 // second-level query against the data tree through the path-dependent
-// secondary index (Section 7.3, Figure 5), and the incremental algorithm for
-// the best-n-pairs problem (Section 7.4, Figure 6).
+// secondary index (Section 7.3, Figure 5), and the PlanBound termination
+// bound of the incremental best-n loop (Section 7.4, Figure 6), which
+// internal/exec runs.
 //
 // List entries here differ from the direct evaluation: an entry represents
 // one concrete embedding image ("skeleton") in the schema — the paper's
 // extension of entries by a label and a pointer set. Because a skeleton
 // fully determines which query leaves matched, each entry carries a single
-// cost plus a HasLeaf flag; a segment (the run of entries for one schema
+// cost plus a hasLeaf flag; a segment (the run of entries for one schema
 // node, sorted by cost) keeps both the k cheapest entries overall and the k
 // cheapest with a leaf match, which preserves exactness under the
 // keep-one-leaf rule of Section 6.5.
+//
+// Planning runs under the allocation discipline of internal/eval: entries
+// are pointer-free values in one slab, pointer sets and lists are int32
+// index runs in two more, and all of it belongs to a pooled planner, so a
+// warm planning round allocates only the exported plans of its survivors.
 package kbest
 
 import (
-	"sort"
-
 	"approxql/internal/cost"
 	"approxql/internal/schema"
 )
 
-// Entry represents one embedding image of a query subtree in the schema: a
-// second-level query fragment. Pre/Bound/PathCost/InsCost describe the
-// matched schema node; Label is the matched label (after renaming); Pointers
-// reference the skeleton children (Section 7.2).
+// Entry is an exported second-level query: one embedding image of a query
+// subtree in the schema. Class and Bound/PathCost/InsCost describe the
+// matched schema node; Label is the matched label (after renaming);
+// Pointers reference the skeleton children (Section 7.2). SecondLevel
+// builds Entries only for the queries it returns; a child shared by several
+// of them is one Entry, and Executor caches key on that identity.
 type Entry struct {
 	Class    schema.NodeID
 	Bound    schema.NodeID
@@ -44,101 +50,63 @@ type Entry struct {
 	// Pointers are the skeleton children; a deleted leaf leaves no
 	// pointer. Entries are shared, never mutated after creation.
 	Pointers []*Entry
-
-	// seq breaks cost ties deterministically (creation order).
-	seq int
 }
 
-// List is a sequence of entries sorted by ascending Class; entries with the
-// same Class form a segment sorted by ascending (Cost, seq).
-type List struct {
-	entries []*Entry
+// node is a planning entry, a value in planner.nodes addressed by its
+// index. The index breaks cost ties: operations append new nodes in
+// creation order, or, for joins and intersects, their kept candidates in
+// (cost, creation) order, so equal-cost nodes keep their creation order.
+// Bound, PathCost and InsCost are read from the schema by class, and the
+// label and kind from the fetch the node descends from.
+type node struct {
+	cost  cost.Cost
+	class schema.NodeID
+	// fetch indexes planner.fetches: the matched label and its kind.
+	fetch int32
+	// kids and nkids are the skeleton children, a run of node indices in
+	// planner.kids. Copies made by bump and markLeaf share the run.
+	kids, nkids int32
+	hasLeaf     bool
 }
 
-// Len returns the number of entries.
-func (l *List) Len() int { return len(l.entries) }
+// list is a run of node indices in planner.idx, sorted by ascending class;
+// the nodes of one class form a segment sorted by ascending (cost, index).
+type list struct{ off, n int32 }
 
-// Entries exposes the raw slice; callers must not modify it.
-func (l *List) Entries() []*Entry { return l.entries }
+// capper streams the capping rule of a segment: offered entries in
+// ascending (cost, sequence) order, it keeps the k cheapest plus the k
+// cheapest with a leaf match, and ends the segment at the first infinite
+// cost.
+type capper struct{ k, kept, leaves int }
 
-var emptyList = &List{}
-
-// distance returns the summed insert costs of the classes strictly between
-// the ancestor a and its descendant d, which by Section 7.3 equals the
-// distance between any pair of their instances.
-func distance(a, d *Entry) cost.Cost {
-	return d.PathCost - a.PathCost - a.InsCost
-}
-
-// isAncestor reports whether a is a proper ancestor of d in the schema.
-func isAncestor(a, d *Entry) bool {
-	return a.Class < d.Class && a.Bound >= d.Class
-}
-
-// segLess orders entries within a segment.
-func segLess(a, b *Entry) bool {
-	if a.Cost != b.Cost {
-		return a.Cost < b.Cost
+// take reports whether an entry with cost c and leaf flag leaf is kept,
+// and whether any later entry of the segment can still be.
+func (cp *capper) take(c cost.Cost, leaf bool) (keep, more bool) {
+	if cost.IsInf(c) {
+		return false, false
 	}
-	return a.seq < b.seq
-}
-
-// capSegment sorts a segment and keeps at most the k cheapest entries plus
-// the k cheapest entries with a leaf match. Entries with infinite cost are
-// dropped.
-func capSegment(seg []*Entry, k int) []*Entry {
-	sort.Slice(seg, func(i, j int) bool { return segLess(seg[i], seg[j]) })
-	for len(seg) > 0 && cost.IsInf(seg[len(seg)-1].Cost) {
-		seg = seg[:len(seg)-1]
-	}
-	if len(seg) <= k {
-		return seg
-	}
-	out := seg[:k:k]
-	leafKept := 0
-	for _, e := range out {
-		if e.HasLeaf {
-			leafKept++
+	if cp.kept < cp.k {
+		cp.kept++
+		if leaf {
+			cp.leaves++
 		}
+		return true, true
 	}
-	for _, e := range seg[k:] {
-		if leafKept >= k {
-			break
-		}
-		if e.HasLeaf {
-			out = append(out, e)
-			leafKept++
-		}
+	if cp.leaves >= cp.k {
+		return false, false
 	}
-	return out
+	if leaf {
+		cp.leaves++
+	}
+	return leaf, cp.leaves < cp.k
 }
 
-// appendSegments rebuilds a list from per-class segments in class order.
-type listBuilder struct {
-	entries []*Entry
-}
-
-func (b *listBuilder) addSegment(seg []*Entry) {
-	b.entries = append(b.entries, seg...)
-}
-
-func (b *listBuilder) list() *List {
-	if len(b.entries) == 0 {
-		return emptyList
+// segEnd returns the end of the class segment of ix starting at i.
+func (p *planner) segEnd(ix []int32, i int) int {
+	c := p.nodes[ix[i]].class
+	j := i + 1
+	for j < len(ix) && p.nodes[ix[j]].class == c {
+		j++
 	}
-	return &List{entries: b.entries}
-}
-
-// segments iterates the segments of a list: it calls fn with each run of
-// entries sharing one Class.
-func segments(l *List, fn func(class schema.NodeID, seg []*Entry)) {
-	i := 0
-	for i < len(l.entries) {
-		j := i + 1
-		for j < len(l.entries) && l.entries[j].Class == l.entries[i].Class {
-			j++
-		}
-		fn(l.entries[i].Class, l.entries[i:j])
-		i = j
-	}
+	return j
 }

@@ -1,10 +1,11 @@
-package kbest
+package kbest_test
 
 import (
 	"testing"
 
 	"approxql/internal/cost"
 	"approxql/internal/eval"
+	"approxql/internal/exec"
 	"approxql/internal/index"
 	"approxql/internal/lang"
 	"approxql/internal/schema"
@@ -42,11 +43,11 @@ func TestStoredSecondaryMatchesMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mem, _, err := BestN(sch, x, 0, Options{})
+		mem, _, err := bestN(sch, sch, x, 0, exec.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaStore, _, err := BestNWithSecondary(sch, stored, x, 0, Options{})
+		viaStore, _, err := bestN(sch, stored, x, 0, exec.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
