@@ -113,7 +113,7 @@ func BenchmarkFigure7c(b *testing.B) { benchFigure7(b, "pattern3") }
 // strategy's hot path — with a fresh Evaluator per iteration, as production
 // queries run it. It sweeps the paper patterns and the evaluator's
 // Parallelism knob; allocs/op is the headline number the allocation
-// discipline work targets (see docs/PERFORMANCE.md and BENCH_eval.json).
+// discipline work targets (see docs/PERFORMANCE.md).
 func BenchmarkDirectEval(b *testing.B) {
 	r := benchRunner(b)
 	qg, err := querygen.New(r.Tree(), 2002)

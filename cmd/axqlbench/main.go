@@ -7,14 +7,12 @@
 //	axqlbench                      # all three panels at 5% of the paper's scale
 //	axqlbench -figure 7a           # one panel
 //	axqlbench -scale 1             # the paper's full 1M-element collection
+//	axqlbench -backend stored      # postings served from persisted B+trees
 //
-// Beyond the paper's tables, -suite selects further harnesses: eval
-// (time/allocation suite), corpus (sharded scatter-gather sweep), and serve
-// — the HTTP serving load harness (docs/LOADTEST.md) with open-loop arrival
-// rates, closed-loop concurrency sweeps, and query-log record/replay:
-//
-//	axqlbench -suite serve -rates 50,200,800 -inflight 2,8,-1   # scenario matrix
-//	axqlbench -suite serve -target http://host:8080 -replay q.jsonl
+// -plannercheck replaces the panels with the planner regret check
+// (docs/PLANNER.md): the Auto pick timed against both forced strategies,
+// failing when it is 2x or more slower than the better one on any point.
+// The repository benchmark that judges performance changes is benchmark/.
 package main
 
 import (

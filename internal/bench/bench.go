@@ -22,6 +22,7 @@ import (
 	"approxql/internal/exec"
 	"approxql/internal/index"
 	"approxql/internal/lang"
+	"approxql/internal/plan"
 	"approxql/internal/querygen"
 	"approxql/internal/schema"
 	"approxql/internal/storage"
@@ -47,21 +48,9 @@ type Config struct {
 	NValues []int
 	// Backend selects where the postings are served from: "memory" (the
 	// default) builds in-memory indexes; "stored" persists I_struct/I_text
-	// and I_sec into B+tree files and evaluates against them — the paper's
-	// disk-resident configuration.
+	// and I_sec into B+tree files in a temporary directory and evaluates
+	// against them — the paper's disk-resident configuration.
 	Backend string
-	// Dir is the directory for the stored backend's index files; empty
-	// uses a temporary directory removed by Close.
-	Dir string
-	// MMap serves the stored backend's index pages from read-only memory
-	// mappings instead of the page cache (ignored for the memory backend;
-	// falls back to the pager where mapping is unavailable).
-	MMap bool
-	// CacheEntries bounds the stored backend's decoded-posting LRU: zero
-	// means backend.DefaultCacheEntries, negative disables caching so every
-	// fetch pays the full storage read — the configuration that isolates
-	// raw storage speed.
-	CacheEntries int
 }
 
 // Default returns the paper's experimental design over a collection scaled
@@ -84,9 +73,13 @@ const (
 	Direct Algo = "direct"
 	// Schema is the schema-driven incremental approach.
 	Schema Algo = "schema"
+	// Auto lets the query planner pick Direct or Schema per query, with the
+	// k schedule it decides, exactly as the production Auto path does.
+	Auto Algo = "auto"
 )
 
-// Measurement is one point of a Figure 7 series.
+// Measurement is one timed point: of a Figure 7 series, or a row of the
+// planner suite.
 type Measurement struct {
 	Pattern   string
 	Renamings int
@@ -108,7 +101,7 @@ type Runner struct {
 	tree   *xmltree.Tree
 	be     backend.Backend
 	sch    *schema.Schema
-	tmpDir string // removed by Close when the stored backend used a temp dir
+	tmpDir string // the stored backend's index files, removed by Close
 
 	// sets[pattern][renamings] is one pre-generated query set.
 	sets map[string]map[int][]*querygen.Generated
@@ -163,15 +156,11 @@ func NewRunner(cfg Config) (*Runner, error) {
 // openStored persists the postings and I_sec into B+tree files and opens
 // the stored backend over them, so measurements pay real storage fetches.
 func (r *Runner) openStored(tree *xmltree.Tree) error {
-	dir := r.cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "axqlbench")
-		if err != nil {
-			return err
-		}
-		r.tmpDir = dir
+	dir, err := os.MkdirTemp("", "axqlbench")
+	if err != nil {
+		return err
 	}
+	r.tmpDir = dir
 	postPath := filepath.Join(dir, "postings.db")
 	secPath := filepath.Join(dir, "secondary.db")
 	sch := schema.Build(tree)
@@ -183,12 +172,8 @@ func (r *Runner) openStored(tree *xmltree.Tree) error {
 	if err := persist(secPath, sch.SaveSec); err != nil {
 		return err
 	}
-	ce := r.cfg.CacheEntries
-	if ce == 0 {
-		ce = backend.DefaultCacheEntries
-	}
 	be, err := backend.OpenStoredOptions(tree, postPath, secPath, backend.StoredOptions{
-		CacheEntries: ce, MMap: r.cfg.MMap,
+		CacheEntries: backend.DefaultCacheEntries,
 	})
 	if err != nil {
 		return err
@@ -257,9 +242,22 @@ func (r *Runner) Evaluate(g *querygen.Generated, n int, algo Algo) (int, error) 
 }
 
 // EvaluateStats is Evaluate with the schema-driven engine's metrics (zero
-// for the direct algorithm).
+// when the direct algorithm ran).
 func (r *Runner) EvaluateStats(g *querygen.Generated, n int, algo Algo) (int, exec.Metrics, error) {
-	x := lang.Expand(g.Query, g.Model)
+	return r.evaluate(lang.Expand(g.Query, g.Model), n, algo)
+}
+
+func (r *Runner) evaluate(x *lang.Expanded, n int, algo Algo) (int, exec.Metrics, error) {
+	cfg := schemaConfig(n)
+	if algo == Auto {
+		cs, _ := r.be.(backend.CountSource)
+		d := plan.Decide(r.sch, cs, x, n)
+		algo = Direct
+		if d.Strategy != plan.Direct {
+			algo = Schema
+			cfg = exec.Config{InitialK: d.InitialK, Delta: d.Delta, Growth: d.Growth}
+		}
+	}
 	switch algo {
 	case Direct:
 		ev := eval.New(r.tree, r.be)
@@ -267,7 +265,7 @@ func (r *Runner) EvaluateStats(g *querygen.Generated, n int, algo Algo) (int, ex
 		ev.Release()
 		return len(res), exec.Metrics{}, err
 	case Schema:
-		res, m, err := schemaBestN(r.sch, r.be, x, n, schemaConfig(n))
+		res, m, err := schemaBestN(r.sch, r.be, x, n, cfg)
 		return len(res), m, err
 	}
 	return 0, exec.Metrics{}, fmt.Errorf("bench: unknown algorithm %q", algo)
@@ -405,10 +403,4 @@ func PrintSeries(w io.Writer, ms []Measurement) {
 			d.MeanTime.Round(time.Microsecond),
 			speedup, d.MeanResults)
 	}
-}
-
-// Set returns the pre-generated query set for one (pattern, renamings)
-// point, nil when the runner has none.
-func (r *Runner) Set(pattern string, renamings int) []*querygen.Generated {
-	return r.sets[pattern][renamings]
 }

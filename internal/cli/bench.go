@@ -1,11 +1,9 @@
 package cli
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"approxql/internal/bench"
@@ -14,7 +12,8 @@ import (
 
 // Bench is the axqlbench entry point: it regenerates the evaluation-time
 // series of the paper's Figure 7, over the in-memory or the stored
-// (B+tree-backed) backend.
+// (B+tree-backed) backend. With -plannercheck it runs the planner regret
+// check instead.
 func Bench(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("axqlbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -24,14 +23,8 @@ func Bench(args []string, stdout, stderr io.Writer) error {
 		queries  = fs.Int("queries", 10, "queries averaged per point")
 		seed     = fs.Int64("seed", 2002, "query-generation seed")
 		backendF = fs.String("backend", "memory", "posting source: memory (in-memory indexes) or stored (persisted B+tree indexes)")
-		mmapF    = fs.Bool("mmap", false, "with -backend stored: serve index pages from read-only memory mappings instead of the page cache (falls back to the pager where unavailable)")
-		cacheF   = fs.Int("cache", 0, "with -backend stored: decoded-posting cache entries (0 = default 4096, negative disables caching so every fetch pays the full storage read)")
-		jsonOut  = fs.String("json", "", "append this run as a JSON entry to the given file (e.g. BENCH_backends.json, BENCH_eval.json, BENCH_corpus.json, BENCH_serve.json)")
-		suite    = fs.String("suite", "figure7", "benchmark suite: figure7 (paper series), eval (direct-evaluation time/allocation suite), corpus (sharded scatter-gather sweep), or serve (HTTP serving load harness)")
-		pcheck   = fs.Bool("plannercheck", false, "with -suite eval: fail when the planner's auto pick is 2x or more slower than the best forced strategy on any paper-pattern point")
-		regress  = fs.String("regress", "", "with -suite eval: compare this run against the latest entry for the same backend, scale, and mmap mode in the given BENCH_eval.json and fail on a >1.3x time or allocation regression on any paper point")
+		pcheck   = fs.Bool("plannercheck", false, "instead of the Figure 7 panels, time the planner's auto pick against both forced strategies at n=10 and fail when auto is 2x or more slower than the best forced strategy on any paper-pattern point")
 	)
-	sf := registerServeFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -43,19 +36,8 @@ func Bench(args []string, stdout, stderr io.Writer) error {
 	cfg.QueriesPerPoint = *queries
 	cfg.QuerySeed = *seed
 	cfg.Backend = *backendF
-	cfg.MMap = *mmapF
-	cfg.CacheEntries = *cacheF
-
-	switch *suite {
-	case "eval":
-		return benchEvalSuite(cfg, *scale, *jsonOut, *pcheck, *regress, stdout, stderr)
-	case "corpus":
-		return benchCorpusSuite(cfg, *scale, *jsonOut, stdout, stderr)
-	case "serve":
-		return benchServeSuite(cfg, *scale, *jsonOut, sf, stdout, stderr)
-	case "figure7":
-	default:
-		return fmt.Errorf("axqlbench: unknown suite %q (want figure7, eval, corpus, or serve)", *suite)
+	if *pcheck {
+		cfg.Renamings = []int{0, 5}
 	}
 
 	fmt.Fprintf(stderr, "generating collection (%d elements, %d words), backend=%s...\n",
@@ -72,7 +54,9 @@ func Bench(args []string, stdout, stderr io.Writer) error {
 		time.Since(start).Round(time.Millisecond),
 		ts.Nodes, ts.StructNodes, ts.TextNodes, ss.Classes, ss.MaxInstances)
 
-	var all []bench.Measurement
+	if *pcheck {
+		return plannerCheck(runner, stdout, stderr)
+	}
 	panels := map[string]string{"7a": "pattern1", "7b": "pattern2", "7c": "pattern3"}
 	for _, panel := range []string{"7a", "7b", "7c"} {
 		if *figure != "all" && *figure != panel {
@@ -92,268 +76,55 @@ func Bench(args []string, stdout, stderr io.Writer) error {
 		}
 		bench.PrintSeries(stdout, ms)
 		fmt.Fprintln(stdout)
-		all = append(all, ms...)
-	}
-
-	if *jsonOut != "" {
-		if err := appendBenchJSON(*jsonOut, *backendF, *scale, *mmapF, *cacheF, *queries, all); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "recorded %d measurements to %s\n", len(all), *jsonOut)
 	}
 	return nil
 }
 
-// benchEvalSuite runs the direct-evaluation suite: algorithm primary over
-// every (pattern, renamings, workers) point at n=10, reporting time and
-// allocations per query, optionally appended to BENCH_eval.json. A second
-// planner table compares the Auto pick with both forced strategies on every
-// point; -plannercheck turns that comparison into a hard gate, and -regress
-// turns the committed BENCH_eval.json history into a regression gate.
-func benchEvalSuite(cfg bench.Config, scale float64, jsonOut string, plannerCheck bool, regress string, stdout, stderr io.Writer) error {
-	cfg.Renamings = []int{0, 5}
+// plannerCheck prints the planner table — the Auto pick against both
+// forced strategies, serial, at n=10 on every paper-pattern point — and
+// gates on it with checkPlannerSuite.
+func plannerCheck(runner *bench.Runner, stdout, stderr io.Writer) error {
 	const (
 		evalN       = 10
 		pointBudget = 300 * time.Millisecond
 	)
-	workers := []int{1, 8}
-
-	fmt.Fprintf(stderr, "generating collection (%d elements, %d words), backend=%s...\n",
-		cfg.Data.TargetElements, cfg.Data.TargetWords, cfg.Backend)
-	start := time.Now()
-	runner, err := bench.NewRunner(cfg)
-	if err != nil {
-		return err
-	}
-	defer runner.Close()
-	ts, ss := runner.DataStats()
-	fmt.Fprintf(stderr,
-		"ready in %v: %d nodes (%d elements, %d words), schema: %d classes, largest class %d\n\n",
-		time.Since(start).Round(time.Millisecond),
-		ts.Nodes, ts.StructNodes, ts.TextNodes, ss.Classes, ss.MaxInstances)
-
-	ms, err := runner.EvalSuite(evalN, workers, pointBudget)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "=== direct-evaluation suite (n=%d) ===\n", evalN)
-	fmt.Fprintf(stdout, "%-10s %-10s %-8s %14s %12s %12s %12s\n",
-		"pattern", "renamings", "workers", "ns/query", "allocs/query", "B/query", "mean_results")
-	for _, m := range ms {
-		fmt.Fprintf(stdout, "%-10s %-10d %-8d %14.0f %12.1f %12.0f %12.1f\n",
-			m.Pattern, m.Renamings, m.Workers,
-			m.NsPerQuery, m.AllocsPerQuery, m.BytesPerQuery, m.MeanResults)
-	}
-
-	// Fetch suite: the raw posting-read path (B+tree fetch plus decode, no
-	// evaluation) on every paper point — the row that isolates storage
-	// speed, most meaningful with -backend stored -cache -1.
-	fsug, err := runner.FetchSuite(pointBudget)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "\n=== fetch suite (posting fetch+decode only) ===\n")
-	fmt.Fprintf(stdout, "%-10s %-10s %14s %12s %12s %14s\n",
-		"pattern", "renamings", "ns/query", "allocs/query", "B/query", "entries/query")
-	for _, m := range fsug {
-		fmt.Fprintf(stdout, "%-10s %-10d %14.0f %12.1f %12.0f %14.1f\n",
-			m.Pattern, m.Renamings, m.NsPerQuery, m.AllocsPerQuery, m.BytesPerQuery, m.MeanResults)
-	}
-	ms = append(ms, fsug...)
-
-	// Planner comparison: the Auto pick vs both forced strategies, serial,
-	// on every paper-pattern point.
 	ps, err := runner.PlannerSuite(evalN, pointBudget)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "\n=== planner suite (n=%d, workers=1) ===\n", evalN)
+	fmt.Fprintf(stdout, "=== planner suite (n=%d, workers=1) ===\n", evalN)
 	fmt.Fprintf(stdout, "%-10s %-10s %-8s %14s %12s\n",
 		"pattern", "renamings", "strategy", "ns/query", "mean_results")
 	for _, m := range ps {
-		fmt.Fprintf(stdout, "%-10s %-10d %-8s %14.0f %12.1f\n",
-			m.Pattern, m.Renamings, m.Strategy, m.NsPerQuery, m.MeanResults)
+		fmt.Fprintf(stdout, "%-10s %-10d %-8s %14d %12.1f\n",
+			m.Pattern, m.Renamings, m.Algo, m.MeanTime.Nanoseconds(), m.MeanResults)
 	}
-	if plannerCheck {
-		if err := checkPlannerSuite(ps, stderr); err != nil {
-			return err
-		}
-		fmt.Fprintln(stderr, "planner check passed: auto within 2x of the best forced strategy on every point")
+	if err := checkPlannerSuite(ps, stderr); err != nil {
+		return err
 	}
-	for _, m := range ps {
-		// The forced-direct rows duplicate the main suite's workers=1
-		// points; record only what the planner comparison adds.
-		if m.Strategy != "direct" {
-			ms = append(ms, m)
-		}
-	}
-
-	if jsonOut != "" {
-		if err := appendEvalJSON(jsonOut, cfg.Backend, scale, cfg.MMap, cfg.CacheEntries, ms); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "recorded %d measurements to %s\n", len(ms), jsonOut)
-	}
-	if regress != "" {
-		baseline, date, err := loadEvalBaseline(regress, cfg.Backend, scale, cfg.MMap, cfg.CacheEntries)
-		if err != nil {
-			return err
-		}
-		bad, compared := evalRegressions(baseline, ms, stderr)
-		if compared == 0 {
-			return fmt.Errorf("axqlbench: -regress %s: baseline entry of %s shares no points with this run", regress, date)
-		}
-		if bad > 0 {
-			// One re-measurement separates smoke-scale scheduler noise from
-			// real regressions: noise only inflates a point, so the per-point
-			// minimum of two runs must still clear the budget.
-			fmt.Fprintf(stderr, "regression check: %d point(s) over budget on the first pass; re-measuring once\n", bad)
-			ms2, err := runner.EvalSuite(evalN, workers, pointBudget)
-			if err != nil {
-				return err
-			}
-			fs2, err := runner.FetchSuite(pointBudget)
-			if err != nil {
-				return err
-			}
-			ms2 = append(ms2, fs2...)
-			ps2, err := runner.PlannerSuite(evalN, pointBudget)
-			if err != nil {
-				return err
-			}
-			for _, m := range ps2 {
-				if m.Strategy != "direct" {
-					ms2 = append(ms2, m)
-				}
-			}
-			if bad, _ = evalRegressions(baseline, minEvalPoints(ms, ms2), stderr); bad > 0 {
-				return fmt.Errorf("axqlbench: %d point(s) regressed beyond %.1fx of the %s baseline in %s",
-					bad, evalRegressRatio, date, regress)
-			}
-		}
-		fmt.Fprintf(stderr, "regression check passed: %d points within %.1fx of the %s baseline (%s)\n",
-			compared, evalRegressRatio, date, regress)
-	}
+	fmt.Fprintln(stderr, "planner check passed: auto within 2x of the best forced strategy on every point")
 	return nil
-}
-
-// evalRegressRatio is the regression gate's budget: a fresh point may not be
-// more than this factor slower, or allocate more than this factor more, than
-// the latest committed baseline point.
-const evalRegressRatio = 1.3
-
-// evalPointKey identifies one eval-suite point across runs.
-type evalPointKey struct {
-	pattern   string
-	renamings int
-	workers   int
-	strategy  string
-}
-
-// loadEvalBaseline returns the points of the most recent entry in path
-// recorded with the same backend, scale, mmap mode, and cache setting,
-// keyed for cross-run comparison, plus that entry's date.
-func loadEvalBaseline(path, backendName string, scale float64, mmap bool, cache int) (map[evalPointKey]evalPoint, string, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, "", fmt.Errorf("axqlbench: -regress: %w", err)
-	}
-	var entries []evalEntry
-	if err := json.Unmarshal(raw, &entries); err != nil {
-		return nil, "", fmt.Errorf("axqlbench: -regress %s: not a run array: %w", path, err)
-	}
-	var base *evalEntry
-	for i := range entries {
-		e := &entries[i]
-		if e.Backend == backendName && e.Scale == scale && e.MMap == mmap && e.Cache == cache {
-			base = e
-		}
-	}
-	if base == nil {
-		return nil, "", fmt.Errorf("axqlbench: -regress %s: no baseline entry for backend=%s scale=%g mmap=%v cache=%d (record one with -json first)",
-			path, backendName, scale, mmap, cache)
-	}
-	baseline := make(map[evalPointKey]evalPoint)
-	for _, p := range base.Points {
-		baseline[evalPointKey{p.Pattern, p.Renamings, p.Workers, p.Strategy}] = p
-	}
-	return baseline, base.Date, nil
-}
-
-// evalRegressions compares a fresh run against a baseline, reporting every
-// paper point beyond evalRegressRatio of the baseline's ns/query or
-// allocs/query. Time is only compared on points whose baseline is at least
-// 200µs — below that, scheduler noise at smoke scales dominates the signal —
-// while allocation counts are deterministic and compared everywhere (with a
-// small absolute slack for tiny points).
-func evalRegressions(baseline map[evalPointKey]evalPoint, fresh []bench.EvalMeasurement, stderr io.Writer) (bad, compared int) {
-	const (
-		timeFloorNs = float64(200 * time.Microsecond)
-		allocSlack  = 16.0
-	)
-	for _, m := range fresh {
-		b, ok := baseline[evalPointKey{m.Pattern, m.Renamings, m.Workers, m.Strategy}]
-		if !ok {
-			continue
-		}
-		compared++
-		if b.NsPerQuery >= timeFloorNs && m.NsPerQuery > evalRegressRatio*b.NsPerQuery {
-			bad++
-			fmt.Fprintf(stderr, "regression: %s/%d workers=%d strategy=%q: %.0f ns/query vs baseline %.0f (%.2fx > %.1fx)\n",
-				m.Pattern, m.Renamings, m.Workers, m.Strategy,
-				m.NsPerQuery, b.NsPerQuery, m.NsPerQuery/b.NsPerQuery, evalRegressRatio)
-		}
-		if b.AllocsPerQuery > 0 && m.AllocsPerQuery > evalRegressRatio*b.AllocsPerQuery+allocSlack {
-			bad++
-			fmt.Fprintf(stderr, "regression: %s/%d workers=%d strategy=%q: %.1f allocs/query vs baseline %.1f (%.2fx > %.1fx)\n",
-				m.Pattern, m.Renamings, m.Workers, m.Strategy,
-				m.AllocsPerQuery, b.AllocsPerQuery, m.AllocsPerQuery/b.AllocsPerQuery, evalRegressRatio)
-		}
-	}
-	return bad, compared
-}
-
-// minEvalPoints merges two runs of the same suite, keeping the per-point
-// minimum time and allocation count.
-func minEvalPoints(a, b []bench.EvalMeasurement) []bench.EvalMeasurement {
-	second := make(map[evalPointKey]bench.EvalMeasurement)
-	for _, m := range b {
-		second[evalPointKey{m.Pattern, m.Renamings, m.Workers, m.Strategy}] = m
-	}
-	out := make([]bench.EvalMeasurement, 0, len(a))
-	for _, m := range a {
-		if s, ok := second[evalPointKey{m.Pattern, m.Renamings, m.Workers, m.Strategy}]; ok {
-			if s.NsPerQuery < m.NsPerQuery {
-				m.NsPerQuery = s.NsPerQuery
-			}
-			if s.AllocsPerQuery < m.AllocsPerQuery {
-				m.AllocsPerQuery = s.AllocsPerQuery
-			}
-		}
-		out = append(out, m)
-	}
-	return out
 }
 
 // checkPlannerSuite gates on the planner suite: on every (pattern,
 // renamings) point the auto measurement must stay under twice the best
 // forced strategy's time. A failure means the planner's crossover rule picks
 // the losing strategy badly enough to matter.
-func checkPlannerSuite(ps []bench.EvalMeasurement, stderr io.Writer) error {
+func checkPlannerSuite(ps []bench.Measurement, stderr io.Writer) error {
 	type point struct {
 		pattern   string
 		renamings int
 	}
-	best := make(map[point]float64)
-	auto := make(map[point]float64)
+	best := make(map[point]time.Duration)
+	auto := make(map[point]time.Duration)
 	for _, m := range ps {
 		p := point{m.Pattern, m.Renamings}
-		switch m.Strategy {
-		case "auto":
-			auto[p] = m.NsPerQuery
+		switch m.Algo {
+		case bench.Auto:
+			auto[p] = m.MeanTime
 		default:
-			if b, ok := best[p]; !ok || m.NsPerQuery < b {
-				best[p] = m.NsPerQuery
+			if b, ok := best[p]; !ok || m.MeanTime < b {
+				best[p] = m.MeanTime
 			}
 		}
 	}
@@ -365,249 +136,12 @@ func checkPlannerSuite(ps []bench.EvalMeasurement, stderr io.Writer) error {
 		}
 		if a >= 2*b {
 			bad++
-			fmt.Fprintf(stderr, "planner check: %s/%d: auto %.0f ns/query vs best forced %.0f (%.2fx)\n",
-				p.pattern, p.renamings, a, b, a/b)
+			fmt.Fprintf(stderr, "planner check: %s/%d: auto %d ns/query vs best forced %d (%.2fx)\n",
+				p.pattern, p.renamings, a.Nanoseconds(), b.Nanoseconds(), float64(a)/float64(b))
 		}
 	}
 	if bad > 0 {
 		return fmt.Errorf("axqlbench: planner picked a strategy >=2x slower than the best forced one on %d point(s)", bad)
 	}
 	return nil
-}
-
-// benchCorpusSuite runs the sharded-corpus suite: the public Corpus.Search
-// path over every (pattern, renamings) query set, swept across shard counts
-// and fan-out parallelism at n=10, optionally appended to BENCH_corpus.json.
-func benchCorpusSuite(cfg bench.Config, scale float64, jsonOut string, stdout, stderr io.Writer) error {
-	cfg.Renamings = []int{0, 5}
-	const (
-		corpusN     = 10
-		pointBudget = 200 * time.Millisecond
-	)
-	shardCounts := []int{1, 2, 4, 8}
-	parallelism := []int{1, 8}
-
-	fmt.Fprintf(stderr, "generating multi-document collection (scale %g)...\n", scale)
-	start := time.Now()
-	runner, err := bench.NewCorpusRunner(cfg, scale)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "ready in %v: %d documents\n\n",
-		time.Since(start).Round(time.Millisecond), runner.NumDocs())
-
-	ms, err := runner.CorpusSuite(shardCounts, parallelism, corpusN, pointBudget)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "=== corpus scatter-gather suite (n=%d, %d docs) ===\n", corpusN, runner.NumDocs())
-	fmt.Fprintf(stdout, "%-10s %-10s %-7s %-9s %14s %12s %13s\n",
-		"pattern", "renamings", "shards", "parallel", "ns/query", "mean_results", "pruned/query")
-	for _, m := range ms {
-		fmt.Fprintf(stdout, "%-10s %-10d %-7d %-9d %14.0f %12.1f %13.2f\n",
-			m.Pattern, m.Renamings, m.Shards, m.Parallelism,
-			m.NsPerQuery, m.MeanResults, m.MeanShardsPruned)
-	}
-
-	if jsonOut != "" {
-		if err := appendCorpusJSON(jsonOut, scale, ms); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "recorded %d measurements to %s\n", len(ms), jsonOut)
-	}
-	return nil
-}
-
-// corpusEntry is one recorded `-suite corpus` run.
-type corpusEntry struct {
-	Date   string        `json:"date"`
-	Scale  float64       `json:"scale"`
-	Docs   int           `json:"docs"`
-	Points []corpusPoint `json:"points"`
-}
-
-type corpusPoint struct {
-	Pattern          string  `json:"pattern"`
-	Renamings        int     `json:"renamings"`
-	N                int     `json:"n"`
-	Shards           int     `json:"shards"`
-	Parallelism      int     `json:"parallelism"`
-	Queries          int     `json:"queries"`
-	Iterations       int     `json:"iterations"`
-	NsPerQuery       float64 `json:"ns_per_query"`
-	MeanResults      float64 `json:"mean_results"`
-	MeanShardsPruned float64 `json:"mean_shards_pruned"`
-}
-
-// appendCorpusJSON appends one corpus-suite run to a JSON array file,
-// creating the file on first use.
-func appendCorpusJSON(path string, scale float64, ms []bench.CorpusMeasurement) error {
-	var entries []corpusEntry
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &entries); err != nil {
-			return fmt.Errorf("%s: existing file is not a run array: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	e := corpusEntry{
-		Date:  time.Now().UTC().Format(time.RFC3339),
-		Scale: scale,
-	}
-	for _, m := range ms {
-		e.Docs = m.Docs
-		e.Points = append(e.Points, corpusPoint{
-			Pattern:          m.Pattern,
-			Renamings:        m.Renamings,
-			N:                m.N,
-			Shards:           m.Shards,
-			Parallelism:      m.Parallelism,
-			Queries:          m.Queries,
-			Iterations:       m.Iterations,
-			NsPerQuery:       m.NsPerQuery,
-			MeanResults:      m.MeanResults,
-			MeanShardsPruned: m.MeanShardsPruned,
-		})
-	}
-	entries = append(entries, e)
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// evalEntry is one recorded `-suite eval` run.
-type evalEntry struct {
-	Date    string  `json:"date"`
-	Backend string  `json:"backend"`
-	Scale   float64 `json:"scale"`
-	// MMap records whether the stored backend served its pages from memory
-	// mappings; absent on rows recorded before mmap mode existed, which all
-	// used the pager.
-	MMap bool `json:"mmap,omitempty"`
-	// Cache is the stored backend's decoded-posting cache size; absent
-	// means the default, negative means caching was disabled (every fetch
-	// paid the full storage read).
-	Cache  int         `json:"cache,omitempty"`
-	Points []evalPoint `json:"points"`
-}
-
-type evalPoint struct {
-	Pattern   string `json:"pattern"`
-	Renamings int    `json:"renamings"`
-	N         int    `json:"n"`
-	// Strategy is the evaluation strategy measured ("direct", "schema", or
-	// "auto"); absent on rows recorded before the planner existed, which
-	// were all direct.
-	Strategy       string  `json:"strategy,omitempty"`
-	Workers        int     `json:"workers"`
-	Queries        int     `json:"queries"`
-	Iterations     int     `json:"iterations"`
-	NsPerQuery     float64 `json:"ns_per_query"`
-	AllocsPerQuery float64 `json:"allocs_per_query"`
-	BytesPerQuery  float64 `json:"bytes_per_query"`
-	MeanResults    float64 `json:"mean_results"`
-}
-
-// appendEvalJSON appends one eval-suite run to a JSON array file, creating
-// the file on first use.
-func appendEvalJSON(path, backend string, scale float64, mmap bool, cache int, ms []bench.EvalMeasurement) error {
-	var entries []evalEntry
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &entries); err != nil {
-			return fmt.Errorf("%s: existing file is not a run array: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	e := evalEntry{
-		Date:    time.Now().UTC().Format(time.RFC3339),
-		Backend: backend,
-		Scale:   scale,
-		MMap:    mmap,
-		Cache:   cache,
-	}
-	for _, m := range ms {
-		e.Points = append(e.Points, evalPoint{
-			Pattern:        m.Pattern,
-			Renamings:      m.Renamings,
-			N:              m.N,
-			Strategy:       m.Strategy,
-			Workers:        m.Workers,
-			Queries:        m.Queries,
-			Iterations:     m.Iterations,
-			NsPerQuery:     m.NsPerQuery,
-			AllocsPerQuery: m.AllocsPerQuery,
-			BytesPerQuery:  m.BytesPerQuery,
-			MeanResults:    m.MeanResults,
-		})
-	}
-	entries = append(entries, e)
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// benchEntry is one recorded axqlbench run.
-type benchEntry struct {
-	Date    string  `json:"date"`
-	Backend string  `json:"backend"`
-	Scale   float64 `json:"scale"`
-	// MMap records whether the stored backend served its pages from memory
-	// mappings; absent on rows recorded before mmap mode existed.
-	MMap bool `json:"mmap,omitempty"`
-	// Cache is the stored backend's decoded-posting cache size; absent
-	// means the default, negative means caching was disabled.
-	Cache   int                `json:"cache,omitempty"`
-	Queries int                `json:"queries_per_point"`
-	Points  []benchMeasurement `json:"points"`
-}
-
-type benchMeasurement struct {
-	Pattern     string  `json:"pattern"`
-	Renamings   int     `json:"renamings"`
-	N           string  `json:"n"`
-	Algo        string  `json:"algo"`
-	MeanNs      int64   `json:"mean_ns"`
-	MeanResults float64 `json:"mean_results"`
-}
-
-// appendBenchJSON appends one run to a JSON file holding an array of runs,
-// creating the file on first use.
-func appendBenchJSON(path, backend string, scale float64, mmap bool, cache, queries int, ms []bench.Measurement) error {
-	var entries []benchEntry
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &entries); err != nil {
-			return fmt.Errorf("%s: existing file is not a run array: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	e := benchEntry{
-		Date:    time.Now().UTC().Format(time.RFC3339),
-		Backend: backend,
-		Scale:   scale,
-		MMap:    mmap,
-		Cache:   cache,
-		Queries: queries,
-	}
-	for _, m := range ms {
-		e.Points = append(e.Points, benchMeasurement{
-			Pattern:     m.Pattern,
-			Renamings:   m.Renamings,
-			N:           bench.FormatN(m.N),
-			Algo:        string(m.Algo),
-			MeanNs:      m.MeanTime.Nanoseconds(),
-			MeanResults: m.MeanResults,
-		})
-	}
-	entries = append(entries, e)
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

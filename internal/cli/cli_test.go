@@ -365,30 +365,40 @@ func TestBenchSmoke(t *testing.T) {
 	}
 }
 
-func TestBenchStoredBackendAndJSON(t *testing.T) {
+func TestBenchStoredBackend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench harness")
 	}
-	jsonPath := filepath.Join(t.TempDir(), "runs.json")
-	for _, backend := range []string{"memory", "stored"} {
-		var out, stderr bytes.Buffer
-		err := Bench([]string{"-scale", "0.0004", "-queries", "1", "-figure", "7a",
-			"-backend", backend, "-json", jsonPath}, &out, &stderr)
-		if err != nil {
-			t.Fatalf("Bench -backend %s: %v\n%s", backend, err, stderr.String())
-		}
-	}
-	raw, err := os.ReadFile(jsonPath)
+	var out, stderr bytes.Buffer
+	err := Bench([]string{"-scale", "0.0004", "-queries", "1", "-figure", "7a",
+		"-backend", "stored"}, &out, &stderr)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Bench -backend stored: %v\n%s", err, stderr.String())
 	}
-	s := string(raw)
-	if !strings.Contains(s, `"backend": "memory"`) || !strings.Contains(s, `"backend": "stored"`) {
-		t.Errorf("json file lacks both backend entries:\n%s", s)
+	if !strings.Contains(out.String(), "Figure 7a") || !strings.Contains(stderr.String(), "backend=stored") {
+		t.Errorf("bench output:\n%s%s", out.String(), stderr.String())
 	}
 	// Unknown backends are rejected.
 	if err := Bench([]string{"-backend", "warp"}, io.Discard, io.Discard); err == nil {
 		t.Error("unknown backend accepted")
+	}
+}
+
+// TestBenchPlannerCheck runs the planner regret check at a tiny scale: one
+// row per (pattern, renamings, strategy). Whether the gate passes depends
+// on timings, so its own failure is not a test failure.
+func TestBenchPlannerCheck(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bench harness")
+	}
+	var out, stderr bytes.Buffer
+	err := Bench([]string{"-scale", "0.0004", "-queries", "1", "-plannercheck"}, &out, &stderr)
+	if err != nil && !strings.Contains(err.Error(), "planner picked a strategy") {
+		t.Fatalf("Bench -plannercheck: %v\n%s", err, stderr.String())
+	}
+	rows := regexp.MustCompile(`(?m)^pattern[123] +[05] +(direct|schema|auto) `).FindAllString(out.String(), -1)
+	if len(rows) != 3*2*3 {
+		t.Errorf("planner table has %d rows, want 18:\n%s", len(rows), out.String())
 	}
 }
 

@@ -55,7 +55,7 @@ func ServeContext(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		slow        = fs.Duration("slow", time.Second, "log completed queries slower than this at warning level (-1ns disables)")
 		drain       = fs.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight queries")
 		logFormat   = fs.String("log", "text", "request log format: text, json, or off")
-		record      = fs.String("record", "", "append every well-formed /query arrival to this JSONL query log (replayable with axqlbench -suite serve -replay)")
+		record      = fs.String("record", "", "append every well-formed /query arrival to this JSONL query log (format: docs/SERVER.md)")
 		shardNode   = fs.Bool("shard-node", false, "also serve the cluster shard protocol (/shard/query, /shard/bound, /shard/stats) so a gatherer can use this process as one node")
 		shards      = fs.String("shards", "", "comma-separated shard indices of the corpus bundle to serve, e.g. 0,3 (requires a corpus bundle -db; default all)")
 		nodes       = fs.String("nodes", "", "comma-separated shard-node base URLs to gather /query over, e.g. http://h1:8080,http://h2:8080 (gatherer mode; with -db this process serves its own shards too)")

@@ -147,3 +147,30 @@ func TestOpenPackedRejectsCorruption(t *testing.T) {
 		t.Fatalf("control: OpenPacked rejected valid blob: %v", err)
 	}
 }
+
+// FuzzOpenPacked checks that OpenPacked never panics, and that every blob
+// it accepts serves each ID, and each ID's string back, without panicking.
+func FuzzOpenPacked(f *testing.F) {
+	f.Add(Pack(nil))
+	f.Add(Pack([]string{"catalog", "cd", "title", "composer", "price"}))
+	many := make([]string, 40)
+	for i := range many {
+		many[i] = fmt.Sprintf("name%03d", i)
+	}
+	f.Add(Pack(many))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		p, err := OpenPacked(blob)
+		if err != nil {
+			return
+		}
+		strs := p.Strings()
+		for id, s := range strs {
+			if got := p.String(ID(id)); got != s {
+				t.Fatalf("String(%d) = %q, Strings()[%d] = %q", id, got, id, s)
+			}
+			if got := p.Lookup(s); got != ID(id) {
+				t.Fatalf("Lookup(%q) = %d, want %d", s, got, id)
+			}
+		}
+	})
+}

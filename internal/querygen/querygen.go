@@ -35,9 +35,9 @@ var PaperPatterns = []Pattern{
 
 // ExtendedPatterns grow the scenario matrix beyond the paper's three
 // patterns: deeper paths, wider branching, or-heavy disjunctions, and
-// text-heavy conjunctions — the workload shapes the serving load harness
-// (`axqlbench -suite serve`) sweeps, where strategy and cache trade-offs
-// only show up under mixes the paper's patterns don't cover.
+// text-heavy conjunctions — the workload shapes the repository benchmark's
+// query catalogue (benchmark/README.md) adds, where strategy and cache
+// trade-offs only show up under mixes the paper's patterns don't cover.
 var ExtendedPatterns = []Pattern{
 	{
 		Name: "deep",

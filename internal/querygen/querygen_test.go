@@ -43,7 +43,7 @@ func TestPaperPatternsParse(t *testing.T) {
 	}
 }
 
-// TestExtendedPatternsGenerate pins the serving-suite pattern set: every
+// TestExtendedPatternsGenerate pins the extended pattern set: every
 // extended pattern parses, fills deterministically, and is reachable by
 // name through FindPattern.
 func TestExtendedPatternsGenerate(t *testing.T) {

@@ -154,9 +154,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	canonical, _ := approxql.Parse(req.Query)
 
-	// The replay log records every well-formed arrival before the cache
-	// and admission checks: a recorded stream replays the traffic the
-	// server received, not only the queries it chose to evaluate.
+	// The query log records every well-formed arrival before the cache
+	// and admission checks: it holds the traffic the server received, not
+	// only the queries it chose to evaluate.
 	if s.cfg.QueryLog != nil {
 		s.recordQuery(canonical, n, strategy, fingerprint)
 	}

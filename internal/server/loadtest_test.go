@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"approxql"
-	"approxql/internal/load"
 )
 
 // corpusDocs are three small documents with overlapping vocabulary, so
@@ -296,9 +295,9 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestServerQueryRecord pins the replay-log hook: every well-formed /query
-// arrival — cold, cached, even admission-rejected — lands in the log in the
-// load.Item format with monotone arrival offsets.
+// TestServerQueryRecord pins the query-log hook: every well-formed /query
+// arrival — cold, cached, even admission-rejected — lands in the log as one
+// JSON line with monotone arrival offsets.
 func TestServerQueryRecord(t *testing.T) {
 	var logBuf syncBuffer
 	_, ts := newTestServer(t, Config{QueryLog: &logBuf})
@@ -308,9 +307,13 @@ func TestServerQueryRecord(t *testing.T) {
 	postQuery(t, ts.URL, QueryRequest{Query: `mc[title]`, N: 2, Strategy: "direct"})
 	postQuery(t, ts.URL, QueryRequest{Query: `cd[broken[`, N: 5}) // malformed: not logged
 
-	items, err := load.ReadLog(strings.NewReader(logBuf.String()))
-	if err != nil {
-		t.Fatal(err)
+	var items []queryRecord
+	for _, line := range strings.Split(strings.TrimSuffix(logBuf.String(), "\n"), "\n") {
+		var it queryRecord
+		if err := json.Unmarshal([]byte(line), &it); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		items = append(items, it)
 	}
 	if len(items) != 3 {
 		t.Fatalf("logged %d arrivals, want 3 (malformed queries excluded): %+v", len(items), items)

@@ -32,6 +32,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"log/slog"
@@ -43,7 +44,6 @@ import (
 	"time"
 
 	"approxql"
-	"approxql/internal/load"
 )
 
 // Config tunes a Server. The zero value of every field selects a
@@ -96,12 +96,11 @@ type Config struct {
 	Logger *slog.Logger
 
 	// QueryLog, when set, receives one JSONL line per well-formed /query
-	// request in the load.Item replay format: arrival offset since server
-	// start, canonical query, n, strategy, and fingerprint. Every arrival
-	// is logged — cache hits and admission rejections included — because
-	// the log records the traffic the server *saw*, which is what
-	// `axqlbench -suite serve -replay` needs to reproduce it. Writes are
-	// serialized by the server; the writer needs no locking of its own.
+	// request (see queryRecord): arrival offset since server start,
+	// canonical query, n, strategy, and fingerprint. Every arrival is
+	// logged — cache hits and admission rejections included — because the
+	// log records the traffic the server *saw*. Writes are serialized by
+	// the server; the writer needs no locking of its own.
 	QueryLog io.Writer
 }
 
@@ -151,6 +150,9 @@ type Server struct {
 
 	mu   sync.Mutex
 	http *http.Server
+	// unused tracks the connections that have not sent a request yet, so
+	// Shutdown can close them instead of waiting on them.
+	unused unusedConns
 
 	// testHookSearch, when non-nil, runs inside the admitted section just
 	// before evaluation — the seam load and drain tests use to hold a
@@ -194,18 +196,30 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// queryRecord is one line of the -record query log (docs/SERVER.md).
+type queryRecord struct {
+	AtMS        int64  `json:"at_ms"`
+	Query       string `json:"query"`
+	N           int    `json:"n"`
+	Strategy    string `json:"strategy,omitempty"`
+	Fingerprint string `json:"fingerprint,omitempty"`
+}
+
 // recordQuery appends one arrival to the configured query log.
 func (s *Server) recordQuery(query string, n int, strategy approxql.Strategy, fingerprint string) {
-	it := load.Item{
+	raw, err := json.Marshal(queryRecord{
 		AtMS:        time.Since(s.started).Milliseconds(),
 		Query:       query,
 		N:           n,
 		Strategy:    strategy.String(),
 		Fingerprint: fingerprint,
+	})
+	if err == nil {
+		s.logMu.Lock()
+		_, err = s.cfg.QueryLog.Write(append(raw, '\n'))
+		s.logMu.Unlock()
 	}
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	if err := load.AppendLog(s.cfg.QueryLog, it); err != nil {
+	if err != nil {
 		s.cfg.Logger.Warn("query log write failed", "err", err)
 	}
 }
@@ -236,7 +250,9 @@ func (s *Server) Serve(l net.Listener) error {
 	hs := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
+		ConnState:         s.unused.track,
 	}
+	hs.RegisterOnShutdown(s.unused.closeAll)
 	s.mu.Lock()
 	s.http = hs
 	s.mu.Unlock()
@@ -249,7 +265,8 @@ func (s *Server) Serve(l net.Listener) error {
 
 // Shutdown stops accepting new connections and drains in-flight queries:
 // it returns once every active request has completed or ctx fires,
-// whichever comes first.
+// whichever comes first. Connections that never sent a request are closed
+// at once; net/http alone would wait five seconds on each.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	hs := s.http
@@ -258,6 +275,48 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	return hs.Shutdown(ctx)
+}
+
+// unusedConns is the set of connections in http.StateNew: accepted, but
+// without a first request yet. Gatherer transports dial such connections
+// speculatively.
+type unusedConns struct {
+	mu      sync.Mutex
+	conns   map[net.Conn]struct{}
+	closing bool
+}
+
+// track is the http.Server ConnState hook. A connection leaves the set on
+// its first transition; an idle one never re-enters it.
+func (u *unusedConns) track(c net.Conn, state http.ConnState) {
+	if state == http.StateIdle {
+		return
+	}
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	switch {
+	case state != http.StateNew:
+		delete(u.conns, c)
+	case u.closing:
+		c.Close()
+	default:
+		if u.conns == nil {
+			u.conns = make(map[net.Conn]struct{})
+		}
+		u.conns[c] = struct{}{}
+	}
+}
+
+// closeAll closes every unused connection, and every one accepted later.
+// http.Server.Shutdown runs it after closing its listeners.
+func (u *unusedConns) closeAll() {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.closing = true
+	for c := range u.conns {
+		c.Close()
+	}
+	u.conns = nil
 }
 
 // InvalidateCache drops every cached result. Call it when the underlying

@@ -573,6 +573,69 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestShutdownClosesUnusedConnections dials a connection that never sends a
+// request — what a gatherer's transport leaves behind — and checks that
+// Shutdown closes it instead of waiting the five seconds net/http grants
+// such connections.
+func TestShutdownClosesUnusedConnections(t *testing.T) {
+	s, err := New(Config{DB: buildDB(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- s.Serve(l) }()
+	base := "http://" + l.Addr().String()
+
+	// Used keep-alive connections, idle by now, alongside the unused one;
+	// made concurrently so the ConnState hook runs from several goroutines.
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := client.Get(base + "/healthz")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+		}()
+	}
+	wg.Wait()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Give the server time to accept the raw connection. Were it still in
+	// the listen backlog, closing the listener would drop it and the test
+	// would pass without exercising the fix, never fail spuriously.
+	time.Sleep(20 * time.Millisecond)
+
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Errorf("Shutdown took %v with one unused connection open, want < 1s", took)
+	}
+	if err := <-serveDone; err != nil {
+		t.Errorf("Serve: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Error("unused connection still open after Shutdown")
+	}
+}
+
 func TestNewRequiresDB(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("New accepted a nil database")

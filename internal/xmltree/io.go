@@ -93,14 +93,6 @@ func ReadTree(r io.Reader, model *cost.Model) (*Tree, error) {
 		return nil, fmt.Errorf("xmltree: implausible node count %d", n64)
 	}
 	n := int(n64)
-	t := &Tree{
-		label:    make([]int32, n),
-		kind:     make([]cost.Kind, n),
-		parent:   make([]NodeID, n),
-		bound:    make([]NodeID, n),
-		inscost:  make([]cost.Cost, n),
-		pathcost: make([]cost.Cost, n),
-	}
 	readPacked := func(what string) (*dict.Packed, error) {
 		bl, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -109,8 +101,13 @@ func ReadTree(r io.Reader, model *cost.Model) (*Tree, error) {
 		if bl > 1<<33 {
 			return nil, fmt.Errorf("xmltree: implausible %s dictionary size %d", what, bl)
 		}
-		blob := make([]byte, bl)
-		if _, err := io.ReadFull(br, blob); err != nil {
+		// The buffer grows with the bytes actually read: a size taken from
+		// the header alone must not allocate.
+		blob, err := io.ReadAll(io.LimitReader(br, int64(bl)))
+		if err == nil && uint64(len(blob)) != bl {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return nil, fmt.Errorf("xmltree: reading %s dictionary: %w", what, err)
 		}
 		return dict.OpenPacked(blob)
@@ -123,8 +120,16 @@ func ReadTree(r io.Reader, model *cost.Model) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Names, t.Terms = names, terms
+	t := &Tree{Names: names, Terms: terms}
 	for u := 0; u < n; u++ {
+		if u == len(t.label) {
+			// Like the dictionaries, the per-node arrays grow with the
+			// nodes actually read, doubling up to the header's count.
+			m := min(max(2*u, 1<<16), n)
+			t.label = growTo(t.label, m)
+			t.kind = growTo(t.kind, m)
+			t.bound = growTo(t.bound, m)
+		}
 		lk, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("xmltree: node %d label: %w", u, err)
@@ -149,6 +154,9 @@ func ReadTree(r io.Reader, model *cost.Model) (*Tree, error) {
 			return nil, fmt.Errorf("xmltree: node %d name id %d out of range", u, t.label[u])
 		}
 	}
+	t.parent = make([]NodeID, n)
+	t.inscost = make([]cost.Cost, n)
+	t.pathcost = make([]cost.Cost, n)
 	// Reconstruct parents from the pre/bound encoding with an ancestor
 	// stack, and rebuild the cost encoding from the model. Insert costs
 	// depend only on the label, so they are resolved once per name ID
@@ -180,6 +188,11 @@ func ReadTree(r io.Reader, model *cost.Model) (*Tree, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// growTo extends s to length m with zero values.
+func growTo[T any](s []T, m int) []T {
+	return append(s, make([]T, m-len(s))...)
 }
 
 // Reencode returns a copy of t whose inscost/pathcost encoding uses model.

@@ -90,6 +90,58 @@ func TestReadTreeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadTreeHostileSizes feeds headers that claim huge node counts and
+// dictionary sizes over almost no data. Sizing buffers from such a header
+// ends the process with an out-of-memory fatal error, which no recover
+// catches; ReadTree must fail with an error instead.
+func TestReadTreeHostileSizes(t *testing.T) {
+	maxNodes := binary.AppendUvarint([]byte(treeMagic), 1<<31)
+	hugeDict := append(binary.AppendUvarint([]byte(treeMagic), 2), 0x80, 0x80, 0x80, 0x80, 0x20) // 1<<33 bytes
+	manyNodes := binary.AppendUvarint([]byte(treeMagic), 1<<31)
+	for _, strs := range [][]string{{"a"}, {"w"}} {
+		blob := dict.Pack(strs)
+		manyNodes = binary.AppendUvarint(manyNodes, uint64(len(blob)))
+		manyNodes = append(manyNodes, blob...)
+	}
+	manyNodes = append(manyNodes, 0x00, 0x00)
+	for name, c := range map[string][]byte{
+		"node count only":  maxNodes,
+		"dictionary size":  hugeDict,
+		"one node of 2^31": manyNodes,
+	} {
+		if _, err := ReadTree(bytes.NewReader(c), nil); err == nil {
+			t.Errorf("%s: ReadTree accepted a %d-byte file", name, len(c))
+		}
+	}
+}
+
+// FuzzReadTree checks that no input makes ReadTree panic or exhaust memory:
+// every input either loads into a tree that validates or fails with an
+// error.
+func FuzzReadTree(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 4; i++ {
+		var buf bytes.Buffer
+		if _, err := randomTree(rng, 20).WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(binary.AppendUvarint([]byte(treeMagic), 1<<31))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tree, err := ReadTree(bytes.NewReader(data), nil)
+		if err != nil {
+			return
+		}
+		if err := tree.Validate(); err != nil {
+			t.Fatalf("ReadTree returned a tree that fails Validate: %v", err)
+		}
+		for u := NodeID(0); u < NodeID(tree.Len()); u++ {
+			tree.Label(u)
+		}
+	})
+}
+
 func TestRoundTripRandomTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
