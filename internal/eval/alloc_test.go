@@ -46,11 +46,17 @@ func TestListOpAllocBudgets(t *testing.T) {
 	postA, postB, postD := pres(lA.entries), pres(lB.entries), pres(lD.entries)
 	vs := make([]variant, 0, 3)
 
+	// An inner list over lA: lB's entries override the default 2.
+	view := &List{entries: lB.entries, dflt: 2, base: lA.entries}
+
 	ops := map[string]func(){
-		"appendJoin":      func() { dst = appendJoin(dst[:0], lA.entries, lD.entries, 1, tree, &sc) },
-		"appendOuterjoin": func() { dst = appendOuterjoin(dst[:0], lA.entries, lD.entries, 1, 5, tree, &sc) },
-		"appendIntersect": func() { dst = appendIntersect(dst[:0], lA.entries, lB.entries, 1) },
-		"appendUnion":     func() { dst = appendUnion(dst[:0], lA.entries, lB.entries, 0, 1) },
+		"join":              func() { joinCore(tree, lA.entries, lD, &sc); dst = emitJoin(dst[:0], &sc, 1) },
+		"join/base":         func() { joinCore(tree, lA.entries, view, &sc); dst = emitJoin(dst[:0], &sc, 1) },
+		"outerjoin":         func() { joinCore(tree, lA.entries, lD, &sc); dst, _ = emitOuterjoin(dst[:0], &sc, 1, 5) },
+		"appendIntersect":   func() { dst, _ = appendIntersect(dst[:0], lA.entries, lB.entries, cost.Inf, cost.Inf, 1) },
+		"appendIntersect/d": func() { dst, _ = appendIntersect(dst[:0], lA.entries, lB.entries, 3, 4, 1) },
+		"appendUnion":       func() { dst, _ = appendUnion(dst[:0], lA.entries, lB.entries, cost.Inf, cost.Inf, 0, 1) },
+		"appendUnion/d":     func() { dst, _ = appendUnion(dst[:0], lA.entries, lB.entries, 3, 4, 0, 1) },
 		"appendVariants": func() {
 			vs = append(vs[:0], variant{postA, 0}, variant{postD, 2}, variant{postB, 5})
 			dst = appendVariants(dst[:0], tree, vs, true)

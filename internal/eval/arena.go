@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sync"
 	"unsafe"
+
+	"approxql/internal/cost"
 )
 
 // Arena chunks grow geometrically from arenaChunkMin to arenaChunkMax
@@ -91,16 +93,17 @@ func (a *entryArena) commit(s []Entry) []Entry {
 	return s
 }
 
-// commitList is commit returning an immutable List. The List headers are
-// carved from a slab in chunks of 64: one memoized list per header would
-// otherwise be the single largest allocation count of a query. A full chunk
-// is retired by starting a fresh one — never by growing in place — so
-// pointers into retired chunks stay valid for the life of the arena.
-func (a *entryArena) commitList(s []Entry) *List {
+// commitList is commit returning an immutable List whose positions missing
+// from s cost dflt (see List). The List headers are carved from a slab in
+// chunks of 64: one memoized list per header would otherwise be the single
+// largest allocation count of a query. A full chunk is retired by starting
+// a fresh one — never by growing in place — so pointers into retired chunks
+// stay valid for the life of the arena.
+func (a *entryArena) commitList(s []Entry, dflt cost.Cost) *List {
 	if len(a.lists) == cap(a.lists) {
 		a.lists = make([]List, 0, 64)
 	}
-	a.lists = append(a.lists, List{entries: a.commit(s)})
+	a.lists = append(a.lists, List{entries: a.commit(s), dflt: dflt})
 	return &a.lists[len(a.lists)-1]
 }
 

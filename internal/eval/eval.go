@@ -2,6 +2,8 @@ package eval
 
 import (
 	"cmp"
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -119,20 +121,41 @@ type evalKey struct {
 }
 
 // memoLot is a single-flight memo slot: the first evaluation reaching a key
-// computes under the slot's once while later ones (concurrent or not) wait
+// computes under the slot's lock while later ones (concurrent or not) wait
 // and share the result. This both deduplicates concurrent work and keeps
 // list identity canonical, which evalKey relies on.
 type memoLot struct {
-	once sync.Once
+	mu   sync.Mutex
+	done bool
 	list *List
 	post []xmltree.NodeID // the posting, in a fetchCache lot
 	err  error
 }
 
-// evalCtx is the goroutine-private state of one evaluation: the entry arena
-// retained lists are built into, the pooled operation scratch, and local
-// statistics merged into the evaluator when the context is released.
+// do runs compute, which fills the lot's value and returns its error,
+// unless an earlier call completed the lot, and returns the lot's error.
+// The value may be read once do returns nil. A computation that a stopped
+// context cut short is not kept: the lot stays open, and the next caller,
+// under its own context, computes afresh.
+func (lot *memoLot) do(compute func() error) error {
+	lot.mu.Lock()
+	defer lot.mu.Unlock()
+	if !lot.done {
+		err := compute()
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return err
+		}
+		lot.err, lot.done = err, true
+	}
+	return lot.err
+}
+
+// evalCtx is the goroutine-private state of one evaluation: the caller's
+// context, checked before each step, the entry arena retained lists are
+// built into, the pooled operation scratch, and local statistics merged
+// into the evaluator when the context is released.
 type evalCtx struct {
+	cx    context.Context
 	arena entryArena
 	sc    *opScratch
 	stats Stats
@@ -185,8 +208,8 @@ func (ev *Evaluator) Stats() Stats {
 }
 
 // getCtx reuses a released evaluation context (keeping its arena warm) or
-// creates one, and attaches pooled scratch.
-func (ev *Evaluator) getCtx() *evalCtx {
+// creates one, and attaches cx and pooled scratch.
+func (ev *Evaluator) getCtx(cx context.Context) *evalCtx {
 	ev.mu.Lock()
 	var ctx *evalCtx
 	if n := len(ev.ctxFree); n > 0 {
@@ -197,6 +220,7 @@ func (ev *Evaluator) getCtx() *evalCtx {
 	if ctx == nil {
 		ctx = &evalCtx{}
 	}
+	ctx.cx = cx
 	sc, hit := acquireScratch()
 	ctx.sc = sc
 	if hit {
@@ -213,6 +237,7 @@ func (ev *Evaluator) getCtx() *evalCtx {
 func (ev *Evaluator) putCtx(ctx *evalCtx) {
 	releaseScratch(ctx.sc)
 	ctx.sc = nil
+	ctx.cx = nil
 	ctx.stats.ArenaChunks += ctx.arena.chunks - ctx.reportedChunks
 	ctx.stats.ArenaEntries += ctx.arena.entries - ctx.reportedEntries
 	ctx.stats.ScratchHits += ctx.arena.poolHits - ctx.reportedPoolHits
@@ -230,10 +255,17 @@ func (ev *Evaluator) putCtx(ctx *evalCtx) {
 
 // Primary finds the images of all approximate embeddings of the expanded
 // query and returns the list of embedding roots with their costs (Section
-// 6.5). The returned list contains one entry per result; EmbCost is the
+// 6.5). The returned list holds an entry for every result; EmbCost is the
 // cheapest embedding, LeafCost the cheapest embedding with at least one
-// query-leaf match.
+// query-leaf match, and entries with LeafCost ∞ are not results. A match of
+// the root's labels that the list does not hold costs its default (see
+// List) with LeafCost ∞, so it is never a result either.
 func (ev *Evaluator) Primary(x *lang.Expanded) (*List, error) {
+	return ev.primary(context.Background(), x)
+}
+
+// primary is Primary under cx: it returns cx's error once cx is done.
+func (ev *Evaluator) primary(cx context.Context, x *lang.Expanded) (*List, error) {
 	root := x.Root
 	if root.Rep != lang.RepNode {
 		return nil, fmt.Errorf("eval: expanded root has type %v, want node", root.Rep)
@@ -247,7 +279,7 @@ func (ev *Evaluator) Primary(x *lang.Expanded) (*List, error) {
 		// tokens bound the total at par.
 		ev.sem = make(chan struct{}, par-1)
 	}
-	ctx := ev.getCtx()
+	ctx := ev.getCtx(cx)
 	defer ev.putCtx(ctx)
 	return ev.inner(ctx, root)
 }
@@ -255,7 +287,12 @@ func (ev *Evaluator) Primary(x *lang.Expanded) (*List, error) {
 // All solves the approximate query-matching problem (Definition 11): every
 // root-cost pair, in document order.
 func (ev *Evaluator) All(x *lang.Expanded) ([]Result, error) {
-	l, err := ev.Primary(x)
+	return ev.all(context.Background(), x)
+}
+
+// all is All under cx.
+func (ev *Evaluator) all(cx context.Context, x *lang.Expanded) ([]Result, error) {
+	l, err := ev.primary(cx, x)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +313,14 @@ func (ev *Evaluator) All(x *lang.Expanded) ([]Result, error) {
 // O(R log R) — the "prune after the nth entry" step of the paper's first
 // algorithm.
 func (ev *Evaluator) BestN(x *lang.Expanded, n int) ([]Result, error) {
-	res, err := ev.All(x)
+	return ev.BestNContext(context.Background(), x, n)
+}
+
+// BestNContext is BestN under ctx: every evaluation step first checks ctx,
+// so once ctx is done the evaluation stops and returns ctx's error. Steps
+// it cut short are not memoized; the evaluator stays usable.
+func (ev *Evaluator) BestNContext(ctx context.Context, x *lang.Expanded, n int) ([]Result, error) {
+	res, err := ev.all(ctx, x)
 	if err != nil {
 		return nil, err
 	}
@@ -375,17 +419,21 @@ func (ev *Evaluator) posting(ctx *evalCtx, label string, kind cost.Kind) ([]xmlt
 		ev.fetchCache[key] = lot
 	}
 	ev.mu.Unlock()
-	lot.once.Do(func() {
+	err := lot.do(func() (err error) {
 		if kind == cost.Text {
-			lot.post, lot.err = ev.src.Text(label)
+			lot.post, err = ev.src.Text(label)
 		} else {
-			lot.post, lot.err = ev.src.Struct(label)
+			lot.post, err = ev.src.Struct(label)
 		}
-		if lot.err == nil {
+		if err == nil {
 			ctx.stats.Fetches++
 		}
+		return err
 	})
-	return lot.post, lot.err
+	if err != nil {
+		return nil, err
+	}
+	return lot.post, nil
 }
 
 // inner computes the ancestor-independent part of a RepNode or RepLeaf:
@@ -410,11 +458,16 @@ func (ev *Evaluator) inner(ctx *evalCtx, u *lang.XNode) (*List, error) {
 	} else {
 		ctx.stats.Evaluations++
 	}
-	lot.once.Do(func() { lot.list, lot.err = ev.computeInner(ctx, u) })
-	return lot.list, lot.err
+	if err := lot.do(func() (err error) { lot.list, err = ev.computeInner(ctx, u); return err }); err != nil {
+		return nil, err
+	}
+	return lot.list, nil
 }
 
 func (ev *Evaluator) computeInner(ctx *evalCtx, u *lang.XNode) (*List, error) {
+	if err := ctx.cx.Err(); err != nil {
+		return nil, err
+	}
 	switch u.Rep {
 	case lang.RepLeaf:
 		// Leaf matches have embedding cost 0 plus the renaming charge and
@@ -440,8 +493,12 @@ func (ev *Evaluator) computeInner(ctx *evalCtx, u *lang.XNode) (*List, error) {
 // outerjoin) or pointwise by Pre (intersect, union): the content's result
 // restricted to one variant's matches is its result against that variant,
 // and it is a Pre-subsequence of lv. No operation reads the ancestor list's
-// own costs — joinCore resets them and appendOuterjoin overwrites them — so
-// lv carries each entry's renaming charge in EmbCost for the charge pass.
+// own costs — joinCore resets them — so lv carries each entry's renaming
+// charge in EmbCost for the charge pass.
+//
+// The content's result is sparse: the charge pass touches its entries
+// only, and the inner list keeps lv as its base, so a match of lv the
+// result does not hold costs the result's default plus its charge.
 func (ev *Evaluator) innerNode(ctx *evalCtx, u *lang.XNode) (*List, error) {
 	lv, err := ev.matches(ctx, u, false)
 	if err != nil {
@@ -456,6 +513,9 @@ func (ev *Evaluator) innerNode(ctx *evalCtx, u *lang.XNode) (*List, error) {
 	}
 	if len(u.Renamings) > 0 {
 		addCharges(l.entries, lv.entries)
+	}
+	if !cost.IsInf(l.dflt) {
+		l.base = lv.entries
 	}
 	return l, nil
 }
@@ -486,7 +546,7 @@ func (ev *Evaluator) matches(ctx *evalCtx, u *lang.XNode, leaf bool) (*List, err
 		ctx.stats.EntriesIn += n
 	}
 	dst := ctx.arena.alloc(n)
-	return ctx.arena.commitList(appendVariants(dst, ev.tree, vs, leaf)), nil
+	return ctx.arena.commitList(appendVariants(dst, ev.tree, vs, leaf), cost.Inf), nil
 }
 
 // eval is algorithm primary (Figure 4) restructured around a uniform edge
@@ -509,32 +569,35 @@ func (ev *Evaluator) eval(ctx *evalCtx, u *lang.XNode, lA *List) (*List, error) 
 	if ok {
 		ctx.stats.MemoHits++
 	}
-	lot.once.Do(func() { lot.list, lot.err = ev.computeEval(ctx, u, lA) })
-	return lot.list, lot.err
+	if err := lot.do(func() (err error) { lot.list, err = ev.computeEval(ctx, u, lA); return err }); err != nil {
+		return nil, err
+	}
+	return lot.list, nil
 }
 
 func (ev *Evaluator) computeEval(ctx *evalCtx, u *lang.XNode, lA *List) (*List, error) {
+	if err := ctx.cx.Err(); err != nil {
+		return nil, err
+	}
 	switch u.Rep {
-	case lang.RepLeaf:
+	case lang.RepLeaf, lang.RepNode:
 		ld, err := ev.inner(ctx, u)
 		if err != nil {
 			return nil, err
 		}
 		ctx.stats.ListOps++
 		ctx.stats.EntriesIn += lA.Len() + ld.Len()
-		dst := ctx.arena.alloc(lA.Len())
-		dst = appendOuterjoin(dst, lA.entries, ld.entries, 0, u.DelCost, ev.tree, &ctx.sc.join)
-		return ctx.arena.commitList(dst), nil
-	case lang.RepNode:
-		ld, err := ev.inner(ctx, u)
-		if err != nil {
-			return nil, err
+		sc := &ctx.sc.join
+		dst := ctx.arena.alloc(joinCore(ev.tree, lA.entries, ld, sc))
+		dflt := cost.Inf
+		if u.Rep == lang.RepLeaf {
+			// Outerjoin: an ancestor without a leaf match costs the
+			// deletion, and holds no entry.
+			dst, dflt = emitOuterjoin(dst, sc, 0, u.DelCost)
+		} else {
+			dst = emitJoin(dst, sc, 0)
 		}
-		ctx.stats.ListOps++
-		ctx.stats.EntriesIn += lA.Len() + ld.Len()
-		dst := ctx.arena.alloc(lA.Len())
-		dst = appendJoin(dst, lA.entries, ld.entries, 0, ev.tree, &ctx.sc.join)
-		return ctx.arena.commitList(dst), nil
+		return ctx.arena.commitList(dst, dflt), nil
 	case lang.RepAnd:
 		ll, lr, err := ev.evalPair(ctx, u.Left, u.Right, lA)
 		if err != nil {
@@ -542,9 +605,9 @@ func (ev *Evaluator) computeEval(ctx *evalCtx, u *lang.XNode, lA *List) (*List, 
 		}
 		ctx.stats.ListOps++
 		ctx.stats.EntriesIn += ll.Len() + lr.Len()
-		dst := ctx.arena.alloc(min(ll.Len(), lr.Len()))
-		dst = appendIntersect(dst, ll.entries, lr.entries, 0)
-		return ctx.arena.commitList(dst), nil
+		dst := ctx.arena.alloc(intersectBound(ll.Len(), lr.Len(), ll.dflt, lr.dflt))
+		dst, dflt := appendIntersect(dst, ll.entries, lr.entries, ll.dflt, lr.dflt, 0)
+		return ctx.arena.commitList(dst, dflt), nil
 	case lang.RepOr:
 		ll, lr, err := ev.evalPair(ctx, u.Left, u.Right, lA)
 		if err != nil {
@@ -555,8 +618,8 @@ func (ev *Evaluator) computeEval(ctx *evalCtx, u *lang.XNode, lA *List) (*List, 
 		ctx.stats.ListOps++
 		ctx.stats.EntriesIn += ll.Len() + lr.Len()
 		dst := ctx.arena.alloc(ll.Len() + lr.Len())
-		dst = appendUnion(dst, ll.entries, lr.entries, 0, u.EdgeCost)
-		return ctx.arena.commitList(dst), nil
+		dst, dflt := appendUnion(dst, ll.entries, lr.entries, ll.dflt, lr.dflt, 0, u.EdgeCost)
+		return ctx.arena.commitList(dst, dflt), nil
 	}
 	return nil, fmt.Errorf("eval: unknown representation type %v", u.Rep)
 }
@@ -587,7 +650,7 @@ func (ev *Evaluator) evalPair(ctx *evalCtx, uL, uR *lang.XNode, lA *List) (*List
 			ch := make(chan res, 1)
 			go func() {
 				defer func() { <-ev.sem }()
-				ctx2 := ev.getCtx()
+				ctx2 := ev.getCtx(ctx.cx)
 				list, err := ev.eval(ctx2, uR, lA)
 				ev.putCtx(ctx2)
 				ch <- res{list, err}

@@ -1,9 +1,12 @@
 package eval
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"approxql/internal/cost"
@@ -367,4 +370,94 @@ func TestRenamedNodeEvaluatesContentOnce(t *testing.T) {
 		}
 		ops = got
 	}
+}
+
+// TestUnmatchedLeafWritesNoEntries pins the sparse outerjoin: a query leaf
+// that matches nowhere costs its deletion as the list default instead of
+// one entry per ancestor, so a query whose leaves match few ancestors
+// writes little beyond its label variants. Dense lists would write every
+// a once per outerjoin and once more per intersect.
+func TestUnmatchedLeafWritesNoEntries(t *testing.T) {
+	const as = 500
+	tree, err := xmltree.ParseXML("<r>" + strings.Repeat("<a><c/></a>", as) + "<a><b/></a></r>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := cost.NewModel()
+	m.SetDelete("b", cost.Struct, 2)
+	m.SetDelete("absent", cost.Text, 3)
+	ev := New(tree, index.Build(tree))
+	res, err := ev.BestN(lang.Expand(lang.MustParse(`a[b and "absent"]`), m), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only the a holding b matches a leaf: b matched, "absent" deleted.
+	if len(res) != 1 || res[0].Cost != 3 {
+		t.Fatalf("results = %v, want one at cost 3", res)
+	}
+	variants := as + 1 + 1 // every a, the one b, no "absent"
+	if got := ev.Stats().ArenaEntries; got > variants+4 {
+		t.Errorf("arena entries = %d, want at most the %d variant entries plus 4", got, variants)
+	}
+}
+
+// TestBestNContextStopsAndRecovers stops an evaluation mid-way and then
+// reruns the query on the same evaluator: the stopped steps were not
+// memoized, so the rerun returns the full ranking. With forced forks the
+// stop reaches subtrees evaluating on other goroutines.
+func TestBestNContextStopsAndRecovers(t *testing.T) {
+	old := forkMinEntries
+	forkMinEntries = 1
+	defer func() { forkMinEntries = old }()
+
+	tree, ix, model := catalogFixture()
+	x := lang.Expand(lang.MustParse(`cd[track[title["piano" and "concerto"]] and composer["rachmaninov"]]`), model)
+	want, err := New(tree, ix).BestN(x, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		ev := New(tree, &cancelOnFetch{Source: ix, cancel: cancel, after: 3})
+		ev.Parallelism = workers
+		ev.ForceParallelism = true
+		if res, err := ev.BestNContext(ctx, x, 0); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: stopped evaluation returned %v, %v; want context.Canceled", workers, res, err)
+		}
+		got, err := ev.BestN(x, 0)
+		if err != nil {
+			t.Fatalf("workers=%d: rerun: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: rerun after a stop = %v, want %v", workers, got, want)
+		}
+		if workers > 1 && ev.Stats().ParallelForks == 0 {
+			t.Errorf("workers=%d: no subtree was forked", workers)
+		}
+		cancel()
+	}
+}
+
+// cancelOnFetch cancels a context on its after-th posting fetch.
+type cancelOnFetch struct {
+	index.Source
+	cancel context.CancelFunc
+	after  int32
+	calls  atomic.Int32
+}
+
+func (c *cancelOnFetch) fetched() {
+	if c.calls.Add(1) == c.after {
+		c.cancel()
+	}
+}
+
+func (c *cancelOnFetch) Struct(name string) ([]xmltree.NodeID, error) {
+	c.fetched()
+	return c.Source.Struct(name)
+}
+
+func (c *cancelOnFetch) Text(term string) ([]xmltree.NodeID, error) {
+	c.fetched()
+	return c.Source.Text(term)
 }

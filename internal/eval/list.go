@@ -4,14 +4,22 @@
 // approximate embeddings of a query in one bottom-up pass and solves the
 // best-n-pairs problem by sorting and pruning.
 //
+// Lists evaluated against an ancestor list are sparse: a list holds the
+// entries that differ from its default cost, and every other position of
+// the ancestor list costs the default (see List). A query leaf's outerjoin
+// writes only the ancestors it matched, and intersect and union combine
+// the held positions with the other side's default.
+//
 // The list algebra is allocation-disciplined: every operation has an
 // append-style core that writes into a caller-provided buffer, an arena
 // reservation on the evaluator's hot path, with exact output upper bounds
 // (merge ≤ the summed posting lengths of the label variants, union ≤
-// |l|+|r|, join/outerjoin ≤ |lA|, intersect ≤ min(|l|,|r|)). The thin
-// wrappers that allocate fresh slices remain for the reference paths and
-// the tests; the evaluator hot path never calls them. docs/PERFORMANCE.md
-// describes the discipline.
+// |l|+|r|, join and outerjoin ≤ the matched ancestors, intersect ≤
+// min(|l|,|r|) when both defaults are ∞ and at most |l|+|r| otherwise, see
+// intersectBound). The thin wrappers that allocate fresh slices remain for
+// the reference paths and the tests; they produce dense lists (every
+// position held), and the evaluator hot path never calls them.
+// docs/PERFORMANCE.md describes the discipline.
 //
 // The package also contains an independent reference evaluator
 // (reference.go) that implements the closure semantics of Section 5
@@ -19,6 +27,7 @@
 package eval
 
 import (
+	"math"
 	"sort"
 
 	"approxql/internal/cost"
@@ -42,24 +51,34 @@ type Entry struct {
 	LeafCost cost.Cost
 }
 
-// isAncestor reports whether a is a proper ancestor of d.
-func isAncestor(a, d *Entry) bool {
-	return a.Pre < d.Pre && a.Bound >= d.Pre
-}
-
 // List is a sequence of entries sorted by ascending Pre with at most one
 // entry per node. Lists are immutable once built: operations never write
 // through a *List another step can see, which makes inner-list and eval
 // memoization safe. The entries may live in an evaluator's arena; the List
 // keeps the chunk alive.
+//
+// A list the evaluator computed against an ancestor list lA is sparse:
+// every entry of lA that entries does not hold costs EmbCost = dflt and
+// LeafCost = ∞. A dflt of cost.Inf means those positions are absent, which
+// is what variant lists, leaf lists, join outputs and the dense lists of
+// the allocating wrappers hold. An inner list also remembers base, the
+// merged label variants its content was evaluated against (see innerNode):
+// a position of base missing from entries costs dflt plus its renaming
+// charge, base's EmbCost. base is nil on every other list, and joins read
+// dflt only through it.
 type List struct {
 	entries []Entry
+	dflt    cost.Cost
+	base    []Entry
 }
 
 // Len returns the number of entries.
 func (l *List) Len() int { return len(l.entries) }
 
-var emptyList = &List{}
+// dense wraps entries that hold every position of their list.
+func dense(entries []Entry) *List { return &List{entries: entries, dflt: cost.Inf} }
+
+var emptyList = dense(nil)
 
 // --- append-style cores ----------------------------------------------------
 //
@@ -165,19 +184,33 @@ func addCharges(l, lv []Entry) {
 // tree) — the paper's O(s·l) bound. Descendants that no open ancestor
 // covers are skipped by galloping to the next ancestor's Pre. Distances come
 // from t, the data tree both lists were fetched from. Results land in
-// sc.tmp/sc.matched, indexed like lA; the caller emits them under its own
-// cost rule.
-func joinCore(t *xmltree.Tree, lA, lD []Entry, sc *joinScratch) {
+// sc.tmp/sc.matched, indexed like lA, and the count of matched ancestors
+// is returned; the caller emits them under its own cost rule.
+//
+// The descendants are the positions of lD: its entries, or, on an inner
+// list with a base, every entry of the base, where an entry of lD overrides
+// the default cost. The walk keeps one cursor in each, so the defaults are
+// never written out.
+func joinCore(t *xmltree.Tree, lA []Entry, lD *List, sc *joinScratch) int {
+	pos, sp := lD.entries, lD.entries
+	viewed := lD.base != nil
+	if viewed {
+		pos = lD.base
+	}
+	if len(pos) == 0 {
+		lA = nil // no descendants: nothing to open or emit
+	}
 	sc.grow(len(lA))
 	tmp, matched, open := sc.tmp, sc.matched, sc.open
 
-	i, j := 0, 0
-	for j < len(lD) {
-		d := &lD[j]
+	n := 0
+	i, j, k := 0, 0, 0
+	for j < len(pos) {
+		pre := pos[j].Pre
 		// Open all ancestors that start before this descendant, popping
 		// expired ones first so the stack stays properly nested (siblings
 		// never coexist on it).
-		for i < len(lA) && lA[i].Pre < d.Pre {
+		for i < len(lA) && lA[i].Pre < pre {
 			open = closeExpired(open, tmp, lA[i].Pre)
 			tmp[i] = lA[i]
 			tmp[i].EmbCost = cost.Inf
@@ -186,34 +219,51 @@ func joinCore(t *xmltree.Tree, lA, lD []Entry, sc *joinScratch) {
 			i++
 		}
 		// Close ancestors whose subtree ended.
-		open = closeExpired(open, tmp, d.Pre)
+		open = closeExpired(open, tmp, pre)
 		if len(open) == 0 {
 			if i >= len(lA) {
 				break
 			}
-			// Nothing covers d, and the next ancestor starts at or after
-			// it: no descendant up to that Pre can match. Insertions only
-			// change distances, never containment, so skipping is sound.
-			j = skipPast(lD, j, lA[i].Pre)
+			// Nothing covers the descendant, and the next ancestor
+			// starts at or after it: no descendant up to that Pre can
+			// match. Insertions only change distances, never
+			// containment, so skipping is sound.
+			j = skipPast(pos, j, lA[i].Pre)
+			if viewed && k < len(sp) && sp[k].Pre <= lA[i].Pre {
+				k = skipPast(sp, k, lA[i].Pre)
+			}
 			continue
+		}
+		emb, leaf := pos[j].EmbCost, pos[j].LeafCost
+		if viewed {
+			if k < len(sp) && sp[k].Pre == pre {
+				emb, leaf = sp[k].EmbCost, sp[k].LeafCost
+				k++
+			} else {
+				emb, leaf = cost.Add(lD.dflt, emb), cost.Inf
+			}
 		}
 		for _, ai := range open {
 			a := &tmp[ai]
-			if !isAncestor(a, d) {
-				continue
+			if a.Bound < pre {
+				continue // not an ancestor of pre: its subtree ended
 			}
-			dist := t.Distance(a.Pre, d.Pre)
-			if c := cost.Add(dist, d.EmbCost); c < a.EmbCost {
+			dist := t.Distance(a.Pre, pre)
+			if c := cost.Add(dist, emb); c < a.EmbCost {
 				a.EmbCost = c
 			}
-			if c := cost.Add(dist, d.LeafCost); c < a.LeafCost {
+			if c := cost.Add(dist, leaf); c < a.LeafCost {
 				a.LeafCost = c
 			}
-			matched[ai] = true
+			if !matched[ai] {
+				matched[ai] = true
+				n++
+			}
 		}
 		j++
 	}
 	sc.open = open // keep the grown stack for reuse
+	return n
 }
 
 // skipPast returns the index of the first entry of l after j whose Pre
@@ -230,15 +280,11 @@ func skipPast(l []Entry, j int, pre xmltree.NodeID) int {
 	return j + 1 + sort.Search(hi-j-1, func(k int) bool { return l[j+1+k].Pre > pre })
 }
 
-// appendJoin appends the join of lA with lD (Section 6.4, function join):
-// copies of the entries from lA that have descendants in lD, each costing
-// the cheapest distance+cost over its descendants plus cEdge. Appends at
-// most len(lA).
-func appendJoin(dst, lA, lD []Entry, cEdge cost.Cost, t *xmltree.Tree, sc *joinScratch) []Entry {
-	if len(lA) == 0 || len(lD) == 0 {
-		return dst
-	}
-	joinCore(t, lA, lD, sc)
+// emitJoin appends the join result joinCore left in sc (Section 6.4,
+// function join): copies of the ancestors with descendants, each costing
+// the cheapest distance+cost over its descendants plus cEdge. Every other
+// ancestor is absent (default ∞). Appends exactly the matched ancestors.
+func emitJoin(dst []Entry, sc *joinScratch, cEdge cost.Cost) []Entry {
 	for ai := range sc.tmp {
 		if sc.matched[ai] {
 			e := sc.tmp[ai]
@@ -250,108 +296,150 @@ func appendJoin(dst, lA, lD []Entry, cEdge cost.Cost, t *xmltree.Tree, sc *joinS
 	return dst
 }
 
-// appendOuterjoin appends the outerjoin of lA with lD (Section 6.4, function
-// outerjoin): copies of all entries from lA; ancestors without a descendant
-// in lD cost cDel+cEdge, the others min(cDel, cheapest match)+cEdge. The
-// LeafCost tracks the cheapest genuine match only — deleting the leaf never
-// contributes a query-leaf match. Entries whose cost is infinite (no match
-// and cDel=∞) are dropped. Appends at most len(lA).
-func appendOuterjoin(dst, lA, lD []Entry, cEdge, cDel cost.Cost, t *xmltree.Tree, sc *joinScratch) []Entry {
-	if len(lA) == 0 {
-		return dst
-	}
-	joinCore(t, lA, lD, sc)
-	for ai, a := range lA {
-		e := a
-		if sc.matched[ai] {
-			m := &sc.tmp[ai]
-			e.EmbCost = cost.Add(cost.Min(cDel, m.EmbCost), cEdge)
-			e.LeafCost = cost.Add(m.LeafCost, cEdge)
-		} else {
-			e.EmbCost = cost.Add(cDel, cEdge)
-			e.LeafCost = cost.Inf
-		}
-		if cost.IsInf(e.EmbCost) {
+// emitOuterjoin appends the outerjoin result joinCore left in sc (Section
+// 6.4, function outerjoin) sparsely: the ancestors with descendants, each
+// costing min(cDel, cheapest match)+cEdge. The LeafCost tracks the cheapest
+// genuine match only — deleting the leaf never contributes a query-leaf
+// match. Every other ancestor costs the returned default, cDel+cEdge (∞ if
+// deletion is forbidden: absent). Appends at most the matched ancestors.
+func emitOuterjoin(dst []Entry, sc *joinScratch, cEdge, cDel cost.Cost) ([]Entry, cost.Cost) {
+	for ai := range sc.tmp {
+		if !sc.matched[ai] {
 			continue
 		}
-		dst = append(dst, e)
+		e := sc.tmp[ai]
+		e.EmbCost = cost.Add(cost.Min(cDel, e.EmbCost), cEdge)
+		e.LeafCost = cost.Add(e.LeafCost, cEdge)
+		if !cost.IsInf(e.EmbCost) {
+			dst = append(dst, e)
+		}
 	}
-	return dst
+	return dst, cost.Add(cDel, cEdge)
 }
 
-// appendIntersect appends the entries present in both lists (Section 6.4,
-// function intersect): matching Pre pairs with summed costs plus cEdge. The
-// LeafCost needs one leaf on either side: min(leafL+embR, embL+leafR).
-// Appends at most min(len(lL), len(lR)).
-func appendIntersect(dst, lL, lR []Entry, cEdge cost.Cost) []Entry {
+// endPre is past every node's Pre: the head of an exhausted list.
+const endPre = xmltree.NodeID(math.MaxInt32)
+
+// headPre returns l[i].Pre, or endPre once l is exhausted.
+func headPre(l []Entry, i int) xmltree.NodeID {
+	if i < len(l) {
+		return l[i].Pre
+	}
+	return endPre
+}
+
+// appendIntersect appends the intersection of two lists evaluated against
+// one ancestor list (Section 6.4, function intersect): each position costs
+// the sum of both sides plus cEdge, where a position one side does not hold
+// takes that side's default dL or dR (LeafCost ∞). The LeafCost needs one
+// leaf on either side: min(leafL+embR, embL+leafR). Positions neither side
+// holds cost the returned default dL+dR+cEdge, and entries of infinite cost
+// are dropped, so with both defaults ∞ only the positions held on both
+// sides remain. Appends at most intersectBound entries.
+func appendIntersect(dst, lL, lR []Entry, dL, dR, cEdge cost.Cost) ([]Entry, cost.Cost) {
+	keepL, keepR := !cost.IsInf(dR), !cost.IsInf(dL) // one-sided positions survive
 	i, j := 0, 0
-	for i < len(lL) && j < len(lR) {
-		a, b := lL[i], lR[j]
+	for i < len(lL) || j < len(lR) {
+		pL, pR := headPre(lL, i), headPre(lR, j)
+		var e Entry
 		switch {
-		case a.Pre < b.Pre:
+		case pL < pR:
+			if !keepL {
+				if j == len(lR) {
+					i = len(lL)
+				} else {
+					i++
+				}
+				continue
+			}
+			e = lL[i]
+			e.EmbCost = cost.Add(e.EmbCost, dR)
+			e.LeafCost = cost.Add(e.LeafCost, dR)
 			i++
-		case a.Pre > b.Pre:
+		case pR < pL:
+			if !keepR {
+				if i == len(lL) {
+					j = len(lR)
+				} else {
+					j++
+				}
+				continue
+			}
+			e = lR[j]
+			e.EmbCost = cost.Add(e.EmbCost, dL)
+			e.LeafCost = cost.Add(e.LeafCost, dL)
 			j++
 		default:
-			e := a
-			e.EmbCost = cost.Add(cost.Add(a.EmbCost, b.EmbCost), cEdge)
-			e.LeafCost = cost.Add(
-				cost.Min(cost.Add(a.LeafCost, b.EmbCost), cost.Add(a.EmbCost, b.LeafCost)),
-				cEdge)
-			if !cost.IsInf(e.EmbCost) {
-				dst = append(dst, e)
-			}
+			a, b := lL[i], lR[j]
+			e = a
+			e.EmbCost = cost.Add(a.EmbCost, b.EmbCost)
+			e.LeafCost = cost.Min(cost.Add(a.LeafCost, b.EmbCost), cost.Add(a.EmbCost, b.LeafCost))
 			i++
 			j++
 		}
+		e.EmbCost = cost.Add(e.EmbCost, cEdge)
+		e.LeafCost = cost.Add(e.LeafCost, cEdge)
+		if !cost.IsInf(e.EmbCost) {
+			dst = append(dst, e)
+		}
 	}
-	return dst
+	return dst, cost.Add(cost.Add(dL, dR), cEdge)
 }
 
-// appendUnion appends all entries from both lists (Section 6.4, function
-// union) with cL added to lL's costs and cR to lR's; nodes present in both
-// keep the cheaper adjusted costs. The per-side charge subsumes the bump of
-// an or-branch's edge cost (RepOr evaluates union(l, bump(r, cEdge))) in one
-// pass, and with cL = 0 it is the paper's pairwise merge. Appends at most
+// intersectBound is the most entries appendIntersect emits for inputs of
+// nL and nR entries with defaults dL and dR: a position one side holds
+// survives only against a finite default on the other.
+func intersectBound(nL, nR int, dL, dR cost.Cost) int {
+	switch finL, finR := !cost.IsInf(dL), !cost.IsInf(dR); {
+	case finL && finR:
+		return nL + nR
+	case finR:
+		return nL
+	case finL:
+		return nR
+	}
+	return min(nL, nR)
+}
+
+// appendUnion appends the union of two lists evaluated against one ancestor
+// list (Section 6.4, function union) with cL added to lL's costs and cR to
+// lR's; each position keeps the cheaper adjusted costs, where a position
+// one side does not hold takes that side's default dL or dR (LeafCost ∞).
+// Positions neither side holds cost the returned default min(dL+cL, dR+cR).
+// The per-side charge subsumes the bump of an or-branch's edge cost (RepOr
+// evaluates union(l, bump(r, cEdge))) in one pass, and with cL = 0 and both
+// defaults ∞ it is the paper's pairwise merge. Appends at most
 // len(lL)+len(lR).
-func appendUnion(dst, lL, lR []Entry, cL, cR cost.Cost) []Entry {
+func appendUnion(dst, lL, lR []Entry, dL, dR, cL, cR cost.Cost) ([]Entry, cost.Cost) {
+	dL, dR = cost.Add(dL, cL), cost.Add(dR, cR)
 	i, j := 0, 0
-	for i < len(lL) && j < len(lR) {
-		a, b := lL[i], lR[j]
+	for i < len(lL) || j < len(lR) {
+		pL, pR := headPre(lL, i), headPre(lR, j)
+		var e Entry
 		switch {
-		case a.Pre < b.Pre:
-			a.EmbCost = cost.Add(a.EmbCost, cL)
-			a.LeafCost = cost.Add(a.LeafCost, cL)
-			dst = append(dst, a)
+		case pL < pR:
+			e = lL[i]
+			e.EmbCost = cost.Min(cost.Add(e.EmbCost, cL), dR)
+			e.LeafCost = cost.Add(e.LeafCost, cL)
 			i++
-		case a.Pre > b.Pre:
-			b.EmbCost = cost.Add(b.EmbCost, cR)
-			b.LeafCost = cost.Add(b.LeafCost, cR)
-			dst = append(dst, b)
+		case pR < pL:
+			e = lR[j]
+			e.EmbCost = cost.Min(cost.Add(e.EmbCost, cR), dL)
+			e.LeafCost = cost.Add(e.LeafCost, cR)
 			j++
 		default:
 			// Same node on both sides: the cheaper charged costs win; the
 			// identity fields agree.
-			b.EmbCost = cost.Min(cost.Add(a.EmbCost, cL), cost.Add(b.EmbCost, cR))
-			b.LeafCost = cost.Min(cost.Add(a.LeafCost, cL), cost.Add(b.LeafCost, cR))
-			dst = append(dst, b)
+			a := lL[i]
+			e = lR[j]
+			e.EmbCost = cost.Min(cost.Add(a.EmbCost, cL), cost.Add(e.EmbCost, cR))
+			e.LeafCost = cost.Min(cost.Add(a.LeafCost, cL), cost.Add(e.LeafCost, cR))
 			i++
 			j++
 		}
+		dst = append(dst, e)
 	}
-	for ; i < len(lL); i++ {
-		a := lL[i]
-		a.EmbCost = cost.Add(a.EmbCost, cL)
-		a.LeafCost = cost.Add(a.LeafCost, cL)
-		dst = append(dst, a)
-	}
-	for ; j < len(lR); j++ {
-		b := lR[j]
-		b.EmbCost = cost.Add(b.EmbCost, cR)
-		b.LeafCost = cost.Add(b.LeafCost, cR)
-		dst = append(dst, b)
-	}
-	return dst
+	return dst, cost.Min(dL, dR)
 }
 
 // closeExpired removes ancestors from the open stack whose bound lies before
@@ -367,7 +455,9 @@ func closeExpired(open []int, tmp []Entry, pre xmltree.NodeID) []int {
 //
 // The original list operations, kept for the reference paths, the adapted
 // schema algebra, and the tests that pin the algebra's semantics. Each
-// allocates a fresh exactly-bounded slice and delegates to its core.
+// allocates a fresh exactly-bounded slice, delegates to its core with
+// absent (∞) defaults, and returns a dense list: the definitions the sparse
+// cores are tested against.
 
 // bump returns a copy of l with c added to every entry's costs. A zero bump
 // returns l itself.
@@ -381,7 +471,7 @@ func bump(l *List, c cost.Cost) *List {
 		out[i].EmbCost = cost.Add(out[i].EmbCost, c)
 		out[i].LeafCost = cost.Add(out[i].LeafCost, c)
 	}
-	return &List{entries: out}
+	return dense(out)
 }
 
 // merge returns all entries from lL and lR, with cRen added to the costs of
@@ -393,36 +483,58 @@ func merge(lL, lR *List, cRen cost.Cost) *List {
 		return lL
 	}
 	dst := make([]Entry, 0, lL.Len()+lR.Len())
-	return &List{entries: appendUnion(dst, lL.entries, lR.entries, 0, cRen)}
+	dst, _ = appendUnion(dst, lL.entries, lR.entries, cost.Inf, cost.Inf, 0, cRen)
+	return dense(dst)
 }
 
 // join returns copies of the entries from lA that have descendants in lD;
-// see appendJoin.
+// see emitJoin.
 func join(t *xmltree.Tree, lA, lD *List, cEdge cost.Cost) *List {
 	if lA.Len() == 0 || lD.Len() == 0 {
 		return emptyList
 	}
 	var sc joinScratch
-	dst := make([]Entry, 0, lA.Len())
-	return &List{entries: appendJoin(dst, lA.entries, lD.entries, cEdge, t, &sc)}
+	dst := make([]Entry, 0, joinCore(t, lA.entries, lD, &sc))
+	return dense(emitJoin(dst, &sc, cEdge))
 }
 
 // outerjoin returns copies of all entries from lA with the deletion rule
-// applied; see appendOuterjoin.
+// applied: the sparse result of emitOuterjoin with its default written out
+// at every unmatched ancestor.
 func outerjoin(t *xmltree.Tree, lA, lD *List, cEdge, cDel cost.Cost) *List {
 	var sc joinScratch
-	dst := make([]Entry, 0, lA.Len())
-	return &List{entries: appendOuterjoin(dst, lA.entries, lD.entries, cEdge, cDel, t, &sc)}
+	sp, dflt := emitOuterjoin(make([]Entry, 0, joinCore(t, lA.entries, lD, &sc)), &sc, cEdge, cDel)
+	return dense(fillDefault(lA.entries, sp, dflt))
+}
+
+// fillDefault returns the dense form of the sparse entries sp evaluated
+// against lA with default dflt: sp's entry where it holds the position,
+// otherwise lA's node at EmbCost dflt and LeafCost ∞, absent if dflt is ∞.
+func fillDefault(lA, sp []Entry, dflt cost.Cost) []Entry {
+	out := make([]Entry, 0, len(lA))
+	k := 0
+	for _, a := range lA {
+		switch {
+		case k < len(sp) && sp[k].Pre == a.Pre:
+			out = append(out, sp[k])
+			k++
+		case !cost.IsInf(dflt):
+			out = append(out, Entry{Pre: a.Pre, Bound: a.Bound, EmbCost: dflt, LeafCost: cost.Inf})
+		}
+	}
+	return out
 }
 
 // intersect returns the entries present in both lists; see appendIntersect.
 func intersect(lL, lR *List, cEdge cost.Cost) *List {
 	dst := make([]Entry, 0, min(lL.Len(), lR.Len()))
-	return &List{entries: appendIntersect(dst, lL.entries, lR.entries, cEdge)}
+	dst, _ = appendIntersect(dst, lL.entries, lR.entries, cost.Inf, cost.Inf, cEdge)
+	return dense(dst)
 }
 
 // union returns all entries from both lists; see appendUnion.
 func union(lL, lR *List, cEdge cost.Cost) *List {
 	dst := make([]Entry, 0, lL.Len()+lR.Len())
-	return &List{entries: appendUnion(dst, lL.entries, lR.entries, cEdge, cEdge)}
+	dst, _ = appendUnion(dst, lL.entries, lR.entries, cost.Inf, cost.Inf, cEdge, cEdge)
+	return dense(dst)
 }

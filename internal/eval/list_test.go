@@ -476,3 +476,103 @@ func TestLeafCostNeverBelowEmbCost(t *testing.T) {
 		check(outerjoin(tr, a, b, c, cost.Cost(rng.Intn(6))), "outerjoin")
 	}
 }
+
+// sparseOver picks entries of positions with probability keep, with random
+// costs (LeafCost ≥ EmbCost, or Inf), and a random default: finite, or Inf
+// (absent) one time in three.
+func sparseOver(rng *rand.Rand, positions []Entry, keep float64) ([]Entry, cost.Cost) {
+	var sp []Entry
+	for _, p := range positions {
+		if rng.Float64() >= keep {
+			continue
+		}
+		e := Entry{Pre: p.Pre, Bound: p.Bound, EmbCost: cost.Cost(rng.Intn(6)), LeafCost: cost.Inf}
+		if rng.Intn(3) != 0 {
+			e.LeafCost = e.EmbCost + cost.Cost(rng.Intn(4))
+		}
+		sp = append(sp, e)
+	}
+	dflt := cost.Cost(rng.Intn(8))
+	if rng.Intn(3) == 0 {
+		dflt = cost.Inf
+	}
+	return sp, dflt
+}
+
+// chargedDense is the dense form of an inner list: every position of base
+// that entries does not hold costs dflt plus its charge, base's EmbCost.
+func chargedDense(l *List) *List {
+	out := &List{dflt: cost.Inf}
+	k := 0
+	for _, p := range l.base {
+		if k < len(l.entries) && l.entries[k].Pre == p.Pre {
+			out.entries = append(out.entries, l.entries[k])
+			k++
+			continue
+		}
+		out.entries = append(out.entries, Entry{Pre: p.Pre, Bound: p.Bound, EmbCost: cost.Add(l.dflt, p.EmbCost), LeafCost: cost.Inf})
+	}
+	return out
+}
+
+// TestSparseOpsMatchDense checks every sparse core against its dense
+// definition: inputs are random sparse lists over one ancestor list lA
+// with finite and infinite defaults; the dense side writes each default out
+// at every position it covers and runs the allocating wrappers (or the
+// nested loop, for outerjoin). The sparse result, its default written out
+// the same way, must equal the dense one.
+func TestSparseOpsMatchDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 400; trial++ {
+		tr := runTree(rng)
+		lA := labelList(rng, tr, "a", 0.9)
+		check := func(op string, got, want *List) {
+			t.Helper()
+			if !reflect.DeepEqual(presOf(got), presOf(want)) || !reflect.DeepEqual(costsOf(got), costsOf(want)) {
+				t.Fatalf("trial %d: %s = %v %v, dense %v %v", trial, op,
+					presOf(got), costsOf(got), presOf(want), costsOf(want))
+			}
+		}
+		spL, dL := sparseOver(rng, lA.entries, 0.4)
+		spR, dR := sparseOver(rng, lA.entries, 0.4)
+		denseL, denseR := dense(fillDefault(lA.entries, spL, dL)), dense(fillDefault(lA.entries, spR, dR))
+		c := cost.Cost(rng.Intn(4))
+
+		x, dx := appendIntersect(nil, spL, spR, dL, dR, c)
+		if n := intersectBound(len(spL), len(spR), dL, dR); len(x) > n {
+			t.Fatalf("trial %d: intersect emitted %d entries, bound %d", trial, len(x), n)
+		}
+		check("intersect", dense(fillDefault(lA.entries, x, dx)), intersect(denseL, denseR, c))
+		u, du := appendUnion(nil, spL, spR, dL, dR, c, c)
+		check("union", dense(fillDefault(lA.entries, u, du)), union(denseL, denseR, c))
+		// The or-branch form: a charge on the right side only.
+		u, du = appendUnion(nil, spL, spR, dL, dR, 0, c)
+		check("union(0, c)", dense(fillDefault(lA.entries, u, du)), merge(denseL, denseR, c))
+
+		// Joins against a leaf list, and against an inner list whose base
+		// carries renaming charges.
+		lD := labelList(rng, tr, "d", 0.9)
+		cDel := cost.Cost(rng.Intn(8))
+		if rng.Intn(4) == 0 {
+			cDel = cost.Inf
+		}
+		var sc joinScratch
+		joinCore(tr, lA.entries, lD, &sc)
+		o, do := emitOuterjoin(nil, &sc, c, cDel)
+		check("outerjoin", dense(fillDefault(lA.entries, o, do)), naiveJoin(tr, lA, lD, c, cDel, true))
+
+		base := labelList(rng, tr, "d", 0.9).entries
+		for i := range base {
+			base[i].EmbCost, base[i].LeafCost = cost.Cost(rng.Intn(3)), cost.Inf
+		}
+		sp, d := sparseOver(rng, base, 0.3)
+		if cost.IsInf(d) {
+			d = 1 // innerNode keeps a base only under a finite default
+		}
+		inner := &List{entries: sp, dflt: d, base: base}
+		joinCore(tr, lA.entries, inner, &sc)
+		check("join(inner)", dense(emitJoin(nil, &sc, c)), join(tr, lA, chargedDense(inner), c))
+		o, do = emitOuterjoin(nil, &sc, c, cDel)
+		check("outerjoin(inner)", dense(fillDefault(lA.entries, o, do)), naiveJoin(tr, lA, chargedDense(inner), c, cDel, true))
+	}
+}

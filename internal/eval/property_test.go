@@ -194,6 +194,33 @@ func TestPrimaryMatchesReferenceRenamingHeavy(t *testing.T) {
 	}
 }
 
+// FuzzPrimaryMatchesReference runs the property test's comparison on
+// fuzzer-chosen inputs: the seed drives randomModel, randomTree and
+// randomQuery, and the two bytes size the tree and the query depth.
+func FuzzPrimaryMatchesReference(f *testing.F) {
+	for _, seed := range []int64{1, 514, 1966, 2002} {
+		f.Add(seed, uint8(40), uint8(3))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nodes, depth uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		model := randomModel(rng)
+		tree := randomTree(rng, model, 1+int(nodes)%60)
+		q := randomQuery(rng, 1+int(depth)%3)
+		want, err := Reference(tree, q, model)
+		if err != nil {
+			t.Fatalf("Reference: %v", err)
+		}
+		got, err := New(tree, index.Build(tree)).BestN(lang.Expand(q, model), 0)
+		if err != nil {
+			t.Fatalf("BestN: %v", err)
+		}
+		if !resultsEqual(got, want) {
+			t.Fatalf("query %s\ntree:\n%s\nprimary:   %v\nreference: %v",
+				q, tree.RenderString(0), got, want)
+		}
+	})
+}
+
 // resultsEqual compares result lists up to reordering of equal-cost entries.
 func resultsEqual(a, b []Result) bool {
 	if len(a) != len(b) {

@@ -14,8 +14,10 @@ import (
 // (Section 6) over tree and its postings src: one evaluator, released
 // before returning. parallelism bounds the evaluator's goroutines; zero
 // means GOMAXPROCS. When m is non-nil it receives the evaluator's counters,
-// the results emitted and the effective worker count. It is the one Direct
-// call sequence behind Database.Search and the corpus shards.
+// the results emitted and the effective worker count. Every evaluation
+// step checks ctx, so a deadline or cancellation stops the evaluation and
+// Direct returns ctx.Err(). It is the one Direct call sequence behind
+// Database.Search and the corpus shards.
 func Direct(ctx context.Context, tree *xmltree.Tree, src index.Source, x *lang.Expanded, n, parallelism int, m *Metrics) ([]eval.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -26,7 +28,7 @@ func Direct(ctx context.Context, tree *xmltree.Tree, src index.Source, x *lang.E
 	} else {
 		ev.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	res, err := ev.BestN(x, n)
+	res, err := ev.BestNContext(ctx, x, n)
 	if m != nil {
 		st := ev.Stats()
 		m.EvalArenaChunks += st.ArenaChunks

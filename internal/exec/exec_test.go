@@ -12,6 +12,7 @@ import (
 	"approxql/internal/cost"
 	"approxql/internal/datagen"
 	"approxql/internal/exec"
+	"approxql/internal/index"
 	"approxql/internal/kbest"
 	"approxql/internal/lang"
 	"approxql/internal/querygen"
@@ -185,6 +186,46 @@ func TestParallelCancellationMidRound(t *testing.T) {
 		}
 		if m.Executed == 0 {
 			t.Fatalf("parallelism=%d: cancellation fired before any execution", parallelism)
+		}
+		cancel()
+	}
+}
+
+// cancellingSource cancels a context on its first posting fetch, so the
+// cancellation arrives after evaluation has started.
+type cancellingSource struct {
+	index.Source
+	cancel context.CancelFunc
+}
+
+func (c *cancellingSource) Struct(name string) ([]xmltree.NodeID, error) {
+	c.cancel()
+	return c.Source.Struct(name)
+}
+
+func (c *cancellingSource) Text(term string) ([]xmltree.NodeID, error) {
+	c.cancel()
+	return c.Source.Text(term)
+}
+
+// TestDirectCancellationMidEvaluation cancels the context from inside the
+// posting source: Direct must stop at the next evaluation step and return
+// ctx.Err(), not a ranking.
+func TestDirectCancellationMidEvaluation(t *testing.T) {
+	w := getWorld(t)
+	g, err := w.gen.Generate(querygen.PaperPatterns[1], 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := lang.Expand(g.Query, g.Model)
+	ix := index.Build(w.tree)
+	for _, parallelism := range []int{1, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		src := &cancellingSource{Source: ix, cancel: cancel}
+		res, err := exec.Direct(ctx, w.tree, src, x, 0, parallelism, nil)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("parallelism=%d: Direct returned %d results and error %v, want context.Canceled",
+				parallelism, len(res), err)
 		}
 		cancel()
 	}
