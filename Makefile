@@ -4,8 +4,11 @@ GO ?= go
 
 all: check
 
+# benchmark/ is a separate module compiled against the internal packages
+# and the facade; vetting it here catches API breaks before bench-smoke.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 build:
 	$(GO) build ./...

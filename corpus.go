@@ -216,10 +216,6 @@ func (c *Corpus) corpusConfig(qc queryConfig, strategy Strategy) corpus.Config {
 	return corpus.Config{
 		Direct:      strategy == Direct,
 		Auto:        strategy == Auto,
-		InitialK:    qc.initialK,
-		Delta:       qc.delta,
-		Growth:      qc.growth,
-		MaxK:        qc.maxK,
 		Parallelism: qc.parallel,
 		Metrics:     qc.metrics,
 	}
@@ -278,9 +274,6 @@ func (c *Corpus) Plan(query string, n int, opts ...QueryOption) (PlanDecision, e
 		Estimate:     s.Estimate,
 		PlanSpace:    s.PlanSpace,
 		Probes:       s.Probes,
-		InitialK:     s.InitialK,
-		Delta:        s.Delta,
-		Growth:       s.Growth,
 		DirectShards: s.DirectShards,
 		SchemaShards: s.SchemaShards,
 	}

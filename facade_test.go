@@ -106,17 +106,3 @@ func TestCustomTokenizer(t *testing.T) {
 		t.Errorf("search over custom tokens = %v, %v", res, err)
 	}
 }
-
-func TestSchemaDrivenOptionsPlumbed(t *testing.T) {
-	db := buildDB(t)
-	model := PaperCostModel()
-	// Tiny initial k and delta still give exact bounded answers.
-	res, err := db.Search(`cd[title["concerto"]]`, 3,
-		WithCostModel(model), WithStrategy(SchemaDriven), WithInitialK(1), WithDelta(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 || res[0].Cost != 0 || res[1].Cost != 4 || res[2].Cost != 5 {
-		t.Errorf("results = %v", res)
-	}
-}

@@ -255,7 +255,7 @@ func (r *Runner) evaluate(x *lang.Expanded, n int, algo Algo) (int, exec.Metrics
 		algo = Direct
 		if d.Strategy != plan.Direct {
 			algo = Schema
-			cfg = exec.Config{InitialK: d.InitialK, Delta: d.Delta, Growth: d.Growth}
+			cfg = exec.Config{} // the engine's own schedule
 		}
 	}
 	switch algo {

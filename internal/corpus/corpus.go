@@ -278,8 +278,8 @@ func (c *Corpus) filterShards(x *lang.Expanded) (active []*Shard, pruned int) {
 	return active, pruned
 }
 
-// Config tunes one corpus evaluation. The zero value is usable: automatic
-// k-growing defaults, GOMAXPROCS shard workers, schema-driven strategy.
+// Config tunes one corpus evaluation. The zero value is usable: GOMAXPROCS
+// shard workers, schema-driven strategy.
 type Config struct {
 	// Direct selects the direct strategy (full per-shard evaluation with
 	// per-shard best-n pruning) instead of the schema-driven k-growing
@@ -292,23 +292,12 @@ type Config struct {
 	// superset of the shard's part of the global answer into the shared
 	// top-n heap.
 	Auto bool
-	// InitialK, Delta, Growth, and MaxK tune each shard's k-growing loop;
-	// see exec.Config. Zero values derive defaults. A zero InitialK is
-	// derived from the requested n: each shard needs roughly the full
-	// top-n planned before the cutoff can engage.
-	InitialK int
-	Delta    int
-	Growth   int
-	MaxK     int
 	// Parallelism bounds the shard-level worker pool (zero: GOMAXPROCS).
 	// Shards are the outer parallelism axis; within a shard the engine
-	// runs its secondary stage with InnerParallelism workers.
+	// runs its secondary stage on one worker when several shards run
+	// concurrently (the shard pool already saturates the cores), and on
+	// Parallelism workers otherwise.
 	Parallelism int
-	// InnerParallelism is each shard engine's worker-pool size. Zero
-	// means 1 when several shards run concurrently (the shard pool
-	// already saturates the cores) and Parallelism's resolution for a
-	// single-shard corpus.
-	InnerParallelism int
 	// Metrics, when non-nil, accumulates the merged per-shard counters
 	// plus the corpus-level Shards/ShardsPruned counts.
 	Metrics *exec.Metrics

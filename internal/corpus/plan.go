@@ -8,8 +8,7 @@ import (
 
 // PlanSummary aggregates the per-shard planner decisions for one query
 // without executing anything: the shards each strategy would get, the
-// summed result-count estimate, and a representative schema-driven
-// schedule.
+// summed result-count estimate, and the largest plan space.
 type PlanSummary struct {
 	// DirectShards and SchemaShards count the active shards the planner
 	// routes to each strategy; PrunedShards counts shards skipped up
@@ -23,12 +22,6 @@ type PlanSummary struct {
 	Probes   int
 	// PlanSpace is the largest per-shard second-level-query bound.
 	PlanSpace int
-	// InitialK, Delta, and Growth are the largest per-shard schedule
-	// values over the schema-driven shards (zero when every shard goes
-	// direct).
-	InitialK int
-	Delta    int
-	Growth   int
 }
 
 // Plan runs only the planner against every active shard — the decision an
@@ -46,17 +39,8 @@ func (c *Corpus) Plan(x *lang.Expanded, n int) PlanSummary {
 		}
 		if d.Strategy == plan.Direct {
 			s.DirectShards++
-			continue
-		}
-		s.SchemaShards++
-		if d.InitialK > s.InitialK {
-			s.InitialK = d.InitialK
-		}
-		if d.Delta > s.Delta {
-			s.Delta = d.Delta
-		}
-		if d.Growth > s.Growth {
-			s.Growth = d.Growth
+		} else {
+			s.SchemaShards++
 		}
 	}
 	return s

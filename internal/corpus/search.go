@@ -121,7 +121,9 @@ func (t *topn[T]) down(i int) {
 }
 
 // resolveWorkers picks the shard-level pool size and each shard's inner
-// engine parallelism.
+// engine parallelism: one worker when several shards run concurrently (the
+// shard pool already saturates the cores), the caller's Parallelism for a
+// lone shard.
 func resolveWorkers(cfg Config, shards int) (workers, inner int) {
 	workers = cfg.Parallelism
 	if workers <= 0 {
@@ -130,15 +132,10 @@ func resolveWorkers(cfg Config, shards int) (workers, inner int) {
 	if workers > shards {
 		workers = shards
 	}
-	inner = cfg.InnerParallelism
-	if inner <= 0 {
-		if workers > 1 {
-			inner = 1
-		} else {
-			inner = cfg.Parallelism // 0 lets the engine use GOMAXPROCS
-		}
+	if workers > 1 {
+		return workers, 1
 	}
-	return workers, inner
+	return workers, cfg.Parallelism // 0 lets the engine use GOMAXPROCS
 }
 
 // Search returns the global best n hits for the expanded query, ranked by
@@ -164,10 +161,10 @@ func (c *Corpus) Search(ctx context.Context, x *lang.Expanded, n int, cfg Config
 		_, inner := resolveWorkers(cfg, 1)
 		var m exec.Metrics
 		var err error
-		if direct, shCfg := decideShard(active[0], x, n, cfg, &m); direct {
+		if decideShard(active[0], x, n, cfg, &m) {
 			err = searchShardDirect(ctx, active[0], x, n, inner, &m, heap.Offer)
 		} else {
-			err = searchShardSchema(ctx, active[0], x, n, shCfg, inner, &m, heap)
+			err = searchShardSchema(ctx, active[0], x, n, inner, &m, heap)
 		}
 		merged.Merge(&m)
 		finishPlanner(merged, cfg)
@@ -195,10 +192,10 @@ func (c *Corpus) Search(ctx context.Context, x *lang.Expanded, n int, cfg Config
 				for sh := range jobs {
 					var m exec.Metrics
 					var err error
-					if direct, shCfg := decideShard(sh, x, n, cfg, &m); direct {
+					if decideShard(sh, x, n, cfg, &m) {
 						err = searchShardDirect(ctx2, sh, x, n, inner, &m, heap.Offer)
 					} else {
-						err = searchShardSchema(ctx2, sh, x, n, shCfg, inner, &m, heap)
+						err = searchShardSchema(ctx2, sh, x, n, inner, &m, heap)
 					}
 					mu.Lock()
 					merged.Merge(&m)
@@ -232,15 +229,14 @@ func (c *Corpus) Search(ctx context.Context, x *lang.Expanded, n int, cfg Config
 	return heap.Sorted(), nil
 }
 
-// decideShard resolves one shard's strategy: the forced strategy from cfg,
-// or — under Auto — the planner's pick from the shard's own schema and
-// count-only index probes. For a schema-driven pick the planner's k/δ
-// schedule fills any schedule fields the caller left unset; either way the
-// shard contributes a superset of its part of the global answer, so mixing
+// decideShard reports whether one shard runs the direct strategy: the
+// forced strategy from cfg, or — under Auto — the planner's pick from the
+// shard's own schema and count-only index probes. Either strategy makes the
+// shard contribute a superset of its part of the global answer, so mixing
 // strategies across shards cannot change the merged ranking.
-func decideShard(sh *Shard, x *lang.Expanded, n int, cfg Config, m *exec.Metrics) (bool, Config) {
+func decideShard(sh *Shard, x *lang.Expanded, n int, cfg Config, m *exec.Metrics) bool {
 	if !cfg.Auto {
-		return cfg.Direct, cfg
+		return cfg.Direct
 	}
 	cs, _ := sh.be.(backend.CountSource)
 	d := plan.Decide(sh.be.Schema(), cs, x, n)
@@ -248,19 +244,10 @@ func decideShard(sh *Shard, x *lang.Expanded, n int, cfg Config, m *exec.Metrics
 	m.PlannerProbes = d.Probes
 	if d.Strategy == plan.Direct {
 		m.PlannerDirect = 1
-		return true, cfg
+		return true
 	}
 	m.PlannerSchema = 1
-	if cfg.InitialK <= 0 {
-		cfg.InitialK = d.InitialK
-	}
-	if cfg.Delta <= 0 {
-		cfg.Delta = d.Delta
-	}
-	if cfg.Growth <= 0 {
-		cfg.Growth = d.Growth
-	}
-	return false, cfg
+	return false
 }
 
 // finishPlanner names the majority per-shard pick in the merged metrics of
@@ -286,22 +273,16 @@ func finishPlanner(merged *exec.Metrics, cfg Config) {
 // within an equal-cost tier follows its second-level queries, not the
 // corpus (cost, doc, root) order, so its own n-truncation could keep the
 // wrong members of a tie set.
-func searchShardSchema(ctx context.Context, sh *Shard, x *lang.Expanded, n int, cfg Config, inner int, m *exec.Metrics, heap *topn[Hit]) error {
-	initialK := cfg.InitialK
-	if initialK <= 0 && n > 0 {
+func searchShardSchema(ctx context.Context, sh *Shard, x *lang.Expanded, n int, inner int, m *exec.Metrics, heap *topn[Hit]) error {
+	initialK := 0 // all hits wanted: the engine's own default
+	if n > 0 {
 		// Mirror the single-database default: plan roughly the requested
 		// n up front so the first round can already saturate the heap.
-		initialK = n
-		if initialK < 8 {
-			initialK = 8
-		}
+		initialK = max(n, 8)
 	}
 	eng := exec.New(sh.be.Schema(), sh.be, exec.Config{
 		N:           0,
 		InitialK:    initialK,
-		Delta:       cfg.Delta,
-		Growth:      cfg.Growth,
-		MaxK:        cfg.MaxK,
 		Parallelism: inner,
 		Metrics:     m,
 		Bound:       heap.Bound,

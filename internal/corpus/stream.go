@@ -167,8 +167,7 @@ func streamShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, j
 		}
 	}
 	if job.resolve {
-		direct, shCfg := decideShard(sh, x, job.n, cfg, m)
-		if direct {
+		if decideShard(sh, x, job.n, cfg, m) {
 			err := searchShardDirect(ctx, sh, x, job.n, inner, m, func(h Hit) bool {
 				if job.bound != nil && h.Cost > job.bound() {
 					// Delivery is cost-ascending and the bound monotone
@@ -183,7 +182,6 @@ func streamShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, j
 			send(streamItem{done: true, err: err})
 			return
 		}
-		cfg = shCfg
 	}
 	var tier []Hit
 	tierCost := cost.Cost(0)
@@ -197,22 +195,12 @@ func streamShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, j
 		tier = tier[:0]
 		return true
 	}
-	initialK := cfg.InitialK
-	if initialK <= 0 {
-		// Mirror searchShardSchema's default: plan roughly the requested n
-		// up front so an external bound can engage early; plain streaming
-		// (no n) starts small and grows.
-		initialK = job.n
-		if initialK < 8 {
-			initialK = 8
-		}
-	}
+	// Mirror searchShardSchema's first k: plan roughly the requested n up
+	// front so an external bound can engage early; plain streaming (no n)
+	// starts small and grows.
 	eng := exec.New(sh.be.Schema(), sh.be, exec.Config{
 		N:           0,
-		InitialK:    initialK,
-		Delta:       cfg.Delta,
-		Growth:      cfg.Growth,
-		MaxK:        cfg.MaxK,
+		InitialK:    max(job.n, 8),
 		Parallelism: inner,
 		Metrics:     m,
 		Bound:       job.bound,

@@ -39,22 +39,17 @@ type Config struct {
 	N int
 	// InitialK is the first guess for k ("a good initial guess of k is
 	// crucial", Section 7.4). Zero means max(N, 8), or 16 when all
-	// results are wanted.
+	// results are wanted. The engine clamps it to [1, MaxK]. When a round
+	// yields too few results, k grows by δ, which starts at the first k
+	// and doubles every round: the skeleton space can grow with k, so a
+	// fixed δ may never catch up when many results are wanted, while a
+	// doubling δ keeps the number of rounds logarithmic.
 	InitialK int
-	// Delta is the increment applied to k when a round yields too few
-	// results. Zero means InitialK.
-	Delta int
-	// Growth is the factor applied to Delta after every round; it is the
-	// engine's growth-policy knob. The skeleton space can grow with k, so
-	// a fixed δ may never catch up when many results are wanted; a
-	// geometric δ keeps the number of rounds logarithmic. Zero means 2;
-	// 1 keeps δ constant (the literal k ← k + δ of Figure 6).
-	Growth int
 	// MaxK stops the search once k reaches it even if fewer than N
-	// results were found. Zero derives the bound from the schema
-	// (kbest.PlanBound): the maximum number of distinct second-level
-	// queries the plan can generate, past which growing k is provably
-	// useless.
+	// results were found; k never exceeds it. Zero derives the bound from
+	// the schema (kbest.PlanBound): the maximum number of distinct
+	// second-level queries the plan can generate, past which growing k is
+	// provably useless.
 	MaxK int
 	// Parallelism is the worker-pool size for the secondary stage.
 	// Zero means GOMAXPROCS; 1 executes sequentially in the calling
@@ -144,30 +139,20 @@ func (g *Engine) Run(ctx context.Context, x *lang.Expanded, emit func(Item) bool
 	}
 	defer g.snapshotCacheStats(m)()
 
-	k := g.cfg.InitialK
-	if k <= 0 {
-		if g.cfg.N > 0 {
-			k = g.cfg.N
-			if k < 8 {
-				k = 8
-			}
-		} else {
-			k = 16
-		}
-	}
-	delta := g.cfg.Delta
-	if delta <= 0 {
-		delta = k
-	}
-	growth := g.cfg.Growth
-	if growth <= 0 {
-		growth = 2
-	}
 	maxK := g.cfg.MaxK
 	derivedMax := maxK <= 0
 	if derivedMax {
 		maxK = kbest.PlanBound(g.sch, x)
 	}
+	k := g.cfg.InitialK
+	if k <= 0 {
+		k = 16
+		if g.cfg.N > 0 {
+			k = max(g.cfg.N, 8)
+		}
+	}
+	k = max(min(k, maxK), 1)
+	delta := k
 	m.MaxK = maxK
 	m.Parallelism = g.parallelism()
 
@@ -283,8 +268,8 @@ func (g *Engine) Run(ctx context.Context, x *lang.Expanded, emit func(Item) bool
 			m.Truncated = !derivedMax || maxK >= kbest.PlanBoundCeiling
 			return nil
 		}
-		k += delta
-		delta *= growth
+		k = min(k+delta, maxK)
+		delta *= 2
 	}
 }
 

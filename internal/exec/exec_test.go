@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -262,7 +261,7 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 	x := lang.Expand(g.Query, g.Model)
 	var m exec.Metrics
-	items := collect(t, exec.New(w.sch, w.sch, exec.Config{N: 10, InitialK: 2, Delta: 2, Metrics: &m}), x)
+	items := collect(t, exec.New(w.sch, w.sch, exec.Config{N: 10, InitialK: 2, Metrics: &m}), x)
 
 	if m.Rounds < 1 || len(m.KPerRound) != m.Rounds {
 		t.Errorf("rounds = %d, k per round = %v", m.Rounds, m.KPerRound)
@@ -285,48 +284,14 @@ func TestMetricsAccounting(t *testing.T) {
 	if m.MaxK != kbest.PlanBound(w.sch, x) {
 		t.Errorf("MaxK = %d, PlanBound = %d", m.MaxK, kbest.PlanBound(w.sch, x))
 	}
+	if m.FinalK > m.MaxK {
+		t.Errorf("FinalK = %d exceeds MaxK %d", m.FinalK, m.MaxK)
+	}
 	if m.Rounds > 1 && m.Deduped == 0 {
 		t.Error("multiple rounds but nothing deduped: signature dedup broken")
 	}
 	if s := m.String(); len(s) == 0 {
 		t.Error("empty metrics rendering")
-	}
-}
-
-// TestGrowthPolicy: the growth knob controls the round schedule but never
-// the result set. Growth 1 (constant δ) needs at least as many rounds as
-// the default doubling policy.
-func TestGrowthPolicy(t *testing.T) {
-	w := getWorld(t)
-	g, err := w.gen.Generate(querygen.PaperPatterns[0], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := lang.Expand(g.Query, g.Model)
-
-	sortedRoots := func(items []exec.Item) []string {
-		out := make([]string, len(items))
-		for i, it := range items {
-			out[i] = fmt.Sprintf("%d@%d", it.Root, it.Cost)
-		}
-		sort.Strings(out)
-		return out
-	}
-	var m1, m2 exec.Metrics
-	lin := collect(t, exec.New(w.sch, w.sch, exec.Config{InitialK: 1, Delta: 1, Growth: 1, Metrics: &m1}), x)
-	dbl := collect(t, exec.New(w.sch, w.sch, exec.Config{InitialK: 1, Delta: 1, Growth: 2, Metrics: &m2}), x)
-
-	a, b := sortedRoots(lin), sortedRoots(dbl)
-	if len(a) != len(b) {
-		t.Fatalf("growth=1 found %d results, growth=2 found %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("result sets differ at %d: %s vs %s", i, a[i], b[i])
-		}
-	}
-	if m1.Rounds < m2.Rounds {
-		t.Errorf("constant δ used %d rounds, doubling δ %d", m1.Rounds, m2.Rounds)
 	}
 }
 
@@ -354,7 +319,7 @@ func TestDerivedBoundTerminates(t *testing.T) {
 		t.Fatalf("PlanBound = %d for a 3-selector query over a tiny schema", bound)
 	}
 	var m exec.Metrics
-	items := collect(t, exec.New(sch, sch, exec.Config{InitialK: 1, Delta: 1, Growth: 1, Metrics: &m}), x)
+	items := collect(t, exec.New(sch, sch, exec.Config{InitialK: 1, Metrics: &m}), x)
 	if len(items) == 0 {
 		t.Fatal("no results")
 	}
@@ -363,6 +328,48 @@ func TestDerivedBoundTerminates(t *testing.T) {
 	}
 	if m.MaxK != bound {
 		t.Errorf("MaxK = %d, derived bound = %d", m.MaxK, bound)
+	}
+}
+
+// TestFirstKClampedToPlanBound: a first k above the derived bound is cut to
+// the bound, so the reported final k never exceeds it, and the answer is
+// the one the smallest schedule finds.
+func TestFirstKClampedToPlanBound(t *testing.T) {
+	b := xmltree.NewBuilder(cost.NewModel())
+	doc := `<catalog><cd><title>concerto</title></cd><mc><title>sonata</title></mc></catalog>`
+	if err := b.AddDocument(strings.NewReader(doc)); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := schema.Build(tree)
+	q, err := lang.Parse(`cd[title]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := lang.Expand(q, cost.NewModel())
+	bound := kbest.PlanBound(sch, x)
+	if bound >= 10 {
+		t.Fatalf("PlanBound = %d, want below N = 10", bound)
+	}
+	var m exec.Metrics
+	items := collect(t, exec.New(sch, sch, exec.Config{N: 10, Metrics: &m}), x)
+	if len(m.KPerRound) == 0 || m.KPerRound[0] != bound {
+		t.Errorf("k per round = %v, want first k = PlanBound %d", m.KPerRound, bound)
+	}
+	if m.FinalK > m.MaxK {
+		t.Errorf("FinalK = %d exceeds MaxK %d", m.FinalK, m.MaxK)
+	}
+	small := collect(t, exec.New(sch, sch, exec.Config{N: 10, InitialK: 1}), x)
+	if len(items) == 0 || len(items) != len(small) {
+		t.Fatalf("clamped run found %d results, InitialK 1 found %d", len(items), len(small))
+	}
+	for i := range items {
+		if items[i].Root != small[i].Root || items[i].Cost != small[i].Cost {
+			t.Errorf("result %d: %d@%d, InitialK 1 gives %d@%d", i, items[i].Root, items[i].Cost, small[i].Root, small[i].Cost)
+		}
 	}
 }
 

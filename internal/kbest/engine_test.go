@@ -290,7 +290,7 @@ func TestSchemaDrivenMatchesDirectRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaSchema, _, err := bestN(sch, sch, x, 0, exec.Config{InitialK: 1 + rng.Intn(4), Delta: 1 + rng.Intn(4)})
+		viaSchema, _, err := bestN(sch, sch, x, 0, exec.Config{InitialK: 1 + rng.Intn(4)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestSchemaDrivenMatchesDirectRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, _, err := bestN(sch, sch, x, n, exec.Config{InitialK: 2, Delta: 3})
+			s, _, err := bestN(sch, sch, x, n, exec.Config{InitialK: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -332,7 +332,7 @@ func TestIncrementalGrowsK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := bestN(sch, sch, x, len(direct), exec.Config{InitialK: 1, Delta: 1})
+	res, stats, err := bestN(sch, sch, x, len(direct), exec.Config{InitialK: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package plan is the query planner: it resolves the Auto strategy into a
 // concrete evaluation strategy — the paper's direct algorithm (Section 6) or
 // the schema-driven incremental engine (Section 7) — per (query, schema,
-// backend), and derives the k/δ growth schedule the schema-driven engine
-// starts from.
+// backend). The schema-driven engine's k/δ schedule is the engine's own
+// (internal/exec); the planner does not set it.
 //
 // The decision follows the crossover of the paper's Figure 7: the
 // schema-driven strategy wins when the requested result count n is small
@@ -44,8 +44,7 @@ func (s Strategy) String() string {
 }
 
 // Decision is the planner's resolution of Auto for one query: the chosen
-// strategy, the estimate that drove the choice, and — when SchemaDriven —
-// the growth schedule the engine should start from.
+// strategy and the estimate that drove the choice.
 type Decision struct {
 	Strategy Strategy
 	// Estimate is R̂, the planner's upper-bound estimate of the
@@ -56,11 +55,6 @@ type Decision struct {
 	PlanSpace int
 	// Probes counts the count-only index probes the estimate issued.
 	Probes int
-	// InitialK, Delta, and Growth are the schedule for the schema-driven
-	// engine; zero when Strategy is Direct.
-	InitialK int
-	Delta    int
-	Growth   int
 }
 
 // Decide resolves Auto for one query: x is the expanded query, n the
@@ -96,22 +90,6 @@ func Decide(sch *schema.Schema, counts backend.CountSource, x *lang.Expanded, n 
 		return d
 	}
 	d.Strategy = SchemaDriven
-	// "A good initial guess of k is n" (paper, Section 7); the floor keeps
-	// tiny requests from a first round too small to be worth scheduling.
-	// Low-yield regimes — plan space far outgrowing the data — were already
-	// routed to Direct above, so no estimate scaling is needed here: it
-	// would only front-load second-level queries the doubling δ reaches
-	// anyway when the first rounds fall short.
-	k := n
-	if k < 8 {
-		k = 8
-	}
-	if k > d.PlanSpace {
-		k = d.PlanSpace
-	}
-	d.InitialK = k
-	d.Delta = k
-	d.Growth = 2
 	return d
 }
 

@@ -78,6 +78,8 @@ func TestDecideCrossover(t *testing.T) {
 	}
 }
 
+// TestDecideSchedule: a schema-driven decision reports the plan space the
+// engine's k schedule is bounded by; the schedule itself is the engine's.
 func TestDecideSchedule(t *testing.T) {
 	_, sch, be := buildWorld(t)
 	x := expand(t, `cd[title]`, nil)
@@ -85,25 +87,8 @@ func TestDecideSchedule(t *testing.T) {
 	if d.Strategy != plan.SchemaDriven {
 		t.Fatalf("strategy = %v, want schema", d.Strategy)
 	}
-	if d.InitialK < 8 {
-		t.Errorf("InitialK = %d, want >= 8", d.InitialK)
-	}
 	if d.PlanSpace <= 0 {
 		t.Errorf("PlanSpace = %d, want > 0", d.PlanSpace)
-	}
-	if d.InitialK > d.PlanSpace {
-		t.Errorf("InitialK = %d exceeds PlanSpace %d", d.InitialK, d.PlanSpace)
-	}
-	if d.Delta != d.InitialK {
-		t.Errorf("Delta = %d, want InitialK %d", d.Delta, d.InitialK)
-	}
-	if d.Growth != 2 {
-		t.Errorf("Growth = %d, want 2", d.Growth)
-	}
-
-	// A direct decision carries no schedule.
-	if d := plan.Decide(sch, be, x, 0); d.InitialK != 0 || d.Delta != 0 || d.Growth != 0 {
-		t.Errorf("direct decision carries schedule %d/%d/%d", d.InitialK, d.Delta, d.Growth)
 	}
 }
 

@@ -1,6 +1,8 @@
 package approxql
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"approxql/internal/datagen"
@@ -91,6 +93,43 @@ func TestAutoMatchesPlannedStrategy(t *testing.T) {
 	// proves nothing about one of them.
 	if !sawDirect || !sawSchema {
 		t.Fatalf("crossover not exercised: direct=%v schema=%v", sawDirect, sawSchema)
+	}
+}
+
+// TestAutoKeepsEngineSchedule: the planner picks only the strategy. When
+// Auto resolves to schema-driven, the engine runs the same k schedule as a
+// forced schema-driven search, including the cut of the first k to a plan
+// space smaller than max(n, 8).
+func TestAutoKeepsEngineSchedule(t *testing.T) {
+	b := NewBuilder(nil)
+	xml := "<catalog>" + strings.Repeat("<cd><title>concerto</title></cd>", 6) + "</catalog>"
+	if err := b.AddXMLString(xml); err != nil {
+		t.Fatal(err)
+	}
+	db, err := b.Database()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const query, n = `cd[title]`, 1
+	p, err := db.Plan(query, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Strategy != SchemaDriven || p.PlanSpace >= 8 {
+		t.Fatalf("plan = %+v, want schema-driven with a plan space below 8", p)
+	}
+	var auto, forced QueryMetrics
+	if _, err := db.Search(query, n, WithMetrics(&auto)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Search(query, n, WithStrategy(SchemaDriven), WithMetrics(&forced)); err != nil {
+		t.Fatal(err)
+	}
+	if auto.PlannerStrategy != "schema" {
+		t.Fatalf("Auto ran %q", auto.PlannerStrategy)
+	}
+	if !slices.Equal(auto.KPerRound, forced.KPerRound) {
+		t.Errorf("k per round: Auto %v, forced schema-driven %v", auto.KPerRound, forced.KPerRound)
 	}
 }
 

@@ -56,10 +56,6 @@ type QueryMetrics = exec.Metrics
 type queryConfig struct {
 	model    *CostModel
 	strategy Strategy
-	initialK int
-	delta    int
-	growth   int
-	maxK     int
 	parallel int
 	metrics  *QueryMetrics
 }
@@ -77,34 +73,6 @@ func WithCostModel(m *CostModel) QueryOption {
 // WithStrategy forces an evaluation strategy.
 func WithStrategy(s Strategy) QueryOption {
 	return func(c *queryConfig) { c.strategy = s }
-}
-
-// WithInitialK overrides the schema-driven algorithm's initial guess for
-// the number of second-level queries (Section 7.4: "a good initial guess of
-// k is crucial").
-func WithInitialK(k int) QueryOption {
-	return func(c *queryConfig) { c.initialK = k }
-}
-
-// WithDelta overrides the increment applied to k when the first k
-// second-level queries yield too few results.
-func WithDelta(d int) QueryOption {
-	return func(c *queryConfig) { c.delta = d }
-}
-
-// WithGrowth overrides the factor applied to the increment after every
-// round (the default 2 keeps the number of rounds logarithmic; 1 grows k by
-// a constant δ per round, the literal policy of the paper's Figure 6).
-func WithGrowth(g int) QueryOption {
-	return func(c *queryConfig) { c.growth = g }
-}
-
-// WithMaxK bounds the schema-driven search: it stops once k reaches the
-// bound even if fewer results were found. Without it the bound is derived
-// from the schema — the maximum number of distinct second-level queries the
-// plan can generate, past which growing k is provably useless.
-func WithMaxK(k int) QueryOption {
-	return func(c *queryConfig) { c.maxK = k }
 }
 
 // WithParallelism sets the worker-pool size for query evaluation: the
@@ -164,22 +132,19 @@ func parseExpand(query string, c *queryConfig) (*lang.Expanded, error) {
 // engine builds the incremental execution engine for one query — the single
 // execution path of the schema-driven strategy. The engine plans against
 // the schema and executes against the database's backend, so the same loop
-// runs over in-memory and stored I_sec postings.
-func (db *Database) engine(c queryConfig, n int) *exec.Engine {
+// runs over in-memory and stored I_sec postings. initialK is the engine's
+// first k; zero keeps the engine's default for n.
+func (db *Database) engine(c queryConfig, n, initialK int) *exec.Engine {
 	return exec.New(db.Schema(), db.be, exec.Config{
 		N:           n,
-		InitialK:    c.initialK,
-		Delta:       c.delta,
-		Growth:      c.growth,
-		MaxK:        c.maxK,
+		InitialK:    initialK,
 		Parallelism: c.parallel,
 		Metrics:     c.metrics,
 	})
 }
 
-// resolveAuto runs the planner for one query, records the decision in the
-// attached metrics, and adopts the planner's k/δ schedule for options the
-// caller left unset.
+// resolveAuto runs the planner for one query and records the decision in
+// the attached metrics.
 func (db *Database) resolveAuto(c *queryConfig, x *lang.Expanded, n int) Strategy {
 	cs, _ := db.be.(backend.CountSource)
 	d := plan.Decide(db.Schema(), cs, x, n)
@@ -197,22 +162,12 @@ func (db *Database) resolveAuto(c *queryConfig, x *lang.Expanded, n int) Strateg
 	if c.metrics != nil {
 		c.metrics.PlannerSchema++
 	}
-	if c.initialK <= 0 {
-		c.initialK = d.InitialK
-	}
-	if c.delta <= 0 {
-		c.delta = d.Delta
-	}
-	if c.growth <= 0 {
-		c.growth = d.Growth
-	}
 	return SchemaDriven
 }
 
 // PlanDecision reports how the planner resolves Auto for one query: the
-// strategy it picks, the approximate-result-count estimate R̂ that drove the
-// choice, and — when the pick is SchemaDriven — the k/δ growth schedule the
-// engine starts from. For a corpus the planner decides per shard;
+// strategy it picks and the approximate-result-count estimate R̂ that drove
+// the choice. For a corpus the planner decides per shard;
 // DirectShards/SchemaShards give the split, Estimate sums the per-shard
 // estimates, and Strategy is the majority pick.
 type PlanDecision struct {
@@ -226,11 +181,6 @@ type PlanDecision struct {
 	PlanSpace int
 	// Probes counts the count-only index probes the estimate issued.
 	Probes int
-	// InitialK, Delta, and Growth are the schema-driven schedule (zero
-	// when Strategy is Direct).
-	InitialK int
-	Delta    int
-	Growth   int
 	// DirectShards and SchemaShards count the shards routed to each
 	// strategy (1/0 or 0/1 for a single database).
 	DirectShards int
@@ -253,9 +203,6 @@ func (db *Database) Plan(query string, n int, opts ...QueryOption) (PlanDecision
 		Estimate:  d.Estimate,
 		PlanSpace: d.PlanSpace,
 		Probes:    d.Probes,
-		InitialK:  d.InitialK,
-		Delta:     d.Delta,
-		Growth:    d.Growth,
 	}
 	if d.Strategy == plan.Direct {
 		out.Strategy = Direct
@@ -291,7 +238,7 @@ func (db *Database) SearchContext(ctx context.Context, query string, n int, opts
 		return exec.Direct(ctx, db.be.Tree(), db.be, x, n, c.parallel, c.metrics)
 	case SchemaDriven:
 		var results []Result
-		err := db.engine(c, n).Run(ctx, x, func(it exec.Item) bool {
+		err := db.engine(c, n, 0).Run(ctx, x, func(it exec.Item) bool {
 			results = append(results, Result{Root: it.Root, Cost: it.Cost})
 			return true
 		})
@@ -314,6 +261,10 @@ func (db *Database) SearchContext(ctx context.Context, query string, n int, opts
 	return nil, fmt.Errorf("approxql: unknown strategy %d", strategy)
 }
 
+// streamInitialK is the first k of Stream and Results: with no n to guess
+// from, they start small so the first results arrive early.
+const streamInitialK = 8
+
 // Stream retrieves results incrementally in ascending cost order, calling
 // fn for each; fn returns false to stop. This is the "further advantage of
 // the schema-based approach" of the paper's conclusion: once the second-
@@ -327,14 +278,11 @@ func (db *Database) Stream(query string, fn func(Result) bool, opts ...QueryOpti
 // return is nil; when the context fires first it is ctx.Err().
 func (db *Database) StreamContext(ctx context.Context, query string, fn func(Result) bool, opts ...QueryOption) error {
 	c := db.config(opts)
-	if c.initialK <= 0 {
-		c.initialK = 8
-	}
 	x, err := parseExpand(query, &c)
 	if err != nil {
 		return err
 	}
-	return db.engine(c, 0).Run(ctx, x, func(it exec.Item) bool {
+	return db.engine(c, 0, streamInitialK).Run(ctx, x, func(it exec.Item) bool {
 		return fn(Result{Root: it.Root, Cost: it.Cost})
 	})
 }
@@ -363,7 +311,7 @@ func (db *Database) SearchExplainedContext(ctx context.Context, query string, n 
 		return nil, err
 	}
 	var out []ExplainedResult
-	err = db.engine(c, n).Run(ctx, x, func(it exec.Item) bool {
+	err = db.engine(c, n, 0).Run(ctx, x, func(it exec.Item) bool {
 		out = append(out, ExplainedResult{
 			Result: Result{Root: it.Root, Cost: it.Cost},
 			Plan:   kbest.Render(it.Plan),
@@ -476,7 +424,7 @@ func (db *Database) ExplainContext(ctx context.Context, query string, k int, opt
 	if k <= 0 {
 		k = 10
 	}
-	plans, err := db.engine(c, 0).Explain(ctx, x, k)
+	plans, err := db.engine(c, 0, 0).Explain(ctx, x, k)
 	if err != nil {
 		return nil, err
 	}

@@ -33,16 +33,13 @@ func (db *Database) Results(query string, opts ...QueryOption) iter.Seq2[Result,
 func (db *Database) ResultsContext(ctx context.Context, query string, opts ...QueryOption) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
 		c := db.config(opts)
-		if c.initialK <= 0 {
-			c.initialK = 8
-		}
 		x, err := parseExpand(query, &c)
 		if err != nil {
 			yield(Result{}, err)
 			return
 		}
 		stopped := false
-		err = db.engine(c, 0).Run(ctx, x, func(it exec.Item) bool {
+		err = db.engine(c, 0, streamInitialK).Run(ctx, x, func(it exec.Item) bool {
 			if !yield(Result{Root: it.Root, Cost: it.Cost}, nil) {
 				stopped = true
 				return false
