@@ -16,11 +16,12 @@ build:
 test:
 	$(GO) test ./...
 
-# The concurrency-sensitive tests (parallel secondary execution, shared
-# caches, cross-goroutine searches, the query server) under the race
-# detector — the fast subset for local iteration; CI runs race-full.
+# The concurrency-sensitive tests (shared caches, concurrent queries, the
+# corpus shard pool and its bound pushes, the cluster gatherer, the query
+# server) under the race detector — the fast subset for local iteration; CI
+# runs race-full.
 race:
-	$(GO) test -race ./... -run 'Concurrent|Parallel|Serve|Server|Saturation|Drain'
+	$(GO) test -race ./... -run 'Concurrent|Parallel|Corpus|Cluster|Serve|Server|Saturation|Drain'
 
 # The full test suite under the race detector.
 race-full:

@@ -118,11 +118,11 @@ func TestPersistIndexesDeterministic(t *testing.T) {
 // TestBackendEquivalence is the cross-backend contract: Search,
 // SearchExplained, and Explain return identical answers whether the postings
 // come from the in-memory indexes or from the persisted B+tree files, for
-// every strategy (planner-resolved Auto included), for sequential and
-// parallel secondary execution, and across the page-cache and mmap read
-// paths. The second fixture's flat term distribution gives many mid-size
-// (200–1 400-byte) postings, the values whose leaf placement a B+tree that
-// splits pages is most likely to get wrong.
+// every strategy (planner-resolved Auto included), and across the
+// page-cache and mmap read paths. The second fixture's flat term
+// distribution gives many mid-size (200–1 400-byte) postings, the values
+// whose leaf placement a B+tree that splits pages is most likely to get
+// wrong.
 func TestBackendEquivalence(t *testing.T) {
 	for name, cfg := range map[string]datagen.Config{
 		"default": {
@@ -192,31 +192,25 @@ func testBackendEquivalence(t *testing.T, cfg datagen.Config) {
 				query := g.Query.String()
 				lastQuery, lastModel = query, g.Model
 				for _, strategy := range []Strategy{Direct, SchemaDriven, Auto} {
-					for _, workers := range []int{1, 8} {
-						opts := []QueryOption{
-							WithCostModel(g.Model),
-							WithStrategy(strategy),
-							WithParallelism(workers),
-						}
-						want, err := mem.Search(query, n, opts...)
+					opts := []QueryOption{WithCostModel(g.Model), WithStrategy(strategy)}
+					want, err := mem.Search(query, n, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for vi, db := range storedDBs {
+						got, err := db.Search(query, n, opts...)
 						if err != nil {
 							t.Fatal(err)
 						}
-						for vi, db := range storedDBs {
-							got, err := db.Search(query, n, opts...)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !sameResults(want, got) {
-								t.Fatalf("%s (strategy=%v workers=%d): memory %v vs %s %v",
-									query, strategy, workers, want, variants[vi].name, got)
-							}
+						if !sameResults(want, got) {
+							t.Fatalf("%s (strategy=%v): memory %v vs %s %v",
+								query, strategy, want, variants[vi].name, got)
 						}
 					}
 				}
 
 				// SearchExplained (schema-driven only) and Explain.
-				opts := []QueryOption{WithCostModel(g.Model), WithParallelism(1)}
+				opts := []QueryOption{WithCostModel(g.Model)}
 				wantEx, err := mem.SearchExplained(query, n, opts...)
 				if err != nil {
 					t.Fatal(err)
@@ -274,7 +268,7 @@ func testBackendEquivalence(t *testing.T, cfg datagen.Config) {
 }
 
 // sameResults compares ranked results exactly by root and cost, tolerating
-// permutations within one cost tier (parallel execution may reorder ties).
+// permutations within one cost tier.
 func sameResults(a, b []Result) bool {
 	if len(a) != len(b) {
 		return false

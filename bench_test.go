@@ -28,7 +28,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"approxql/internal/bench"
 	"approxql/internal/eval"
@@ -113,9 +112,8 @@ func BenchmarkFigure7c(b *testing.B) { benchFigure7(b, "pattern3") }
 // strategy's hot path — with a fresh Evaluator per iteration, as production
 // queries run it. It sweeps the paper patterns, 0 and 10 renamings per label
 // (the ends of Figure 7's columns, so the cost of a renamed node shows as
-// the gap between them) and the evaluator's Parallelism knob; allocs/op is
-// the headline number the allocation discipline work targets (see
-// docs/PERFORMANCE.md).
+// the gap between them); allocs/op is the headline number the allocation
+// discipline work targets (see docs/PERFORMANCE.md).
 func BenchmarkDirectEval(b *testing.B) {
 	r := benchRunner(b)
 	qg, err := querygen.New(r.Tree(), 2002)
@@ -130,19 +128,16 @@ func BenchmarkDirectEval(b *testing.B) {
 				b.Fatal(err)
 			}
 			x := lang.Expand(g.Query, g.Model)
-			for _, workers := range []int{1, 8} {
-				b.Run(fmt.Sprintf("%s/ren=%d/workers=%d", pattern.Name, ren, workers), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						ev := eval.New(r.Tree(), r.Backend())
-						ev.Parallelism = workers
-						if _, err := ev.BestN(x, 10); err != nil {
-							b.Fatal(err)
-						}
-						ev.Release()
+			b.Run(fmt.Sprintf("%s/ren=%d", pattern.Name, ren), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ev := eval.New(r.Tree(), r.Backend())
+					if _, err := ev.BestN(x, 10); err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+					ev.Release()
+				}
+			})
 		}
 	}
 }
@@ -200,7 +195,7 @@ func BenchmarkAblationInitialK(b *testing.B) {
 	for _, k0 := range []int{1, 5, 10, 50, 200} {
 		b.Run(fmt.Sprintf("initialK=%d", k0), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng := exec.New(sch, sch, exec.Config{N: n, InitialK: k0, MaxK: 1 << 16, Parallelism: 1})
+				eng := exec.New(sch, sch, exec.Config{N: n, InitialK: k0, MaxK: 1 << 16})
 				if err := eng.Run(context.Background(), x, func(exec.Item) bool { return true }); err != nil {
 					b.Fatal(err)
 				}
@@ -242,85 +237,6 @@ func BenchmarkAblationStorage(b *testing.B) {
 			}
 		}
 	})
-}
-
-// latencySec charges a fixed access latency per I_sec posting fetch, on top
-// of real reads from the embedded B+tree store. This models the paper's
-// system, where I_sec is disk-resident (Berkeley DB) and every posting read
-// pays a seek: the charge here (250µs) is a small fraction of a 2002 disk
-// seek. Overlapping that latency is what the secondary worker pool buys —
-// it is the dimension BenchmarkParallelSecondary sweeps.
-type latencySec struct {
-	sec     schema.SecSource
-	latency time.Duration
-}
-
-func (l latencySec) SecInstances(c schema.NodeID) ([]xmltree.NodeID, error) {
-	time.Sleep(l.latency)
-	return l.sec.SecInstances(c)
-}
-
-func (l latencySec) SecTermInstances(c schema.NodeID, term string) ([]xmltree.NodeID, error) {
-	time.Sleep(l.latency)
-	return l.sec.SecTermInstances(c, term)
-}
-
-// BenchmarkParallelSecondary compares sequential (one worker) with parallel
-// execution of a round's second-level queries over a store-backed secondary
-// index with realistic access latency. The large Boolean pattern with 10
-// renamings/label plans many distinct second-level queries per round, whose
-// independent I_sec fetches the pool overlaps; with workers=1 the same
-// fetches are paid strictly in sequence.
-func BenchmarkParallelSecondary(b *testing.B) {
-	r := benchRunner(b)
-	qg, err := querygen.New(r.Tree(), 99)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := qg.Generate(querygen.PaperPatterns[2], 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sch := r.Schema()
-	x := lang.Expand(g.Query, g.Model)
-
-	db, err := storage.Open("", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	if err := sch.SaveSec(db); err != nil {
-		b.Fatal(err)
-	}
-	// stored has no cache attached: every fetch reads the store and pays
-	// the modeled seek.
-	stored := schema.OpenStoredSec(db)
-	sec := latencySec{sec: stored, latency: 250 * time.Microsecond}
-
-	const n = 10
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var m exec.Metrics
-				count := 0
-				eng := exec.New(sch, sec, exec.Config{N: n, Parallelism: workers, Metrics: &m})
-				err := eng.Run(context.Background(), x, func(exec.Item) bool {
-					count++
-					return count < n
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if count < n {
-					b.Fatalf("found %d results, want %d", count, n)
-				}
-				if i == 0 {
-					b.ReportMetric(float64(m.ExecTime.Nanoseconds()), "secondary-ns")
-					b.ReportMetric(float64(m.SecondaryFetches), "fetches")
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkIndexBuild and BenchmarkSchemaBuild measure offline costs.

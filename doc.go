@@ -50,7 +50,7 @@
 //		fmt.Println(db.Path(r.Root), r.Cost) // break stops the evaluation
 //	}
 //
-// Every query entry point has a Context variant; WithParallelism fans the
-// schema-driven strategy's second-level queries out over a worker pool, and
-// WithMetrics records per-stage execution metrics.
+// Every query entry point has a Context variant and evaluates on the
+// caller's goroutine; WithParallelism bounds how many shards of a Corpus
+// search run at once, and WithMetrics records per-stage execution metrics.
 package approxql

@@ -113,7 +113,7 @@ func TestEndToEndPipeline(t *testing.T) {
 				// Schema-driven evaluation over the stored I_sec.
 				// Items arrive in ascending cost order.
 				var viaSec []Result
-				err = exec.New(db.Schema(), storedSec, exec.Config{N: n, Parallelism: 1}).Run(
+				err = exec.New(db.Schema(), storedSec, exec.Config{N: n}).Run(
 					context.Background(), x, func(it exec.Item) bool {
 						viaSec = append(viaSec, Result{Root: it.Root, Cost: it.Cost})
 						return len(viaSec) < n

@@ -30,8 +30,8 @@ type CacheStats struct {
 // namespaces are disjoint, so one cache serves both). It implements
 // index.PostingCache and replaces the per-reader ad-hoc caches: recency
 // eviction keeps hot labels resident instead of periodically dropping the
-// whole map, and one lock protects every reader the parallel secondary
-// stage shares.
+// whole map, and one lock protects every reader the engines of concurrent
+// queries share.
 type LRU struct {
 	mu      sync.Mutex
 	cap     int

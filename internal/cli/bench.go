@@ -92,7 +92,7 @@ func plannerCheck(runner *bench.Runner, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "=== planner suite (n=%d, workers=1) ===\n", evalN)
+	fmt.Fprintf(stdout, "=== planner suite (n=%d) ===\n", evalN)
 	fmt.Fprintf(stdout, "%-10s %-10s %-8s %14s %12s\n",
 		"pattern", "renamings", "strategy", "ns/query", "mean_results")
 	for _, m := range ps {

@@ -31,7 +31,7 @@ func Query(args []string, stdout, stderr io.Writer) error {
 		explain   = fs.Bool("explain", false, "print the best second-level queries instead of results")
 		stream    = fs.Bool("stream", false, "print results incrementally as they are found")
 		stats     = fs.Bool("stats", false, "with a query: print per-stage execution metrics after the results; without: print collection statistics")
-		parallel  = fs.Int("parallel", 0, "worker-pool size for second-level queries (0 = GOMAXPROCS, 1 = sequential)")
+		parallel  = fs.Int("parallel", 0, "shard workers of a corpus-bundle search (0 = GOMAXPROCS, 1 = one shard at a time)")
 		timeout   = fs.Duration("timeout", 0, "abort the query after this duration (0 = no limit)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -109,9 +109,6 @@ func Query(args []string, stdout, stderr io.Writer) error {
 		opts = append(opts, approxql.WithStrategy(approxql.SchemaDriven))
 	default:
 		return fmt.Errorf("unknown strategy %q", *strategy)
-	}
-	if *parallel != 0 {
-		opts = append(opts, approxql.WithParallelism(*parallel))
 	}
 	var metrics *approxql.QueryMetrics
 	if *stats {

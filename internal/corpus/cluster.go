@@ -313,8 +313,8 @@ type LocalShards struct {
 	cfg Config
 }
 
-// NewLocalShards wraps c as a node. cfg carries the evaluation knobs
-// (parallelism, k-schedule); its strategy fields are overridden per query.
+// NewLocalShards wraps c as a node. cfg carries the evaluation knobs (the
+// shard-worker count); its strategy fields are overridden per query.
 func NewLocalShards(c *Corpus, cfg Config) *LocalShards {
 	return &LocalShards{c: c, cfg: cfg}
 }

@@ -293,10 +293,8 @@ type Config struct {
 	// top-n heap.
 	Auto bool
 	// Parallelism bounds the shard-level worker pool (zero: GOMAXPROCS).
-	// Shards are the outer parallelism axis; within a shard the engine
-	// runs its secondary stage on one worker when several shards run
-	// concurrently (the shard pool already saturates the cores), and on
-	// Parallelism workers otherwise.
+	// It is the only concurrency of a search: each shard's engine runs
+	// on the worker that picked the shard up.
 	Parallelism int
 	// Metrics, when non-nil, accumulates the merged per-shard counters
 	// plus the corpus-level Shards/ShardsPruned counts.

@@ -40,7 +40,7 @@ func (c *Corpus) Explain(ctx context.Context, x *lang.Expanded, k int, cfg Confi
 	if len(active) == 0 {
 		return nil, nil
 	}
-	workers, inner := resolveWorkers(cfg, len(active))
+	workers := resolveWorkers(cfg, len(active))
 	perShard := make([][]exec.PlanInfo, len(active))
 	ctx2, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -56,10 +56,7 @@ func (c *Corpus) Explain(ctx context.Context, x *lang.Expanded, k int, cfg Confi
 			for i := range jobs {
 				sh := active[i]
 				var m exec.Metrics
-				eng := exec.New(sh.be.Schema(), sh.be, exec.Config{
-					Parallelism: inner,
-					Metrics:     &m,
-				})
+				eng := exec.New(sh.be.Schema(), sh.be, exec.Config{Metrics: &m})
 				plans, err := eng.Explain(ctx2, x, k)
 				mu.Lock()
 				if cfg.Metrics != nil {

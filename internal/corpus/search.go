@@ -120,22 +120,14 @@ func (t *topn[T]) down(i int) {
 	}
 }
 
-// resolveWorkers picks the shard-level pool size and each shard's inner
-// engine parallelism: one worker when several shards run concurrently (the
-// shard pool already saturates the cores), the caller's Parallelism for a
-// lone shard.
-func resolveWorkers(cfg Config, shards int) (workers, inner int) {
-	workers = cfg.Parallelism
+// resolveWorkers picks the shard-level pool size: cfg.Parallelism, or
+// GOMAXPROCS when it is zero, and never more than one worker per shard.
+func resolveWorkers(cfg Config, shards int) int {
+	workers := cfg.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > shards {
-		workers = shards
-	}
-	if workers > 1 {
-		return workers, 1
-	}
-	return workers, cfg.Parallelism // 0 lets the engine use GOMAXPROCS
+	return min(workers, shards)
 }
 
 // Search returns the global best n hits for the expanded query, ranked by
@@ -158,13 +150,12 @@ func (c *Corpus) Search(ctx context.Context, x *lang.Expanded, n int, cfg Config
 		// job channel. This keeps the Database-as-one-shard-corpus
 		// wrapper close to a plain single-database search; the heap's
 		// Offer already stops the engine on strictly worse costs.
-		_, inner := resolveWorkers(cfg, 1)
 		var m exec.Metrics
 		var err error
 		if decideShard(active[0], x, n, cfg, &m) {
-			err = searchShardDirect(ctx, active[0], x, n, inner, &m, heap.Offer)
+			err = searchShardDirect(ctx, active[0], x, n, &m, heap.Offer)
 		} else {
-			err = searchShardSchema(ctx, active[0], x, n, inner, &m, heap)
+			err = searchShardSchema(ctx, active[0], x, n, &m, heap)
 		}
 		merged.Merge(&m)
 		finishPlanner(merged, cfg)
@@ -177,7 +168,7 @@ func (c *Corpus) Search(ctx context.Context, x *lang.Expanded, n int, cfg Config
 		return heap.Sorted(), nil
 	}
 	if len(active) > 0 {
-		workers, inner := resolveWorkers(cfg, len(active))
+		workers := resolveWorkers(cfg, len(active))
 		ctx2, cancel := context.WithCancel(ctx)
 		defer cancel()
 
@@ -193,9 +184,9 @@ func (c *Corpus) Search(ctx context.Context, x *lang.Expanded, n int, cfg Config
 					var m exec.Metrics
 					var err error
 					if decideShard(sh, x, n, cfg, &m) {
-						err = searchShardDirect(ctx2, sh, x, n, inner, &m, heap.Offer)
+						err = searchShardDirect(ctx2, sh, x, n, &m, heap.Offer)
 					} else {
-						err = searchShardSchema(ctx2, sh, x, n, inner, &m, heap)
+						err = searchShardSchema(ctx2, sh, x, n, &m, heap)
 					}
 					mu.Lock()
 					merged.Merge(&m)
@@ -273,7 +264,7 @@ func finishPlanner(merged *exec.Metrics, cfg Config) {
 // within an equal-cost tier follows its second-level queries, not the
 // corpus (cost, doc, root) order, so its own n-truncation could keep the
 // wrong members of a tie set.
-func searchShardSchema(ctx context.Context, sh *Shard, x *lang.Expanded, n int, inner int, m *exec.Metrics, heap *topn[Hit]) error {
+func searchShardSchema(ctx context.Context, sh *Shard, x *lang.Expanded, n int, m *exec.Metrics, heap *topn[Hit]) error {
 	initialK := 0 // all hits wanted: the engine's own default
 	if n > 0 {
 		// Mirror the single-database default: plan roughly the requested
@@ -281,11 +272,10 @@ func searchShardSchema(ctx context.Context, sh *Shard, x *lang.Expanded, n int, 
 		initialK = max(n, 8)
 	}
 	eng := exec.New(sh.be.Schema(), sh.be, exec.Config{
-		N:           0,
-		InitialK:    initialK,
-		Parallelism: inner,
-		Metrics:     m,
-		Bound:       heap.Bound,
+		N:        0,
+		InitialK: initialK,
+		Metrics:  m,
+		Bound:    heap.Bound,
 	})
 	return eng.Run(ctx, x, func(it exec.Item) bool {
 		doc, ok := sh.docOf(it.Root)
@@ -303,8 +293,8 @@ func searchShardSchema(ctx context.Context, sh *Shard, x *lang.Expanded, n int, 
 // a shard's documents are preorder-contiguous, so its (cost, root) order
 // equals the global (cost, doc, root) order restricted to the shard, and
 // the global top n is contained in the union of per-shard top n's.
-func searchShardDirect(ctx context.Context, sh *Shard, x *lang.Expanded, n, inner int, m *exec.Metrics, offer func(Hit) bool) error {
-	res, err := exec.Direct(ctx, sh.be.Tree(), sh.be, x, n, inner, m)
+func searchShardDirect(ctx context.Context, sh *Shard, x *lang.Expanded, n int, m *exec.Metrics, offer func(Hit) bool) error {
+	res, err := exec.Direct(ctx, sh.be.Tree(), sh.be, x, n, m)
 	if err != nil {
 		return err
 	}

@@ -77,7 +77,6 @@ func (c *Corpus) stream(ctx context.Context, x *lang.Expanded, cfg Config, job s
 		return nil
 	}
 
-	_, inner := resolveWorkers(cfg, len(active))
 	ctx2, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -89,7 +88,7 @@ func (c *Corpus) stream(ctx context.Context, x *lang.Expanded, cfg Config, job s
 		wg.Add(1)
 		go func(i int, sh *Shard) {
 			defer wg.Done()
-			streamShard(ctx2, sh, x, cfg, job, inner, &metrics[i], streams[i])
+			streamShard(ctx2, sh, x, cfg, job, &metrics[i], streams[i])
 		}(i, sh)
 	}
 	// The producers select on ctx2 when sending, so cancelling first
@@ -157,7 +156,7 @@ func (c *Corpus) stream(ctx context.Context, x *lang.Expanded, cfg Config, job s
 // equal-cost tier (the engine emits tiers in plan order); direct shards
 // are already (cost, root)-sorted and forward as-is. It always terminates
 // the stream with a done marker.
-func streamShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, job streamJob, inner int, m *exec.Metrics, out chan<- streamItem) {
+func streamShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, job streamJob, m *exec.Metrics, out chan<- streamItem) {
 	send := func(it streamItem) bool {
 		select {
 		case out <- it:
@@ -168,7 +167,7 @@ func streamShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, j
 	}
 	if job.resolve {
 		if decideShard(sh, x, job.n, cfg, m) {
-			err := searchShardDirect(ctx, sh, x, job.n, inner, m, func(h Hit) bool {
+			err := searchShardDirect(ctx, sh, x, job.n, m, func(h Hit) bool {
 				if job.bound != nil && h.Cost > job.bound() {
 					// Delivery is cost-ascending and the bound monotone
 					// non-increasing: every later hit is cut too.
@@ -199,11 +198,10 @@ func streamShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, j
 	// front so an external bound can engage early; plain streaming (no n)
 	// starts small and grows.
 	eng := exec.New(sh.be.Schema(), sh.be, exec.Config{
-		N:           0,
-		InitialK:    max(job.n, 8),
-		Parallelism: inner,
-		Metrics:     m,
-		Bound:       job.bound,
+		N:        0,
+		InitialK: max(job.n, 8),
+		Metrics:  m,
+		Bound:    job.bound,
 	})
 	err := eng.Run(ctx, x, func(it exec.Item) bool {
 		doc, ok := sh.docOf(it.Root)

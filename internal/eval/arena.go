@@ -9,10 +9,9 @@ import (
 )
 
 // Arena chunks grow geometrically from arenaChunkMin to arenaChunkMax
-// entries (24 bytes each): short-lived contexts — forked subtree workers in
-// particular — stay at a few KiB, while a context evaluating large lists
-// quickly reaches chunks big enough that a query costs a handful of chunk
-// allocations.
+// entries (24 bytes each): an evaluator of small lists stays at a few KiB,
+// while one evaluating large lists quickly reaches chunks big enough that a
+// query costs a handful of chunk allocations.
 const (
 	arenaChunkMin = 1024
 	arenaChunkMax = 16384
@@ -25,7 +24,7 @@ const (
 // The arena is append-only: chunks are never recycled while the evaluator
 // lives, which is what keeps memoized lists valid across queries on a
 // reused evaluator.
-// Each evaluation context owns its own arena, so no locking is needed.
+// Each evaluator owns its arena, so no locking is needed.
 type entryArena struct {
 	cur     []Entry   // current chunk; len = entries handed out
 	reserve int       // capacity reserved by the pending alloc
@@ -33,7 +32,7 @@ type entryArena struct {
 	lists   []List    // list-header slab; see commitList
 	chunks  int
 	entries int
-	// Chunk-pool hit/miss counts, merged into Stats by putCtx.
+	// Chunk-pool hit/miss counts, reported by Evaluator.Stats.
 	poolHits   int
 	poolMisses int
 }

@@ -3,11 +3,8 @@ package eval
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"approxql/internal/cost"
 	"approxql/internal/index"
@@ -36,21 +33,6 @@ type Stats struct {
 	ArenaEntries  int // entries placed in arena chunks
 	ScratchHits   int // scratch sets served from the pool
 	ScratchMisses int // scratch sets freshly allocated
-	ParallelForks int // subtree evaluations forked to another goroutine
-}
-
-// add accumulates o into s field by field.
-func (s *Stats) add(o Stats) {
-	s.Fetches += o.Fetches
-	s.ListOps += o.ListOps
-	s.EntriesIn += o.EntriesIn
-	s.MemoHits += o.MemoHits
-	s.Evaluations += o.Evaluations
-	s.ArenaChunks += o.ArenaChunks
-	s.ArenaEntries += o.ArenaEntries
-	s.ScratchHits += o.ScratchHits
-	s.ScratchMisses += o.ScratchMisses
-	s.ParallelForks += o.ParallelForks
 }
 
 // Evaluator runs algorithm primary (Section 6.5) against a data tree. An
@@ -58,56 +40,36 @@ func (s *Stats) add(o Stats) {
 // "dynamic programming" of the full algorithm); it is cheap to create, so
 // use one per query unless the queries share an expanded representation.
 //
-// Retained lists are carved from per-context entry arenas and operation
+// Retained lists are carved from the evaluator's entry arena and operation
 // scratch comes from a process-wide pool, so an evaluation performs a small
 // constant number of heap allocations regardless of query and list sizes;
-// Stats reports the arena and scratch traffic. The evaluator is safe for
-// concurrent evaluations and, with Parallelism > 1, evaluates independent
-// subtrees of one query concurrently itself.
+// Stats reports the arena and scratch traffic. Evaluation is sequential: an
+// Evaluator must not be used from more than one goroutine at a time.
 type Evaluator struct {
 	tree *xmltree.Tree
 	src  index.Source
 
 	// DisableMemo turns off the dynamic programming for the ablation
-	// benchmarks. Memoized lists are also what makes intra-query
-	// parallelism effective; with the memo disabled, forked evaluations
-	// recompute shared subtrees.
+	// benchmarks.
 	DisableMemo bool
 
-	// Parallelism bounds the number of goroutines evaluating independent
-	// expanded-query subtrees (the two children of an and/or node)
-	// concurrently.
-	// Zero or one evaluates serially; results are byte-identical at any
-	// setting because the combine order is fixed. Values above
-	// runtime.GOMAXPROCS(0) are clamped: the evaluation is CPU-bound, so
-	// extra workers on a saturated scheduler only add handoff overhead.
-	// Set it before the first evaluation.
+	// Deprecated: evaluation is sequential; Parallelism is ignored.
 	Parallelism int
 
-	// ForceParallelism disables the GOMAXPROCS clamp on Parallelism, so
-	// tests can exercise the parallel paths (and their determinism) on
-	// single-CPU machines.
-	ForceParallelism bool
+	// The memo of the dynamic programming. Only completed computations
+	// are stored: one that failed or that a stopped context cut short is
+	// computed afresh by the next call.
+	fetchCache map[fetchKey][]xmltree.NodeID
+	innerCache map[*lang.XNode]*List
+	evalCache  map[evalKey]*List
 
-	mu         sync.Mutex
-	stats      Stats
-	fetchCache map[fetchKey]*memoLot
-	innerCache map[*lang.XNode]*memoLot
-	evalCache  map[evalKey]*memoLot
-	lotSlab    []memoLot // chunked backing store for memo slots
-	ctxFree    []*evalCtx
-	sem        chan struct{} // fork tokens; created at first parallel use
-}
-
-// newLot carves a memo slot from the slab, chunking so that the dozens of
-// slots of a query cost a few allocations. Callers hold ev.mu; pointers into
-// retired chunks stay valid.
-func (ev *Evaluator) newLot() *memoLot {
-	if len(ev.lotSlab) == cap(ev.lotSlab) {
-		ev.lotSlab = make([]memoLot, 0, 64)
-	}
-	ev.lotSlab = append(ev.lotSlab, memoLot{})
-	return &ev.lotSlab[len(ev.lotSlab)-1]
+	// cx is the running evaluation's context, checked before each step;
+	// sc is its pooled operation scratch. The arena that retained lists
+	// are built into and the statistics live as long as the evaluator.
+	cx    context.Context
+	sc    *opScratch
+	arena entryArena
+	stats Stats
 }
 
 type fetchKey struct {
@@ -120,54 +82,6 @@ type evalKey struct {
 	list *List
 }
 
-// memoLot is a single-flight memo slot: the first evaluation reaching a key
-// computes under the slot's lock while later ones (concurrent or not) wait
-// and share the result. This both deduplicates concurrent work and keeps
-// list identity canonical, which evalKey relies on.
-type memoLot struct {
-	mu   sync.Mutex
-	done bool
-	list *List
-	post []xmltree.NodeID // the posting, in a fetchCache lot
-	err  error
-}
-
-// do runs compute, which fills the lot's value and returns its error,
-// unless an earlier call completed the lot, and returns the lot's error.
-// The value may be read once do returns nil. A computation that a stopped
-// context cut short is not kept: the lot stays open, and the next caller,
-// under its own context, computes afresh.
-func (lot *memoLot) do(compute func() error) error {
-	lot.mu.Lock()
-	defer lot.mu.Unlock()
-	if !lot.done {
-		err := compute()
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
-		lot.err, lot.done = err, true
-	}
-	return lot.err
-}
-
-// evalCtx is the goroutine-private state of one evaluation: the caller's
-// context, checked before each step, the entry arena retained lists are
-// built into, the pooled operation scratch, and local statistics merged
-// into the evaluator when the context is released.
-type evalCtx struct {
-	cx    context.Context
-	arena entryArena
-	sc    *opScratch
-	stats Stats
-
-	// Arena totals already merged into Evaluator.stats, so repeated
-	// releases of a reused context report deltas.
-	reportedChunks     int
-	reportedEntries    int
-	reportedPoolHits   int
-	reportedPoolMisses int
-}
-
 // New returns an evaluator over the given data tree and posting source.
 func New(tree *xmltree.Tree, src index.Source) *Evaluator {
 	// The caches are pre-sized for a typical expanded query (a few dozen
@@ -175,9 +89,9 @@ func New(tree *xmltree.Tree, src index.Source) *Evaluator {
 	return &Evaluator{
 		tree:       tree,
 		src:        src,
-		fetchCache: make(map[fetchKey]*memoLot, 32),
-		innerCache: make(map[*lang.XNode]*memoLot, 32),
-		evalCache:  make(map[evalKey]*memoLot, 64),
+		fetchCache: make(map[fetchKey][]xmltree.NodeID, 32),
+		innerCache: make(map[*lang.XNode]*List, 32),
+		evalCache:  make(map[evalKey]*List, 64),
 	}
 }
 
@@ -189,68 +103,18 @@ func New(tree *xmltree.Tree, src index.Source) *Evaluator {
 // evaluator and every *List obtained from it are invalid; Result slices from
 // All/BestN are copies and stay valid.
 func (ev *Evaluator) Release() {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	for _, ctx := range ev.ctxFree {
-		ctx.arena.release()
-		*ctx = evalCtx{}
-	}
-	ev.ctxFree = nil
+	ev.arena.release()
 	ev.fetchCache, ev.innerCache, ev.evalCache = nil, nil, nil
-	ev.lotSlab = nil
 }
 
 // Stats returns the operation counters accumulated so far.
 func (ev *Evaluator) Stats() Stats {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	return ev.stats
-}
-
-// getCtx reuses a released evaluation context (keeping its arena warm) or
-// creates one, and attaches cx and pooled scratch.
-func (ev *Evaluator) getCtx(cx context.Context) *evalCtx {
-	ev.mu.Lock()
-	var ctx *evalCtx
-	if n := len(ev.ctxFree); n > 0 {
-		ctx = ev.ctxFree[n-1]
-		ev.ctxFree = ev.ctxFree[:n-1]
-	}
-	ev.mu.Unlock()
-	if ctx == nil {
-		ctx = &evalCtx{}
-	}
-	ctx.cx = cx
-	sc, hit := acquireScratch()
-	ctx.sc = sc
-	if hit {
-		ctx.stats.ScratchHits++
-	} else {
-		ctx.stats.ScratchMisses++
-	}
-	return ctx
-}
-
-// putCtx releases the scratch back to the pool, folds the context's local
-// statistics into the evaluator, and shelves the context (with its arena)
-// for reuse.
-func (ev *Evaluator) putCtx(ctx *evalCtx) {
-	releaseScratch(ctx.sc)
-	ctx.sc = nil
-	ctx.cx = nil
-	ctx.stats.ArenaChunks += ctx.arena.chunks - ctx.reportedChunks
-	ctx.stats.ArenaEntries += ctx.arena.entries - ctx.reportedEntries
-	ctx.stats.ScratchHits += ctx.arena.poolHits - ctx.reportedPoolHits
-	ctx.stats.ScratchMisses += ctx.arena.poolMisses - ctx.reportedPoolMisses
-	ctx.reportedChunks = ctx.arena.chunks
-	ctx.reportedEntries = ctx.arena.entries
-	ctx.reportedPoolHits = ctx.arena.poolHits
-	ctx.reportedPoolMisses = ctx.arena.poolMisses
-	ev.mu.Lock()
-	ev.stats.add(ctx.stats)
-	ctx.stats = Stats{}
-	ev.ctxFree = append(ev.ctxFree, ctx)
-	ev.mu.Unlock()
+	s := ev.stats
+	s.ArenaChunks = ev.arena.chunks
+	s.ArenaEntries = ev.arena.entries
+	s.ScratchHits += ev.arena.poolHits
+	s.ScratchMisses += ev.arena.poolMisses
+	return s
 }
 
 // Primary finds the images of all approximate embeddings of the expanded
@@ -270,18 +134,18 @@ func (ev *Evaluator) primary(cx context.Context, x *lang.Expanded) (*List, error
 	if root.Rep != lang.RepNode {
 		return nil, fmt.Errorf("eval: expanded root has type %v, want node", root.Rep)
 	}
-	par := ev.Parallelism
-	if !ev.ForceParallelism {
-		par = min(par, runtime.GOMAXPROCS(0))
+	sc, hit := acquireScratch()
+	if hit {
+		ev.stats.ScratchHits++
+	} else {
+		ev.stats.ScratchMisses++
 	}
-	if par > 1 && ev.sem == nil {
-		// The evaluating goroutine is a worker too, so par-1 fork
-		// tokens bound the total at par.
-		ev.sem = make(chan struct{}, par-1)
-	}
-	ctx := ev.getCtx(cx)
-	defer ev.putCtx(ctx)
-	return ev.inner(ctx, root)
+	ev.cx, ev.sc = cx, sc
+	defer func() {
+		releaseScratch(sc)
+		ev.cx, ev.sc = nil, nil
+	}()
+	return ev.inner(root)
 }
 
 // All solves the approximate query-matching problem (Definition 11): every
@@ -410,30 +274,24 @@ func SortResults(res []Result) {
 // posting returns the index posting of the given label (Section 6.4,
 // function fetch), cached per evaluator so that a label shared by several
 // query nodes or renamings is read once. Postings are immutable.
-func (ev *Evaluator) posting(ctx *evalCtx, label string, kind cost.Kind) ([]xmltree.NodeID, error) {
+func (ev *Evaluator) posting(label string, kind cost.Kind) ([]xmltree.NodeID, error) {
 	key := fetchKey{label, kind}
-	ev.mu.Lock()
-	lot, ok := ev.fetchCache[key]
-	if !ok {
-		lot = ev.newLot()
-		ev.fetchCache[key] = lot
+	if post, ok := ev.fetchCache[key]; ok {
+		return post, nil
 	}
-	ev.mu.Unlock()
-	err := lot.do(func() (err error) {
-		if kind == cost.Text {
-			lot.post, err = ev.src.Text(label)
-		} else {
-			lot.post, err = ev.src.Struct(label)
-		}
-		if err == nil {
-			ctx.stats.Fetches++
-		}
-		return err
-	})
+	var post []xmltree.NodeID
+	var err error
+	if kind == cost.Text {
+		post, err = ev.src.Text(label)
+	} else {
+		post, err = ev.src.Struct(label)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return lot.post, nil
+	ev.stats.Fetches++
+	ev.fetchCache[key] = post
+	return post, nil
 }
 
 // inner computes the ancestor-independent part of a RepNode or RepLeaf:
@@ -441,45 +299,40 @@ func (ev *Evaluator) posting(ctx *evalCtx, label string, kind cost.Kind) ([]xmlt
 // costs of the node's content. This is the memoized quantity of the paper's
 // dynamic programming: it is evaluated once regardless of how many ancestor
 // contexts reference the node.
-func (ev *Evaluator) inner(ctx *evalCtx, u *lang.XNode) (*List, error) {
+func (ev *Evaluator) inner(u *lang.XNode) (*List, error) {
 	if ev.DisableMemo {
-		ctx.stats.Evaluations++
-		return ev.computeInner(ctx, u)
+		ev.stats.Evaluations++
+		return ev.computeInner(u)
 	}
-	ev.mu.Lock()
-	lot, ok := ev.innerCache[u]
-	if !ok {
-		lot = ev.newLot()
-		ev.innerCache[u] = lot
+	if l, ok := ev.innerCache[u]; ok {
+		ev.stats.MemoHits++
+		return l, nil
 	}
-	ev.mu.Unlock()
-	if ok {
-		ctx.stats.MemoHits++
-	} else {
-		ctx.stats.Evaluations++
-	}
-	if err := lot.do(func() (err error) { lot.list, err = ev.computeInner(ctx, u); return err }); err != nil {
+	ev.stats.Evaluations++
+	l, err := ev.computeInner(u)
+	if err != nil {
 		return nil, err
 	}
-	return lot.list, nil
+	ev.innerCache[u] = l
+	return l, nil
 }
 
-func (ev *Evaluator) computeInner(ctx *evalCtx, u *lang.XNode) (*List, error) {
-	if err := ctx.cx.Err(); err != nil {
+func (ev *Evaluator) computeInner(u *lang.XNode) (*List, error) {
+	if err := ev.cx.Err(); err != nil {
 		return nil, err
 	}
 	switch u.Rep {
 	case lang.RepLeaf:
 		// Leaf matches have embedding cost 0 plus the renaming charge and
 		// are by definition query-leaf matches: the leaf rule.
-		return ev.matches(ctx, u, true)
+		return ev.matches(u, true)
 	case lang.RepNode:
 		if u.Child == nil {
 			// A bare root selector: its matches double as leaf matches,
 			// exactly the leaf rule.
-			return ev.matches(ctx, u, true)
+			return ev.matches(u, true)
 		}
-		return ev.innerNode(ctx, u)
+		return ev.innerNode(u)
 	}
 	return nil, fmt.Errorf("eval: inner called on %v node", u.Rep)
 }
@@ -499,15 +352,15 @@ func (ev *Evaluator) computeInner(ctx *evalCtx, u *lang.XNode) (*List, error) {
 // The content's result is sparse: the charge pass touches its entries
 // only, and the inner list keeps lv as its base, so a match of lv the
 // result does not hold costs the result's default plus its charge.
-func (ev *Evaluator) innerNode(ctx *evalCtx, u *lang.XNode) (*List, error) {
-	lv, err := ev.matches(ctx, u, false)
+func (ev *Evaluator) innerNode(u *lang.XNode) (*List, error) {
+	lv, err := ev.matches(u, false)
 	if err != nil {
 		return nil, err
 	}
 	// computeEval, not eval: lv is private to u, so nothing else evaluates
 	// against it, and the fresh result is not shared until it is returned,
 	// so the charges may go into it in place.
-	l, err := ev.computeEval(ctx, u.Child, lv)
+	l, err := ev.computeEval(u.Child, lv)
 	if err != nil {
 		return nil, err
 	}
@@ -523,15 +376,15 @@ func (ev *Evaluator) innerNode(ctx *evalCtx, u *lang.XNode) (*List, error) {
 // matches fetches the postings of u's label (charge 0) and of each of its
 // renamings and merges them into one list, applying the leaf rule
 // (LeafCost = EmbCost) if leaf.
-func (ev *Evaluator) matches(ctx *evalCtx, u *lang.XNode, leaf bool) (*List, error) {
-	vs := ctx.sc.variants[:0]
+func (ev *Evaluator) matches(u *lang.XNode, leaf bool) (*List, error) {
+	vs := ev.sc.variants[:0]
 	n := 0
 	for k := -1; k < len(u.Renamings); k++ {
 		label, charge := u.Label, cost.Cost(0)
 		if k >= 0 {
 			label, charge = u.Renamings[k].To, u.Renamings[k].Cost
 		}
-		post, err := ev.posting(ctx, label, u.Kind)
+		post, err := ev.posting(label, u.Kind)
 		if err != nil {
 			return nil, err
 		}
@@ -540,13 +393,13 @@ func (ev *Evaluator) matches(ctx *evalCtx, u *lang.XNode, leaf bool) (*List, err
 			n += len(post)
 		}
 	}
-	ctx.sc.variants = vs
+	ev.sc.variants = vs
 	if len(u.Renamings) > 0 {
-		ctx.stats.ListOps++
-		ctx.stats.EntriesIn += n
+		ev.stats.ListOps++
+		ev.stats.EntriesIn += n
 	}
-	dst := ctx.arena.alloc(n)
-	return ctx.arena.commitList(appendVariants(dst, ev.tree, vs, leaf), cost.Inf), nil
+	dst := ev.arena.alloc(n)
+	return ev.arena.commitList(appendVariants(dst, ev.tree, vs, leaf), cost.Inf), nil
 }
 
 // eval is algorithm primary (Figure 4) restructured around a uniform edge
@@ -554,41 +407,37 @@ func (ev *Evaluator) matches(ctx *evalCtx, u *lang.XNode, leaf bool) (*List, err
 // because every case adds cEdge to each produced entry. Results are memoized
 // on (node, ancestor-list identity); inner returns canonical lists, so
 // repeated evaluations of shared subtrees (deletion bridges) hit the memo.
-func (ev *Evaluator) eval(ctx *evalCtx, u *lang.XNode, lA *List) (*List, error) {
+func (ev *Evaluator) eval(u *lang.XNode, lA *List) (*List, error) {
 	if ev.DisableMemo {
-		return ev.computeEval(ctx, u, lA)
+		return ev.computeEval(u, lA)
 	}
 	key := evalKey{u, lA}
-	ev.mu.Lock()
-	lot, ok := ev.evalCache[key]
-	if !ok {
-		lot = ev.newLot()
-		ev.evalCache[key] = lot
+	if l, ok := ev.evalCache[key]; ok {
+		ev.stats.MemoHits++
+		return l, nil
 	}
-	ev.mu.Unlock()
-	if ok {
-		ctx.stats.MemoHits++
-	}
-	if err := lot.do(func() (err error) { lot.list, err = ev.computeEval(ctx, u, lA); return err }); err != nil {
+	l, err := ev.computeEval(u, lA)
+	if err != nil {
 		return nil, err
 	}
-	return lot.list, nil
+	ev.evalCache[key] = l
+	return l, nil
 }
 
-func (ev *Evaluator) computeEval(ctx *evalCtx, u *lang.XNode, lA *List) (*List, error) {
-	if err := ctx.cx.Err(); err != nil {
+func (ev *Evaluator) computeEval(u *lang.XNode, lA *List) (*List, error) {
+	if err := ev.cx.Err(); err != nil {
 		return nil, err
 	}
 	switch u.Rep {
 	case lang.RepLeaf, lang.RepNode:
-		ld, err := ev.inner(ctx, u)
+		ld, err := ev.inner(u)
 		if err != nil {
 			return nil, err
 		}
-		ctx.stats.ListOps++
-		ctx.stats.EntriesIn += lA.Len() + ld.Len()
-		sc := &ctx.sc.join
-		dst := ctx.arena.alloc(joinCore(ev.tree, lA.entries, ld, sc))
+		ev.stats.ListOps++
+		ev.stats.EntriesIn += lA.Len() + ld.Len()
+		sc := &ev.sc.join
+		dst := ev.arena.alloc(joinCore(ev.tree, lA.entries, ld, sc))
 		dflt := cost.Inf
 		if u.Rep == lang.RepLeaf {
 			// Outerjoin: an ancestor without a leaf match costs the
@@ -597,81 +446,41 @@ func (ev *Evaluator) computeEval(ctx *evalCtx, u *lang.XNode, lA *List) (*List, 
 		} else {
 			dst = emitJoin(dst, sc, 0)
 		}
-		return ctx.arena.commitList(dst, dflt), nil
+		return ev.arena.commitList(dst, dflt), nil
 	case lang.RepAnd:
-		ll, lr, err := ev.evalPair(ctx, u.Left, u.Right, lA)
+		ll, lr, err := ev.evalPair(u.Left, u.Right, lA)
 		if err != nil {
 			return nil, err
 		}
-		ctx.stats.ListOps++
-		ctx.stats.EntriesIn += ll.Len() + lr.Len()
-		dst := ctx.arena.alloc(intersectBound(ll.Len(), lr.Len(), ll.dflt, lr.dflt))
+		ev.stats.ListOps++
+		ev.stats.EntriesIn += ll.Len() + lr.Len()
+		dst := ev.arena.alloc(intersectBound(ll.Len(), lr.Len(), ll.dflt, lr.dflt))
 		dst, dflt := appendIntersect(dst, ll.entries, lr.entries, ll.dflt, lr.dflt, 0)
-		return ctx.arena.commitList(dst, dflt), nil
+		return ev.arena.commitList(dst, dflt), nil
 	case lang.RepOr:
-		ll, lr, err := ev.evalPair(ctx, u.Left, u.Right, lA)
+		ll, lr, err := ev.evalPair(u.Left, u.Right, lA)
 		if err != nil {
 			return nil, err
 		}
 		// The or-branch's edge charge (bump of the paper) folds into the
 		// union as a per-side cost.
-		ctx.stats.ListOps++
-		ctx.stats.EntriesIn += ll.Len() + lr.Len()
-		dst := ctx.arena.alloc(ll.Len() + lr.Len())
+		ev.stats.ListOps++
+		ev.stats.EntriesIn += ll.Len() + lr.Len()
+		dst := ev.arena.alloc(ll.Len() + lr.Len())
 		dst, dflt := appendUnion(dst, ll.entries, lr.entries, ll.dflt, lr.dflt, 0, u.EdgeCost)
-		return ctx.arena.commitList(dst, dflt), nil
+		return ev.arena.commitList(dst, dflt), nil
 	}
 	return nil, fmt.Errorf("eval: unknown representation type %v", u.Rep)
 }
 
-// forkMinEntries is the smallest ancestor list worth forking a sibling
-// subtree for: below it, the goroutine handoff and context churn cost more
-// than one pass over the list. Deletion bridges in particular share their
-// content evaluation through the memo, so only the joins against lA remain
-// parallel work there. A variable so equivalence tests can lower it and
-// drive the fork paths on small trees.
-var forkMinEntries = 4096
-
 // evalPair evaluates two sibling subtrees against the same ancestor list,
-// forking the right one to another goroutine when a fork token is free.
-// Forks never block on a token (try-acquire), so memo waits are the only
-// cross-goroutine waits and they follow the acyclic expanded DAG — no
-// deadlock. The combine order is the caller's, fixed, so results do not
-// depend on scheduling.
-func (ev *Evaluator) evalPair(ctx *evalCtx, uL, uR *lang.XNode, lA *List) (*List, *List, error) {
-	if ev.sem != nil && lA.Len() >= forkMinEntries {
-		select {
-		case ev.sem <- struct{}{}:
-			ctx.stats.ParallelForks++
-			type res struct {
-				list *List
-				err  error
-			}
-			ch := make(chan res, 1)
-			go func() {
-				defer func() { <-ev.sem }()
-				ctx2 := ev.getCtx(ctx.cx)
-				list, err := ev.eval(ctx2, uR, lA)
-				ev.putCtx(ctx2)
-				ch <- res{list, err}
-			}()
-			ll, errL := ev.eval(ctx, uL, lA)
-			r := <-ch
-			if errL != nil {
-				return nil, nil, errL
-			}
-			if r.err != nil {
-				return nil, nil, r.err
-			}
-			return ll, r.list, nil
-		default:
-		}
-	}
-	ll, err := ev.eval(ctx, uL, lA)
+// left first.
+func (ev *Evaluator) evalPair(uL, uR *lang.XNode, lA *List) (*List, *List, error) {
+	ll, err := ev.eval(uL, lA)
 	if err != nil {
 		return nil, nil, err
 	}
-	lr, err := ev.eval(ctx, uR, lA)
+	lr, err := ev.eval(uR, lA)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -403,38 +403,26 @@ func TestUnmatchedLeafWritesNoEntries(t *testing.T) {
 
 // TestBestNContextStopsAndRecovers stops an evaluation mid-way and then
 // reruns the query on the same evaluator: the stopped steps were not
-// memoized, so the rerun returns the full ranking. With forced forks the
-// stop reaches subtrees evaluating on other goroutines.
+// memoized, so the rerun returns the full ranking.
 func TestBestNContextStopsAndRecovers(t *testing.T) {
-	old := forkMinEntries
-	forkMinEntries = 1
-	defer func() { forkMinEntries = old }()
-
 	tree, ix, model := catalogFixture()
 	x := lang.Expand(lang.MustParse(`cd[track[title["piano" and "concerto"]] and composer["rachmaninov"]]`), model)
 	want, err := New(tree, ix).BestN(x, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		ev := New(tree, &cancelOnFetch{Source: ix, cancel: cancel, after: 3})
-		ev.Parallelism = workers
-		ev.ForceParallelism = true
-		if res, err := ev.BestNContext(ctx, x, 0); !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: stopped evaluation returned %v, %v; want context.Canceled", workers, res, err)
-		}
-		got, err := ev.BestN(x, 0)
-		if err != nil {
-			t.Fatalf("workers=%d: rerun: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: rerun after a stop = %v, want %v", workers, got, want)
-		}
-		if workers > 1 && ev.Stats().ParallelForks == 0 {
-			t.Errorf("workers=%d: no subtree was forked", workers)
-		}
-		cancel()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ev := New(tree, &cancelOnFetch{Source: ix, cancel: cancel, after: 3})
+	if res, err := ev.BestNContext(ctx, x, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("stopped evaluation returned %v, %v; want context.Canceled", res, err)
+	}
+	got, err := ev.BestN(x, 0)
+	if err != nil {
+		t.Fatalf("rerun: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("rerun after a stop = %v, want %v", got, want)
 	}
 }
 

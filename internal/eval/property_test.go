@@ -137,16 +137,11 @@ func TestPrimaryMatchesReference(t *testing.T) {
 }
 
 // TestPrimaryMatchesReferenceRenamingHeavy cross-checks the fused label
-// variants of renamed nodes, serially and with forced forks. Every name and
-// every term renames to every other, so each query node merges all labels
-// of its kind and any nesting of elements in the random trees nests variants
-// of one query label. One name and one term also rename to themselves at a
+// variants of renamed nodes. Every name and every term renames to every
+// other, so each query node merges all labels of its kind and any nesting of
+// elements in the random trees nests variants of one query label. One name and one term also rename to themselves at a
 // non-zero cost, which puts their matches into two variants at once.
 func TestPrimaryMatchesReferenceRenamingHeavy(t *testing.T) {
-	old := forkMinEntries
-	forkMinEntries = 1
-	defer func() { forkMinEntries = old }()
-
 	rng := rand.New(rand.NewSource(1966))
 	trials := 200
 	if testing.Short() {
@@ -175,21 +170,15 @@ func TestPrimaryMatchesReferenceRenamingHeavy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Reference: %v", trial, err)
 		}
-		x := lang.Expand(q, model)
-		ix := index.Build(tree)
-		for _, workers := range []int{1, 4} {
-			ev := New(tree, ix)
-			ev.Parallelism = workers
-			ev.ForceParallelism = true
-			got, err := ev.BestN(x, 0)
-			ev.Release()
-			if err != nil {
-				t.Fatalf("trial %d workers=%d: BestN: %v", trial, workers, err)
-			}
-			if !resultsEqual(got, want) {
-				t.Fatalf("trial %d workers=%d: query %s\ntree:\n%s\nprimary:   %v\nreference: %v",
-					trial, workers, q, tree.RenderString(0), got, want)
-			}
+		ev := New(tree, index.Build(tree))
+		got, err := ev.BestN(lang.Expand(q, model), 0)
+		ev.Release()
+		if err != nil {
+			t.Fatalf("trial %d: BestN: %v", trial, err)
+		}
+		if !resultsEqual(got, want) {
+			t.Fatalf("trial %d: query %s\ntree:\n%s\nprimary:   %v\nreference: %v",
+				trial, q, tree.RenderString(0), got, want)
 		}
 	}
 }

@@ -8,20 +8,12 @@
 // skips the ones already executed in earlier rounds (signature dedup — the
 // k-best list for a larger k extends the list for a smaller k), executes
 // the new ones against the secondary index, and grows k geometrically until
-// enough results are found or the plan space is exhausted.
-//
-// The secondary stage is embarrassingly parallel: the second-level queries
-// of a round are independent semijoin programs. The engine fans them out
-// over a bounded worker pool while preserving the sequential result order
-// with an ordered fan-in — the results of query i are released only after
-// queries 0..i-1 have delivered theirs — so parallel and sequential
-// execution emit identical (root, cost) sequences.
+// enough results are found or the plan space is exhausted. Both strategies
+// run on the caller's goroutine.
 package exec
 
 import (
 	"context"
-	"runtime"
-	"sync"
 	"time"
 
 	"approxql/internal/backend"
@@ -51,9 +43,7 @@ type Config struct {
 	// second-level queries the plan can generate, past which growing k is
 	// provably useless.
 	MaxK int
-	// Parallelism is the worker-pool size for the secondary stage.
-	// Zero means GOMAXPROCS; 1 executes sequentially in the calling
-	// goroutine. Results are deterministic at any setting.
+	// Deprecated: execution is sequential; Parallelism is ignored.
 	Parallelism int
 	// Metrics, when non-nil, receives per-stage counters and timings.
 	Metrics *Metrics
@@ -154,7 +144,6 @@ func (g *Engine) Run(ctx context.Context, x *lang.Expanded, emit func(Item) bool
 	k = max(min(k, maxK), 1)
 	delta := k
 	m.MaxK = maxK
-	m.Parallelism = g.parallelism()
 
 	// target bounds the emission count: every result root is an instance
 	// of a schema class carrying the root label or one of its renamings,
@@ -240,7 +229,6 @@ func (g *Engine) Run(ctx context.Context, x *lang.Expanded, emit func(Item) bool
 				boundStopped = true
 			}
 		}
-		m.Executed += len(pending)
 
 		t0 = time.Now()
 		midStop, err := g.runSecondary(ctx, en, pending, m, deliver)
@@ -273,15 +261,6 @@ func (g *Engine) Run(ctx context.Context, x *lang.Expanded, emit func(Item) bool
 	}
 }
 
-// parallelism resolves the configured worker count.
-func (g *Engine) parallelism() int {
-	p := g.cfg.Parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	return p
-}
-
 // cutAtBound returns the number of leading entries of the cost-sorted list
 // whose cost does not strictly exceed bound. Equal-cost entries survive:
 // under the (cost, doc, root) total order of a merging heap they can still
@@ -297,148 +276,32 @@ func cutAtBound(pending []*kbest.Entry, bound cost.Cost) int {
 
 // runSecondary executes the pending second-level queries of one round in
 // order, delivering each query's roots through deliver (which returns false
-// to stop). With parallelism > 1 the queries run concurrently on a worker
-// pool and are released through an ordered fan-in, so delivery order — and
-// therefore every emitted sequence — is identical to sequential execution.
-// The external cost bound is re-read during the round (it tightens while
-// other shards report results); runSecondary reports true when it stopped
-// the round because the bound was crossed mid-way.
+// to stop). The external cost bound is re-read before each query (it
+// tightens while other shards report results); runSecondary reports true
+// when it stopped the round because the bound was crossed mid-way.
 func (g *Engine) runSecondary(ctx context.Context, en *kbest.Engine, pending []*kbest.Entry, m *Metrics, deliver func(*kbest.Entry, []xmltree.NodeID) bool) (bool, error) {
 	if len(pending) == 0 {
 		return false, nil
 	}
-	bound := g.cfg.Bound
-	p := g.parallelism()
-	if p > len(pending) {
-		p = len(pending)
-	}
-	if p <= 1 {
-		ex := en.NewExecutor()
-		defer func() {
-			s := ex.Stats()
-			m.SecondaryFetches += s.Runs
-			m.PostingsScanned += s.PostingsScanned
-		}()
-		for i, e := range pending {
-			if bound != nil && e.Cost > bound() {
-				m.BoundSkipped += len(pending) - i
-				return true, nil
-			}
-			roots, err := ex.Secondary(ctx, e)
-			if err != nil {
-				return false, err
-			}
-			if !deliver(e, roots) {
-				return false, nil
-			}
-		}
-		return false, nil
-	}
-
-	// The queries are grouped into contiguous batches: one channel round
-	// trip per batch instead of per query (individual second-level queries
-	// can be microseconds of work), and a worker's executor cache gets
-	// reused across the whole batch. Order is preserved — batches are
-	// delivered in sequence, queries in sequence within each batch.
-	batchSize := (len(pending) + p*4 - 1) / (p * 4)
-	if batchSize > 64 {
-		batchSize = 64
-	}
-	numBatches := (len(pending) + batchSize - 1) / batchSize
-
-	type slot struct {
-		roots [][]xmltree.NodeID // per query of the batch; short on error
-		err   error
-		done  chan struct{}
-	}
-	slots := make([]slot, numBatches)
-	for i := range slots {
-		slots[i].done = make(chan struct{})
-	}
-	ctx2, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker owns an executor: caches and counters are
-			// per-goroutine, the schema and secondary source are shared
-			// (and safe for concurrent reads).
-			ex := en.NewExecutor()
-			skipped := 0
-			for bi := range jobs {
-				lo := bi * batchSize
-				hi := lo + batchSize
-				if hi > len(pending) {
-					hi = len(pending)
-				}
-				res := make([][]xmltree.NodeID, 0, hi-lo)
-				for _, e := range pending[lo:hi] {
-					// The bound can tighten while the batch runs; a nil
-					// slot keeps delivery indexing aligned and delivers
-					// nothing. The ordered fan-in re-checks the bound and
-					// stops the round at the first over-bound query.
-					if bound != nil && e.Cost > bound() {
-						skipped++
-						res = append(res, nil)
-						continue
-					}
-					roots, err := ex.Secondary(ctx2, e)
-					if err != nil {
-						slots[bi].err = err
-						break
-					}
-					res = append(res, roots)
-				}
-				slots[bi].roots = res
-				close(slots[bi].done)
-			}
-			s := ex.Stats()
-			mu.Lock()
-			m.SecondaryFetches += s.Runs
-			m.PostingsScanned += s.PostingsScanned
-			m.BoundSkipped += skipped
-			mu.Unlock()
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for bi := 0; bi < numBatches; bi++ {
-			select {
-			case jobs <- bi:
-			case <-ctx2.Done():
-				return
-			}
-		}
+	ex := en.NewExecutor()
+	defer func() {
+		s := ex.Stats()
+		m.SecondaryFetches += s.Runs
+		m.PostingsScanned += s.PostingsScanned
 	}()
-	defer wg.Wait()
-
-	// Ordered fan-in: query i's results are released only after queries
-	// 0..i-1 have delivered theirs.
-	for bi := 0; bi < numBatches; bi++ {
-		select {
-		case <-slots[bi].done:
-		case <-ctx2.Done():
-			return false, ctx2.Err()
+	bound := g.cfg.Bound
+	for i, e := range pending {
+		if bound != nil && e.Cost > bound() {
+			m.BoundSkipped += len(pending) - i
+			return true, nil
 		}
-		lo := bi * batchSize
-		for j, roots := range slots[bi].roots {
-			if bound != nil && pending[lo+j].Cost > bound() {
-				cancel()
-				return true, nil
-			}
-			if !deliver(pending[lo+j], roots) {
-				cancel()
-				return false, nil
-			}
+		m.Executed++
+		roots, err := ex.Secondary(ctx, e)
+		if err != nil {
+			return false, err
 		}
-		if slots[bi].err != nil {
-			cancel()
-			return false, slots[bi].err
+		if !deliver(e, roots) {
+			return false, nil
 		}
 	}
 	return false, nil

@@ -10,11 +10,6 @@ import (
 // EXPLAIN-ANALYZE view of the schema-driven strategy. Pass a zero Metrics
 // through Config.Metrics (one per Run; the engine does not reset it, so a
 // reused struct accumulates).
-//
-// Counters that depend on work distribution (SecondaryFetches,
-// PostingsScanned) may differ between parallel and sequential runs of the
-// same query: worker-local executor caches deduplicate shared skeleton
-// children per worker, not globally. Emitted results never differ.
 type Metrics struct {
 	// ParseTime and ExpandTime cover query parsing and the expansion
 	// under the cost model; they are filled by the public facade.
@@ -43,8 +38,10 @@ type Metrics struct {
 	// Deduped counts planned queries skipped because an earlier round
 	// already executed a query with the same skeleton signature.
 	Deduped int
-	// Executed counts second-level queries actually executed: Planned
-	// minus Deduped.
+	// Executed counts second-level queries executed against the
+	// secondary index. It is at most Planned minus Deduped: a run that
+	// stops early (enough results, emit returned false, or the external
+	// bound) leaves the rest of its round unexecuted.
 	Executed int
 
 	// SchemaFetches counts schema-index fetches during planning.
@@ -79,13 +76,11 @@ type Metrics struct {
 	// EvalArenaChunks and EvalArenaEntries count entry-arena chunks
 	// allocated and entries carved from them; EvalScratchHits and
 	// EvalScratchMisses count pooled scratch and chunk acquisitions served
-	// from a pool versus freshly allocated; EvalParallelForks counts
-	// subtree evaluations forked onto extra goroutines.
+	// from a pool versus freshly allocated.
 	EvalArenaChunks   int
 	EvalArenaEntries  int
 	EvalScratchHits   int
 	EvalScratchMisses int
-	EvalParallelForks int
 
 	// The corpus counters describe a sharded scatter-gather evaluation
 	// (internal/corpus); they stay zero for single-database queries.
@@ -121,13 +116,11 @@ type Metrics struct {
 	// Truncated reports that the search hit MaxK before finding N
 	// results or exhausting the plan space: the answer is best-effort.
 	Truncated bool
-	// Parallelism is the effective worker-pool size.
-	Parallelism int
 }
 
 // Merge accumulates another evaluation's metrics into m: durations and
-// counters add, KPerRound appends, MaxK/FinalK/Parallelism keep the maximum
-// seen, and Truncated ors. It is the aggregation primitive for long-running
+// counters add, KPerRound appends, MaxK/FinalK keep the maximum seen, and
+// Truncated ors. It is the aggregation primitive for long-running
 // processes (the query server) that fold per-request metrics into one
 // cumulative view. The caller provides synchronization.
 func (m *Metrics) Merge(o *Metrics) {
@@ -159,7 +152,6 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.EvalArenaEntries += o.EvalArenaEntries
 	m.EvalScratchHits += o.EvalScratchHits
 	m.EvalScratchMisses += o.EvalScratchMisses
-	m.EvalParallelForks += o.EvalParallelForks
 	m.Shards += o.Shards
 	m.ShardsPruned += o.ShardsPruned
 	m.BoundSkipped += o.BoundSkipped
@@ -173,9 +165,6 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.PlannerSchema += o.PlannerSchema
 	m.ResultsEmitted += o.ResultsEmitted
 	m.Truncated = m.Truncated || o.Truncated
-	if o.Parallelism > m.Parallelism {
-		m.Parallelism = o.Parallelism
-	}
 }
 
 // Snapshot returns a copy of m safe to read while the original keeps
@@ -216,9 +205,6 @@ func (m *Metrics) String() string {
 	if m.EvalArenaEntries > 0 {
 		w("eval arena        %d entries in %d chunks", m.EvalArenaEntries, m.EvalArenaChunks)
 		w("eval scratch      %d pool hits, %d misses", m.EvalScratchHits, m.EvalScratchMisses)
-		if m.EvalParallelForks > 0 {
-			w("eval forks        %d", m.EvalParallelForks)
-		}
 	}
 	if m.Shards > 0 {
 		w("shards            %d searched, %d pruned", m.Shards, m.ShardsPruned)
@@ -236,7 +222,6 @@ func (m *Metrics) String() string {
 		}
 	}
 	w("results emitted   %d", m.ResultsEmitted)
-	w("parallelism       %d", m.Parallelism)
 	if m.Truncated {
 		w("truncated         true")
 	}

@@ -12,14 +12,14 @@ func TestMetricsMerge(t *testing.T) {
 	agg := exec.Metrics{
 		PlanTime: time.Second, Rounds: 2, KPerRound: []int{8, 16},
 		FinalK: 16, MaxK: 32, Planned: 20, Executed: 18, Deduped: 2,
-		ResultsEmitted: 10, Parallelism: 4,
+		ResultsEmitted: 10,
 	}
 	agg.Merge(&exec.Metrics{
 		PlanTime: time.Second, ExecTime: 2 * time.Second,
 		Rounds: 1, KPerRound: []int{8}, FinalK: 8, MaxK: 64,
 		Planned: 8, Executed: 8, SecondaryFetches: 5, PostingsScanned: 50,
 		BackendFetches: 5, BackendHits: 3, BackendBytesDecoded: 1024,
-		ResultsEmitted: 4, Truncated: true, Parallelism: 1,
+		ResultsEmitted: 4, Truncated: true,
 	})
 	want := exec.Metrics{
 		PlanTime: 2 * time.Second, ExecTime: 2 * time.Second,
@@ -27,7 +27,7 @@ func TestMetricsMerge(t *testing.T) {
 		FinalK: 16, MaxK: 64, Planned: 28, Executed: 26, Deduped: 2,
 		SecondaryFetches: 5, PostingsScanned: 50,
 		BackendFetches: 5, BackendHits: 3, BackendBytesDecoded: 1024,
-		ResultsEmitted: 14, Truncated: true, Parallelism: 4,
+		ResultsEmitted: 14, Truncated: true,
 	}
 	if !reflect.DeepEqual(agg, want) {
 		t.Errorf("Merge:\ngot  %+v\nwant %+v", agg, want)

@@ -28,8 +28,8 @@ type Engine struct {
 	k     int
 	stats Stats
 
-	// defaultExec serves the engine's own Secondary calls; a parallel
-	// driver bypasses it with per-goroutine Executors (NewExecutor).
+	// defaultExec serves the engine's own Secondary calls; a driver that
+	// wants its own cache and counters creates one with NewExecutor.
 	defaultExec *Executor
 }
 
@@ -258,8 +258,8 @@ func (p *planner) collect(i int32) {
 // Secondary executes a second-level query against the data tree (Figure 5):
 // a bottom-up semijoin over the path-dependent postings that returns all
 // instances of the skeleton root whose subtrees contain the full skeleton.
-// It runs on the engine's internal Executor; parallel drivers create one
-// Executor per worker with NewExecutor instead.
+// It runs on the engine's internal Executor; internal/exec creates one
+// Executor per round with NewExecutor instead.
 func (en *Engine) Secondary(e *Entry) ([]xmltree.NodeID, error) {
 	if en.defaultExec == nil {
 		en.defaultExec = en.NewExecutor()

@@ -137,7 +137,7 @@ func TestBestNMatchesDirectOnCatalog(t *testing.T) {
 // sorted by (cost, root) and cut at n. n <= 0 retrieves all results.
 func bestN(sch *schema.Schema, sec schema.SecSource, x *lang.Expanded, n int, cfg exec.Config) ([]eval.Result, exec.Metrics, error) {
 	var m exec.Metrics
-	cfg.N, cfg.Parallelism, cfg.Metrics = n, 1, &m
+	cfg.N, cfg.Metrics = n, &m
 	var res []eval.Result
 	err := exec.New(sch, sec, cfg).Run(context.Background(), x, func(it exec.Item) bool {
 		res = append(res, eval.Result{Root: it.Root, Cost: it.Cost})

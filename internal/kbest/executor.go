@@ -19,9 +19,8 @@ type ExecStats struct {
 
 // Executor runs second-level queries against the data tree. It shares the
 // engine's schema and secondary-index source but owns its result cache and
-// counters, so a parallel driver can hand each worker goroutine its own
-// Executor and execute independent second-level queries concurrently.
-// An Executor must not be used from more than one goroutine at a time.
+// counters. An Executor must not be used from more than one goroutine at a
+// time.
 type Executor struct {
 	tree  *xmltree.Tree
 	sec   schema.SecSource

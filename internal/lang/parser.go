@@ -17,6 +17,7 @@ import (
 //
 // Text selectors are normalized with the data tokenizer; a multi-word
 // selector such as "piano concerto" becomes a conjunction of its words.
+// Brackets and parentheses nest at most maxDepth levels deep.
 func Parse(src string) (*Query, error) {
 	p := &parser{lex: lexer{src: src}}
 	if err := p.advance(); err != nil {
@@ -41,9 +42,15 @@ func MustParse(src string) *Query {
 	return q
 }
 
+// maxDepth bounds how deeply "[" and "(" nest in one query. Evaluation time
+// grows steeply with nesting under a cost model that deletes and renames:
+// a few kilobytes of brackets would otherwise hold an engine for minutes.
+const maxDepth = 64
+
 type parser struct {
-	lex lexer
-	tok token
+	lex   lexer
+	tok   token
+	depth int // open "[" and "(" around the current token
 }
 
 func (p *parser) advance() error {
@@ -57,6 +64,16 @@ func (p *parser) advance() error {
 
 func (p *parser) errorf(format string, args ...any) error {
 	return &SyntaxError{p.tok.pos, fmt.Sprintf(format, args...)}
+}
+
+// open consumes a "[" or "(", failing at the first one nested deeper than
+// maxDepth. The caller decrements p.depth once it has consumed the closer.
+func (p *parser) open() error {
+	if p.depth == maxDepth {
+		return p.errorf("query nested deeper than %d levels", maxDepth)
+	}
+	p.depth++
+	return p.advance()
 }
 
 func (p *parser) expect(kind tokenKind) (token, error) {
@@ -79,7 +96,7 @@ func (p *parser) parseStep() (*Selector, error) {
 	if p.tok.kind != tokLBracket {
 		return sel, nil
 	}
-	if err := p.advance(); err != nil {
+	if err := p.open(); err != nil {
 		return nil, err
 	}
 	child, err := p.parseExpr()
@@ -89,6 +106,7 @@ func (p *parser) parseStep() (*Selector, error) {
 	if _, err := p.expect(tokRBracket); err != nil {
 		return nil, err
 	}
+	p.depth--
 	sel.Child = child
 	return sel, nil
 }
@@ -140,7 +158,7 @@ func (p *parser) parsePrim() (Expr, error) {
 		}
 		return textExpr(tok)
 	case tokLParen:
-		if err := p.advance(); err != nil {
+		if err := p.open(); err != nil {
 			return nil, err
 		}
 		e, err := p.parseExpr()
@@ -150,6 +168,7 @@ func (p *parser) parsePrim() (Expr, error) {
 		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
+		p.depth--
 		return e, nil
 	}
 	return nil, p.errorf("expected a selector, found %s", p.tok.kind)

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -146,6 +147,32 @@ func TestParseErrors(t *testing.T) {
 		} else if _, ok := err.(*SyntaxError); !ok {
 			t.Errorf("Parse(%q) error type %T, want *SyntaxError", src, err)
 		}
+	}
+
+	// Nesting: 64 levels of brackets and parentheses parse; the 65th
+	// opener is rejected where it stands.
+	nested := func(depth int) string {
+		src := `"x"`
+		for i := depth - 1; i >= 0; i-- {
+			if i%2 == 0 {
+				src = "a[" + src + "]"
+			} else {
+				src = "(" + src + ")"
+			}
+		}
+		return src
+	}
+	if _, err := Parse(nested(maxDepth)); err != nil {
+		t.Errorf("Parse of a %d-deep query: %v", maxDepth, err)
+	}
+	src := nested(maxDepth + 1)
+	_, err := Parse(src)
+	var se *SyntaxError
+	if !errors.As(err, &se) {
+		t.Fatalf("Parse of a %d-deep query: error %v, want *SyntaxError", maxDepth+1, err)
+	}
+	if want := strings.LastIndexAny(src, "[("); se.Pos != want {
+		t.Errorf("Parse of a %d-deep query failed at offset %d, want the last opener at %d", maxDepth+1, se.Pos, want)
 	}
 }
 

@@ -129,8 +129,8 @@ func (s *Schema) SaveSec(db *storage.DB) error {
 }
 
 // StoredSec is a SecSource reading I_sec postings from a storage.DB. It is
-// safe for concurrent use: the parallel execution engine fans second-level
-// queries out over worker goroutines that share one source. Attach a
+// safe for concurrent use: the engines of concurrent queries share one
+// source. Attach a
 // posting cache with SetCache (the stored backend shares one LRU between
 // the primary postings and I_sec; the key namespaces are disjoint).
 type StoredSec struct {

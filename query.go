@@ -75,12 +75,11 @@ func WithStrategy(s Strategy) QueryOption {
 	return func(c *queryConfig) { c.strategy = s }
 }
 
-// WithParallelism sets the worker-pool size for query evaluation: the
-// schema-driven strategy fans second-level queries out over the pool, and
-// the direct strategy evaluates independent expanded-query subtrees
-// concurrently. The default (0) uses GOMAXPROCS; 1 executes sequentially.
-// Results are identical at any setting: the engine releases each query's
-// results in plan order, and the direct evaluator's combine order is fixed.
+// WithParallelism sets the number of shard workers of a Corpus search: how
+// many shards are evaluated at once. The default (0) uses GOMAXPROCS; 1
+// searches the shards one after another. Each shard, like a Database, is
+// evaluated on one goroutine, so the option has no effect on Database
+// queries. Results are identical at any setting.
 func WithParallelism(n int) QueryOption {
 	return func(c *queryConfig) { c.parallel = n }
 }
@@ -136,10 +135,9 @@ func parseExpand(query string, c *queryConfig) (*lang.Expanded, error) {
 // first k; zero keeps the engine's default for n.
 func (db *Database) engine(c queryConfig, n, initialK int) *exec.Engine {
 	return exec.New(db.Schema(), db.be, exec.Config{
-		N:           n,
-		InitialK:    initialK,
-		Parallelism: c.parallel,
-		Metrics:     c.metrics,
+		N:        n,
+		InitialK: initialK,
+		Metrics:  c.metrics,
 	})
 }
 
@@ -235,7 +233,7 @@ func (db *Database) SearchContext(ctx context.Context, query string, n int, opts
 	}
 	switch strategy {
 	case Direct:
-		return exec.Direct(ctx, db.be.Tree(), db.be, x, n, c.parallel, c.metrics)
+		return exec.Direct(ctx, db.be.Tree(), db.be, x, n, c.metrics)
 	case SchemaDriven:
 		var results []Result
 		err := db.engine(c, n, 0).Run(ctx, x, func(it exec.Item) bool {

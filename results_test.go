@@ -103,7 +103,7 @@ func TestStreamParallelEarlyStop(t *testing.T) {
 	err := db.Stream(`cd[title["concerto" or "sonata"]]`, func(r Result) bool {
 		all = append(all, r)
 		return true
-	}, WithCostModel(model), WithParallelism(8))
+	}, WithCostModel(model))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestStreamParallelEarlyStop(t *testing.T) {
 	err = db.Stream(`cd[title["concerto" or "sonata"]]`, func(r Result) bool {
 		got = append(got, r)
 		return len(got) < 2
-	}, WithCostModel(model), WithParallelism(8))
+	}, WithCostModel(model))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestSearchParallelMetricsPopulated(t *testing.T) {
 	var m QueryMetrics
 	res, err := db.Search(`cd[title["concerto"]]`, 0,
 		WithCostModel(PaperCostModel()), WithStrategy(SchemaDriven),
-		WithParallelism(4), WithMetrics(&m))
+		WithMetrics(&m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +140,6 @@ func TestSearchParallelMetricsPopulated(t *testing.T) {
 	}
 	if m.Rounds == 0 || m.Executed == 0 || m.ResultsEmitted == 0 {
 		t.Fatalf("metrics not populated: %+v", m)
-	}
-	if m.Parallelism != 4 {
-		t.Fatalf("Parallelism = %d, want 4", m.Parallelism)
 	}
 	if m.ParseTime <= 0 || m.PlanTime <= 0 {
 		t.Fatalf("stage timings not recorded: parse %v plan %v", m.ParseTime, m.PlanTime)
