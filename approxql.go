@@ -143,7 +143,7 @@ func (bl *Builder) Database() (*Database, error) {
 // indexes for databases built from XML (Builder) or loaded from a
 // collection file (OpenDatabaseFile), B+tree files for databases opened
 // over persisted indexes (OpenStored, OpenBundle). Every query path —
-// direct evaluation, the schema-driven k-growing loop, Explain — runs
+// direct evaluation, the schema-driven plan stream, Explain — runs
 // unmodified over either backend.
 type Database struct {
 	be backend.Backend

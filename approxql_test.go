@@ -6,6 +6,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"approxql/internal/datagen"
+	"approxql/internal/querygen"
 )
 
 const catalogXML = `
@@ -248,6 +251,56 @@ func TestSearchExplained(t *testing.T) {
 	two, err := db.SearchExplained(`cd[title["concerto"]]`, 2, WithCostModel(PaperCostModel()))
 	if err != nil || len(two) != 2 {
 		t.Errorf("SearchExplained(2) = %v, %v", two, err)
+	}
+}
+
+// TestSearchExplainedMatchesSearch: SearchExplained ranks and cuts what
+// the engine emits exactly as Search does, ties included. The collection
+// has few element names and a short vocabulary, so the paper catalogue's
+// queries see many equal-cost second-level queries, and an n-th result
+// inside a tie set.
+func TestSearchExplainedMatchesSearch(t *testing.T) {
+	tree, err := datagen.GenerateTree(datagen.Config{
+		Seed: 1, NumElementNames: 20, VocabularySize: 300,
+		TargetElements: 3000, TargetWords: 12000,
+		TemplateNodes: 60, MaxDepth: 6, MaxRepeat: 3, ZipfSkew: 1.3,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := newDatabase(tree)
+	qg, err := querygen.New(tree, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range querygen.PaperPatterns {
+		for _, ren := range []int{0, 5, 10} {
+			set, err := qg.GenerateSet(p, ren, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range set {
+				query := g.Query.String()
+				opts := []QueryOption{WithCostModel(g.Model), WithStrategy(SchemaDriven)}
+				for _, n := range []int{1, 10} {
+					want, err := db.Search(query, n, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := db.SearchExplained(query, n, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					same := len(got) == len(want)
+					for i := 0; same && i < len(got); i++ {
+						same = got[i].Result == want[i]
+					}
+					if !same {
+						t.Errorf("%s at n = %d: SearchExplained %v, Search %v", query, n, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -22,7 +22,6 @@ package approxql_test
 //
 //	go test -bench=. -benchmem
 import (
-	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -31,7 +30,6 @@ import (
 
 	"approxql/internal/bench"
 	"approxql/internal/eval"
-	"approxql/internal/exec"
 	"approxql/internal/index"
 	"approxql/internal/lang"
 	"approxql/internal/querygen"
@@ -176,27 +174,6 @@ func BenchmarkAblationDP(b *testing.B) {
 				ev := eval.New(tree, ix)
 				ev.DisableMemo = disable
 				if _, err := ev.BestN(x, 10); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationInitialK measures the sensitivity of the incremental
-// algorithm to the initial guess of k (Section 7.4: "a good initial guess
-// of k is crucial"): too small forces extra rounds, too large wastes work
-// on second-level queries that are never needed.
-func BenchmarkAblationInitialK(b *testing.B) {
-	tree, g := benchWorkload(b, 5)
-	sch := schema.Build(tree)
-	x := lang.Expand(g.Query, g.Model)
-	const n = 10
-	for _, k0 := range []int{1, 5, 10, 50, 200} {
-		b.Run(fmt.Sprintf("initialK=%d", k0), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng := exec.New(sch, sch, exec.Config{N: n, InitialK: k0, MaxK: 1 << 16})
-				if err := eng.Run(context.Background(), x, func(exec.Item) bool { return true }); err != nil {
 					b.Fatal(err)
 				}
 			}

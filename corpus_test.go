@@ -274,8 +274,8 @@ func TestCorpusStreamOrder(t *testing.T) {
 
 // TestCorpusCutoffEffectiveness pins the scatter-gather cutoff: with
 // sequential shard pickup (parallelism 1) the first shards fill the global
-// top-n heap, so later shards must observe a finite bound and skip planned
-// second-level queries or stop their k-growing loops early. The counters
+// top-n heap, so later shards must observe a finite bound and stop their
+// plan streams early. The counters
 // are summed over the generated query set — any single query may be too
 // cheap to trigger the cutoff, the set is not.
 func TestCorpusCutoffEffectiveness(t *testing.T) {

@@ -19,9 +19,9 @@
 //     pass over index posting lists, sorts them, and prunes after n.
 //   - Schema-driven evaluation runs the same algorithm against the database
 //     schema (a structural summary that is typically orders of magnitude
-//     smaller than the data), obtains the k cheapest "second-level queries",
-//     and executes those against the data through a path-dependent secondary
-//     index, incrementally increasing k until n results are found.
+//     smaller than the data), enumerates "second-level queries" lazily in
+//     ascending cost order, and executes each against the data through a
+//     path-dependent secondary index until n results are found.
 //
 // The paper's finding — reproduced by this package's benchmarks — is that
 // the schema-driven strategy wins when n is small relative to the total

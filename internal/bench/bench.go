@@ -271,13 +271,13 @@ func (r *Runner) evaluate(x *lang.Expanded, n int, algo Algo) (int, exec.Metrics
 	return 0, exec.Metrics{}, fmt.Errorf("bench: unknown algorithm %q", algo)
 }
 
-// schemaConfig is the forced schema-driven schedule of the harness: k
-// starts at n, and the n = ∞ points keep the allNMaxK cap.
+// schemaConfig is the forced schema-driven configuration of the harness:
+// the n = ∞ points keep the allNMaxK cap on pulled second-level queries.
 func schemaConfig(n int) exec.Config {
 	if n > 0 {
-		return exec.Config{InitialK: n}
+		return exec.Config{}
 	}
-	return exec.Config{InitialK: 16, MaxK: allNMaxK}
+	return exec.Config{MaxK: allNMaxK}
 }
 
 // schemaBestN answers the best-n-pairs problem with the incremental

@@ -13,9 +13,9 @@
 //     whose Summary contains none of those labels is skipped outright.
 //   - Cost-bound cutoff: once the heap holds n hits, its worst cost is
 //     published to the in-flight shards through exec.Config.Bound. The
-//     bound is monotone non-increasing, so each shard's k-growing loop
-//     terminates at the first planned second-level query that can no
-//     longer displace a global top-n entry.
+//     bound is monotone non-increasing, so each shard's plan stream
+//     stops at the first pulled second-level query that can no longer
+//     displace a global top-n entry.
 //
 // The package works on expanded queries (lang.Expanded); parsing, cost
 // models, and rendering live in the public facade.
@@ -282,8 +282,7 @@ func (c *Corpus) filterShards(x *lang.Expanded) (active []*Shard, pruned int) {
 // shard workers, schema-driven strategy.
 type Config struct {
 	// Direct selects the direct strategy (full per-shard evaluation with
-	// per-shard best-n pruning) instead of the schema-driven k-growing
-	// engine.
+	// per-shard best-n pruning) instead of the schema-driven engine.
 	Direct bool
 	// Auto lets the planner pick the strategy per shard from each
 	// shard's own schema statistics and count probes (internal/plan);

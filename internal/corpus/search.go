@@ -155,7 +155,7 @@ func (c *Corpus) Search(ctx context.Context, x *lang.Expanded, n int, cfg Config
 		if decideShard(active[0], x, n, cfg, &m) {
 			err = searchShardDirect(ctx, active[0], x, n, &m, heap.Offer)
 		} else {
-			err = searchShardSchema(ctx, active[0], x, n, &m, heap)
+			err = searchShardSchema(ctx, active[0], x, &m, heap)
 		}
 		merged.Merge(&m)
 		finishPlanner(merged, cfg)
@@ -186,7 +186,7 @@ func (c *Corpus) Search(ctx context.Context, x *lang.Expanded, n int, cfg Config
 					if decideShard(sh, x, n, cfg, &m) {
 						err = searchShardDirect(ctx2, sh, x, n, &m, heap.Offer)
 					} else {
-						err = searchShardSchema(ctx2, sh, x, n, &m, heap)
+						err = searchShardSchema(ctx2, sh, x, &m, heap)
 					}
 					mu.Lock()
 					merged.Merge(&m)
@@ -254,28 +254,19 @@ func finishPlanner(merged *exec.Metrics, cfg Config) {
 	}
 }
 
-// searchShardSchema runs one shard's k-growing engine unbounded (N = 0)
-// under the heap's cutoff. Unbounded matters for correctness at tie
-// boundaries: an engine asked for n results stops at the second-level
-// query delivering the n-th, which could truncate an equal-cost tie set
-// another shard's hits would have pushed past n. Under the cutoff the
-// engine still terminates as soon as planned costs cross the global n-th
-// cost. N = 0 matters even for a sole shard: the engine's emission order
-// within an equal-cost tier follows its second-level queries, not the
-// corpus (cost, doc, root) order, so its own n-truncation could keep the
-// wrong members of a tie set.
-func searchShardSchema(ctx context.Context, sh *Shard, x *lang.Expanded, n int, m *exec.Metrics, heap *topn[Hit]) error {
-	initialK := 0 // all hits wanted: the engine's own default
-	if n > 0 {
-		// Mirror the single-database default: plan roughly the requested
-		// n up front so the first round can already saturate the heap.
-		initialK = max(n, 8)
-	}
+// searchShardSchema runs one shard's plan stream unbounded (N = 0) under
+// the heap's cutoff. Unbounded matters for correctness at tie boundaries:
+// an engine asked for n results stops at the second-level query delivering
+// the n-th, which could truncate an equal-cost tie set another shard's hits
+// would have pushed past n. Under the cutoff the engine still terminates as
+// soon as pulled costs cross the global n-th cost. N = 0 matters even for
+// a sole shard: the engine's emission order within an equal-cost tier
+// follows its second-level queries, not the corpus (cost, doc, root) order,
+// so its own n-truncation could keep the wrong members of a tie set.
+func searchShardSchema(ctx context.Context, sh *Shard, x *lang.Expanded, m *exec.Metrics, heap *topn[Hit]) error {
 	eng := exec.New(sh.be.Schema(), sh.be, exec.Config{
-		N:        0,
-		InitialK: initialK,
-		Metrics:  m,
-		Bound:    heap.Bound,
+		Metrics: m,
+		Bound:   heap.Bound,
 	})
 	return eng.Run(ctx, x, func(it exec.Item) bool {
 		doc, ok := sh.docOf(it.Root)

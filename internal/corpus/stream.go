@@ -194,14 +194,9 @@ func streamShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, j
 		tier = tier[:0]
 		return true
 	}
-	// Mirror searchShardSchema's first k: plan roughly the requested n up
-	// front so an external bound can engage early; plain streaming (no n)
-	// starts small and grows.
 	eng := exec.New(sh.be.Schema(), sh.be, exec.Config{
-		N:        0,
-		InitialK: max(job.n, 8),
-		Metrics:  m,
-		Bound:    job.bound,
+		Metrics: m,
+		Bound:   job.bound,
 	})
 	err := eng.Run(ctx, x, func(it exec.Item) bool {
 		doc, ok := sh.docOf(it.Root)

@@ -108,7 +108,7 @@ func TestParallelEarlyStop(t *testing.T) {
 }
 
 // cancellingSec cancels a context after a fixed number of secondary-index
-// fetches, simulating cancellation arriving mid-round.
+// fetches, simulating cancellation arriving between second-level queries.
 type cancellingSec struct {
 	schema.SecSource
 	cancel context.CancelFunc
@@ -132,7 +132,7 @@ func (c *cancellingSec) SecTermInstances(id schema.NodeID, term string) ([]xmltr
 
 // TestParallelCancellationMidRound cancels the context from inside the
 // secondary index: the run must stop promptly and return ctx.Err() instead
-// of completing the round.
+// of running the rest of the plan stream.
 func TestParallelCancellationMidRound(t *testing.T) {
 	w := getWorld(t)
 	g, err := w.gen.Generate(querygen.PaperPatterns[1], 5)
@@ -221,18 +221,21 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 	x := lang.Expand(g.Query, g.Model)
 	var m exec.Metrics
-	items := collect(t, exec.New(w.sch, w.sch, exec.Config{N: 10, InitialK: 2, Metrics: &m}), x)
+	items := collect(t, exec.New(w.sch, w.sch, exec.Config{N: 10, Metrics: &m}), x)
 
-	if m.Rounds < 1 || len(m.KPerRound) != m.Rounds {
-		t.Errorf("rounds = %d, k per round = %v", m.Rounds, m.KPerRound)
+	if m.Rounds != 1 {
+		t.Errorf("rounds = %d, want one plan stream", m.Rounds)
 	}
-	if m.FinalK != m.KPerRound[len(m.KPerRound)-1] {
-		t.Errorf("FinalK = %d, last round k = %d", m.FinalK, m.KPerRound[len(m.KPerRound)-1])
+	if m.FinalK != m.Planned {
+		t.Errorf("FinalK = %d, planned %d", m.FinalK, m.Planned)
 	}
-	// The run stops at the 10th result, mid-round, so the rest of that
-	// round is planned but not executed.
-	if m.Planned < m.Executed+m.Deduped {
-		t.Errorf("planned %d < executed %d + deduped %d", m.Planned, m.Executed, m.Deduped)
+	// Every pulled query is executed or deduped: the run stops right after
+	// the query that delivers the 10th result, pulling nothing beyond it.
+	if m.Planned != m.Executed+m.Deduped {
+		t.Errorf("planned %d != executed %d + deduped %d", m.Planned, m.Executed, m.Deduped)
+	}
+	if m.EmptyExecuted > m.Executed {
+		t.Errorf("empty %d > executed %d", m.EmptyExecuted, m.Executed)
 	}
 	if m.ResultsEmitted != len(items) {
 		t.Errorf("ResultsEmitted = %d, emitted %d", m.ResultsEmitted, len(items))
@@ -243,20 +246,11 @@ func TestMetricsAccounting(t *testing.T) {
 	if m.SchemaFetches == 0 || m.ListOps == 0 {
 		t.Errorf("planning counters empty: %+v", m)
 	}
-	if m.MaxK != kbest.PlanBound(w.sch, x) {
-		t.Errorf("MaxK = %d, PlanBound = %d", m.MaxK, kbest.PlanBound(w.sch, x))
-	}
-	if m.FinalK > m.MaxK {
-		t.Errorf("FinalK = %d exceeds MaxK %d", m.FinalK, m.MaxK)
-	}
-	if m.Rounds > 1 && m.Deduped == 0 {
-		t.Error("multiple rounds but nothing deduped: signature dedup broken")
-	}
 	if s := m.String(); len(s) == 0 {
 		t.Error("empty metrics rendering")
 	}
 
-	// An all-results run executes every query it plans once.
+	// An all-results run executes every query it pulls once.
 	var all exec.Metrics
 	collect(t, exec.New(w.sch, w.sch, exec.Config{Metrics: &all}), x)
 	if all.Planned != all.Executed+all.Deduped {
@@ -266,7 +260,7 @@ func TestMetricsAccounting(t *testing.T) {
 
 // TestExecutedCountsRunQueries: a run that wants one result stops at the
 // first second-level query returning roots, and Executed counts the queries
-// run up to and including it, not the rest of the round.
+// run up to and including it, none after it.
 func TestExecutedCountsRunQueries(t *testing.T) {
 	w := getWorld(t)
 	checked := 0
@@ -302,9 +296,10 @@ func TestExecutedCountsRunQueries(t *testing.T) {
 	}
 }
 
-// TestDerivedBoundTerminates: with a tiny schema the derived termination
-// bound is small, and a query whose plan space is exhausted stops without
-// the magic 1<<20 guard and without marking the answer truncated.
+// TestDerivedBoundTerminates: with a tiny schema the plan space is small,
+// and a query that exhausts its plan stream stops there without marking
+// the answer truncated, having pulled no more second-level queries than
+// the schema-derived bound on their number.
 func TestDerivedBoundTerminates(t *testing.T) {
 	b := xmltree.NewBuilder(cost.PaperExample())
 	doc := `<catalog><cd><title>concerto</title></cd><mc><title>sonata</title></mc></catalog>`
@@ -326,24 +321,54 @@ func TestDerivedBoundTerminates(t *testing.T) {
 		t.Fatalf("PlanBound = %d for a 3-selector query over a tiny schema", bound)
 	}
 	var m exec.Metrics
-	items := collect(t, exec.New(sch, sch, exec.Config{InitialK: 1, Metrics: &m}), x)
+	items := collect(t, exec.New(sch, sch, exec.Config{Metrics: &m}), x)
 	if len(items) == 0 {
 		t.Fatal("no results")
 	}
 	if m.Truncated {
-		t.Errorf("derived bound marked an exhaustive search truncated: %+v", m)
+		t.Errorf("an exhausted plan stream marked truncated: %+v", m)
 	}
-	if m.MaxK != bound {
-		t.Errorf("MaxK = %d, derived bound = %d", m.MaxK, bound)
+	if m.Planned == 0 || m.Planned > bound {
+		t.Errorf("pulled %d second-level queries, bound %d", m.Planned, bound)
 	}
 }
 
-// TestFirstKClampedToPlanBound: a first k above the derived bound is cut to
-// the bound, so the reported final k never exceeds it, and the answer is
-// the one the smallest schedule finds.
-func TestFirstKClampedToPlanBound(t *testing.T) {
-	b := xmltree.NewBuilder(cost.NewModel())
-	doc := `<catalog><cd><title>concerto</title></cd><mc><title>sonata</title></mc></catalog>`
+// TestMaxKCapsPulls: MaxK caps the second-level queries pulled, and the
+// run reports Truncated only when the stream had more.
+func TestMaxKCapsPulls(t *testing.T) {
+	w := getWorld(t)
+	g, err := w.gen.Generate(querygen.PaperPatterns[1], 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := lang.Expand(g.Query, g.Model)
+	var all exec.Metrics
+	collect(t, exec.New(w.sch, w.sch, exec.Config{Metrics: &all}), x)
+	if all.Planned < 2 || all.Truncated {
+		t.Fatalf("uncapped run: %+v", all)
+	}
+	var capped exec.Metrics
+	collect(t, exec.New(w.sch, w.sch, exec.Config{MaxK: 1, Metrics: &capped}), x)
+	if capped.Planned != 1 || !capped.Truncated {
+		t.Errorf("MaxK 1: planned %d, truncated %v", capped.Planned, capped.Truncated)
+	}
+	var exact exec.Metrics
+	collect(t, exec.New(w.sch, w.sch, exec.Config{MaxK: all.Planned, Metrics: &exact}), x)
+	if exact.Planned != all.Planned || exact.Truncated {
+		t.Errorf("MaxK = stream length: planned %d of %d, truncated %v", exact.Planned, all.Planned, exact.Truncated)
+	}
+}
+
+// TestEmptyExecuted pins the count of executed second-level queries that
+// retrieve nothing. Both terms occur in the one text class below
+// cd/title, but no title holds both, so the exact skeleton is planned,
+// executed, and empty; the next one, which deletes "bach", finds the first
+// cd.
+func TestEmptyExecuted(t *testing.T) {
+	model := cost.NewModel()
+	model.SetDelete("bach", cost.Text, 3)
+	b := xmltree.NewBuilder(model)
+	doc := `<catalog><cd><title>concerto</title></cd><cd><title>bach</title></cd></catalog>`
 	if err := b.AddDocument(strings.NewReader(doc)); err != nil {
 		t.Fatal(err)
 	}
@@ -352,31 +377,17 @@ func TestFirstKClampedToPlanBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	sch := schema.Build(tree)
-	q, err := lang.Parse(`cd[title]`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := lang.Expand(q, cost.NewModel())
-	bound := kbest.PlanBound(sch, x)
-	if bound >= 10 {
-		t.Fatalf("PlanBound = %d, want below N = 10", bound)
-	}
+	x := lang.Expand(lang.MustParse(`cd[title["concerto" and "bach"]]`), model)
 	var m exec.Metrics
-	items := collect(t, exec.New(sch, sch, exec.Config{N: 10, Metrics: &m}), x)
-	if len(m.KPerRound) == 0 || m.KPerRound[0] != bound {
-		t.Errorf("k per round = %v, want first k = PlanBound %d", m.KPerRound, bound)
+	items := collect(t, exec.New(sch, sch, exec.Config{N: 1, Metrics: &m}), x)
+	if len(items) != 1 || items[0].Cost != 3 {
+		t.Fatalf("items = %+v, want one result at cost 3", items)
 	}
-	if m.FinalK > m.MaxK {
-		t.Errorf("FinalK = %d exceeds MaxK %d", m.FinalK, m.MaxK)
+	if m.Executed != 2 || m.EmptyExecuted != 1 {
+		t.Errorf("executed %d, empty %d; want 2 and 1", m.Executed, m.EmptyExecuted)
 	}
-	small := collect(t, exec.New(sch, sch, exec.Config{N: 10, InitialK: 1}), x)
-	if len(items) == 0 || len(items) != len(small) {
-		t.Fatalf("clamped run found %d results, InitialK 1 found %d", len(items), len(small))
-	}
-	for i := range items {
-		if items[i].Root != small[i].Root || items[i].Cost != small[i].Cost {
-			t.Errorf("result %d: %d@%d, InitialK 1 gives %d@%d", i, items[i].Root, items[i].Cost, small[i].Root, small[i].Cost)
-		}
+	if !strings.Contains(m.String(), "executed          2  (1 empty)") {
+		t.Errorf("metrics report lacks the empty count:\n%s", m.String())
 	}
 }
 

@@ -16,33 +16,36 @@ type Metrics struct {
 	ParseTime  time.Duration
 	ExpandTime time.Duration
 	// PlanTime is the total time planning second-level queries against
-	// the schema (algorithm primary), summed over rounds.
+	// the schema (algorithm primary): building the plan stream and
+	// pulling from it.
 	PlanTime time.Duration
 	// ExecTime is the total time executing second-level queries against
-	// the secondary index, summed over rounds.
+	// the secondary index.
 	ExecTime time.Duration
 
-	// Rounds is the number of incremental rounds (k, k+δ, ...).
+	// Rounds counts plan streams opened: one per schema-driven run that
+	// plans at all.
 	Rounds int
-	// KPerRound records the k of each round.
-	KPerRound []int
-	// FinalK is the k of the last round.
+	// FinalK is the number of second-level queries pulled from the plan
+	// stream, like Planned; merged metrics keep the largest.
 	FinalK int
-	// MaxK is the termination bound in effect (configured or derived
-	// from the schema).
+	// MaxK is the configured cap on pulled queries (0: none).
 	MaxK int
 
-	// Planned counts second-level queries returned by planning, summed
-	// over rounds (a query planned in r rounds counts r times).
+	// Planned counts second-level queries pulled from the plan stream.
 	Planned int
-	// Deduped counts planned queries skipped because an earlier round
-	// already executed a query with the same skeleton signature.
+	// Deduped counts pulled queries skipped because an earlier one had
+	// the same skeleton signature (the stream repeats a signature only
+	// when the query repeats a subexpression).
 	Deduped int
 	// Executed counts second-level queries executed against the
-	// secondary index. It is at most Planned minus Deduped: a run that
-	// stops early (enough results, emit returned false, or the external
-	// bound) leaves the rest of its round unexecuted.
+	// secondary index: Planned minus Deduped, less the one query a bound
+	// stop pulls without running.
 	Executed int
+	// EmptyExecuted counts executed second-level queries that retrieved
+	// no root: skeletons the schema admits but no data subtree
+	// instantiates.
+	EmptyExecuted int
 
 	// SchemaFetches counts schema-index fetches during planning.
 	SchemaFetches int
@@ -114,13 +117,12 @@ type Metrics struct {
 	// ResultsEmitted counts distinct result roots delivered.
 	ResultsEmitted int
 	// Truncated reports that the search hit MaxK before finding N
-	// results or exhausting the plan space: the answer is best-effort.
+	// results or exhausting the plan stream: the answer is best-effort.
 	Truncated bool
 }
 
 // Merge accumulates another evaluation's metrics into m: durations and
-// counters add, KPerRound appends, MaxK/FinalK keep the maximum seen, and
-// Truncated ors. It is the aggregation primitive for long-running
+// counters add, MaxK/FinalK keep the maximum seen, and Truncated ors. It is the aggregation primitive for long-running
 // processes (the query server) that fold per-request metrics into one
 // cumulative view. The caller provides synchronization.
 func (m *Metrics) Merge(o *Metrics) {
@@ -129,7 +131,6 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.PlanTime += o.PlanTime
 	m.ExecTime += o.ExecTime
 	m.Rounds += o.Rounds
-	m.KPerRound = append(m.KPerRound, o.KPerRound...)
 	if o.FinalK > m.FinalK {
 		m.FinalK = o.FinalK
 	}
@@ -139,6 +140,7 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.Planned += o.Planned
 	m.Deduped += o.Deduped
 	m.Executed += o.Executed
+	m.EmptyExecuted += o.EmptyExecuted
 	m.SchemaFetches += o.SchemaFetches
 	m.ListOps += o.ListOps
 	m.SecondaryFetches += o.SecondaryFetches
@@ -168,13 +170,8 @@ func (m *Metrics) Merge(o *Metrics) {
 }
 
 // Snapshot returns a copy of m safe to read while the original keeps
-// accumulating under the caller's lock: the one reference-typed field
-// (KPerRound) is cloned.
-func (m *Metrics) Snapshot() Metrics {
-	s := *m
-	s.KPerRound = append([]int(nil), m.KPerRound...)
-	return s
-}
+// accumulating under the caller's lock.
+func (m *Metrics) Snapshot() Metrics { return *m }
 
 // String renders the metrics as an aligned multi-line report.
 func (m *Metrics) String() string {
@@ -186,11 +183,14 @@ func (m *Metrics) String() string {
 	w("expand time       %v", m.ExpandTime)
 	w("plan time         %v", m.PlanTime)
 	w("exec time         %v", m.ExecTime)
-	w("rounds            %d  (k per round: %s)", m.Rounds, formatKs(m.KPerRound))
-	w("final k           %d  (bound %d)", m.FinalK, m.MaxK)
-	w("planned           %d", m.Planned)
+	w("rounds            %d", m.Rounds)
+	if m.MaxK > 0 {
+		w("planned           %d  (cap %d)", m.Planned, m.MaxK)
+	} else {
+		w("planned           %d", m.Planned)
+	}
 	w("deduped           %d", m.Deduped)
-	w("executed          %d", m.Executed)
+	w("executed          %d  (%d empty)", m.Executed, m.EmptyExecuted)
 	w("schema fetches    %d", m.SchemaFetches)
 	w("list ops          %d", m.ListOps)
 	w("secondary fetches %d", m.SecondaryFetches)
@@ -226,15 +226,4 @@ func (m *Metrics) String() string {
 		w("truncated         true")
 	}
 	return b.String()
-}
-
-func formatKs(ks []int) string {
-	if len(ks) == 0 {
-		return "-"
-	}
-	parts := make([]string, len(ks))
-	for i, k := range ks {
-		parts[i] = fmt.Sprint(k)
-	}
-	return strings.Join(parts, ", ")
 }

@@ -290,7 +290,7 @@ func TestSchemaDrivenMatchesDirectRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaSchema, _, err := bestN(sch, sch, x, 0, exec.Config{InitialK: 1 + rng.Intn(4)})
+		viaSchema, _, err := bestN(sch, sch, x, 0, exec.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestSchemaDrivenMatchesDirectRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, _, err := bestN(sch, sch, x, n, exec.Config{InitialK: 2})
+			s, _, err := bestN(sch, sch, x, n, exec.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -317,33 +317,6 @@ func TestSchemaDrivenMatchesDirectRandomized(t *testing.T) {
 					trial, n, q, d, s)
 			}
 		}
-	}
-}
-
-// TestIncrementalGrowsK: with a tiny initial k, the driver must keep
-// incrementing k until enough results are found.
-func TestIncrementalGrowsK(t *testing.T) {
-	tree, sch := buildCatalog(t)
-	ix := index.Build(tree)
-	q := lang.MustParse(`cd[title["concerto"]]`)
-	x := lang.Expand(q, cost.PaperExample())
-
-	direct, err := eval.New(tree, ix).BestN(x, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, stats, err := bestN(sch, sch, x, len(direct), exec.Config{InitialK: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameTopN(direct, res) {
-		t.Errorf("direct %v vs schema %v", direct, res)
-	}
-	if stats.Rounds < 2 {
-		t.Errorf("expected multiple incremental rounds, got %d", stats.Rounds)
-	}
-	if stats.FinalK <= 1 {
-		t.Errorf("k never grew: %d", stats.FinalK)
 	}
 }
 

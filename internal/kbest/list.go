@@ -1,24 +1,34 @@
 // Package kbest implements the schema-driven query evaluation of Section 7:
-// the adapted algorithm primary that finds the best k second-level queries
-// against the schema (Section 7.2), algorithm secondary that executes a
-// second-level query against the data tree through the path-dependent
-// secondary index (Section 7.3, Figure 5), and the PlanBound termination
-// bound of the incremental best-n loop (Section 7.4, Figure 6), which
-// internal/exec runs.
+// the adapted algorithm primary that enumerates second-level queries
+// against the schema in ascending cost order (Section 7.2), and algorithm
+// secondary that executes a second-level query against the data tree
+// through the path-dependent secondary index (Section 7.3, Figure 5).
+// internal/exec pulls from the enumeration until it has enough results
+// (Section 7.4).
 //
 // List entries here differ from the direct evaluation: an entry represents
 // one concrete embedding image ("skeleton") in the schema — the paper's
 // extension of entries by a label and a pointer set. Because a skeleton
 // fully determines which query leaves matched, each entry carries a single
-// cost plus a hasLeaf flag; a segment (the run of entries for one schema
-// node, sorted by cost) keeps both the k cheapest entries overall and the k
-// cheapest with a leaf match, which preserves exactness under the
-// keep-one-leaf rule of Section 6.5.
+// cost plus a hasLeaf flag.
 //
-// Planning runs under the allocation discipline of internal/eval: entries
-// are pointer-free values in one slab, pointer sets and lists are int32
-// index runs in two more, and all of it belongs to a pooled planner, so a
-// warm planning round allocates only the exported plans of its survivors.
+// The paper's algorithm keeps the best k entries per (query subtree, schema
+// node) and re-plans with a larger k when k was too small. Here every class
+// segment of a list is instead a lazy, cost-ordered stream: a fetch is a
+// one-entry segment, bump an offset view, union a k-way merge, a join a
+// merge of the ancestor's descendant segments plus the deletion
+// alternative, and intersect a walk of the Lawler/Eppstein successor
+// frontier over the pair grid. A segment computes an entry only when a
+// consumer asks for it, and a merge forces an operand's head only when the
+// operand's lower bound reaches the top of its heap, so the query's stream
+// of second-level queries (Stream) costs work in proportion to what is
+// pulled from it — the any-k ranked enumeration of Tziavelis et al. and
+// Eppstein applied to the schema-level algebra.
+//
+// Planning runs under the allocation discipline of internal/eval: entries,
+// segments, their materialized prefixes and every merge heap live in slabs
+// of pointer-free values owned by a pooled planner, so a warm enumeration
+// allocates little beyond the exported plans of what it yields.
 package kbest
 
 import (
@@ -29,9 +39,9 @@ import (
 // Entry is an exported second-level query: one embedding image of a query
 // subtree in the schema. Class and Bound/PathCost/InsCost describe the
 // matched schema node; Label is the matched label (after renaming);
-// Pointers reference the skeleton children (Section 7.2). SecondLevel
-// builds Entries only for the queries it returns; a child shared by several
-// of them is one Entry, and Executor caches key on that identity.
+// Pointers reference the skeleton children (Section 7.2). Entries are built
+// only for the queries a stream yields; a child shared by several of them
+// is one Entry, and Executor caches key on that identity.
 type Entry struct {
 	Class    schema.NodeID
 	Bound    schema.NodeID
@@ -53,60 +63,63 @@ type Entry struct {
 }
 
 // node is a planning entry, a value in planner.nodes addressed by its
-// index. The index breaks cost ties: operations append new nodes in
-// creation order, or, for joins and intersects, their kept candidates in
-// (cost, creation) order, so equal-cost nodes keep their creation order.
-// Bound, PathCost and InsCost are read from the schema by class, and the
-// label and kind from the fetch the node descends from.
+// index. Bound, PathCost and InsCost are read from the schema by class, and
+// the label and kind from the fetch the node descends from.
 type node struct {
 	cost  cost.Cost
 	class schema.NodeID
 	// fetch indexes planner.fetches: the matched label and its kind.
 	fetch int32
 	// kids and nkids are the skeleton children, a run of node indices in
-	// planner.kids. Copies made by bump and markLeaf share the run.
+	// planner.kids. Copies made by bump share the run.
 	kids, nkids int32
 	hasLeaf     bool
 }
 
-// list is a run of node indices in planner.idx, sorted by ascending class;
-// the nodes of one class form a segment sorted by ascending (cost, index).
+// list is a run of segment indices in planner.idx, one per class, sorted by
+// ascending class.
 type list struct{ off, n int32 }
 
-// capper streams the capping rule of a segment: offered entries in
-// ascending (cost, sequence) order, it keeps the k cheapest plus the k
-// cheapest with a leaf match, and ends the segment at the first infinite
-// cost.
-type capper struct{ k, kept, leaves int }
+// segOp is the operation that produces a segment's entries.
+type segOp uint8
 
-// take reports whether an entry with cost c and leaf flag leaf is kept,
-// and whether any later entry of the segment can still be.
-func (cp *capper) take(c cost.Cost, leaf bool) (keep, more bool) {
-	if cost.IsInf(c) {
-		return false, false
-	}
-	if cp.kept < cp.k {
-		cp.kept++
-		if leaf {
-			cp.leaves++
-		}
-		return true, true
-	}
-	if cp.leaves >= cp.k {
-		return false, false
-	}
-	if leaf {
-		cp.leaves++
-	}
-	return leaf, cp.leaves < cp.k
+const (
+	opStatic    segOp = iota // fully materialized at creation: a fetch
+	opBump                   // the source segment with a cost added
+	opUnion                  // a merge of same-class operand segments
+	opJoin                   // an ancestor's descendant segments, plus deletion
+	opIntersect              // the pairs of two same-class segments
+)
+
+// seg is one class segment of a list: a stream of skeletons of one schema
+// class in ascending (cost, tie) order. The entries computed so far are a
+// linked run of cells; a segment grows by one entry when a consumer reads
+// past its last cell. A segment is shared by every list and merge that
+// uses it, so each entry is computed once however many consumers read it.
+type seg struct {
+	// lb is a lower bound on the cost of every entry, known without
+	// computing any: the key under which a merge waits to force the head.
+	lb    cost.Cost
+	class schema.NodeID
+	op    segOp
+	// done is set once the segment has no further entries.
+	done bool
+	// first and last are the cells of the computed prefix (-1 when empty).
+	first, last int32
+	// The operands, by op:
+	//   opBump: a is the source segment, b the cell last read from it
+	//     (-1 before the first), c the added cost.
+	//   opUnion: a, b are the run of operand segments in planner.opnds.
+	//   opJoin: a is the ancestor's fetch node, b, n the run of descendant
+	//     segments in planner.idx, c the deletion cost (cost.Inf when the
+	//     descendant must not be deleted).
+	//   opIntersect: a and b are the left and right segments.
+	a, b, n int32
+	c       cost.Cost
+	// heap indexes planner.heaps: the merge state, built on first growth
+	// (-1 before).
+	heap int32
 }
 
-// segEnd returns the end of the class segment of ix starting at i.
-func (p *planner) segEnd(ix []int32, i int) int {
-	c := p.nodes[ix[i]].class
-	j := i + 1
-	for j < len(ix) && p.nodes[ix[j]].class == c {
-		j++
-	}
-	return j
-}
+// cell is one computed entry of a segment: a node and the next cell.
+type cell struct{ node, next int32 }

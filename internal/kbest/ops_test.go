@@ -41,29 +41,35 @@ func opsSchema(t *testing.T) *schema.Schema {
 
 // opsPlanner returns a planner over opsSchema that goes back to the pool
 // when the test ends.
-func opsPlanner(t *testing.T, k int) *planner {
+func opsPlanner(t *testing.T) *planner {
 	t.Helper()
-	p := getPlanner(opsSchema(t), k, context.Background())
+	p := getPlanner(opsSchema(t), context.Background())
 	t.Cleanup(func() { putPlanner(p) })
 	return p
 }
 
 func classesOf(p *planner, l list) []schema.NodeID {
 	out := make([]schema.NodeID, l.n)
-	for i, x := range p.at(l) {
-		out[i] = p.nodes[x].class
+	for i, s := range p.at(l) {
+		out[i] = p.segs[s].class
 	}
 	return out
 }
 
-// segmentsOf splits l into its class segments.
+// entriesOf reads segment s to its end and returns its nodes in order.
+func entriesOf(p *planner, s int32) []int32 {
+	var out []int32
+	for c := p.next(s, -1); c >= 0; c = p.next(s, c) {
+		out = append(out, p.cells[c].node)
+	}
+	return out
+}
+
+// segmentsOf reads every class segment of l to its end.
 func segmentsOf(p *planner, l list) [][]int32 {
 	var out [][]int32
-	ix := p.at(l)
-	for i := 0; i < len(ix); {
-		j := p.segEnd(ix, i)
-		out = append(out, ix[i:j])
-		i = j
+	for _, s := range p.at(l) {
+		out = append(out, entriesOf(p, s))
 	}
 	return out
 }
@@ -76,49 +82,45 @@ func kidsOf(p *planner, i int32) []int32 {
 
 func labelOf(p *planner, i int32) string { return p.fetches[p.nodes[i].fetch].label }
 
-// fetched returns the list of fetch(label, kind).
-func (p *planner) fetched(label string, kind cost.Kind) list {
-	return p.fetches[p.fetch(label, kind)].list
+// leaves returns the leaf-marked list of fetch(label, kind).
+func (p *planner) leaves(label string, kind cost.Kind) list {
+	return p.leafList(p.fetch(label, kind))
 }
 
 func TestFetchSchemaClasses(t *testing.T) {
-	p := opsPlanner(t, 4)
-	cd := p.fetched("cd", cost.Struct)
-	if cd.n != 1 {
-		t.Fatalf("cd classes = %v", classesOf(p, cd))
+	p := opsPlanner(t)
+	classes := func(label string, kind cost.Kind) int32 { return p.fetches[p.fetch(label, kind)].n }
+	if n := classes("cd", cost.Struct); n != 1 {
+		t.Fatalf("cd classes = %d", n)
 	}
-	title := p.fetched("title", cost.Struct)
-	if title.n != 2 {
-		t.Fatalf("title classes = %v", classesOf(p, title))
+	if n := classes("title", cost.Struct); n != 2 {
+		t.Fatalf("title classes = %d", n)
 	}
-	concerto := p.fetched("concerto", cost.Text)
-	if concerto.n != 2 { // cd/title/#text and mc/title/#text
-		t.Fatalf("concerto classes = %v", classesOf(p, concerto))
+	if n := classes("concerto", cost.Text); n != 2 { // cd/title/#text and mc/title/#text
+		t.Fatalf("concerto classes = %d", n)
 	}
-	piano := p.fetched("piano", cost.Text)
-	if piano.n != 1 {
-		t.Fatalf("piano classes = %v", classesOf(p, piano))
+	if n := classes("piano", cost.Text); n != 1 {
+		t.Fatalf("piano classes = %d", n)
 	}
-	// Fetch is cached: same fetch, same list.
+	// Fetch is cached: same fetch, same nodes.
 	nodes := len(p.nodes)
-	if p.fetched("cd", cost.Struct) != cd || len(p.nodes) != nodes || p.stats.Fetches != 4 {
+	if p.fetch("cd", cost.Struct) != 0 || len(p.nodes) != nodes || p.stats.Fetches != 4 {
 		t.Error("fetch not cached")
 	}
-	if missing := p.fetched("zzz", cost.Text); missing.n != 0 {
+	if classes("zzz", cost.Text) != 0 {
 		t.Error("missing label returned classes")
 	}
 }
 
 func TestMergeSharedTextClass(t *testing.T) {
-	p := opsPlanner(t, 4)
+	p := opsPlanner(t)
 	// piano and concerto share the cd/title text class: the merged list
 	// holds a two-entry segment there plus concerto's mc class.
-	l := p.union([]list{p.markLeaf(p.fetched("concerto", cost.Text)),
-		p.bump(p.markLeaf(p.fetched("piano", cost.Text)), 3)})
-	if l.n != 3 {
-		t.Fatalf("merged = %v", classesOf(p, l))
-	}
+	l := p.union([]list{p.leaves("concerto", cost.Text), p.bump(p.leaves("piano", cost.Text), 3)})
 	segs := segmentsOf(p, l)
+	if len(segs) != 2 {
+		t.Fatalf("segments = %d, want 2", len(segs))
+	}
 	for _, seg := range segs {
 		if len(seg) == 2 {
 			// Within the shared segment the cheaper (original concerto,
@@ -131,22 +133,20 @@ func TestMergeSharedTextClass(t *testing.T) {
 			}
 		}
 	}
-	if len(segs) != 2 {
-		t.Errorf("segments = %d, want 2", len(segs))
-	}
 }
 
 func TestJoinBuildsPointers(t *testing.T) {
-	p := opsPlanner(t, 4)
-	titles := p.fetched("title", cost.Struct)
-	terms := p.markLeaf(p.fetched("concerto", cost.Text))
-	j := p.join(titles, terms)
+	p := opsPlanner(t)
+	j := p.join(p.fetch("title", cost.Struct), p.leaves("concerto", cost.Text))
 	if j.n != 2 {
 		t.Fatalf("join = %v", classesOf(p, j))
 	}
-	for _, i := range p.at(j) {
-		e := p.nodes[i]
-		kids := kidsOf(p, i)
+	for _, seg := range segmentsOf(p, j) {
+		if len(seg) != 1 {
+			t.Fatalf("join segment = %v", seg)
+		}
+		e := p.nodes[seg[0]]
+		kids := kidsOf(p, seg[0])
 		if len(kids) != 1 {
 			t.Fatalf("entry without pointer: %+v", e)
 		}
@@ -164,40 +164,42 @@ func TestJoinBuildsPointers(t *testing.T) {
 }
 
 func TestOuterjoinAddsDeletionAlternative(t *testing.T) {
-	p := opsPlanner(t, 4)
-	titles := p.fetched("title", cost.Struct)
-	piano := p.markLeaf(p.fetched("piano", cost.Text))
-	o := p.outerjoin(titles, piano, 6)
+	p := opsPlanner(t)
+	o := p.outerjoin(p.fetch("title", cost.Struct), p.leaves("piano", cost.Text), 6)
 	// cd/title: match (cost 0) + deletion (cost 6); mc/title: deletion only.
 	var sizes []int
 	for _, seg := range segmentsOf(p, o) {
 		sizes = append(sizes, len(seg))
+		for _, i := range seg {
+			e, kids := p.nodes[i], kidsOf(p, i)
+			if len(kids) == 0 && (e.hasLeaf || e.cost != 6) {
+				t.Errorf("deletion entry = %+v", e)
+			}
+			if len(kids) == 1 && (!e.hasLeaf || e.cost != 0) {
+				t.Errorf("match entry = %+v", e)
+			}
+		}
 	}
 	if len(sizes) != 2 || sizes[0] != 2 || sizes[1] != 1 {
 		t.Fatalf("segment sizes = %v", sizes)
 	}
-	for _, i := range p.at(o) {
-		e, kids := p.nodes[i], kidsOf(p, i)
-		if len(kids) == 0 && (e.hasLeaf || e.cost != 6) {
-			t.Errorf("deletion entry = %+v", e)
-		}
-		if len(kids) == 1 && (!e.hasLeaf || e.cost != 0) {
-			t.Errorf("match entry = %+v", e)
-		}
-	}
 }
 
 func TestIntersectUnionsPointers(t *testing.T) {
-	p := opsPlanner(t, 4)
-	titles := p.fetched("title", cost.Struct)
-	piano := p.join(titles, p.markLeaf(p.fetched("piano", cost.Text)))
-	concerto := p.join(titles, p.markLeaf(p.fetched("concerto", cost.Text)))
+	p := opsPlanner(t)
+	titles := p.fetch("title", cost.Struct)
+	piano := p.join(titles, p.leaves("piano", cost.Text))
+	concerto := p.join(titles, p.leaves("concerto", cost.Text))
 	x := p.intersect(piano, concerto)
 	// Only the cd/title class contains both terms.
 	if x.n != 1 {
 		t.Fatalf("intersect = %v", classesOf(p, x))
 	}
-	kids := kidsOf(p, p.at(x)[0])
+	seg := segmentsOf(p, x)[0]
+	if len(seg) != 1 {
+		t.Fatalf("intersect segment = %v", seg)
+	}
+	kids := kidsOf(p, seg[0])
 	if len(kids) != 2 {
 		t.Fatalf("pointer set = %v", kids)
 	}
@@ -208,10 +210,10 @@ func TestIntersectUnionsPointers(t *testing.T) {
 }
 
 func TestUnionKeepsAlternatives(t *testing.T) {
-	p := opsPlanner(t, 4)
-	titles := p.fetched("title", cost.Struct)
-	piano := p.join(titles, p.markLeaf(p.fetched("piano", cost.Text)))
-	sonata := p.join(titles, p.markLeaf(p.fetched("sonata", cost.Text)))
+	p := opsPlanner(t)
+	titles := p.fetch("title", cost.Struct)
+	piano := p.join(titles, p.leaves("piano", cost.Text))
+	sonata := p.join(titles, p.leaves("sonata", cost.Text))
 	u := p.union([]list{piano, p.bump(sonata, 2)})
 	// cd/title holds both alternatives as separate skeletons.
 	found := false
@@ -227,67 +229,71 @@ func TestUnionKeepsAlternatives(t *testing.T) {
 		t.Error("no two-alternative segment in union")
 	}
 	// An empty operand leaves the other list as it is.
-	empty := p.fetched("zzz", cost.Text)
+	empty := p.leaves("zzz", cost.Text)
 	if p.union([]list{piano, empty}) != piano || p.union([]list{empty, piano}) != piano {
 		t.Error("union with an empty list rebuilt its operand")
 	}
 	// Three operands merge in one pass into what two pairwise merges give,
-	// also where capping cuts a segment of equal costs.
-	concerto := p.join(titles, p.markLeaf(p.fetched("concerto", cost.Text)))
-	p.k = 1
-	three := p.union([]list{piano, sonata, concerto})
-	folded := p.union([]list{p.union([]list{piano, sonata}), concerto})
-	if !slices.Equal(p.at(three), p.at(folded)) {
-		t.Errorf("k-way union %v, pairwise %v", p.at(three), p.at(folded))
+	// ties included.
+	concerto := p.join(titles, p.leaves("concerto", cost.Text))
+	three := segmentsOf(p, p.union([]list{piano, sonata, concerto}))
+	folded := segmentsOf(p, p.union([]list{p.union([]list{piano, sonata}), concerto}))
+	if !slices.EqualFunc(three, folded, slices.Equal) {
+		t.Errorf("k-way union %v, pairwise %v", three, folded)
 	}
 }
 
-// TestCapSegment pins the capping rule on entries offered in (cost,
-// sequence) order: the k cheapest, then leaf-having entries until k of the
-// kept ones have a leaf, and nothing from the first infinite cost on.
-func TestCapSegment(t *testing.T) {
-	type ent struct {
-		cost cost.Cost
-		leaf bool
+// TestLazyHeads: reading the first entry of a join computes no entry of a
+// descendant segment whose lower bound exceeds it, and reading the first
+// pair of an intersect reads one entry of each side.
+func TestLazyHeads(t *testing.T) {
+	p := opsPlanner(t)
+	lib := p.fetch("lib", cost.Struct)
+	// Deleting the leaf costs 1; every match pays the bump of 5, so the
+	// cheapest entry of lib's segment is the deletion.
+	terms := p.bump(p.leaves("concerto", cost.Text), 5)
+	o := p.outerjoin(lib, terms, 1)
+	s := p.at(o)[0]
+	c := p.next(s, -1)
+	if c < 0 || p.costAt(c) != 1 || p.nodes[p.cells[c].node].nkids != 0 {
+		t.Fatalf("first entry of the outerjoin is not the deletion")
 	}
-	run := func(k int, seg []ent) (kept []ent) {
-		cp := capper{k: k}
-		for _, e := range seg {
-			keep, more := cp.take(e.cost, e.leaf)
-			if keep {
-				kept = append(kept, e)
-			}
-			if !more {
-				break
-			}
+	for _, d := range p.at(terms) {
+		if p.segs[d].first >= 0 {
+			t.Errorf("descendant segment of class %d computed for an entry it cannot win", p.segs[d].class)
 		}
-		return kept
 	}
-	// 2 cheapest: 1, 2. 2 cheapest leaf-having: 3, 7 (3 not in the first
-	// two, so appended; 9 exceeds the leaf quota).
-	capped := run(2, []ent{{1, false}, {2, false}, {3, true}, {5, false}, {7, true}, {9, true}})
-	if len(capped) != 4 {
-		t.Fatalf("capped = %v", capped)
+
+	titles := p.fetch("title", cost.Struct)
+	x := p.intersect(p.join(titles, p.bump(p.leaves("piano", cost.Text), 1)),
+		p.join(titles, p.bump(p.leaves("concerto", cost.Text), 1)))
+	xs := p.at(x)[0]
+	if c := p.next(xs, -1); c < 0 || p.costAt(c) != 2 {
+		t.Fatalf("first pair missing or mispriced")
 	}
-	if capped[0].cost != 1 || capped[1].cost != 2 || capped[2].cost != 3 || capped[3].cost != 7 {
-		t.Errorf("capped = %v", capped)
+	for _, side := range []int32{p.segs[xs].a, p.segs[xs].b} {
+		if n := len(entriesOfComputed(p, side)); n != 1 {
+			t.Errorf("intersect side computed %d entries for the first pair, want 1", n)
+		}
 	}
-	// Infinite-cost entries vanish.
-	if capped := run(2, []ent{{1, true}, {cost.Inf, true}}); len(capped) != 1 {
-		t.Errorf("infinite entry survived: %v", capped)
+}
+
+// entriesOfComputed returns the entries of segment s computed so far,
+// without growing it.
+func entriesOfComputed(p *planner, s int32) []int32 {
+	var out []int32
+	for c := p.after(s, -1); c >= 0; c = p.after(s, c) {
+		out = append(out, p.cells[c].node)
 	}
-	// A short segment is kept whole.
-	if capped := run(3, []ent{{1, false}, {4, false}}); len(capped) != 2 {
-		t.Errorf("short segment capped to %v", capped)
-	}
+	return out
 }
 
 func TestSegmentsIteration(t *testing.T) {
-	p := opsPlanner(t, 4)
-	l := p.fetched("title", cost.Struct)
+	p := opsPlanner(t)
+	l := p.leaves("title", cost.Struct)
 	var classes []schema.NodeID
-	for _, seg := range segmentsOf(p, l) {
-		classes = append(classes, p.nodes[seg[0]].class)
+	for i, seg := range segmentsOf(p, l) {
+		classes = append(classes, p.segs[p.at(l)[i]].class)
 		if len(seg) != 1 {
 			t.Errorf("fetch segment size = %d", len(seg))
 		}

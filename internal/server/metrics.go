@@ -112,9 +112,6 @@ func (m *metrics) observe(endpoint string, status int, elapsed time.Duration) {
 func (m *metrics) mergeExec(qm *exec.Metrics) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// KPerRound would grow one entry per round per query, unbounded over
-	// a server's lifetime; the aggregate drops it.
-	qm.KPerRound = nil
 	m.exec.Merge(qm)
 	m.queries++
 }
@@ -226,10 +223,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		name, help string
 		value      int64
 	}{
-		{"axql_exec_rounds_total", "Incremental k-growing rounds executed.", int64(ex.Rounds)},
-		{"axql_exec_planned_total", "Second-level queries planned.", int64(ex.Planned)},
-		{"axql_exec_deduped_total", "Second-level queries skipped by signature dedup.", int64(ex.Deduped)},
+		{"axql_exec_rounds_total", "Plan streams opened, one per schema-driven evaluation.", int64(ex.Rounds)},
+		{"axql_exec_planned_total", "Second-level queries pulled from plan streams.", int64(ex.Planned)},
+		{"axql_exec_deduped_total", "Pulled second-level queries skipped for repeating an earlier one's skeleton signature.", int64(ex.Deduped)},
 		{"axql_exec_executed_total", "Second-level queries executed.", int64(ex.Executed)},
+		{"axql_exec_empty_total", "Executed second-level queries that retrieved no root.", int64(ex.EmptyExecuted)},
 		{"axql_exec_schema_fetches_total", "Schema-index fetches during planning.", int64(ex.SchemaFetches)},
 		{"axql_exec_secondary_fetches_total", "I_sec posting fetches during execution.", int64(ex.SecondaryFetches)},
 		{"axql_exec_postings_scanned_total", "Instance-posting entries touched.", int64(ex.PostingsScanned)},

@@ -2,7 +2,7 @@
 // over one shared approxql.Database.
 //
 // The paper's schema-driven best-n semantics (Section 7) is an interactive
-// access pattern — small n, incremental k-growth, results ranked by
+// access pattern — small n, incremental enumeration, results ranked by
 // transformation cost — and this package turns the library into the service
 // that pattern assumes. The endpoints:
 //

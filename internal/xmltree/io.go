@@ -138,21 +138,23 @@ func ReadTree(r io.Reader, model *cost.Model) (*Tree, error) {
 		if err != nil {
 			return nil, fmt.Errorf("xmltree: node %d bound: %w", u, err)
 		}
-		t.label[u] = int32(lk >> 1)
+		// The ID is checked before it is narrowed to int32, where a large
+		// one would wrap to a negative index.
+		id := lk >> 1
 		if lk&1 == 1 {
 			t.kind[u] = cost.Text
+			if id >= uint64(t.Terms.Len()) {
+				return nil, fmt.Errorf("xmltree: node %d term id %d out of range", u, id)
+			}
+		} else if id >= uint64(t.Names.Len()) {
+			return nil, fmt.Errorf("xmltree: node %d name id %d out of range", u, id)
 		}
+		t.label[u] = int32(id)
 		bound := NodeID(u) + NodeID(bd)
 		if bound < NodeID(u) || bound >= NodeID(n) {
 			return nil, fmt.Errorf("xmltree: node %d bound %d out of range", u, bound)
 		}
 		t.bound[u] = bound
-		if t.kind[u] == cost.Text && int(t.label[u]) >= t.Terms.Len() {
-			return nil, fmt.Errorf("xmltree: node %d term id %d out of range", u, t.label[u])
-		}
-		if t.kind[u] == cost.Struct && int(t.label[u]) >= t.Names.Len() {
-			return nil, fmt.Errorf("xmltree: node %d name id %d out of range", u, t.label[u])
-		}
 	}
 	t.parent = make([]NodeID, n)
 	t.inscost = make([]cost.Cost, n)

@@ -1,7 +1,6 @@
 package approxql
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
@@ -97,9 +96,8 @@ func TestAutoMatchesPlannedStrategy(t *testing.T) {
 }
 
 // TestAutoKeepsEngineSchedule: the planner picks only the strategy. When
-// Auto resolves to schema-driven, the engine runs the same k schedule as a
-// forced schema-driven search, including the cut of the first k to a plan
-// space smaller than max(n, 8).
+// Auto resolves to schema-driven, the engine pulls and executes the same
+// second-level queries as a forced schema-driven search.
 func TestAutoKeepsEngineSchedule(t *testing.T) {
 	b := NewBuilder(nil)
 	xml := "<catalog>" + strings.Repeat("<cd><title>concerto</title></cd>", 6) + "</catalog>"
@@ -115,8 +113,8 @@ func TestAutoKeepsEngineSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Strategy != SchemaDriven || p.PlanSpace >= 8 {
-		t.Fatalf("plan = %+v, want schema-driven with a plan space below 8", p)
+	if p.Strategy != SchemaDriven {
+		t.Fatalf("plan = %+v, want schema-driven", p)
 	}
 	var auto, forced QueryMetrics
 	if _, err := db.Search(query, n, WithMetrics(&auto)); err != nil {
@@ -128,8 +126,9 @@ func TestAutoKeepsEngineSchedule(t *testing.T) {
 	if auto.PlannerStrategy != "schema" {
 		t.Fatalf("Auto ran %q", auto.PlannerStrategy)
 	}
-	if !slices.Equal(auto.KPerRound, forced.KPerRound) {
-		t.Errorf("k per round: Auto %v, forced schema-driven %v", auto.KPerRound, forced.KPerRound)
+	if auto.Planned != forced.Planned || auto.Executed != forced.Executed || auto.Planned == 0 {
+		t.Errorf("Auto pulled %d and executed %d second-level queries, forced schema-driven %d and %d",
+			auto.Planned, auto.Executed, forced.Planned, forced.Executed)
 	}
 }
 

@@ -48,8 +48,8 @@ func (s Strategy) String() string {
 }
 
 // QueryMetrics records per-stage counters and timings of one schema-driven
-// evaluation: parse/expand/plan/exec time, rounds and their k values,
-// second-level queries planned vs. deduped vs. executed, index fetch
+// evaluation: parse/expand/plan/exec time, second-level queries pulled
+// vs. deduped vs. executed (and how many of those were empty), index fetch
 // counts, and results emitted. Attach one with WithMetrics.
 type QueryMetrics = exec.Metrics
 
@@ -131,13 +131,11 @@ func parseExpand(query string, c *queryConfig) (*lang.Expanded, error) {
 // engine builds the incremental execution engine for one query — the single
 // execution path of the schema-driven strategy. The engine plans against
 // the schema and executes against the database's backend, so the same loop
-// runs over in-memory and stored I_sec postings. initialK is the engine's
-// first k; zero keeps the engine's default for n.
-func (db *Database) engine(c queryConfig, n, initialK int) *exec.Engine {
+// runs over in-memory and stored I_sec postings.
+func (db *Database) engine(c queryConfig, n int) *exec.Engine {
 	return exec.New(db.Schema(), db.be, exec.Config{
-		N:        n,
-		InitialK: initialK,
-		Metrics:  c.metrics,
+		N:       n,
+		Metrics: c.metrics,
 	})
 }
 
@@ -236,32 +234,17 @@ func (db *Database) SearchContext(ctx context.Context, query string, n int, opts
 		return exec.Direct(ctx, db.be.Tree(), db.be, x, n, c.metrics)
 	case SchemaDriven:
 		var results []Result
-		err := db.engine(c, n, 0).Run(ctx, x, func(it exec.Item) bool {
+		err := db.engine(c, n).Run(ctx, x, func(it exec.Item) bool {
 			results = append(results, Result{Root: it.Root, Cost: it.Cost})
 			return true
 		})
 		if err != nil {
 			return nil, err
 		}
-		// Results arrive in ascending cost order; sort ties by preorder
-		// for deterministic output and truncate to n.
-		sort.SliceStable(results, func(i, j int) bool {
-			if results[i].Cost != results[j].Cost {
-				return results[i].Cost < results[j].Cost
-			}
-			return results[i].Root < results[j].Root
-		})
-		if n > 0 && n < len(results) {
-			results = results[:n]
-		}
-		return results, nil
+		return rankTruncate(results, n, func(r Result) Result { return r }), nil
 	}
 	return nil, fmt.Errorf("approxql: unknown strategy %d", strategy)
 }
-
-// streamInitialK is the first k of Stream and Results: with no n to guess
-// from, they start small so the first results arrive early.
-const streamInitialK = 8
 
 // Stream retrieves results incrementally in ascending cost order, calling
 // fn for each; fn returns false to stop. This is the "further advantage of
@@ -280,7 +263,7 @@ func (db *Database) StreamContext(ctx context.Context, query string, fn func(Res
 	if err != nil {
 		return err
 	}
-	return db.engine(c, 0, streamInitialK).Run(ctx, x, func(it exec.Item) bool {
+	return db.engine(c, 0).Run(ctx, x, func(it exec.Item) bool {
 		return fn(Result{Root: it.Root, Cost: it.Cost})
 	})
 }
@@ -309,17 +292,37 @@ func (db *Database) SearchExplainedContext(ctx context.Context, query string, n 
 		return nil, err
 	}
 	var out []ExplainedResult
-	err = db.engine(c, n, 0).Run(ctx, x, func(it exec.Item) bool {
+	err = db.engine(c, n).Run(ctx, x, func(it exec.Item) bool {
 		out = append(out, ExplainedResult{
 			Result: Result{Root: it.Root, Cost: it.Cost},
 			Plan:   kbest.Render(it.Plan),
 		})
-		return n <= 0 || len(out) < n
+		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return rankTruncate(out, n, func(r ExplainedResult) Result { return r.Result }), nil
+}
+
+// rankTruncate sorts what a schema-driven run emitted into the ranking of
+// Search — ascending cost, ties by preorder, stable — and cuts it at n
+// (n <= 0 keeps all). The engine stops at the boundary of the second-level
+// query that delivered the n-th root, so the cut may drop some of that
+// query's roots; sorting before cutting makes the kept ones the same for
+// every caller.
+func rankTruncate[T any](rs []T, n int, key func(T) Result) []T {
+	sort.SliceStable(rs, func(i, j int) bool {
+		a, b := key(rs[i]), key(rs[j])
+		if a.Cost != b.Cost {
+			return a.Cost < b.Cost
+		}
+		return a.Root < b.Root
+	})
+	if n > 0 && n < len(rs) {
+		rs = rs[:n]
+	}
+	return rs
 }
 
 // MatchStep reports the fate of one query selector in the cheapest
@@ -422,7 +425,7 @@ func (db *Database) ExplainContext(ctx context.Context, query string, k int, opt
 	if k <= 0 {
 		k = 10
 	}
-	plans, err := db.engine(c, 0, 0).Explain(ctx, x, k)
+	plans, err := db.engine(c, 0).Explain(ctx, x, k)
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ import (
 // approXQL query, in ascending cost order. It is the range-over-func
 // companion of Stream: results are produced lazily by the incremental
 // schema-driven engine, so breaking out of the loop early stops the
-// evaluation after the current second-level query — no further rounds are
+// evaluation after the current second-level query — nothing further is
 // planned and no further secondary fetches happen.
 //
 //	for r, err := range db.Results(`cd[title["concerto"]]`, approxql.WithCostModel(model)) {
@@ -39,7 +39,7 @@ func (db *Database) ResultsContext(ctx context.Context, query string, opts ...Qu
 			return
 		}
 		stopped := false
-		err = db.engine(c, 0, streamInitialK).Run(ctx, x, func(it exec.Item) bool {
+		err = db.engine(c, 0).Run(ctx, x, func(it exec.Item) bool {
 			if !yield(Result{Root: it.Root, Cost: it.Cost}, nil) {
 				stopped = true
 				return false
