@@ -13,6 +13,7 @@ import (
 	"approxql/internal/lang"
 
 	"approxql/internal/backend"
+	"approxql/internal/corpus"
 	"approxql/internal/cost"
 	"approxql/internal/eval"
 	"approxql/internal/format"
@@ -145,12 +146,23 @@ func (bl *Builder) Database() (*Database, error) {
 // over persisted indexes (OpenStored, OpenBundle). Every query path —
 // direct evaluation, the schema-driven plan stream, Explain — runs
 // unmodified over either backend.
+//
+// A Database is a one-shard Corpus: Search, Stream, Results, and Plan run
+// the corpus's search path over its single shard.
 type Database struct {
 	be backend.Backend
+	c  *corpus.Corpus
 }
 
 func newDatabase(tree *xmltree.Tree) *Database {
-	return &Database{be: backend.NewMemory(tree)}
+	return databaseOver(backend.NewMemory(tree))
+}
+
+// databaseOver wraps a backend as a Database. Its one-shard corpus has an
+// empty summary, which admits every label: one shard has nothing to
+// prune, so the summary walk is skipped.
+func databaseOver(be backend.Backend) *Database {
+	return &Database{be: be, c: oneShard(be, &backend.Summary{})}
 }
 
 // Schema returns the database's structural summary, building it on first
@@ -334,7 +346,7 @@ func openStored(collection, postings, secondary string, model *CostModel, sopts 
 	if err != nil {
 		return nil, err
 	}
-	return &Database{be: be}, nil
+	return databaseOver(be), nil
 }
 
 // OpenBundle opens the stored database described by a single-database

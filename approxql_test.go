@@ -304,6 +304,58 @@ func TestSearchExplainedMatchesSearch(t *testing.T) {
 	}
 }
 
+// TestSchemaSearchMatchesDirect: the two strategies solve one best-n-pairs
+// problem, so forced schema-driven and forced direct Search return the
+// same (root, cost) pairs, ties at the n-th cost included, on the
+// tie-heavy collection of TestSearchExplainedMatchesSearch, in memory and
+// over stored indexes.
+func TestSchemaSearchMatchesDirect(t *testing.T) {
+	tree, err := datagen.GenerateTree(datagen.Config{
+		Seed: 1, NumElementNames: 20, VocabularySize: 300,
+		TargetElements: 3000, TargetWords: 12000,
+		TemplateNodes: 60, MaxDepth: 6, MaxRepeat: 3, ZipfSkew: 1.3,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := newDatabase(tree)
+	stored, err := OpenBundle(persistBundle(t, mem), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stored.Close()
+	qg, err := querygen.New(tree, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range querygen.PaperPatterns {
+		for _, ren := range []int{0, 5, 10} {
+			set, err := qg.GenerateSet(p, ren, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range set {
+				query := g.Query.String()
+				for _, n := range []int{1, 10} {
+					for name, db := range map[string]*Database{"memory": mem, "stored": stored} {
+						direct, err := db.Search(query, n, WithCostModel(g.Model), WithStrategy(Direct))
+						if err != nil {
+							t.Fatal(err)
+						}
+						schema, err := db.Search(query, n, WithCostModel(g.Model), WithStrategy(SchemaDriven))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(schema, direct) {
+							t.Errorf("%s, %s at n = %d: schema-driven %v, direct %v", name, query, n, schema, direct)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBuilderErrorsPropagate(t *testing.T) {
 	b := NewBuilder(nil)
 	if err := b.AddXMLString(`<broken`); err == nil {

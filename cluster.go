@@ -42,7 +42,7 @@ type ShardHit struct {
 // per-shard evaluation (n <= 0: all results); render attaches
 // pretty-printed subtrees.
 func (c *Corpus) ServeShard(ctx context.Context, query string, n int, bound func() Cost, render bool, fn func(ShardHit) bool, opts ...QueryOption) error {
-	qc := corpusOptions(opts)
+	qc := queryOptions(opts)
 	x, err := parseExpand(query, &qc)
 	if err != nil {
 		return err
@@ -51,8 +51,8 @@ func (c *Corpus) ServeShard(ctx context.Context, query string, n int, bound func
 	if strategy != Auto && strategy != Direct && strategy != SchemaDriven {
 		return fmt.Errorf("approxql: unknown strategy %d", strategy)
 	}
-	return c.c.ServeStream(ctx, x, n, bound, c.corpusConfig(qc, strategy), func(h corpus.Hit) bool {
-		sh := ShardHit{Hit: Hit{Doc: h.Doc, Result: Result{Root: h.Root, Cost: h.Cost}}}
+	return c.c.ServeStream(ctx, x, n, bound, qc.corpusConfig(strategy), func(h corpus.Hit) bool {
+		sh := ShardHit{Hit: corpusHit(h)}
 		d := c.Doc(h.Doc)
 		sh.DocName = d.Name()
 		sh.Path = d.Path(h.Root)
@@ -184,7 +184,7 @@ func (cl *Cluster) Search(query string, n int, opts ...QueryOption) (ClusterResu
 // accepts the same options as Corpus.SearchContext; WithMetrics aggregates
 // the planner and bound counters reported by the nodes.
 func (cl *Cluster) SearchContext(ctx context.Context, query string, n int, render bool, opts ...QueryOption) (ClusterResult, error) {
-	qc := corpusOptions(opts)
+	qc := queryOptions(opts)
 	x, err := parseExpand(query, &qc)
 	if err != nil {
 		return ClusterResult{}, err

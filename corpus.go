@@ -194,39 +194,19 @@ func (c *Corpus) Close() error { return c.c.Close() }
 // corpus shares the database's backend; DocIDs follow the order the
 // documents were added to the database's builder, with empty names.
 func (db *Database) Corpus() (*Corpus, error) {
-	return corpusFromBackend(db.be)
+	return &Corpus{c: oneShard(db.be, nil)}, nil
 }
 
-// corpusFromBackend wraps a single backend — holding one or many documents
-// — as a one-shard corpus with an unnamed document table.
-func corpusFromBackend(be backend.Backend) (*Corpus, error) {
-	sh := corpus.NewShard(be, nil)
-	docs := make([]backend.ManifestDoc, sh.NumDocs())
-	c, err := corpus.New([]*corpus.Shard{sh}, docs)
+// oneShard wraps a single backend — holding one or many documents — as a
+// one-shard corpus with an unnamed document table. A nil summary is
+// computed from the shard tree (corpus.NewShard).
+func oneShard(be backend.Backend, summary *backend.Summary) *corpus.Corpus {
+	sh := corpus.NewShard(be, summary)
+	c, err := corpus.New([]*corpus.Shard{sh}, make([]backend.ManifestDoc, sh.NumDocs()))
 	if err != nil {
-		return nil, err
+		panic(err) // unreachable: the table assigns the shard exactly its documents
 	}
-	return &Corpus{c: c}, nil
-}
-
-// corpusConfig translates the shared query options into the corpus
-// engine's configuration. Auto defers the strategy to the per-shard
-// planner.
-func (c *Corpus) corpusConfig(qc queryConfig, strategy Strategy) corpus.Config {
-	return corpus.Config{
-		Direct:      strategy == Direct,
-		Auto:        strategy == Auto,
-		Parallelism: qc.parallel,
-		Metrics:     qc.metrics,
-	}
-}
-
-func corpusOptions(opts []QueryOption) queryConfig {
-	qc := queryConfig{model: NewCostModel()}
-	for _, o := range opts {
-		o(&qc)
-	}
-	return qc
+	return c
 }
 
 // Search returns the best n hits for an approXQL query across the whole
@@ -239,24 +219,12 @@ func (c *Corpus) Search(query string, n int, opts ...QueryOption) ([]Hit, error)
 
 // SearchContext is Search with cancellation.
 func (c *Corpus) SearchContext(ctx context.Context, query string, n int, opts ...QueryOption) ([]Hit, error) {
-	qc := corpusOptions(opts)
-	x, err := parseExpand(query, &qc)
-	if err != nil {
-		return nil, err
-	}
-	strategy := qc.strategy
-	if strategy != Auto && strategy != Direct && strategy != SchemaDriven {
-		return nil, fmt.Errorf("approxql: unknown strategy %d", strategy)
-	}
-	hits, err := c.c.Search(ctx, x, n, c.corpusConfig(qc, strategy))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Hit, len(hits))
-	for i, h := range hits {
-		out[i] = Hit{Doc: h.Doc, Result: Result{Root: h.Root, Cost: h.Cost}}
-	}
-	return out, nil
+	return search(ctx, c.c, query, n, opts, corpusHit)
+}
+
+// corpusHit is the public form of a corpus hit.
+func corpusHit(h corpus.Hit) Hit {
+	return Hit{Doc: h.Doc, Result: Result{Root: h.Root, Cost: h.Cost}}
 }
 
 // Plan runs only the planner for a query across the corpus: the per-shard
@@ -264,25 +232,7 @@ func (c *Corpus) SearchContext(ctx context.Context, query string, n int, opts ..
 // beyond count-only index probes. Strategy is the majority pick; Estimate
 // sums the per-shard estimates. It is the corpus analog of Database.Plan.
 func (c *Corpus) Plan(query string, n int, opts ...QueryOption) (PlanDecision, error) {
-	qc := corpusOptions(opts)
-	x, err := parseExpand(query, &qc)
-	if err != nil {
-		return PlanDecision{}, err
-	}
-	s := c.c.Plan(x, n)
-	out := PlanDecision{
-		Estimate:     s.Estimate,
-		PlanSpace:    s.PlanSpace,
-		Probes:       s.Probes,
-		DirectShards: s.DirectShards,
-		SchemaShards: s.SchemaShards,
-	}
-	if s.DirectShards >= s.SchemaShards {
-		out.Strategy = Direct
-	} else {
-		out.Strategy = SchemaDriven
-	}
-	return out, nil
+	return planQuery(c.c, query, n, opts)
 }
 
 // Stream retrieves hits incrementally in ascending (cost, doc, root)
@@ -295,14 +245,7 @@ func (c *Corpus) Stream(query string, fn func(Hit) bool, opts ...QueryOption) er
 // StreamContext is Stream with cancellation. When fn stops the stream the
 // return is nil; when the context fires first it is ctx.Err().
 func (c *Corpus) StreamContext(ctx context.Context, query string, fn func(Hit) bool, opts ...QueryOption) error {
-	qc := corpusOptions(opts)
-	x, err := parseExpand(query, &qc)
-	if err != nil {
-		return err
-	}
-	return c.c.Stream(ctx, x, c.corpusConfig(qc, SchemaDriven), func(h corpus.Hit) bool {
-		return fn(Hit{Doc: h.Doc, Result: Result{Root: h.Root, Cost: h.Cost}})
-	})
+	return stream(ctx, c.c, query, opts, func(h corpus.Hit) bool { return fn(corpusHit(h)) })
 }
 
 // CorpusPlan is one transformed query of a corpus Explain, aggregated
@@ -329,7 +272,7 @@ func (c *Corpus) Explain(query string, k int, opts ...QueryOption) ([]CorpusPlan
 
 // ExplainContext is Explain with cancellation.
 func (c *Corpus) ExplainContext(ctx context.Context, query string, k int, opts ...QueryOption) ([]CorpusPlan, error) {
-	qc := corpusOptions(opts)
+	qc := queryOptions(opts)
 	x, err := parseExpand(query, &qc)
 	if err != nil {
 		return nil, err
@@ -337,7 +280,7 @@ func (c *Corpus) ExplainContext(ctx context.Context, query string, k int, opts .
 	if k <= 0 {
 		k = 10
 	}
-	plans, err := c.c.Explain(ctx, x, k, c.corpusConfig(qc, SchemaDriven))
+	plans, err := c.c.Explain(ctx, x, k, qc.corpusConfig(SchemaDriven))
 	if err != nil {
 		return nil, err
 	}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"approxql/internal/backend"
+	"approxql/internal/cost"
 	"approxql/internal/datagen"
 	"approxql/internal/eval"
 	"approxql/internal/exec"
@@ -260,9 +261,7 @@ func (r *Runner) evaluate(x *lang.Expanded, n int, algo Algo) (int, exec.Metrics
 	}
 	switch algo {
 	case Direct:
-		ev := eval.New(r.tree, r.be)
-		res, err := ev.BestN(x, n)
-		ev.Release()
+		res, err := exec.Direct(context.Background(), r.tree, r.be, x, n, nil)
 		return len(res), exec.Metrics{}, err
 	case Schema:
 		res, m, err := schemaBestN(r.sch, r.be, x, n, cfg)
@@ -282,15 +281,19 @@ func schemaConfig(n int) exec.Config {
 
 // schemaBestN answers the best-n-pairs problem with the incremental
 // schema-driven engine, sequentially, in the shape the direct evaluator
-// returns: sorted by (cost, root) and cut at n (the engine finishes the
-// second-level query that delivers the n-th result). n <= 0 retrieves all
-// results.
+// returns: sorted by (cost, root) and cut at n. For n > 0 the engine runs
+// under its own n-th emitted cost as the bound, so it finishes the n-th
+// cost tier, as Database.Search does. n <= 0 retrieves all results.
 func schemaBestN(sch *schema.Schema, sec schema.SecSource, x *lang.Expanded, n int, cfg exec.Config) ([]eval.Result, exec.Metrics, error) {
 	var m exec.Metrics
-	cfg.N, cfg.Metrics = n, &m
 	var res []eval.Result
+	bound := cost.Inf
+	cfg.Metrics, cfg.Bound = &m, func() cost.Cost { return bound }
 	err := exec.New(sch, sec, cfg).Run(context.Background(), x, func(it exec.Item) bool {
 		res = append(res, eval.Result{Root: it.Root, Cost: it.Cost})
+		if len(res) == n {
+			bound = it.Cost
+		}
 		return true
 	})
 	sort.SliceStable(res, func(i, j int) bool {

@@ -170,7 +170,9 @@ func ServeContext(ctx context.Context, args []string, stdout, stderr io.Writer) 
 			return err
 		}
 		defer db.Close()
-		srvCfg.DB = db
+		if srvCfg.Corpus, err = db.Corpus(); err != nil {
+			return err
+		}
 		srvCfg.ShardNode = *shardNode
 		serving = fmt.Sprintf("%d nodes", db.Len())
 		if *shardNode {

@@ -17,11 +17,14 @@
 //     stops at the first pulled second-level query that can no longer
 //     displace a global top-n entry.
 //
-// The package works on expanded queries (lang.Expanded); parsing, cost
-// models, and rendering live in the public facade.
+// A single database is the one-shard case: the public Database runs its
+// searches and streams through this package too, inline on the caller's
+// goroutine. The package works on expanded queries (lang.Expanded);
+// parsing, cost models, and rendering live in the public facade.
 package corpus
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -45,14 +48,17 @@ type Hit struct {
 }
 
 // less is the corpus's strict total order on hits.
-func less(a, b Hit) bool {
-	if a.Cost != b.Cost {
-		return a.Cost < b.Cost
+func less(a, b Hit) bool { return compare(a, b) < 0 }
+
+// compare is less as a three-way comparison, for slices.SortFunc.
+func compare(a, b Hit) int {
+	if c := cmp.Compare(a.Cost, b.Cost); c != 0 {
+		return c
 	}
-	if a.Doc != b.Doc {
-		return a.Doc < b.Doc
+	if c := cmp.Compare(a.Doc, b.Doc); c != 0 {
+		return c
 	}
-	return a.Root < b.Root
+	return cmp.Compare(a.Root, b.Root)
 }
 
 // Shard is one self-contained slice of the corpus: a backend plus the
@@ -246,36 +252,42 @@ func (c *Corpus) Close() error {
 	return first
 }
 
-// rootLabels collects the labels a result root can carry: the query root's
-// label and every renaming target. The query root is always a name
-// selector, so only struct labels qualify.
-func rootLabels(x *lang.Expanded) []string {
-	labels := []string{x.Root.Label}
-	for _, r := range x.Root.Renamings {
-		labels = append(labels, r.To)
-	}
-	return labels
-}
-
 // filterShards partitions the shards into the ones that can contain a
 // result root of x and the pruned rest, using the per-shard summaries.
+// When nothing is pruned, active is c.shards itself; callers must not
+// modify it.
 func (c *Corpus) filterShards(x *lang.Expanded) (active []*Shard, pruned int) {
-	labels := rootLabels(x)
-	for _, sh := range c.shards {
-		ok := false
-		for _, l := range labels {
-			if sh.summary.ContainsStruct(l) {
-				ok = true
-				break
+	for i, sh := range c.shards {
+		if sh.mayHoldRoot(x) {
+			if pruned > 0 {
+				active = append(active, sh)
 			}
+			continue
 		}
-		if ok {
-			active = append(active, sh)
-		} else {
-			pruned++
+		if pruned == 0 {
+			active = append(make([]*Shard, 0, len(c.shards)-1), c.shards[:i]...)
 		}
+		pruned++
+	}
+	if pruned == 0 {
+		return c.shards, 0
 	}
 	return active, pruned
+}
+
+// mayHoldRoot reports whether the shard's summary admits a result root of
+// x: a node carrying the query root's label or one of its renamings. The
+// query root is always a name selector, so only struct labels qualify.
+func (s *Shard) mayHoldRoot(x *lang.Expanded) bool {
+	if s.summary.ContainsStruct(x.Root.Label) {
+		return true
+	}
+	for _, r := range x.Root.Renamings {
+		if s.summary.ContainsStruct(r.To) {
+			return true
+		}
+	}
+	return false
 }
 
 // Config tunes one corpus evaluation. The zero value is usable: GOMAXPROCS

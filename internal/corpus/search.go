@@ -5,11 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"approxql/internal/backend"
 	"approxql/internal/cost"
+	"approxql/internal/eval"
 	"approxql/internal/exec"
 	"approxql/internal/lang"
 	"approxql/internal/plan"
@@ -34,7 +35,13 @@ type topn[T ranked] struct {
 	h  []T // max-heap on less when bounded; plain slice otherwise
 }
 
-func newTopN[T ranked](n int) *topn[T] { return &topn[T]{n: n} }
+func newTopN[T ranked](n int) *topn[T] {
+	t := &topn[T]{n: n}
+	if n > 0 {
+		t.h = make([]T, 0, n)
+	}
+	return t
+}
 
 // Offer inserts the hit if it belongs in the current top n and reports
 // whether the offering shard should keep going. It returns false only when
@@ -85,7 +92,7 @@ func (t *topn[T]) Sorted() []T {
 	defer t.mu.Unlock()
 	out := t.h
 	t.h = nil
-	sort.Slice(out, func(i, j int) bool { return less(out[i].rankKey(), out[j].rankKey()) })
+	slices.SortFunc(out, func(a, b T) int { return compare(a.rankKey(), b.rankKey()) })
 	return out
 }
 
@@ -131,42 +138,23 @@ func resolveWorkers(cfg Config, shards int) int {
 }
 
 // Search returns the global best n hits for the expanded query, ranked by
-// ascending (cost, doc, root). n <= 0 returns all approximate hits. The
-// ranking is bit-identical across shard counts, strategies, and
-// parallelism settings: the heap's total order makes gathering
-// arrival-order independent, and each shard contributes a superset of its
-// part of the global answer (schema-driven shards run unbounded under the
-// cutoff; direct shards compute exact per-shard top-n, which within a
-// shard coincides with the global order restricted to it).
-func (c *Corpus) Search(ctx context.Context, x *lang.Expanded, n int, cfg Config) ([]Hit, error) {
+// ascending (cost, doc, root) and converted by conv into the caller's
+// element type. n <= 0 returns all approximate hits. The ranking is
+// bit-identical across shard counts, strategies, and parallelism settings:
+// the heap's total order makes gathering arrival-order independent, and
+// each shard contributes a superset of its part of the global answer
+// (schema-driven shards run unbounded under the cutoff; direct shards
+// compute exact per-shard top-n, which within a shard coincides with the
+// global order restricted to it).
+func Search[T any](ctx context.Context, c *Corpus, x *lang.Expanded, n int, cfg Config, conv func(Hit) T) ([]T, error) {
 	active, pruned := c.filterShards(x)
+	if len(active) == 1 {
+		return searchOne(ctx, active[0], pruned, x, n, cfg, conv)
+	}
 	heap := newTopN[Hit](n)
 	merged := &exec.Metrics{}
 	merged.Shards = len(active)
 	merged.ShardsPruned = pruned
-	if len(active) == 1 {
-		// Fast path: one active shard needs no pool — run the engine
-		// inline on the caller's goroutine, skipping the worker spawn and
-		// job channel. This keeps the Database-as-one-shard-corpus
-		// wrapper close to a plain single-database search; the heap's
-		// Offer already stops the engine on strictly worse costs.
-		var m exec.Metrics
-		var err error
-		if decideShard(active[0], x, n, cfg, &m) {
-			err = searchShardDirect(ctx, active[0], x, n, &m, heap.Offer)
-		} else {
-			err = searchShardSchema(ctx, active[0], x, &m, heap)
-		}
-		merged.Merge(&m)
-		finishPlanner(merged, cfg)
-		if cfg.Metrics != nil {
-			cfg.Metrics.Merge(merged)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return heap.Sorted(), nil
-	}
 	if len(active) > 0 {
 		workers := resolveWorkers(cfg, len(active))
 		ctx2, cancel := context.WithCancel(ctx)
@@ -217,7 +205,49 @@ func (c *Corpus) Search(ctx context.Context, x *lang.Expanded, n int, cfg Config
 	if cfg.Metrics != nil {
 		cfg.Metrics.Merge(merged)
 	}
-	return heap.Sorted(), nil
+	return convert(heap.Sorted(), conv), nil
+}
+
+// searchOne is Search over its one active shard, run inline on the
+// caller's goroutine with the counters written straight into cfg.Metrics.
+// A Database is a one-shard corpus, so every Database search takes this
+// path. A direct shard's output is already the exact answer in (cost,
+// doc, root) order and needs no gather heap.
+func searchOne[T any](ctx context.Context, sh *Shard, pruned int, x *lang.Expanded, n int, cfg Config, conv func(Hit) T) ([]T, error) {
+	m := cfg.Metrics
+	if m != nil {
+		m.Shards++
+		m.ShardsPruned += pruned
+	}
+	if !decideShard(sh, x, n, cfg, m) {
+		heap := newTopN[Hit](n)
+		if err := searchShardSchema(ctx, sh, x, m, heap); err != nil {
+			return nil, err
+		}
+		return convert(heap.Sorted(), conv), nil
+	}
+	res, err := exec.Direct(ctx, sh.be.Tree(), sh.be, x, n, m)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, 0, len(res))
+	err = sh.offerAll(res, func(h Hit) bool {
+		out = append(out, conv(h))
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// convert maps ranked hits into the caller's element type.
+func convert[T any](hits []Hit, conv func(Hit) T) []T {
+	out := make([]T, len(hits))
+	for i, h := range hits {
+		out[i] = conv(h)
+	}
+	return out
 }
 
 // decideShard reports whether one shard runs the direct strategy: the
@@ -231,14 +261,17 @@ func decideShard(sh *Shard, x *lang.Expanded, n int, cfg Config, m *exec.Metrics
 	}
 	cs, _ := sh.be.(backend.CountSource)
 	d := plan.Decide(sh.be.Schema(), cs, x, n)
-	m.PlannerEstimate = d.Estimate
-	m.PlannerProbes = d.Probes
-	if d.Strategy == plan.Direct {
-		m.PlannerDirect = 1
-		return true
+	if m != nil {
+		m.PlannerStrategy = d.Strategy.String()
+		m.PlannerEstimate += d.Estimate
+		m.PlannerProbes += d.Probes
+		if d.Strategy == plan.Direct {
+			m.PlannerDirect++
+		} else {
+			m.PlannerSchema++
+		}
 	}
-	m.PlannerSchema = 1
-	return false
+	return d.Strategy == plan.Direct
 }
 
 // finishPlanner names the majority per-shard pick in the merged metrics of
@@ -289,8 +322,14 @@ func searchShardDirect(ctx context.Context, sh *Shard, x *lang.Expanded, n int, 
 	if err != nil {
 		return err
 	}
+	return sh.offerAll(res, offer)
+}
+
+// offerAll attributes direct results of this shard to their documents and
+// offers them in order until offer returns false.
+func (s *Shard) offerAll(res []eval.Result, offer func(Hit) bool) error {
 	for _, r := range res {
-		doc, ok := sh.docOf(r.Root)
+		doc, ok := s.docOf(r.Root)
 		if !ok {
 			return fmt.Errorf("corpus: result root %d outside every shard document", r.Root)
 		}

@@ -3,7 +3,7 @@ package corpus
 import (
 	"context"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 
 	"approxql/internal/cost"
@@ -42,7 +42,7 @@ type streamJob struct {
 //
 // Streams run without the top-n cutoff (the consumer decides when to
 // stop), so a stopped stream has done per-shard work proportional to how
-// far the costs ran, exactly like Database.Stream.
+// far the costs ran.
 func (c *Corpus) Stream(ctx context.Context, x *lang.Expanded, cfg Config, fn func(Hit) bool) error {
 	return c.stream(ctx, x, cfg, streamJob{}, fn)
 }
@@ -61,9 +61,18 @@ func (c *Corpus) ServeStream(ctx context.Context, x *lang.Expanded, n int, bound
 	return c.stream(ctx, x, cfg, streamJob{n: n, bound: bound, resolve: true}, fn)
 }
 
-// stream is the shared scatter/merge body of Stream and ServeStream.
+// stream is the shared scatter/merge body of Stream and ServeStream. A
+// sole active shard streams inline on the caller's goroutine, its counters
+// written straight into cfg.Metrics.
 func (c *Corpus) stream(ctx context.Context, x *lang.Expanded, cfg Config, job streamJob, fn func(Hit) bool) error {
 	active, pruned := c.filterShards(x)
+	if len(active) == 1 {
+		if cfg.Metrics != nil {
+			cfg.Metrics.Shards++
+			cfg.Metrics.ShardsPruned += pruned
+		}
+		return streamShard(ctx, active[0], x, cfg, job, cfg.Metrics, fn)
+	}
 	merged := &exec.Metrics{}
 	merged.Shards = len(active)
 	merged.ShardsPruned = pruned
@@ -88,7 +97,21 @@ func (c *Corpus) stream(ctx context.Context, x *lang.Expanded, cfg Config, job s
 		wg.Add(1)
 		go func(i int, sh *Shard) {
 			defer wg.Done()
-			streamShard(ctx2, sh, x, cfg, job, &metrics[i], streams[i])
+			send := func(it streamItem) bool {
+				select {
+				case streams[i] <- it:
+					return true
+				case <-ctx2.Done():
+					return false
+				}
+			}
+			err := streamShard(ctx2, sh, x, cfg, job, &metrics[i], func(h Hit) bool {
+				return send(streamItem{hit: h})
+			})
+			if errors.Is(err, context.Canceled) && ctx2.Err() != nil {
+				err = nil // the merger stopped us; not a shard failure
+			}
+			send(streamItem{done: true, err: err})
 		}(i, sh)
 	}
 	// The producers select on ctx2 when sending, so cancelling first
@@ -151,43 +174,31 @@ func (c *Corpus) stream(ctx context.Context, x *lang.Expanded, cfg Config, job s
 	}
 }
 
-// streamShard runs one shard and forwards its emission as a (cost, doc,
-// root)-ascending stream. Schema-driven shards buffer and root-sort each
-// equal-cost tier (the engine emits tiers in plan order); direct shards
-// are already (cost, root)-sorted and forward as-is. It always terminates
-// the stream with a done marker.
-func streamShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, job streamJob, m *exec.Metrics, out chan<- streamItem) {
-	send := func(it streamItem) bool {
-		select {
-		case out <- it:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	if job.resolve {
-		if decideShard(sh, x, job.n, cfg, m) {
-			err := searchShardDirect(ctx, sh, x, job.n, m, func(h Hit) bool {
-				if job.bound != nil && h.Cost > job.bound() {
-					// Delivery is cost-ascending and the bound monotone
-					// non-increasing: every later hit is cut too.
-					return false
-				}
-				return send(streamItem{hit: h})
-			})
-			if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-				err = nil
+// streamShard runs one shard and passes its hits to send in (cost, doc,
+// root)-ascending order until send returns false; a stop by send returns
+// nil. Schema-driven shards buffer and root-sort each equal-cost tier (the
+// engine emits tiers in plan order), so a stop ends the engine after the
+// current tier; direct shards are already (cost, root)-sorted and forward
+// as-is. It returns the shard engine's error.
+func streamShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, job streamJob, m *exec.Metrics, send func(Hit) bool) error {
+	if job.resolve && decideShard(sh, x, job.n, cfg, m) {
+		return searchShardDirect(ctx, sh, x, job.n, m, func(h Hit) bool {
+			if job.bound != nil && h.Cost > job.bound() {
+				// Delivery is cost-ascending and the bound monotone
+				// non-increasing: every later hit is cut too.
+				return false
 			}
-			send(streamItem{done: true, err: err})
-			return
-		}
+			return send(h)
+		})
 	}
 	var tier []Hit
 	tierCost := cost.Cost(0)
+	stopped := false
 	flush := func() bool {
-		sort.Slice(tier, func(i, j int) bool { return tier[i].Root < tier[j].Root })
+		slices.SortFunc(tier, compare)
 		for _, h := range tier {
-			if !send(streamItem{hit: h}) {
+			if !send(h) {
+				stopped = true
 				return false
 			}
 		}
@@ -203,22 +214,16 @@ func streamShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, j
 		if !ok {
 			return true
 		}
-		if len(tier) > 0 && it.Cost != tierCost {
-			if !flush() {
-				return false
-			}
+		if len(tier) > 0 && it.Cost != tierCost && !flush() {
+			return false
 		}
 		tierCost = it.Cost
 		tier = append(tier, Hit{Doc: doc, Root: it.Root, Cost: it.Cost})
 		return true
 	})
-	if err == nil {
-		if !flush() {
-			err = ctx.Err()
-		}
+	if err != nil || stopped {
+		return err
 	}
-	if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-		err = nil // the merger stopped us; not a shard failure
-	}
-	send(streamItem{done: true, err: err})
+	flush()
+	return nil
 }

@@ -14,8 +14,8 @@ import (
 // before returning. When m is non-nil it receives the evaluator's counters
 // and the results emitted. Every evaluation step checks ctx, so a deadline
 // or cancellation stops the evaluation and Direct returns ctx.Err(). It is
-// the one Direct call sequence behind Database.Search and the corpus
-// shards.
+// the one Direct call sequence behind every corpus shard, and so behind
+// every Database and Corpus search.
 func Direct(ctx context.Context, tree *xmltree.Tree, src index.Source, x *lang.Expanded, n int, m *Metrics) ([]eval.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -1,8 +1,9 @@
-// Package exec runs both evaluation strategies behind the public entry
-// points. Direct (direct.go) is the one call sequence of the direct
-// algorithm. The rest is the execution engine of the schema-driven
-// strategy (Section 7.4, Figure 6), shared by every public entry point
-// (Search, Stream, SearchExplained, Results).
+// Package exec runs both evaluation strategies over one backend. Direct
+// (direct.go) is the one call sequence of the direct algorithm. The rest is
+// the execution engine of the schema-driven strategy (Section 7.4,
+// Figure 6). Search, Stream and Results reach both through internal/corpus,
+// one run per shard (a Database is a one-shard corpus); SearchExplained and
+// Explain run the engine directly.
 //
 // Figure 6 plans the best k second-level queries, executes them, and
 // re-plans with a larger k when they found too few results. Here planning
@@ -11,7 +12,8 @@
 // secondary index, delivers its new roots, and pulls the next, until it has
 // enough results or the stream ends. Nothing is planned twice and nothing
 // is planned past the query that delivers the last result wanted. Both
-// strategies run on the caller's goroutine.
+// strategies run on the goroutine that calls them: the caller's for a
+// Database, a shard worker's in a multi-shard search.
 package exec
 
 import (
@@ -226,17 +228,20 @@ func (g *Engine) Run(ctx context.Context, x *lang.Expanded, emit func(Item) bool
 // rootResultBound bounds the achievable result count: the instances of the
 // schema classes carrying the root label or one of its renamings.
 func rootResultBound(sch *schema.Schema, x *lang.Expanded) int {
-	labels := []string{x.Root.Label}
+	bound := labelInstances(sch, x.Root.Label)
 	for _, r := range x.Root.Renamings {
-		labels = append(labels, r.To)
-	}
-	bound := 0
-	for _, label := range labels {
-		for _, c := range sch.StructClasses(label) {
-			bound += len(sch.Instances(c))
-		}
+		bound += labelInstances(sch, r.To)
 	}
 	return bound
+}
+
+// labelInstances counts the instances of the struct classes carrying label.
+func labelInstances(sch *schema.Schema, label string) int {
+	n := 0
+	for _, c := range sch.StructClasses(label) {
+		n += len(sch.Instances(c))
+	}
+	return n
 }
 
 // PlanInfo describes one planned second-level query for introspection.

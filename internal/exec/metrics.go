@@ -86,7 +86,7 @@ type Metrics struct {
 	EvalScratchMisses int
 
 	// The corpus counters describe a sharded scatter-gather evaluation
-	// (internal/corpus); they stay zero for single-database queries.
+	// (internal/corpus); a Database query searches its one shard.
 	// Shards counts the shards the query fanned out to; ShardsPruned the
 	// shards skipped up front because their schema summary proved they
 	// cannot contain any result root.

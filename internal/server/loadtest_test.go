@@ -52,7 +52,7 @@ func TestServerLoadEquivalenceCorpus(t *testing.T) {
 	_, corpusTS := newTestServer(t, Config{Corpus: corpus, Model: model, CacheEntries: 64, MaxInflight: -1})
 
 	db := buildDB(t)
-	_, dbTS := newTestServer(t, Config{DB: db, Model: model, CacheEntries: 64, MaxInflight: -1})
+	_, dbTS := newTestServer(t, Config{Corpus: corpusOf(t, db), Model: model, CacheEntries: 64, MaxInflight: -1})
 
 	queries := []string{
 		`cd[title["concerto"]]`,

@@ -49,23 +49,19 @@ import (
 // Config tunes a Server. The zero value of every field selects a
 // production-safe default.
 type Config struct {
-	// DB is the shared database queries run against. Exactly one of DB
-	// and Corpus must be set; a DB is served as the one-shard corpus
-	// special case (identical rankings — document order coincides with
-	// node order in a single shard).
-	DB *approxql.Database
 	// Corpus is the shared sharded corpus queries run against. Responses
-	// carry each hit's document id and name.
+	// carry each hit's document id and name. A single Database is served
+	// as its one-shard corpus (Database.Corpus).
 	Corpus *approxql.Corpus
 	// Cluster makes the server a gatherer: /query fans over the
 	// cluster's shard nodes and merges their streams, carrying partial
-	// and per-node detail in the response. Exactly one of DB, Corpus,
-	// and Cluster must be set.
+	// and per-node detail in the response. Exactly one of Corpus and
+	// Cluster must be set.
 	Cluster *approxql.Cluster
 	// ShardNode additionally exposes the cluster wire protocol —
 	// POST /shard/query (ndjson hit stream), POST /shard/bound, and
 	// GET /shard/stats — so a gatherer can use this server as one node.
-	// It requires a DB or Corpus target.
+	// It requires a Corpus target.
 	ShardNode bool
 	// Model supplies the delete/rename costs applied to every query; nil
 	// allows insertions only (exact containment with context ranking).
@@ -134,9 +130,8 @@ func (c Config) withDefaults() Config {
 // concurrent use.
 type Server struct {
 	cfg Config
-	// corpus is the resolved evaluation target: Config.Corpus, or
-	// Config.DB wrapped as a one-shard corpus. It is nil on a gatherer,
-	// whose target is cluster instead.
+	// corpus is the evaluation target, Config.Corpus. It is nil on a
+	// gatherer, whose target is cluster instead.
 	corpus    *approxql.Corpus
 	cluster   *approxql.Cluster
 	bounds    *boundRegistry
@@ -163,29 +158,16 @@ type Server struct {
 // New returns a Server for cfg. It fails when no evaluation target is
 // configured, or more than one.
 func New(cfg Config) (*Server, error) {
-	targets := 0
-	for _, set := range []bool{cfg.DB != nil, cfg.Corpus != nil, cfg.Cluster != nil} {
-		if set {
-			targets++
-		}
-	}
-	if targets != 1 {
-		return nil, errors.New("server: exactly one of Config.DB, Config.Corpus, and Config.Cluster is required")
+	if (cfg.Corpus == nil) == (cfg.Cluster == nil) {
+		return nil, errors.New("server: exactly one of Config.Corpus and Config.Cluster is required")
 	}
 	if cfg.ShardNode && cfg.Cluster != nil {
-		return nil, errors.New("server: Config.ShardNode needs a DB or Corpus target, not a Cluster")
-	}
-	corpus := cfg.Corpus
-	if cfg.DB != nil {
-		var err error
-		if corpus, err = cfg.DB.Corpus(); err != nil {
-			return nil, err
-		}
+		return nil, errors.New("server: Config.ShardNode needs a Corpus target, not a Cluster")
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:       cfg,
-		corpus:    corpus,
+		corpus:    cfg.Corpus,
 		cluster:   cfg.Cluster,
 		bounds:    newBoundRegistry(),
 		admission: newAdmission(cfg.MaxInflight),

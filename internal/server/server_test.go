@@ -48,10 +48,20 @@ func buildDB(t *testing.T) *approxql.Database {
 	return db
 }
 
+// corpusOf serves a database as its one-shard corpus.
+func corpusOf(t *testing.T, db *approxql.Database) *approxql.Corpus {
+	t.Helper()
+	c, err := db.Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.DB == nil && cfg.Corpus == nil {
-		cfg.DB = buildDB(t)
+	if cfg.Corpus == nil {
+		cfg.Corpus = corpusOf(t, buildDB(t))
 	}
 	if cfg.Model == nil {
 		cfg.Model = approxql.PaperCostModel()
@@ -94,7 +104,7 @@ func decodeResponse(t *testing.T, body []byte) QueryResponse {
 
 func TestQueryMatchesDatabaseSearch(t *testing.T) {
 	db := buildDB(t)
-	_, ts := newTestServer(t, Config{DB: db})
+	_, ts := newTestServer(t, Config{Corpus: corpusOf(t, db)})
 
 	query := `cd[title["concerto"]]`
 	resp, body := postQuery(t, ts.URL, QueryRequest{Query: query, N: 5})
@@ -136,7 +146,7 @@ func TestQueryMatchesDatabaseSearch(t *testing.T) {
 // on cache hits.
 func TestPlannerResponseFields(t *testing.T) {
 	db := buildDB(t)
-	_, ts := newTestServer(t, Config{DB: db})
+	_, ts := newTestServer(t, Config{Corpus: corpusOf(t, db)})
 
 	query := `cd[title["concerto"]]`
 	for _, req := range []QueryRequest{
@@ -190,7 +200,7 @@ func TestPlannerResponseFields(t *testing.T) {
 
 func TestRenderedSubtrees(t *testing.T) {
 	db := buildDB(t)
-	_, ts := newTestServer(t, Config{DB: db})
+	_, ts := newTestServer(t, Config{Corpus: corpusOf(t, db)})
 	resp, body := postQuery(t, ts.URL, QueryRequest{Query: `mc[title]`, N: 1, Render: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
@@ -363,7 +373,7 @@ func TestInvalidateCache(t *testing.T) {
 
 func TestHealthz(t *testing.T) {
 	db := buildDB(t)
-	_, ts := newTestServer(t, Config{DB: db})
+	_, ts := newTestServer(t, Config{Corpus: corpusOf(t, db)})
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -418,7 +428,7 @@ func TestMetricsExposition(t *testing.T) {
 func TestConcurrentLoad(t *testing.T) {
 	db := buildDB(t)
 	model := approxql.PaperCostModel()
-	_, ts := newTestServer(t, Config{DB: db, Model: model})
+	_, ts := newTestServer(t, Config{Corpus: corpusOf(t, db), Model: model})
 
 	queries := []string{
 		`cd[title["concerto"]]`,
@@ -509,7 +519,7 @@ func TestConcurrentLoad(t *testing.T) {
 // TestGracefulDrain verifies Shutdown lets an in-flight query finish while
 // refusing new connections.
 func TestGracefulDrain(t *testing.T) {
-	s, err := New(Config{DB: buildDB(t), Model: approxql.PaperCostModel()})
+	s, err := New(Config{Corpus: corpusOf(t, buildDB(t)), Model: approxql.PaperCostModel()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +588,7 @@ func TestGracefulDrain(t *testing.T) {
 // Shutdown closes it instead of waiting the five seconds net/http grants
 // such connections.
 func TestShutdownClosesUnusedConnections(t *testing.T) {
-	s, err := New(Config{DB: buildDB(t)})
+	s, err := New(Config{Corpus: corpusOf(t, buildDB(t))})
 	if err != nil {
 		t.Fatal(err)
 	}

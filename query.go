@@ -1,19 +1,19 @@
 package approxql
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
-	"approxql/internal/backend"
+	"approxql/internal/corpus"
 	"approxql/internal/cost"
 	"approxql/internal/costgen"
 	"approxql/internal/eval"
 	"approxql/internal/exec"
 	"approxql/internal/kbest"
 	"approxql/internal/lang"
-	"approxql/internal/plan"
 )
 
 // Strategy selects the best-n evaluation algorithm.
@@ -91,12 +91,24 @@ func WithMetrics(m *QueryMetrics) QueryOption {
 	return func(c *queryConfig) { c.metrics = m }
 }
 
-func (db *Database) config(opts []QueryOption) queryConfig {
+func queryOptions(opts []QueryOption) queryConfig {
 	c := queryConfig{model: cost.NewModel()}
 	for _, o := range opts {
 		o(&c)
 	}
 	return c
+}
+
+// corpusConfig translates the query options into the corpus engine's
+// configuration under the given strategy. Auto defers the strategy to the
+// per-shard planner.
+func (c queryConfig) corpusConfig(strategy Strategy) corpus.Config {
+	return corpus.Config{
+		Direct:      strategy == Direct,
+		Auto:        strategy == Auto,
+		Parallelism: c.parallel,
+		Metrics:     c.metrics,
+	}
 }
 
 // Parse checks an approXQL query without executing it and returns its
@@ -128,39 +140,6 @@ func parseExpand(query string, c *queryConfig) (*lang.Expanded, error) {
 	return x, nil
 }
 
-// engine builds the incremental execution engine for one query — the single
-// execution path of the schema-driven strategy. The engine plans against
-// the schema and executes against the database's backend, so the same loop
-// runs over in-memory and stored I_sec postings.
-func (db *Database) engine(c queryConfig, n int) *exec.Engine {
-	return exec.New(db.Schema(), db.be, exec.Config{
-		N:       n,
-		Metrics: c.metrics,
-	})
-}
-
-// resolveAuto runs the planner for one query and records the decision in
-// the attached metrics.
-func (db *Database) resolveAuto(c *queryConfig, x *lang.Expanded, n int) Strategy {
-	cs, _ := db.be.(backend.CountSource)
-	d := plan.Decide(db.Schema(), cs, x, n)
-	if c.metrics != nil {
-		c.metrics.PlannerStrategy = d.Strategy.String()
-		c.metrics.PlannerEstimate = d.Estimate
-		c.metrics.PlannerProbes = d.Probes
-	}
-	if d.Strategy == plan.Direct {
-		if c.metrics != nil {
-			c.metrics.PlannerDirect++
-		}
-		return Direct
-	}
-	if c.metrics != nil {
-		c.metrics.PlannerSchema++
-	}
-	return SchemaDriven
-}
-
 // PlanDecision reports how the planner resolves Auto for one query: the
 // strategy it picks and the approximate-result-count estimate R̂ that drove
 // the choice. For a corpus the planner decides per shard;
@@ -188,30 +167,36 @@ type PlanDecision struct {
 // introspection surface behind axql -explain and the server's planner
 // fields.
 func (db *Database) Plan(query string, n int, opts ...QueryOption) (PlanDecision, error) {
-	c := db.config(opts)
-	x, err := parseExpand(query, &c)
+	return planQuery(db.c, query, n, opts)
+}
+
+// planQuery is Plan over a corpus: the per-shard strategy split, with the
+// majority pick as Strategy and the summed estimates.
+func planQuery(c *corpus.Corpus, query string, n int, opts []QueryOption) (PlanDecision, error) {
+	qc := queryOptions(opts)
+	x, err := parseExpand(query, &qc)
 	if err != nil {
 		return PlanDecision{}, err
 	}
-	cs, _ := db.be.(backend.CountSource)
-	d := plan.Decide(db.Schema(), cs, x, n)
+	s := c.Plan(x, n)
 	out := PlanDecision{
-		Estimate:  d.Estimate,
-		PlanSpace: d.PlanSpace,
-		Probes:    d.Probes,
+		Estimate:     s.Estimate,
+		PlanSpace:    s.PlanSpace,
+		Probes:       s.Probes,
+		DirectShards: s.DirectShards,
+		SchemaShards: s.SchemaShards,
 	}
-	if d.Strategy == plan.Direct {
+	if s.DirectShards >= s.SchemaShards {
 		out.Strategy = Direct
-		out.DirectShards = 1
 	} else {
 		out.Strategy = SchemaDriven
-		out.SchemaShards = 1
 	}
 	return out, nil
 }
 
 // Search returns the best n results for an approXQL query, ranked by
-// ascending transformation cost. n <= 0 returns all approximate results.
+// ascending transformation cost, ties by ascending root. n <= 0 returns
+// all approximate results. Every strategy returns the same results.
 func (db *Database) Search(query string, n int, opts ...QueryOption) ([]Result, error) {
 	return db.SearchContext(context.Background(), query, n, opts...)
 }
@@ -220,37 +205,33 @@ func (db *Database) Search(query string, n int, opts ...QueryOption) ([]Result, 
 // execution check the context between steps, so a cancelled or
 // deadline-bounded context stops the evaluation with ctx.Err().
 func (db *Database) SearchContext(ctx context.Context, query string, n int, opts ...QueryOption) ([]Result, error) {
-	c := db.config(opts)
-	x, err := parseExpand(query, &c)
+	return search(ctx, db.c, query, n, opts, hitResult)
+}
+
+// search runs one search over a corpus — a Database's one shard or a
+// Corpus's many — converting each ranked hit by conv.
+func search[T any](ctx context.Context, c *corpus.Corpus, query string, n int, opts []QueryOption, conv func(corpus.Hit) T) ([]T, error) {
+	qc := queryOptions(opts)
+	x, err := parseExpand(query, &qc)
 	if err != nil {
 		return nil, err
 	}
-	strategy := c.strategy
-	if strategy == Auto {
-		strategy = db.resolveAuto(&c, x, n)
+	if s := qc.strategy; s != Auto && s != Direct && s != SchemaDriven {
+		return nil, fmt.Errorf("approxql: unknown strategy %d", s)
 	}
-	switch strategy {
-	case Direct:
-		return exec.Direct(ctx, db.be.Tree(), db.be, x, n, c.metrics)
-	case SchemaDriven:
-		var results []Result
-		err := db.engine(c, n).Run(ctx, x, func(it exec.Item) bool {
-			results = append(results, Result{Root: it.Root, Cost: it.Cost})
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		return rankTruncate(results, n, func(r Result) Result { return r }), nil
-	}
-	return nil, fmt.Errorf("approxql: unknown strategy %d", strategy)
+	return corpus.Search(ctx, c, x, n, qc.corpusConfig(qc.strategy), conv)
 }
 
+// hitResult drops a corpus hit's document: a Database's result.
+func hitResult(h corpus.Hit) Result { return Result{Root: h.Root, Cost: h.Cost} }
+
 // Stream retrieves results incrementally in ascending cost order, calling
-// fn for each; fn returns false to stop. This is the "further advantage of
-// the schema-based approach" of the paper's conclusion: once the second-
-// level queries are generated, results are sent to the user as soon as each
-// second-level query completes.
+// fn for each; fn returns false to stop. Within a cost tier, results arrive
+// in ascending root order. This is the "further advantage of the
+// schema-based approach" of the paper's conclusion: once the second-level
+// queries are generated, results are sent to the user as soon as their
+// cost tier is complete. A stop ends the evaluation after the current cost
+// tier.
 func (db *Database) Stream(query string, fn func(Result) bool, opts ...QueryOption) error {
 	return db.StreamContext(context.Background(), query, fn, opts...)
 }
@@ -258,14 +239,17 @@ func (db *Database) Stream(query string, fn func(Result) bool, opts ...QueryOpti
 // StreamContext is Stream with cancellation. When fn stops the stream the
 // return is nil; when the context fires first it is ctx.Err().
 func (db *Database) StreamContext(ctx context.Context, query string, fn func(Result) bool, opts ...QueryOption) error {
-	c := db.config(opts)
-	x, err := parseExpand(query, &c)
+	return stream(ctx, db.c, query, opts, func(h corpus.Hit) bool { return fn(hitResult(h)) })
+}
+
+// stream runs one schema-driven stream over a corpus.
+func stream(ctx context.Context, c *corpus.Corpus, query string, opts []QueryOption, fn func(corpus.Hit) bool) error {
+	qc := queryOptions(opts)
+	x, err := parseExpand(query, &qc)
 	if err != nil {
 		return err
 	}
-	return db.engine(c, 0).Run(ctx, x, func(it exec.Item) bool {
-		return fn(Result{Root: it.Root, Cost: it.Cost})
-	})
+	return c.Stream(ctx, x, qc.corpusConfig(SchemaDriven), fn)
 }
 
 // ExplainedResult is a result together with the second-level query that
@@ -286,43 +270,43 @@ func (db *Database) SearchExplained(query string, n int, opts ...QueryOption) ([
 
 // SearchExplainedContext is SearchExplained with cancellation.
 func (db *Database) SearchExplainedContext(ctx context.Context, query string, n int, opts ...QueryOption) ([]ExplainedResult, error) {
-	c := db.config(opts)
+	c := queryOptions(opts)
 	x, err := parseExpand(query, &c)
 	if err != nil {
 		return nil, err
 	}
+	// The engine runs under its own n-th emitted cost as the bound, so it
+	// finishes the n-th cost tier; sorting by (cost, root) before the cut
+	// keeps the tier's lowest roots, exactly as Search does.
 	var out []ExplainedResult
-	err = db.engine(c, n).Run(ctx, x, func(it exec.Item) bool {
+	bound := cost.Inf
+	eng := exec.New(db.Schema(), db.be, exec.Config{
+		Metrics: c.metrics,
+		Bound:   func() cost.Cost { return bound },
+	})
+	err = eng.Run(ctx, x, func(it exec.Item) bool {
 		out = append(out, ExplainedResult{
 			Result: Result{Root: it.Root, Cost: it.Cost},
 			Plan:   kbest.Render(it.Plan),
 		})
+		if len(out) == n {
+			bound = it.Cost
+		}
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	return rankTruncate(out, n, func(r ExplainedResult) Result { return r.Result }), nil
-}
-
-// rankTruncate sorts what a schema-driven run emitted into the ranking of
-// Search — ascending cost, ties by preorder, stable — and cuts it at n
-// (n <= 0 keeps all). The engine stops at the boundary of the second-level
-// query that delivered the n-th root, so the cut may drop some of that
-// query's roots; sorting before cutting makes the kept ones the same for
-// every caller.
-func rankTruncate[T any](rs []T, n int, key func(T) Result) []T {
-	sort.SliceStable(rs, func(i, j int) bool {
-		a, b := key(rs[i]), key(rs[j])
-		if a.Cost != b.Cost {
-			return a.Cost < b.Cost
+	slices.SortFunc(out, func(a, b ExplainedResult) int {
+		if c := cmp.Compare(a.Cost, b.Cost); c != 0 {
+			return c
 		}
-		return a.Root < b.Root
+		return cmp.Compare(a.Root, b.Root)
 	})
-	if n > 0 && n < len(rs) {
-		rs = rs[:n]
+	if n > 0 && n < len(out) {
+		out = out[:n]
 	}
-	return rs
+	return out, nil
 }
 
 // MatchStep reports the fate of one query selector in the cheapest
@@ -347,7 +331,7 @@ type MatchStep struct {
 // deleted — the information a UI needs for highlighting. The root must be a
 // result of the same query and cost model (as returned by Search).
 func (db *Database) MatchDetails(query string, root NodeID, opts ...QueryOption) ([]MatchStep, Cost, error) {
-	c := db.config(opts)
+	c := queryOptions(opts)
 	q, err := lang.Parse(query)
 	if err != nil {
 		return nil, 0, err
@@ -417,7 +401,7 @@ func (db *Database) Explain(query string, k int, opts ...QueryOption) ([]SecondL
 
 // ExplainContext is Explain with cancellation.
 func (db *Database) ExplainContext(ctx context.Context, query string, k int, opts ...QueryOption) ([]SecondLevelQuery, error) {
-	c := db.config(opts)
+	c := queryOptions(opts)
 	x, err := parseExpand(query, &c)
 	if err != nil {
 		return nil, err
@@ -425,7 +409,7 @@ func (db *Database) ExplainContext(ctx context.Context, query string, k int, opt
 	if k <= 0 {
 		k = 10
 	}
-	plans, err := db.engine(c, 0).Explain(ctx, x, k)
+	plans, err := exec.New(db.Schema(), db.be, exec.Config{Metrics: c.metrics}).Explain(ctx, x, k)
 	if err != nil {
 		return nil, err
 	}

@@ -3,16 +3,15 @@ package approxql
 import (
 	"context"
 	"iter"
-
-	"approxql/internal/exec"
 )
 
 // Results returns a pull-based iterator over the ranked results of an
-// approXQL query, in ascending cost order. It is the range-over-func
-// companion of Stream: results are produced lazily by the incremental
-// schema-driven engine, so breaking out of the loop early stops the
-// evaluation after the current second-level query — nothing further is
-// planned and no further secondary fetches happen.
+// approXQL query, in ascending cost order and, within a cost tier, in
+// ascending root order. It is the range-over-func companion of Stream:
+// results are produced lazily by the incremental schema-driven engine, so
+// breaking out of the loop early stops the evaluation after the current
+// cost tier: past the second-level query that opened the next tier,
+// nothing further is planned and no further secondary fetches happen.
 //
 //	for r, err := range db.Results(`cd[title["concerto"]]`, approxql.WithCostModel(model)) {
 //		if err != nil {
@@ -32,20 +31,11 @@ func (db *Database) Results(query string, opts ...QueryOption) iter.Seq2[Result,
 // mid-iteration, the iterator yields ctx.Err() and stops.
 func (db *Database) ResultsContext(ctx context.Context, query string, opts ...QueryOption) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
-		c := db.config(opts)
-		x, err := parseExpand(query, &c)
-		if err != nil {
-			yield(Result{}, err)
-			return
-		}
 		stopped := false
-		err = db.engine(c, 0).Run(ctx, x, func(it exec.Item) bool {
-			if !yield(Result{Root: it.Root, Cost: it.Cost}, nil) {
-				stopped = true
-				return false
-			}
-			return true
-		})
+		err := db.StreamContext(ctx, query, func(r Result) bool {
+			stopped = !yield(r, nil)
+			return !stopped
+		}, opts...)
 		if err != nil && !stopped {
 			yield(Result{}, err)
 		}
