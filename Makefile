@@ -60,7 +60,8 @@ bench:
 # Short fuzz passes over the bundle manifest reader, the B+tree builder
 # (fuzzer-chosen key sets and value sizes, read back through every lookup,
 # count and rank operation), the collection-file reader, the packed
-# dictionary reader, and direct and schema-driven evaluation against the
+# dictionary reader and its lookups (which must agree with the interning
+# dictionary), and direct and schema-driven evaluation against the
 # reference evaluator (fuzzer-chosen models, trees and queries); longer
 # local runs: go test -fuzz <target> in the respective package.
 fuzz-smoke:
@@ -68,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzBuild -fuzztime 30s ./internal/storage/
 	$(GO) test -run xxx -fuzz FuzzReadTree -fuzztime 30s ./internal/xmltree/
 	$(GO) test -run xxx -fuzz FuzzOpenPacked -fuzztime 30s ./internal/dict/
+	$(GO) test -run xxx -fuzz FuzzPackedLookup -fuzztime 30s ./internal/dict/
 	$(GO) test -run xxx -fuzz FuzzPrimaryMatchesReference -fuzztime 30s ./internal/eval/
 	$(GO) test -run xxx -fuzz FuzzSchemaMatchesReference -fuzztime 30s ./internal/kbest/
 

@@ -9,7 +9,7 @@
 // direct algorithm of Section 6, the schema-driven planner and the
 // incremental execution engine of Section 7 — run unmodified over either
 // the in-memory indexes or their persisted B+tree equivalents. Stored
-// backends share one mutex-guarded LRU (see LRU) between all their posting
+// backends share one mutex-guarded LRU (index.LRU) between all their posting
 // readers and report fetch counts, cache hits, and bytes decoded through
 // CacheStats.
 package backend
@@ -37,7 +37,7 @@ type Backend interface {
 	Schema() *schema.Schema
 	// CacheStats reports the cumulative posting-fetch counters of the
 	// backend's shared cache layer; in-memory backends report zeros.
-	CacheStats() CacheStats
+	CacheStats() index.CacheStats
 	// Close releases the backend's resources (open index files). The
 	// backend must not be used afterwards.
 	Close() error

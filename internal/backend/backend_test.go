@@ -150,21 +150,69 @@ func TestStoredConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestStoredBoundedFetchCaches checks that a bounded I_sec miss caches the
+// complete posting: a second bounded fetch of the key is an LRU hit, and a
+// larger bound after a smaller one returns the exact longer prefix (a
+// cached truncated view would return the shorter one again).
+func TestStoredBoundedFetchCaches(t *testing.T) {
+	mem, st := openTestStored(t, DefaultCacheEntries)
+	sch := mem.Schema()
+	upTo := func(post []xmltree.NodeID, bound xmltree.NodeID) []xmltree.NodeID {
+		var out []xmltree.NodeID
+		for _, u := range post {
+			if u <= bound {
+				out = append(out, u)
+			}
+		}
+		return out
+	}
+	check := func(name string, full []xmltree.NodeID, fetch func(bound xmltree.NodeID) ([]xmltree.NodeID, error)) {
+		t.Helper()
+		if len(full) < 2 {
+			t.Fatalf("%s: posting %v too short for the test", name, full)
+		}
+		for i, bound := range []xmltree.NodeID{full[0], full[0], full[len(full)-1]} {
+			before := st.CacheStats()
+			got, err := fetch(bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := upTo(full, bound); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s up to %d = %v, want %v", name, bound, got, want)
+			}
+			hit := st.CacheStats().Hits > before.Hits
+			if hit != (i > 0) {
+				t.Errorf("%s fetch %d up to %d: LRU hit = %v, want %v", name, i, bound, hit, i > 0)
+			}
+		}
+	}
+	cd := sch.StructClasses("cd")[0]
+	full, _ := mem.SecInstances(cd)
+	check("SecInstancesUpTo(cd)", full, func(bound xmltree.NodeID) ([]xmltree.NodeID, error) {
+		return st.SecInstancesUpTo(cd, bound)
+	})
+	title := sch.TextClasses("piano")[0]
+	full, _ = mem.SecTermInstances(title, "piano")
+	check("SecTermInstancesUpTo(piano)", full, func(bound xmltree.NodeID) ([]xmltree.NodeID, error) {
+		return st.SecTermInstancesUpTo(title, "piano", bound)
+	})
+}
+
 func TestLRUEvictionAndStats(t *testing.T) {
-	lru := NewLRU(2)
-	if _, ok := lru.Get("a"); ok {
+	lru := index.NewLRU(2)
+	if _, ok := lru.Get([]byte("a")); ok {
 		t.Fatal("hit on empty cache")
 	}
-	lru.Put("a", []xmltree.NodeID{1}, 10)
-	lru.Put("b", []xmltree.NodeID{2}, 20)
-	if _, ok := lru.Get("a"); !ok {
+	lru.Put([]byte("a"), []xmltree.NodeID{1}, 10)
+	lru.Put([]byte("b"), []xmltree.NodeID{2}, 20)
+	if _, ok := lru.Get([]byte("a")); !ok {
 		t.Fatal("a evicted too early")
 	}
-	lru.Put("c", []xmltree.NodeID{3}, 30) // evicts b (a was just used)
-	if _, ok := lru.Get("b"); ok {
+	lru.Put([]byte("c"), []xmltree.NodeID{3}, 30) // evicts b (a was just used)
+	if _, ok := lru.Get([]byte("b")); ok {
 		t.Error("b should have been evicted")
 	}
-	if _, ok := lru.Get("a"); !ok {
+	if _, ok := lru.Get([]byte("a")); !ok {
 		t.Error("a should have survived")
 	}
 	if lru.Len() != 2 {
@@ -177,9 +225,9 @@ func TestLRUEvictionAndStats(t *testing.T) {
 }
 
 func TestLRUDisabledStillCounts(t *testing.T) {
-	lru := NewLRU(0)
-	lru.Put("a", []xmltree.NodeID{1}, 5)
-	if _, ok := lru.Get("a"); ok {
+	lru := index.NewLRU(0)
+	lru.Put([]byte("a"), []xmltree.NodeID{1}, 5)
+	if _, ok := lru.Get([]byte("a")); ok {
 		t.Error("disabled cache returned a hit")
 	}
 	st := lru.Stats()

@@ -80,7 +80,7 @@ func (m *Memory) SecTermInstanceCount(c schema.NodeID, term string) (int, error)
 }
 
 // CacheStats implements Backend; the in-memory backend has no cache layer.
-func (m *Memory) CacheStats() CacheStats { return CacheStats{} }
+func (m *Memory) CacheStats() index.CacheStats { return index.CacheStats{} }
 
 // Close implements Backend; the in-memory backend holds no resources.
 func (m *Memory) Close() error { return nil }

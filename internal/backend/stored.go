@@ -22,7 +22,7 @@ type Stored struct {
 	sec    *schema.StoredSec
 	postDB *storage.DB
 	secDB  *storage.DB
-	lru    *LRU
+	lru    *index.LRU
 
 	schemaOnce sync.Once
 	sch        *schema.Schema
@@ -30,6 +30,9 @@ type Stored struct {
 	closeOnce sync.Once
 	closeErr  error
 }
+
+// DefaultCacheEntries is the posting-cache capacity backends open with.
+const DefaultCacheEntries = 4096
 
 // StoredOptions tune OpenStoredOptions.
 type StoredOptions struct {
@@ -58,7 +61,7 @@ func OpenStoredOptions(tree *xmltree.Tree, postings, secondary string, opts Stor
 		postDB.Close()
 		return nil, fmt.Errorf("backend: secondary %s: %w", secondary, err)
 	}
-	lru := NewLRU(opts.CacheEntries)
+	lru := index.NewLRU(opts.CacheEntries)
 	post := index.OpenStored(postDB)
 	post.SetCache(lru)
 	sec := schema.OpenStoredSec(secDB)
@@ -132,7 +135,7 @@ func (s *Stored) MMapped() bool {
 
 // CacheStats implements Backend: the counters of the shared LRU plus the
 // page-level counters of both underlying stores.
-func (s *Stored) CacheStats() CacheStats {
+func (s *Stored) CacheStats() index.CacheStats {
 	st := s.lru.Stats()
 	pr, pe := s.postDB.PageStats()
 	sr, se := s.secDB.PageStats()

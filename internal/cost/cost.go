@@ -14,9 +14,11 @@ package cost
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -119,18 +121,29 @@ func (m *Model) SetDelete(label string, kind Kind, c Cost) {
 }
 
 // AddRenaming allows renaming from → to at cost c. Duplicate targets keep
-// the cheapest cost.
+// the cheapest cost. Each label's renamings are kept sorted by (cost,
+// target), so that Renamings only reads and concurrent queries may share
+// one model.
 func (m *Model) AddRenaming(from, to string, kind Kind, c Cost) {
 	k := labelKey{from, kind}
-	for i, r := range m.rename[k] {
-		if r.To == to {
-			if c < r.Cost {
-				m.rename[k][i].Cost = c
-			}
+	rs := m.rename[k]
+	if i := slices.IndexFunc(rs, func(r Renaming) bool { return r.To == to }); i >= 0 {
+		if c >= rs[i].Cost {
 			return
 		}
+		rs = slices.Delete(rs, i, i+1)
 	}
-	m.rename[k] = append(m.rename[k], Renaming{To: to, Cost: c})
+	r := Renaming{To: to, Cost: c}
+	i, _ := slices.BinarySearchFunc(rs, r, compareRenamings)
+	m.rename[k] = slices.Insert(rs, i, r)
+}
+
+// compareRenamings orders renamings by (cost, target).
+func compareRenamings(a, b Renaming) int {
+	if a.Cost != b.Cost {
+		return cmp.Compare(a.Cost, b.Cost)
+	}
+	return strings.Compare(a.To, b.To)
 }
 
 // InsertCost returns the cost of inserting a node labeled label.
@@ -151,16 +164,10 @@ func (m *Model) DeleteCost(label string, kind Kind) Cost {
 }
 
 // Renamings returns the allowed renamings of label, sorted by (cost, target)
-// for deterministic evaluation. The returned slice must not be modified.
+// for deterministic evaluation. It only reads the model, so concurrent
+// calls are safe. The returned slice must not be modified.
 func (m *Model) Renamings(label string, kind Kind) []Renaming {
-	rs := m.rename[labelKey{label, kind}]
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Cost != rs[j].Cost {
-			return rs[i].Cost < rs[j].Cost
-		}
-		return rs[i].To < rs[j].To
-	})
-	return rs
+	return m.rename[labelKey{label, kind}]
 }
 
 // RenameCost returns the cost of renaming from → to, or Inf if not allowed.

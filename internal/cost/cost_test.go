@@ -2,7 +2,9 @@ package cost
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -206,4 +208,39 @@ func TestMin(t *testing.T) {
 	if Min(3, 5) != 3 || Min(5, 3) != 3 || Min(Inf, 1) != 1 {
 		t.Error("Min misbehaves")
 	}
+}
+
+// TestConcurrentRenamings reads one label's renamings from several
+// goroutines, as the engines of concurrent queries do on a shared model.
+// Renamings used to sort the model's slice in place on every call, which
+// the race detector reports; now AddRenaming keeps the order and Renamings
+// only reads.
+func TestConcurrentRenamings(t *testing.T) {
+	m := NewModel()
+	for i := 20; i > 0; i-- {
+		m.AddRenaming("a", fmt.Sprintf("t%02d", i), Struct, Cost(i))
+	}
+	// A cheaper duplicate moves its target to the front.
+	m.AddRenaming("a", "t20", Struct, 0)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				rs := m.Renamings("a", Struct)
+				if len(rs) != 20 || rs[0] != (Renaming{To: "t20", Cost: 0}) {
+					t.Errorf("Renamings = %v", rs)
+					return
+				}
+				for j := 1; j < len(rs); j++ {
+					if compareRenamings(rs[j-1], rs[j]) >= 0 {
+						t.Errorf("Renamings not sorted at %d: %v", j, rs)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -256,11 +256,16 @@ func (p *Packed) firstKey(b int) []byte {
 	return p.data[off+w : off+w+int(n)]
 }
 
+// scanBufLen sizes the stack buffer scanBlock decodes into: a lookup
+// allocates only in a block holding a string longer than this.
+const scanBufLen = 128
+
 // scanBlock front-decodes block b looking for s, returning its rank.
 func (p *Packed) scanBlock(b int, s string) (int, bool) {
 	last := min(p.count-b*packedBlockSize, packedBlockSize)
 	cur := blockCursor{p: p}
-	var buf []byte
+	var stack [scanBufLen]byte
+	buf := stack[:0]
 	var err error
 	for j := 0; j < last; j++ {
 		if buf, err = cur.next(buf, b*packedBlockSize+j); err != nil {

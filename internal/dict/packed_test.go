@@ -3,6 +3,7 @@ package dict
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -170,6 +171,45 @@ func FuzzOpenPacked(f *testing.F) {
 			}
 			if got := p.Lookup(s); got != ID(id) {
 				t.Fatalf("Lookup(%q) = %d, want %d", s, got, id)
+			}
+		}
+	})
+}
+
+// TestPackedLookupAllocs checks that Lookup allocates nothing, for present
+// and absent strings alike: it decodes into a stack buffer.
+func TestPackedLookupAllocs(t *testing.T) {
+	strs := make([]string, 100)
+	for i := range strs {
+		strs[i] = fmt.Sprintf("label-%03d", i)
+	}
+	p := packedFixture(t, strs)
+	for _, s := range []string{"label-042", "label-099", "label-04", "zzz", ""} {
+		if n := testing.AllocsPerRun(100, func() { p.Lookup(s) }); n != 0 {
+			t.Errorf("Lookup(%q) allocates %v times", s, n)
+		}
+	}
+}
+
+// FuzzPackedLookup checks that Packed.Lookup agrees with Dict.Lookup on a
+// dictionary of fuzzer strings, for each of them and for a probe that may
+// be absent.
+func FuzzPackedLookup(f *testing.F) {
+	f.Add("catalog\x00cd\x00title\x00composer", "cd")
+	f.Add("a\x00ab\x00abc\x00b", "abd")
+	f.Add("", "x")
+	f.Add(strings.Repeat("long-", 40)+"\x00"+strings.Repeat("long-", 41), strings.Repeat("long-", 40)+"x")
+	f.Fuzz(func(t *testing.T, joined, probe string) {
+		d := New()
+		if joined != "" {
+			for _, s := range strings.Split(joined, "\x00") {
+				d.Intern(s)
+			}
+		}
+		p := packedFixture(t, d.Strings())
+		for _, s := range append(d.Strings(), probe) {
+			if got, want := p.Lookup(s), d.Lookup(s); got != want {
+				t.Fatalf("Lookup(%q) = %d, Dict says %d", s, got, want)
 			}
 		}
 	})

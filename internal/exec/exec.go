@@ -20,8 +20,8 @@ import (
 	"context"
 	"time"
 
-	"approxql/internal/backend"
 	"approxql/internal/cost"
+	"approxql/internal/index"
 	"approxql/internal/kbest"
 	"approxql/internal/lang"
 	"approxql/internal/schema"
@@ -88,7 +88,7 @@ func New(sch *schema.Schema, sec schema.SecSource, cfg Config) *Engine {
 // cacheStatser is the optional fetch-statistics surface of a storage
 // backend; backend.Backend satisfies it.
 type cacheStatser interface {
-	CacheStats() backend.CacheStats
+	CacheStats() index.CacheStats
 }
 
 // snapshotCacheStats records the backend's cache counters and returns a

@@ -19,26 +19,19 @@ const (
 	textPrefix   = "t\x00"
 )
 
-// PostingCache caches decoded postings for stored index readers. One cache
-// is shared by every reader of a backend (the I_struct/I_text postings and
-// the I_sec postings live in disjoint key namespaces), so implementations
-// must be safe for concurrent use. rawBytes is the encoded size of the
-// posting, for cache instrumentation. The production implementation is the
-// shared LRU of internal/backend.
-type PostingCache interface {
-	Get(key string) ([]xmltree.NodeID, bool)
-	Put(key string, post []xmltree.NodeID, rawBytes int)
-}
+// KeyBufLen sizes the stack buffers posting keys are built in before a
+// Fetch or Count; a longer key spills to the heap, which costs an
+// allocation but stays correct.
+const KeyBufLen = 64
 
 // Stored is an index whose postings live in a storage.DB, the role Berkeley
-// DB plays in the paper's system. Postings are decoded on demand; attach a
-// PostingCache with SetCache to reuse decoded postings across fetches. A
-// Stored index without a cache is stateless and safe for concurrent use
-// (the underlying store serializes page access); with a cache it is as safe
-// as the cache implementation.
+// DB plays in the paper's system. Postings are decoded on demand; attach an
+// LRU with SetCache to reuse decoded postings across fetches. Stored is safe
+// for concurrent use: the underlying store serializes page access and the
+// LRU its own state.
 type Stored struct {
 	db    *storage.DB
-	cache PostingCache // nil: every fetch reads and decodes from storage
+	cache *LRU // nil: every fetch reads and decodes from storage
 }
 
 // Save persists all postings of a Memory index into db, in key order: the
@@ -75,16 +68,26 @@ func OpenStored(db *storage.DB) *Stored {
 	return &Stored{db: db}
 }
 
-// SetCache attaches a posting cache (nil disables caching).
-func (s *Stored) SetCache(c PostingCache) { s.cache = c }
+// SetCache attaches a posting cache (nil disables caching). One cache may
+// be shared with other readers whose key namespaces are disjoint.
+func (s *Stored) SetCache(c *LRU) { s.cache = c }
 
-func (s *Stored) fetch(key string) ([]xmltree.NodeID, error) {
+// appendKey appends a posting key, prefix plus label, to buf.
+func appendKey(buf []byte, prefix, label string) []byte {
+	return append(append(buf, prefix...), label...)
+}
+
+// Fetch returns the complete posting stored under key, nil if there is
+// none. A cache miss decodes the posting and puts it in the cache. Struct
+// and Text fetch the I_struct/I_text namespaces; the secondary index reads
+// its own namespace through Fetch.
+func (s *Stored) Fetch(key []byte) ([]xmltree.NodeID, error) {
 	if s.cache != nil {
 		if post, ok := s.cache.Get(key); ok {
 			return post, nil
 		}
 	}
-	raw, ok, err := s.db.Get([]byte(key))
+	raw, ok, err := s.db.Get(key)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +96,7 @@ func (s *Stored) fetch(key string) ([]xmltree.NodeID, error) {
 	}
 	post, err := DecodePosting(raw)
 	if err != nil {
-		return nil, fmt.Errorf("index: posting %q: %w", key, err)
+		return nil, fmt.Errorf("index: posting %q: %w", string(key), err)
 	}
 	if s.cache != nil {
 		s.cache.Put(key, post, len(raw))
@@ -103,12 +106,14 @@ func (s *Stored) fetch(key string) ([]xmltree.NodeID, error) {
 
 // Struct implements Source.
 func (s *Stored) Struct(name string) ([]xmltree.NodeID, error) {
-	return s.fetch(structPrefix + name)
+	var buf [KeyBufLen]byte
+	return s.Fetch(appendKey(buf[:0], structPrefix, name))
 }
 
 // Text implements Source.
 func (s *Stored) Text(term string) ([]xmltree.NodeID, error) {
-	return s.fetch(textPrefix + term)
+	var buf [KeyBufLen]byte
+	return s.Fetch(appendKey(buf[:0], textPrefix, term))
 }
 
 // postingHeaderLen is the encoded posting prefix that holds the entry
@@ -118,23 +123,33 @@ const postingHeaderLen = 2 + binary.MaxVarintLen64
 // StructCount returns the length of the posting for name without decoding
 // or even materializing it.
 func (s *Stored) StructCount(name string) (int, error) {
-	return s.count(structPrefix + name)
+	var buf [KeyBufLen]byte
+	return s.Count(appendKey(buf[:0], structPrefix, name))
 }
 
 // TextCount returns the length of the posting for term, like StructCount.
 func (s *Stored) TextCount(term string) (int, error) {
-	return s.count(textPrefix + term)
+	var buf [KeyBufLen]byte
+	return s.Count(appendKey(buf[:0], textPrefix, term))
 }
 
-func (s *Stored) count(key string) (int, error) {
+// Count returns the length of the posting stored under key without
+// decoding or caching it: a cached posting answers with its length,
+// otherwise only the value header is read, so an overflow-chained posting
+// costs one descent instead of a page per chain hop.
+func (s *Stored) Count(key []byte) (int, error) {
 	if s.cache != nil {
 		if post, ok := s.cache.Get(key); ok {
 			return len(post), nil
 		}
 	}
-	hdr, ok, err := s.db.ValueHeader([]byte(key), postingHeaderLen)
+	hdr, ok, err := s.db.ValueHeader(key, postingHeaderLen)
 	if err != nil || !ok {
 		return 0, err
 	}
-	return PostingCount(hdr)
+	n, err := PostingCount(hdr)
+	if err != nil {
+		return 0, fmt.Errorf("index: posting %q: %w", string(key), err)
+	}
+	return n, nil
 }

@@ -1,15 +1,13 @@
 package index_test
 
-// External test package: the shared posting cache lives in internal/backend,
-// which imports internal/index, so the regression test wires the two together
-// from outside.
+// External test package: the regression test drives Stored through its
+// exported surface only.
 
 import (
 	"reflect"
 	"sync"
 	"testing"
 
-	"approxql/internal/backend"
 	"approxql/internal/index"
 	"approxql/internal/storage"
 	"approxql/internal/xmltree"
@@ -42,7 +40,7 @@ func TestStoredConcurrentFetch(t *testing.T) {
 	st := index.OpenStored(db)
 	// A tiny capacity keeps the LRU evicting, so goroutines hit every code
 	// path: miss, fill, hit, evict.
-	st.SetCache(backend.NewLRU(2))
+	st.SetCache(index.NewLRU(2))
 
 	labels := []string{"catalog", "cd", "title", "composer", "missing"}
 	terms := []string{"piano", "concerto", "sonata", "rachmaninov", "bach", "nope"}

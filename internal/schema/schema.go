@@ -20,6 +20,8 @@ package schema
 import (
 	"fmt"
 	"sort"
+	"strings"
+	"sync"
 
 	"approxql/internal/cost"
 	"approxql/internal/dict"
@@ -60,6 +62,40 @@ type Schema struct {
 	// textIndex is the schema-level I_text: term → text classes whose
 	// instances contain the term.
 	textIndex map[dict.ID][]NodeID
+
+	// structMemo and textMemo cache StructClasses and TextClasses by
+	// label, so each label pays for its dictionary lookup once.
+	structMemo, textMemo classMemo
+}
+
+// classMemo caches label → classes for labels found in the dictionary. It
+// is read-mostly: every query of a running system asks for labels it has
+// seen before. Absent labels are not cached, so the memo is bounded by the
+// dictionary however many distinct labels the queries carry.
+type classMemo struct {
+	mu sync.Mutex
+	m  map[string][]NodeID
+}
+
+// classes returns the classes of label: the memo's entry, or on a miss the
+// index posting of the label's dictionary ID, which is then cached under a
+// copy of label (so the memo never pins the caller's string).
+func (cm *classMemo) classes(label string, labels dict.Reader, index map[dict.ID][]NodeID) []NodeID {
+	cm.mu.Lock()
+	defer cm.mu.Unlock()
+	if cs, ok := cm.m[label]; ok {
+		return cs
+	}
+	id := labels.Lookup(label)
+	if id == dict.None {
+		return nil
+	}
+	if cm.m == nil {
+		cm.m = make(map[string][]NodeID)
+	}
+	cs := index[id]
+	cm.m[strings.Clone(label)] = cs
+	return cs
 }
 
 type termKey struct {
@@ -241,21 +277,13 @@ func (s *Schema) ClassOf(u xmltree.NodeID) NodeID { return s.classOf[u] }
 // StructClasses returns the struct classes whose label is name, sorted by
 // preorder: the schema-level I_struct posting.
 func (s *Schema) StructClasses(name string) []NodeID {
-	id := s.tree.Names.Lookup(name)
-	if id == dict.None {
-		return nil
-	}
-	return s.structIndex[id]
+	return s.structMemo.classes(name, s.tree.Names, s.structIndex)
 }
 
 // TextClasses returns the text classes whose instances contain term, sorted
 // by preorder: the schema-level I_text posting.
 func (s *Schema) TextClasses(term string) []NodeID {
-	id := s.tree.Terms.Lookup(term)
-	if id == dict.None {
-		return nil
-	}
-	return s.textIndex[id]
+	return s.textMemo.classes(term, s.tree.Terms, s.textIndex)
 }
 
 // Instances returns the sorted data nodes of class c: the I_sec posting of

@@ -1,9 +1,11 @@
 package schema
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"approxql/internal/cost"
@@ -289,4 +291,70 @@ func TestSchemaOfSingleDocument(t *testing.T) {
 		t.Errorf("root instances = %v", s.Instances(0))
 	}
 	_ = tree
+}
+
+// TestClassMemoMatchesDictionary checks that the memoized StructClasses and
+// TextClasses return, on first and repeated calls, the index posting of the
+// label's dictionary ID for every label of the tree, and that absent labels
+// are answered without being retained.
+func TestClassMemoMatchesDictionary(t *testing.T) {
+	tree, s := buildSchema(t, catalogXML, nil)
+	for pass := 0; pass < 2; pass++ {
+		for _, name := range tree.Names.Strings() {
+			want := s.structIndex[tree.Names.Lookup(name)]
+			if got := s.StructClasses(name); !reflect.DeepEqual(got, want) {
+				t.Errorf("pass %d: StructClasses(%q) = %v, want %v", pass, name, got, want)
+			}
+		}
+		for _, term := range tree.Terms.Strings() {
+			want := s.textIndex[tree.Terms.Lookup(term)]
+			if got := s.TextClasses(term); !reflect.DeepEqual(got, want) {
+				t.Errorf("pass %d: TextClasses(%q) = %v, want %v", pass, term, got, want)
+			}
+		}
+	}
+	names, terms := len(s.structMemo.m), len(s.textMemo.m)
+	if names != tree.Names.Len() || terms != tree.Terms.Len() {
+		t.Errorf("memo holds %d names and %d terms, dictionary %d and %d",
+			names, terms, tree.Names.Len(), tree.Terms.Len())
+	}
+	for i := 0; i < 50; i++ {
+		absent := fmt.Sprintf("absent-%d", i)
+		if s.StructClasses(absent) != nil || s.TextClasses(absent) != nil {
+			t.Fatalf("absent label %q has classes", absent)
+		}
+	}
+	if len(s.structMemo.m) != names || len(s.textMemo.m) != terms {
+		t.Errorf("absent labels retained: memo grew to %d names and %d terms",
+			len(s.structMemo.m), len(s.textMemo.m))
+	}
+}
+
+// TestConcurrentClassMemo resolves labels from several goroutines at once,
+// present and absent, so that memo misses, fills and hits interleave (run
+// under -race).
+func TestConcurrentClassMemo(t *testing.T) {
+	tree, s := buildSchema(t, catalogXML, nil)
+	labels := append(tree.Names.Strings(), "dvd", "missing")
+	terms := append(tree.Terms.Strings(), "nope")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				name := labels[(g+i)%len(labels)]
+				if got, want := s.StructClasses(name), s.structIndex[tree.Names.Lookup(name)]; !reflect.DeepEqual(got, want) {
+					t.Errorf("StructClasses(%q) = %v, want %v", name, got, want)
+					return
+				}
+				term := terms[(g+i)%len(terms)]
+				if got, want := s.TextClasses(term), s.textIndex[tree.Terms.Lookup(term)]; !reflect.DeepEqual(got, want) {
+					t.Errorf("TextClasses(%q) = %v, want %v", term, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -35,10 +35,11 @@ func (s *Schema) SecTermInstances(c NodeID, term string) ([]xmltree.NodeID, erro
 // SecSourceUpTo is the optional bounded extension of SecSource: only the
 // posting entries with preorder ≤ bound. Second-level executors semijoin
 // leaf postings against an already-fetched ancestor list, so entries past
-// the last relevant subtree bound cannot affect the result; stored sources
-// answer from the blocked posting codec's skip table without reading the
-// bodies of out-of-range blocks. Bounded results are truncated views and
-// must never be cached as full postings.
+// the last relevant subtree bound cannot affect the result. Every answer is
+// a zero-copy prefix of the complete posting: stored sources decode and
+// cache the whole posting on a miss, because the same key comes back under
+// other bounds in later second-level queries, and a cache of truncated
+// views would answer a larger bound wrongly.
 type SecSourceUpTo interface {
 	SecInstancesUpTo(c NodeID, bound xmltree.NodeID) ([]xmltree.NodeID, error)
 	SecTermInstancesUpTo(c NodeID, term string, bound xmltree.NodeID) ([]xmltree.NodeID, error)
@@ -90,15 +91,16 @@ const (
 	secTermPrefix   = "w\x00"
 )
 
-func secStructKey(c NodeID) []byte {
-	buf := make([]byte, len(secStructPrefix), len(secStructPrefix)+binary.MaxVarintLen32)
-	copy(buf, secStructPrefix)
+// secStructKey appends the I_sec key of struct class c to buf.
+func secStructKey(buf []byte, c NodeID) []byte {
+	buf = append(buf, secStructPrefix...)
 	return binary.AppendUvarint(buf, uint64(c))
 }
 
-func secTermKey(c NodeID, term string) []byte {
-	buf := make([]byte, len(secTermPrefix), len(secTermPrefix)+binary.MaxVarintLen32+1+len(term))
-	copy(buf, secTermPrefix)
+// secTermKey appends the I_sec key of the (text class c, term) posting to
+// buf.
+func secTermKey(buf []byte, c NodeID, term string) []byte {
+	buf = append(buf, secTermPrefix...)
 	buf = binary.AppendUvarint(buf, uint64(c))
 	buf = append(buf, 0)
 	return append(buf, term...)
@@ -113,11 +115,11 @@ func (s *Schema) SaveSec(db *storage.DB) error {
 	posts := make([]posting, 0, len(s.instances)+len(s.termInstances))
 	for c, inst := range s.instances {
 		if len(inst) > 0 {
-			posts = append(posts, posting{secStructKey(NodeID(c)), inst})
+			posts = append(posts, posting{secStructKey(nil, NodeID(c)), inst})
 		}
 	}
 	for key, inst := range s.termInstances {
-		posts = append(posts, posting{secTermKey(key.class, s.tree.Terms.String(key.term)), inst})
+		posts = append(posts, posting{secTermKey(nil, key.class, s.tree.Terms.String(key.term)), inst})
 	}
 	slices.SortFunc(posts, func(a, b posting) int { return bytes.Compare(a.key, b.key) })
 	for _, p := range posts {
@@ -130,125 +132,61 @@ func (s *Schema) SaveSec(db *storage.DB) error {
 
 // StoredSec is a SecSource reading I_sec postings from a storage.DB. It is
 // safe for concurrent use: the engines of concurrent queries share one
-// source. Attach a
-// posting cache with SetCache (the stored backend shares one LRU between
-// the primary postings and I_sec; the key namespaces are disjoint).
+// source. Attach a posting cache with SetCache (the stored backend shares
+// one LRU between the primary postings and I_sec; the key namespaces are
+// disjoint).
 type StoredSec struct {
-	db    *storage.DB
-	cache index.PostingCache // nil: every fetch reads and decodes from storage
+	st *index.Stored // reads the I_sec key namespace
 }
 
 // OpenStoredSec returns a stored secondary index, without a cache.
 func OpenStoredSec(db *storage.DB) *StoredSec {
-	return &StoredSec{db: db}
+	return &StoredSec{st: index.OpenStored(db)}
 }
 
 // SetCache attaches a posting cache (nil disables caching).
-func (ss *StoredSec) SetCache(c index.PostingCache) { ss.cache = c }
+func (ss *StoredSec) SetCache(c *index.LRU) { ss.st.SetCache(c) }
 
-func (ss *StoredSec) fetch(key []byte) ([]xmltree.NodeID, error) {
-	k := string(key)
-	if ss.cache != nil {
-		if post, ok := ss.cache.Get(k); ok {
-			return post, nil
-		}
-	}
-	raw, ok, err := ss.db.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, nil
-	}
-	post, err := index.DecodePosting(raw)
-	if err != nil {
-		return nil, fmt.Errorf("schema: posting %q: %w", k, err)
-	}
-	if ss.cache != nil {
-		ss.cache.Put(k, post, len(raw))
-	}
-	return post, nil
-}
-
-// fetchUpTo reads only the posting entries ≤ bound. A fully cached posting
-// answers with a zero-copy prefix; otherwise the bounded decode skips blocks
-// past the bound, and the truncated result is deliberately not cached.
+// fetchUpTo returns the prefix of key's posting with entries ≤ bound. It
+// fetches the complete posting, so a bounded miss fills the cache for every
+// later bound.
 func (ss *StoredSec) fetchUpTo(key []byte, bound xmltree.NodeID) ([]xmltree.NodeID, error) {
-	k := string(key)
-	if ss.cache != nil {
-		if post, ok := ss.cache.Get(k); ok {
-			return prefixUpTo(post, bound), nil
-		}
-	}
-	raw, ok, err := ss.db.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, nil
-	}
-	post, err := index.DecodePostingUpTo(nil, raw, bound)
-	if err != nil {
-		return nil, fmt.Errorf("schema: posting %q: %w", k, err)
-	}
-	return post, nil
+	post, err := ss.st.Fetch(key)
+	return prefixUpTo(post, bound), err
 }
 
 // SecInstances implements SecSource.
 func (ss *StoredSec) SecInstances(c NodeID) ([]xmltree.NodeID, error) {
-	return ss.fetch(secStructKey(c))
+	var buf [index.KeyBufLen]byte
+	return ss.st.Fetch(secStructKey(buf[:0], c))
 }
 
 // SecTermInstances implements SecSource.
 func (ss *StoredSec) SecTermInstances(c NodeID, term string) ([]xmltree.NodeID, error) {
-	return ss.fetch(secTermKey(c, term))
+	var buf [index.KeyBufLen]byte
+	return ss.st.Fetch(secTermKey(buf[:0], c, term))
 }
 
 // SecInstancesUpTo implements SecSourceUpTo.
 func (ss *StoredSec) SecInstancesUpTo(c NodeID, bound xmltree.NodeID) ([]xmltree.NodeID, error) {
-	return ss.fetchUpTo(secStructKey(c), bound)
+	var buf [index.KeyBufLen]byte
+	return ss.fetchUpTo(secStructKey(buf[:0], c), bound)
 }
 
 // SecTermInstancesUpTo implements SecSourceUpTo.
 func (ss *StoredSec) SecTermInstancesUpTo(c NodeID, term string, bound xmltree.NodeID) ([]xmltree.NodeID, error) {
-	return ss.fetchUpTo(secTermKey(c, term), bound)
-}
-
-// secPostingHeaderLen bounds the encoded posting prefix that carries the
-// entry count: an optional two-byte format marker plus one uvarint.
-const secPostingHeaderLen = 12
-
-// count reads a posting's size from its encoded header, without decoding —
-// or caching — the entries. Cached postings short-circuit to their length;
-// otherwise only the value header is read, so overflow-chained postings
-// cost one descent instead of a page per chain hop.
-func (ss *StoredSec) count(key []byte) (int, error) {
-	k := string(key)
-	if ss.cache != nil {
-		if post, ok := ss.cache.Get(k); ok {
-			return len(post), nil
-		}
-	}
-	hdr, ok, err := ss.db.ValueHeader(key, secPostingHeaderLen)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, nil
-	}
-	n, err := index.PostingCount(hdr)
-	if err != nil {
-		return 0, fmt.Errorf("schema: posting %q: %w", k, err)
-	}
-	return n, nil
+	var buf [index.KeyBufLen]byte
+	return ss.fetchUpTo(secTermKey(buf[:0], c, term), bound)
 }
 
 // SecInstanceCount implements SecCounter.
 func (ss *StoredSec) SecInstanceCount(c NodeID) (int, error) {
-	return ss.count(secStructKey(c))
+	var buf [index.KeyBufLen]byte
+	return ss.st.Count(secStructKey(buf[:0], c))
 }
 
 // SecTermInstanceCount implements SecCounter.
 func (ss *StoredSec) SecTermInstanceCount(c NodeID, term string) (int, error) {
-	return ss.count(secTermKey(c, term))
+	var buf [index.KeyBufLen]byte
+	return ss.st.Count(secTermKey(buf[:0], c, term))
 }

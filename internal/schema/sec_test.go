@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"approxql/internal/cost"
+	"approxql/internal/index"
 	"approxql/internal/storage"
 	"approxql/internal/xmltree"
 )
@@ -70,9 +71,9 @@ func TestSecSourceMemoryAndStoredAgree(t *testing.T) {
 func TestSecKeysDisjoint(t *testing.T) {
 	// Struct and term keys for the same class never collide, and term
 	// keys embed the term after a separator.
-	k1 := secStructKey(7)
-	k2 := secTermKey(7, "piano")
-	k3 := secTermKey(7, "pian")
+	k1 := secStructKey(nil, 7)
+	k2 := secTermKey(nil, 7, "piano")
+	k3 := secTermKey(nil, 7, "pian")
 	if string(k1) == string(k2) || string(k2) == string(k3) {
 		t.Errorf("colliding keys: %q %q %q", k1, k2, k3)
 	}
@@ -116,4 +117,49 @@ func TestSaveSecReadOnlyFails(t *testing.T) {
 		t.Error("SaveSec on a read-only store succeeded")
 	}
 	_ = xmltree.NodeID(0)
+}
+
+// TestStoredSecWarmFetchAllocs checks that a cached I_sec fetch, bounded or
+// not, allocates nothing: keys are built in stack buffers and the cache is
+// indexed by them without materializing a string.
+func TestStoredSecWarmFetchAllocs(t *testing.T) {
+	_, s := buildSchema(t, catalogXML, nil)
+	db, err := storage.Open("", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := s.SaveSec(db); err != nil {
+		t.Fatal(err)
+	}
+	stored := OpenStoredSec(db)
+	stored.SetCache(index.NewLRU(64))
+	cd := s.StructClasses("cd")[0]
+	text := s.TextClasses("piano")[0]
+	fetches := map[string]func() error{
+		"SecInstancesUpTo": func() error {
+			_, err := stored.SecInstancesUpTo(cd, 5)
+			return err
+		},
+		"SecTermInstancesUpTo": func() error {
+			_, err := stored.SecTermInstancesUpTo(text, "piano", 5)
+			return err
+		},
+		"SecInstances": func() error {
+			_, err := stored.SecInstances(cd)
+			return err
+		},
+		"SecTermInstances": func() error {
+			_, err := stored.SecTermInstances(text, "piano")
+			return err
+		},
+	}
+	for name, fetch := range fetches {
+		if err := fetch(); err != nil { // warm the cache
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { fetch() }); n != 0 {
+			t.Errorf("warm %s allocates %v times", name, n)
+		}
+	}
 }

@@ -92,9 +92,12 @@ func WithMetrics(m *QueryMetrics) QueryOption {
 }
 
 func queryOptions(opts []QueryOption) queryConfig {
-	c := queryConfig{model: cost.NewModel()}
+	var c queryConfig
 	for _, o := range opts {
 		o(&c)
+	}
+	if c.model == nil {
+		c.model = cost.NewModel()
 	}
 	return c
 }
