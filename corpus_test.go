@@ -489,4 +489,16 @@ func TestCorpusExplain(t *testing.T) {
 			t.Fatalf("plan %q leaks shard-local class identifiers", p.Rendered)
 		}
 	}
+
+	// One shard plans cd[title[concerto]] twice, once per schema class of
+	// cd (catalog/cd and catalog/box/cd): the merged plan counts it once.
+	one := buildCorpus(t, []string{`<catalog><cd><title>concerto</title></cd><box><cd><title>concerto</title></cd></box></catalog>`}, 1)
+	defer one.Close()
+	plans, err = one.Explain(`cd[title["concerto"]]`, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plans) != 1 || plans[0].Rendered != "cd[title[concerto]]" || plans[0].Shards != 1 || plans[0].Results != 2 {
+		t.Fatalf("one-shard plans = %+v, want cd[title[concerto]] on 1 shard with 2 results", plans)
+	}
 }

@@ -95,24 +95,33 @@ func (c *Corpus) Explain(ctx context.Context, x *lang.Expanded, k int, cfg Confi
 		cost cost.Cost
 		sig  string
 	}
-	merged := make(map[key]*Plan)
+	// A shard plans one label shape once per combination of its classes,
+	// so lastShard keeps each key's shard from being counted twice.
+	type mergedPlan struct {
+		Plan
+		lastShard int
+	}
+	merged := make(map[key]*mergedPlan)
 	var order []key
-	for _, plans := range perShard {
+	for i, plans := range perShard {
 		for _, p := range plans {
 			k := key{cost: p.Entry.Cost, sig: kbest.LabelSignature(p.Entry)}
 			pl := merged[k]
 			if pl == nil {
-				pl = &Plan{Rendered: kbest.RenderLabels(p.Entry), Cost: p.Entry.Cost}
+				pl = &mergedPlan{Plan: Plan{Rendered: kbest.RenderLabels(p.Entry), Cost: p.Entry.Cost}, lastShard: -1}
 				merged[k] = pl
 				order = append(order, k)
 			}
 			pl.Results += p.Results
-			pl.Shards++
+			if pl.lastShard != i {
+				pl.lastShard = i
+				pl.Shards++
+			}
 		}
 	}
 	out := make([]Plan, 0, len(order))
 	for _, k := range order {
-		out = append(out, *merged[k])
+		out = append(out, merged[k].Plan)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Cost != out[j].Cost {

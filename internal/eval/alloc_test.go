@@ -41,8 +41,6 @@ func TestListOpAllocBudgets(t *testing.T) {
 		lB.entries = append(lB.entries, lA.entries[i])
 	}
 	dst := make([]Entry, 0, len(lA.entries)+len(lD.entries))
-	var sc joinScratch
-	sc.grow(len(lA.entries))
 	postA, postB, postD := pres(lA.entries), pres(lB.entries), pres(lD.entries)
 	vs := make([]variant, 0, 3)
 
@@ -50,9 +48,9 @@ func TestListOpAllocBudgets(t *testing.T) {
 	view := &List{entries: lB.entries, dflt: 2, base: lA.entries}
 
 	ops := map[string]func(){
-		"join":              func() { joinCore(tree, lA.entries, lD, &sc); dst = emitJoin(dst[:0], &sc, 1) },
-		"join/base":         func() { joinCore(tree, lA.entries, view, &sc); dst = emitJoin(dst[:0], &sc, 1) },
-		"outerjoin":         func() { joinCore(tree, lA.entries, lD, &sc); dst, _ = emitOuterjoin(dst[:0], &sc, 1, 5) },
+		"join":              func() { dst = appendJoin(dst[:0], tree, lA.entries, lD, 1, cost.Inf) },
+		"join/base":         func() { dst = appendJoin(dst[:0], tree, lA.entries, view, 1, cost.Inf) },
+		"outerjoin":         func() { dst = appendJoin(dst[:0], tree, lA.entries, lD, 1, 5) },
 		"appendIntersect":   func() { dst, _ = appendIntersect(dst[:0], lA.entries, lB.entries, cost.Inf, cost.Inf, 1) },
 		"appendIntersect/d": func() { dst, _ = appendIntersect(dst[:0], lA.entries, lB.entries, 3, 4, 1) },
 		"appendUnion":       func() { dst, _ = appendUnion(dst[:0], lA.entries, lB.entries, cost.Inf, cost.Inf, 0, 1) },

@@ -107,33 +107,13 @@ func (a *entryArena) commitList(s []Entry, dflt cost.Cost) *List {
 }
 
 // opScratch holds the reusable buffers of the list operations: the variant
-// heap of the label merge and the join working state. Scratch is acquired
-// from a process-wide pool per evaluation and released afterwards, so
-// concurrent evaluators reuse each other's buffers between queries but
-// never share them during one.
+// heap of the label merge and the join's output, which is copied into the
+// arena at its exact length. Scratch is acquired from a process-wide pool
+// per evaluation and released afterwards, so concurrent evaluators reuse
+// each other's buffers between queries but never share them during one.
 type opScratch struct {
 	variants []variant
-	join     joinScratch
-}
-
-// joinScratch is the working state of the one-pass join/outerjoin algorithm.
-type joinScratch struct {
-	tmp     []Entry // pending ancestor copies, indexed like lA
-	matched []bool  // whether tmp[i] gained a descendant
-	open    []int   // indexes into tmp of currently open ancestors
-}
-
-// grow sizes the join scratch for an ancestor list of length n and clears
-// the matched flags.
-func (sc *joinScratch) grow(n int) {
-	if cap(sc.tmp) < n {
-		sc.tmp = make([]Entry, n)
-		sc.matched = make([]bool, n)
-	}
-	sc.tmp = sc.tmp[:n]
-	sc.matched = sc.matched[:n]
-	clear(sc.matched)
-	sc.open = sc.open[:0]
+	join     []Entry
 }
 
 // chunkPool recycles arena chunks between evaluators that opt in via

@@ -79,6 +79,17 @@ func BenchmarkJoin(b *testing.B) {
 			}
 		})
 	}
+	// Every 50th leaf: most ancestors have no descendant.
+	tree, lA, lD := benchLists(10_000, 40_000)
+	sparse := &List{dflt: cost.Inf}
+	for i := 0; i < lD.Len(); i += 50 {
+		sparse.entries = append(sparse.entries, lD.entries[i])
+	}
+	b.Run("n=10000/sparse", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			join(tree, lA, sparse, 1)
+		}
+	})
 }
 
 func BenchmarkOuterjoin(b *testing.B) {

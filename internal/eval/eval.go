@@ -346,8 +346,8 @@ func (ev *Evaluator) computeInner(u *lang.XNode) (*List, error) {
 // outerjoin) or pointwise by Pre (intersect, union): the content's result
 // restricted to one variant's matches is its result against that variant,
 // and it is a Pre-subsequence of lv. No operation reads the ancestor list's
-// own costs — joinCore resets them — so lv carries each entry's renaming
-// charge in EmbCost for the charge pass.
+// own costs — the join builds fresh entries from its nodes — so lv carries
+// each entry's renaming charge in EmbCost for the charge pass.
 //
 // The content's result is sparse: the charge pass touches its entries
 // only, and the inner list keeps lv as its base, so a match of lv the
@@ -436,17 +436,16 @@ func (ev *Evaluator) computeEval(u *lang.XNode, lA *List) (*List, error) {
 		}
 		ev.stats.ListOps++
 		ev.stats.EntriesIn += lA.Len() + ld.Len()
-		sc := &ev.sc.join
-		dst := ev.arena.alloc(joinCore(ev.tree, lA.entries, ld, sc))
-		dflt := cost.Inf
+		// A node's join is the outerjoin that forbids deletion. A leaf's
+		// unmatched ancestors cost the deletion and hold no entry.
+		cDel := cost.Inf
 		if u.Rep == lang.RepLeaf {
-			// Outerjoin: an ancestor without a leaf match costs the
-			// deletion, and holds no entry.
-			dst, dflt = emitOuterjoin(dst, sc, 0, u.DelCost)
-		} else {
-			dst = emitJoin(dst, sc, 0)
+			cDel = u.DelCost
 		}
-		return ev.arena.commitList(dst, dflt), nil
+		sc := ev.sc
+		sc.join = appendJoin(sc.join[:0], ev.tree, lA.entries, ld, 0, cDel)
+		dst := ev.arena.alloc(len(sc.join))
+		return ev.arena.commitList(append(dst, sc.join...), cDel), nil
 	case lang.RepAnd:
 		ll, lr, err := ev.evalPair(u.Left, u.Right, lA)
 		if err != nil {

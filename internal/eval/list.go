@@ -14,11 +14,13 @@
 // append-style core that writes into a caller-provided buffer, an arena
 // reservation on the evaluator's hot path, with exact output upper bounds
 // (merge ≤ the summed posting lengths of the label variants, union ≤
-// |l|+|r|, join and outerjoin ≤ the matched ancestors, intersect ≤
-// min(|l|,|r|) when both defaults are ∞ and at most |l|+|r| otherwise, see
-// intersectBound). The thin wrappers that allocate fresh slices remain for
-// the reference paths and the tests; they produce dense lists (every
-// position held), and the evaluator hot path never calls them.
+// |l|+|r|, intersect ≤ min(|l|,|r|) when both defaults are ∞ and at most
+// |l|+|r| otherwise, see intersectBound). The join, which keeps only the
+// matched ancestors, writes into a reused scratch buffer instead and is
+// copied into the arena at its exact length. Thin wrappers that allocate
+// fresh slices and produce dense lists (every position held) are the
+// paper's definitions of the operations, which the tests check the cores
+// against; the evaluator never calls them.
 // docs/PERFORMANCE.md describes the discipline.
 //
 // The package also contains an independent reference evaluator
@@ -42,7 +44,7 @@ import (
 //
 // The paper's entry copies four numbers from the data node; this one keeps
 // only pre and bound, which every operation reads. Pathcost and inscost feed
-// nothing but the join's distance, so joinCore reads them from the tree's
+// nothing but the join's distance, so appendJoin reads them from the tree's
 // arrays (xmltree.Tree.Distance) instead of every list copying them.
 type Entry struct {
 	Pre      xmltree.NodeID
@@ -77,8 +79,6 @@ func (l *List) Len() int { return len(l.entries) }
 
 // dense wraps entries that hold every position of their list.
 func dense(entries []Entry) *List { return &List{entries: entries, dflt: cost.Inf} }
-
-var emptyList = dense(nil)
 
 // --- append-style cores ----------------------------------------------------
 //
@@ -165,9 +165,7 @@ func siftVariant(vs []variant, i int) {
 func addCharges(l, lv []Entry) {
 	j := 0
 	for i := range l {
-		if lv[j].Pre < l[i].Pre {
-			j = skipPast(lv, j, l[i].Pre-1)
-		}
+		j = after(lv, j, l[i].Pre-1)
 		if c := lv[j].EmbCost; c != 0 {
 			l[i].EmbCost = cost.Add(l[i].EmbCost, c)
 			l[i].LeafCost = cost.Add(l[i].LeafCost, c)
@@ -175,102 +173,72 @@ func addCharges(l, lv []Entry) {
 	}
 }
 
-// joinCore runs the one-pass stack algorithm shared by join and outerjoin
-// (Section 6.4): for every ancestor in lA it computes the cheapest
-// distance+cost over its descendants in lD. Because lists are sorted by Pre
-// and subtrees nest, a stack of open ancestors processes both lists in one
-// merge pass: every descendant contributes to exactly the ancestors
-// currently open, of which there are at most l (the recursivity of the data
-// tree) — the paper's O(s·l) bound. Descendants that no open ancestor
-// covers are skipped by galloping to the next ancestor's Pre. Distances come
-// from t, the data tree both lists were fetched from. Results land in
-// sc.tmp/sc.matched, indexed like lA, and the count of matched ancestors
-// is returned; the caller emits them under its own cost rule.
+// appendJoin appends the outerjoin of lA with lD (Section 6.4, functions
+// join and outerjoin): every ancestor costing min(cDel, its cheapest
+// distance+cost over its descendants in lD)+cEdge. The LeafCost tracks the
+// cheapest genuine match only — deleting the leaf never contributes a
+// query-leaf match. Ancestors without descendants cost the default
+// cDel+cEdge and hold no entry, and entries of infinite cost are dropped,
+// so join is the case cDel = ∞. Distances come from t, the data tree both
+// lists were fetched from. Appends at most the matched ancestors.
 //
-// The descendants are the positions of lD: its entries, or, on an inner
-// list with a base, every entry of the base, where an entry of lD overrides
-// the default cost. The walk keeps one cursor in each, so the defaults are
-// never written out.
-func joinCore(t *xmltree.Tree, lA []Entry, lD *List, sc *joinScratch) int {
+// A subtree is the preorder interval (pre, bound] (Section 6.2), so an
+// ancestor's descendants are one run of lD, found by galloping from the
+// previous ancestor's run. Each descendant is read once per ancestor that
+// contains it, at most l times (the recursivity of the data tree): the
+// paper's O(s·l) bound. The descendants are the positions of lD: its
+// entries, or, on an inner list with a base, every entry of the base, where
+// an entry of lD overrides the default cost; a second cursor walks the
+// entries over the base, so the defaults are never written out.
+func appendJoin(dst []Entry, t *xmltree.Tree, lA []Entry, lD *List, cEdge, cDel cost.Cost) []Entry {
 	pos, sp := lD.entries, lD.entries
 	viewed := lD.base != nil
 	if viewed {
 		pos = lD.base
 	}
-	if len(pos) == 0 {
-		lA = nil // no descendants: nothing to open or emit
-	}
-	sc.grow(len(lA))
-	tmp, matched, open := sc.tmp, sc.matched, sc.open
-
-	n := 0
-	i, j, k := 0, 0, 0
-	for j < len(pos) {
-		pre := pos[j].Pre
-		// Open all ancestors that start before this descendant, popping
-		// expired ones first so the stack stays properly nested (siblings
-		// never coexist on it).
-		for i < len(lA) && lA[i].Pre < pre {
-			open = closeExpired(open, tmp, lA[i].Pre)
-			tmp[i] = lA[i]
-			tmp[i].EmbCost = cost.Inf
-			tmp[i].LeafCost = cost.Inf
-			open = append(open, i)
-			i++
+	j, k := 0, 0
+	for _, a := range lA {
+		if j = after(pos, j, a.Pre); j == len(pos) {
+			break
 		}
-		// Close ancestors whose subtree ended.
-		open = closeExpired(open, tmp, pre)
-		if len(open) == 0 {
-			if i >= len(lA) {
-				break
-			}
-			// Nothing covers the descendant, and the next ancestor
-			// starts at or after it: no descendant up to that Pre can
-			// match. Insertions only change distances, never
-			// containment, so skipping is sound.
-			j = skipPast(pos, j, lA[i].Pre)
-			if viewed && k < len(sp) && sp[k].Pre <= lA[i].Pre {
-				k = skipPast(sp, k, lA[i].Pre)
-			}
-			continue
+		end := after(pos, j, a.Bound)
+		if end == j {
+			continue // no descendants
 		}
-		emb, leaf := pos[j].EmbCost, pos[j].LeafCost
+		emb, leaf := cost.Inf, cost.Inf
 		if viewed {
-			if k < len(sp) && sp[k].Pre == pre {
-				emb, leaf = sp[k].EmbCost, sp[k].LeafCost
-				k++
-			} else {
-				emb, leaf = cost.Add(lD.dflt, emb), cost.Inf
-			}
+			k = after(sp, k, a.Pre)
 		}
-		for _, ai := range open {
-			a := &tmp[ai]
-			if a.Bound < pre {
-				continue // not an ancestor of pre: its subtree ended
+		m := k
+		for _, d := range pos[j:end] {
+			e, l := d.EmbCost, d.LeafCost
+			if viewed {
+				if m < len(sp) && sp[m].Pre == d.Pre {
+					e, l = sp[m].EmbCost, sp[m].LeafCost
+					m++
+				} else {
+					e, l = cost.Add(lD.dflt, e), cost.Inf
+				}
 			}
-			dist := t.Distance(a.Pre, pre)
-			if c := cost.Add(dist, emb); c < a.EmbCost {
-				a.EmbCost = c
-			}
-			if c := cost.Add(dist, leaf); c < a.LeafCost {
-				a.LeafCost = c
-			}
-			if !matched[ai] {
-				matched[ai] = true
-				n++
-			}
+			dist := t.Distance(a.Pre, d.Pre)
+			emb = min(emb, cost.Add(dist, e))
+			leaf = min(leaf, cost.Add(dist, l))
 		}
-		j++
+		if c := cost.Add(cost.Min(cDel, emb), cEdge); !cost.IsInf(c) {
+			dst = append(dst, Entry{Pre: a.Pre, Bound: a.Bound, EmbCost: c, LeafCost: cost.Add(leaf, cEdge)})
+		}
 	}
-	sc.open = open // keep the grown stack for reuse
-	return n
+	return dst
 }
 
-// skipPast returns the index of the first entry of l after j whose Pre
-// exceeds pre; l[j].Pre must not exceed it. It gallops (steps 1, 2, 4, …)
-// and then binary-searches the last step, so a short gap costs a few
-// comparisons and a long one O(log gap).
-func skipPast(l []Entry, j int, pre xmltree.NodeID) int {
+// after returns the index of the first entry of l at or after j whose Pre
+// exceeds pre. It gallops (steps 1, 2, 4, …) and then binary-searches the
+// last step, so a short gap costs a few comparisons and a long one
+// O(log gap).
+func after(l []Entry, j int, pre xmltree.NodeID) int {
+	if j == len(l) || l[j].Pre > pre {
+		return j
+	}
 	step := 1
 	for j+step < len(l) && l[j+step].Pre <= pre {
 		j += step
@@ -278,43 +246,6 @@ func skipPast(l []Entry, j int, pre xmltree.NodeID) int {
 	}
 	hi := min(j+step, len(l))
 	return j + 1 + sort.Search(hi-j-1, func(k int) bool { return l[j+1+k].Pre > pre })
-}
-
-// emitJoin appends the join result joinCore left in sc (Section 6.4,
-// function join): copies of the ancestors with descendants, each costing
-// the cheapest distance+cost over its descendants plus cEdge. Every other
-// ancestor is absent (default ∞). Appends exactly the matched ancestors.
-func emitJoin(dst []Entry, sc *joinScratch, cEdge cost.Cost) []Entry {
-	for ai := range sc.tmp {
-		if sc.matched[ai] {
-			e := sc.tmp[ai]
-			e.EmbCost = cost.Add(e.EmbCost, cEdge)
-			e.LeafCost = cost.Add(e.LeafCost, cEdge)
-			dst = append(dst, e)
-		}
-	}
-	return dst
-}
-
-// emitOuterjoin appends the outerjoin result joinCore left in sc (Section
-// 6.4, function outerjoin) sparsely: the ancestors with descendants, each
-// costing min(cDel, cheapest match)+cEdge. The LeafCost tracks the cheapest
-// genuine match only — deleting the leaf never contributes a query-leaf
-// match. Every other ancestor costs the returned default, cDel+cEdge (∞ if
-// deletion is forbidden: absent). Appends at most the matched ancestors.
-func emitOuterjoin(dst []Entry, sc *joinScratch, cEdge, cDel cost.Cost) ([]Entry, cost.Cost) {
-	for ai := range sc.tmp {
-		if !sc.matched[ai] {
-			continue
-		}
-		e := sc.tmp[ai]
-		e.EmbCost = cost.Add(cost.Min(cDel, e.EmbCost), cEdge)
-		e.LeafCost = cost.Add(e.LeafCost, cEdge)
-		if !cost.IsInf(e.EmbCost) {
-			dst = append(dst, e)
-		}
-	}
-	return dst, cost.Add(cDel, cEdge)
 }
 
 // endPre is past every node's Pre: the head of an exhausted list.
@@ -442,22 +373,11 @@ func appendUnion(dst, lL, lR []Entry, dL, dR, cL, cR cost.Cost) ([]Entry, cost.C
 	return dst, cost.Min(dL, dR)
 }
 
-// closeExpired removes ancestors from the open stack whose bound lies before
-// pre. Ancestors nest, so expired ones form a suffix of the stack.
-func closeExpired(open []int, tmp []Entry, pre xmltree.NodeID) []int {
-	for len(open) > 0 && tmp[open[len(open)-1]].Bound < pre {
-		open = open[:len(open)-1]
-	}
-	return open
-}
-
 // --- allocating wrappers ---------------------------------------------------
 //
-// The original list operations, kept for the reference paths, the adapted
-// schema algebra, and the tests that pin the algebra's semantics. Each
-// allocates a fresh exactly-bounded slice, delegates to its core with
-// absent (∞) defaults, and returns a dense list: the definitions the sparse
-// cores are tested against.
+// The paper's list operations, the definitions the tests check the sparse
+// cores against. Each allocates a fresh slice of the output's upper bound,
+// delegates to its core with absent (∞) defaults, and returns a dense list.
 
 // bump returns a copy of l with c added to every entry's costs. A zero bump
 // returns l itself.
@@ -488,23 +408,17 @@ func merge(lL, lR *List, cRen cost.Cost) *List {
 }
 
 // join returns copies of the entries from lA that have descendants in lD;
-// see emitJoin.
+// see appendJoin.
 func join(t *xmltree.Tree, lA, lD *List, cEdge cost.Cost) *List {
-	if lA.Len() == 0 || lD.Len() == 0 {
-		return emptyList
-	}
-	var sc joinScratch
-	dst := make([]Entry, 0, joinCore(t, lA.entries, lD, &sc))
-	return dense(emitJoin(dst, &sc, cEdge))
+	return dense(appendJoin(make([]Entry, 0, lA.Len()), t, lA.entries, lD, cEdge, cost.Inf))
 }
 
 // outerjoin returns copies of all entries from lA with the deletion rule
-// applied: the sparse result of emitOuterjoin with its default written out
+// applied: the sparse result of appendJoin with its default written out
 // at every unmatched ancestor.
 func outerjoin(t *xmltree.Tree, lA, lD *List, cEdge, cDel cost.Cost) *List {
-	var sc joinScratch
-	sp, dflt := emitOuterjoin(make([]Entry, 0, joinCore(t, lA.entries, lD, &sc)), &sc, cEdge, cDel)
-	return dense(fillDefault(lA.entries, sp, dflt))
+	sp := appendJoin(make([]Entry, 0, lA.Len()), t, lA.entries, lD, cEdge, cDel)
+	return dense(fillDefault(lA.entries, sp, cost.Add(cDel, cEdge)))
 }
 
 // fillDefault returns the dense form of the sparse entries sp evaluated

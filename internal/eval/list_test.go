@@ -338,7 +338,7 @@ func naiveJoin(tr *xmltree.Tree, lA, lD *List, cEdge, cDel cost.Cost, outer bool
 
 // TestJoinMatchesNestedLoop checks join and outerjoin against the nested
 // loop on trees whose descendant lists have long uncovered runs — the
-// stretches joinCore skips.
+// stretches the join gallops over.
 func TestJoinMatchesNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 300; trial++ {
@@ -360,23 +360,29 @@ func TestJoinMatchesNestedLoop(t *testing.T) {
 	}
 }
 
-func TestSkipPast(t *testing.T) {
+// TestAfter checks the gallop against a linear scan from every start
+// position, for targets before, inside and past the list, and on an empty
+// list.
+func TestAfter(t *testing.T) {
 	tr := flatTree(t, 40)
 	var rows [][3]int64
 	for pre := int64(2); pre <= 41; pre += 3 {
 		rows = append(rows, [3]int64{pre, 0, 0})
 	}
 	l := mkList(tr, rows...).entries
-	for j := range l {
-		for pre := l[j].Pre; pre <= 45; pre++ {
+	for j := 0; j <= len(l); j++ {
+		for pre := xmltree.NodeID(0); pre <= 45; pre++ {
 			want := j
 			for want < len(l) && l[want].Pre <= pre {
 				want++
 			}
-			if got := skipPast(l, j, pre); got != want {
-				t.Fatalf("skipPast(j=%d, pre=%d) = %d, want %d", j, pre, got, want)
+			if got := after(l, j, pre); got != want {
+				t.Fatalf("after(j=%d, pre=%d) = %d, want %d", j, pre, got, want)
 			}
 		}
+	}
+	if got := after(nil, 0, 5); got != 0 {
+		t.Fatalf("after(nil, 0, 5) = %d, want 0", got)
 	}
 }
 
@@ -556,9 +562,8 @@ func TestSparseOpsMatchDense(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			cDel = cost.Inf
 		}
-		var sc joinScratch
-		joinCore(tr, lA.entries, lD, &sc)
-		o, do := emitOuterjoin(nil, &sc, c, cDel)
+		do := cost.Add(cDel, c)
+		o := appendJoin(nil, tr, lA.entries, lD, c, cDel)
 		check("outerjoin", dense(fillDefault(lA.entries, o, do)), naiveJoin(tr, lA, lD, c, cDel, true))
 
 		base := labelList(rng, tr, "d", 0.9).entries
@@ -570,9 +575,8 @@ func TestSparseOpsMatchDense(t *testing.T) {
 			d = 1 // innerNode keeps a base only under a finite default
 		}
 		inner := &List{entries: sp, dflt: d, base: base}
-		joinCore(tr, lA.entries, inner, &sc)
-		check("join(inner)", dense(emitJoin(nil, &sc, c)), join(tr, lA, chargedDense(inner), c))
-		o, do = emitOuterjoin(nil, &sc, c, cDel)
+		check("join(inner)", dense(appendJoin(nil, tr, lA.entries, inner, c, cost.Inf)), join(tr, lA, chargedDense(inner), c))
+		o = appendJoin(nil, tr, lA.entries, inner, c, cDel)
 		check("outerjoin(inner)", dense(fillDefault(lA.entries, o, do)), naiveJoin(tr, lA, chargedDense(inner), c, cDel, true))
 	}
 }
