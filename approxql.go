@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"strings"
 
@@ -395,55 +394,17 @@ func (db *Database) PersistIndexes(postings, secondary string) error {
 	if !ok {
 		return fmt.Errorf("approxql: database already reads from stored indexes")
 	}
-	if err := persistInto(postings, func(s *storage.DB) error {
-		return index.Save(m.Index(), s)
-	}); err != nil {
-		return err
+	if postings != "" {
+		if err := storage.Persist(postings, func(s *storage.DB) error {
+			return index.Save(m.Index(), s)
+		}); err != nil {
+			return err
+		}
 	}
-	return persistInto(secondary, func(s *storage.DB) error {
-		return db.Schema().SaveSec(s)
-	})
-}
-
-// persistInto writes a fresh store at path through save, then reopens it
-// read-only and verifies it with storage.Check. A store already at path is
-// removed, never updated: keys of an earlier collection must not survive
-// into this one, and a file in a retired format must not stop the rebuild
-// that upgrades it. A store that fails to write or to verify is removed.
-func persistInto(path string, save func(*storage.DB) error) error {
-	if path == "" {
+	if secondary == "" {
 		return nil
 	}
-	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	if err := writeStore(path, save); err != nil {
-		os.Remove(path) // best effort: the write error is the one to report
-		return fmt.Errorf("approxql: writing %s: %w", path, err)
-	}
-	return nil
-}
-
-func writeStore(path string, save func(*storage.DB) error) error {
-	s, err := storage.Open(path, nil)
-	if err != nil {
-		return err
-	}
-	if err := save(s); err != nil {
-		s.Close()
-		return err
-	}
-	if err := s.Close(); err != nil {
-		return err
-	}
-	if s, err = storage.Open(path, &storage.Options{ReadOnly: true}); err != nil {
-		return err
-	}
-	if err := s.Check(); err != nil {
-		s.Close()
-		return err
-	}
-	return s.Close()
+	return storage.Persist(secondary, db.Schema().SaveSec)
 }
 
 // MMapped reports whether the database serves its stored indexes from

@@ -21,15 +21,15 @@ import (
 
 // ShardHit is one hit of a shard-node stream or a cluster gather: the
 // ranked Hit plus the presentation fields resolved by the document's
-// owning node (a gatherer holds no document data of its own).
-type ShardHit struct {
-	Hit
-	// DocName is the document's external name; Path the label-type path
-	// of the matching root; Subtree its rendering, when requested.
-	DocName string
-	Path    string
-	Subtree string
-}
+// owning node (a gatherer holds no document data of its own). DocName is
+// the document's external name; Path the label-type path of the matching
+// root; Subtree its rendering, when requested.
+type ShardHit = corpus.ClusterHit
+
+// Present resolves a hit on one of this corpus's own documents into a
+// ShardHit, rendering the subtree when render is set. ServeShard and the
+// in-process node of a Cluster present their hits the same way.
+func (c *Corpus) Present(h Hit, render bool) ShardHit { return c.c.Present(h, render) }
 
 // ServeShard streams this corpus's hits for a query in ascending (cost,
 // doc, root) order, calling fn for each until fn returns false. It is the
@@ -51,15 +51,8 @@ func (c *Corpus) ServeShard(ctx context.Context, query string, n int, bound func
 	if strategy != Auto && strategy != Direct && strategy != SchemaDriven {
 		return fmt.Errorf("approxql: unknown strategy %d", strategy)
 	}
-	return c.c.ServeStream(ctx, x, n, bound, qc.corpusConfig(strategy), func(h corpus.Hit) bool {
-		sh := ShardHit{Hit: corpusHit(h)}
-		d := c.Doc(h.Doc)
-		sh.DocName = d.Name()
-		sh.Path = d.Path(h.Root)
-		if render {
-			sh.Subtree = d.RenderNode(h.Root)
-		}
-		return fn(sh)
+	return c.c.ServeStream(ctx, x, n, bound, qc.corpusConfig(strategy), func(h Hit) bool {
+		return fn(c.c.Present(h, render))
 	})
 }
 
@@ -142,34 +135,18 @@ func NewCluster(nodeURLs []string, local *Corpus, opts *ClusterOptions) (*Cluste
 	}, nil
 }
 
-// NodeStatus details one node's part of a cluster search.
-type NodeStatus struct {
-	// Node is the node's base URL ("local" for the in-process node); Err
-	// its failure, when it had one.
-	Node string
-	Err  string
-	// LatencyMS spans the node's whole stream, first byte to done line.
-	LatencyMS float64
-	// Hits counts hits the node delivered into the merge; Stopped
-	// reports the gatherer cut it short via the cost bound; Retries and
-	// BoundPushes count wire-level re-issues and mid-stream bound
-	// updates.
-	Hits        int
-	Stopped     bool
-	Retries     int
-	BoundPushes int
-}
+// NodeStatus details one node's part of a cluster search: its base URL
+// ("local" for the in-process node), its failure when it had one, the
+// latency of its whole stream, the hits it delivered into the merge,
+// whether the gatherer cut it short via the cost bound, and its wire-level
+// retries and mid-stream bound pushes.
+type NodeStatus = corpus.NodeStatus
 
-// ClusterResult is one cluster search's outcome.
-type ClusterResult struct {
-	// Hits is the merged global ranking, ascending (cost, doc, root).
-	Hits []ShardHit
-	// Partial reports a degraded fail-open gather: at least one node
-	// failed and its documents are missing from the ranking.
-	Partial bool
-	// Nodes has one entry per cluster node, failures included.
-	Nodes []NodeStatus
-}
+// ClusterResult is one cluster search's outcome: the merged global
+// ranking, ascending (cost, doc, root); Partial for a degraded fail-open
+// gather, where at least one node failed and its documents are missing;
+// and one NodeStatus per cluster node, failures included.
+type ClusterResult = corpus.GatherResult
 
 // Search gathers the best n hits for a query across the cluster; see
 // SearchContext.
@@ -201,54 +178,16 @@ func (cl *Cluster) SearchContext(ctx context.Context, query string, n int, rende
 		Strategy: strategy.String(),
 		Render:   render,
 	}
-	res, err := cl.cl.Search(ctx, cq, qc.metrics)
-	out := ClusterResult{Partial: res.Partial}
-	for _, h := range res.Hits {
-		out.Hits = append(out.Hits, ShardHit{
-			Hit:     Hit{Doc: h.Doc, Result: Result{Root: h.Root, Cost: h.Cost}},
-			DocName: h.DocName,
-			Path:    h.Path,
-			Subtree: h.Subtree,
-		})
-	}
-	for _, st := range res.Nodes {
-		out.Nodes = append(out.Nodes, NodeStatus{
-			Node:        st.Node,
-			Err:         st.Err,
-			LatencyMS:   st.LatencyMS,
-			Hits:        st.Hits,
-			Stopped:     st.Stopped,
-			Retries:     st.Retries,
-			BoundPushes: st.BoundPushes,
-		})
-	}
-	return out, err
+	return cl.cl.Search(ctx, cq, qc.metrics)
 }
 
-// ClusterNodeHealth is one node's health-probe outcome.
-type ClusterNodeHealth struct {
-	Node string
-	// Err is the probe failure for an unreachable node; the stats fields
-	// are zero then.
-	Err       string
-	Docs      int
-	Shards    int
-	TreeNodes int
-}
+// ClusterNodeHealth is one node's health-probe outcome: its document,
+// shard, and tree-node counts, or, for an unreachable node, the probe
+// failure in Err with the counts zero.
+type ClusterNodeHealth = corpus.NodeHealth
 
 // Health probes every node's /shard/stats concurrently with the given
 // per-probe timeout (0 = 2s), one entry per node.
 func (cl *Cluster) Health(ctx context.Context, timeout time.Duration) []ClusterNodeHealth {
-	probes := cl.cl.Health(ctx, timeout)
-	out := make([]ClusterNodeHealth, len(probes))
-	for i, p := range probes {
-		out[i] = ClusterNodeHealth{
-			Node:      p.Node,
-			Err:       p.Err,
-			Docs:      p.Docs,
-			Shards:    p.Shards,
-			TreeNodes: p.Nodes,
-		}
-	}
-	return out
+	return cl.cl.Health(ctx, timeout)
 }

@@ -11,6 +11,7 @@ import (
 	"approxql/internal/backend"
 	"approxql/internal/corpus"
 	"approxql/internal/index"
+	"approxql/internal/kbest"
 	"approxql/internal/storage"
 	"approxql/internal/xmltree"
 )
@@ -20,8 +21,8 @@ import (
 // across saving and reopening a corpus bundle.
 type DocID = corpus.DocID
 
-// Hit is one ranked corpus answer: the document holding the match plus the
-// usual Result (subtree root and embedding cost). Root is relative to the
+// Hit is one ranked corpus answer: the document holding the match, the
+// matching subtree's root, and the embedding cost. Root is relative to the
 // document's shard tree; resolve it through Corpus.Doc:
 //
 //	hits, _ := c.Search("cd[title[concerto]]", 10)
@@ -33,11 +34,7 @@ type DocID = corpus.DocID
 // Hits are ranked by ascending (Cost, Doc, Root) — a strict total order,
 // so a ranking is bit-identical regardless of shard count, evaluation
 // strategy, or parallelism.
-type Hit struct {
-	// Doc is the document containing the match.
-	Doc DocID
-	Result
-}
+type Hit = corpus.Hit
 
 // DefaultShardDocs is the CorpusBuilder's default shard capacity.
 const DefaultShardDocs = 64
@@ -219,12 +216,7 @@ func (c *Corpus) Search(query string, n int, opts ...QueryOption) ([]Hit, error)
 
 // SearchContext is Search with cancellation.
 func (c *Corpus) SearchContext(ctx context.Context, query string, n int, opts ...QueryOption) ([]Hit, error) {
-	return search(ctx, c.c, query, n, opts, corpusHit)
-}
-
-// corpusHit is the public form of a corpus hit.
-func corpusHit(h corpus.Hit) Hit {
-	return Hit{Doc: h.Doc, Result: Result{Root: h.Root, Cost: h.Cost}}
+	return search(ctx, c.c, query, n, opts, func(h Hit, _ *kbest.Entry) Hit { return h })
 }
 
 // Plan runs only the planner for a query across the corpus: the per-shard
@@ -245,50 +237,20 @@ func (c *Corpus) Stream(query string, fn func(Hit) bool, opts ...QueryOption) er
 // StreamContext is Stream with cancellation. When fn stops the stream the
 // return is nil; when the context fires first it is ctx.Err().
 func (c *Corpus) StreamContext(ctx context.Context, query string, fn func(Hit) bool, opts ...QueryOption) error {
-	return stream(ctx, c.c, query, opts, func(h corpus.Hit) bool { return fn(corpusHit(h)) })
-}
-
-// CorpusPlan is one transformed query of a corpus Explain, aggregated
-// across shards by its label structure (shard schemas are independent, so
-// schema-class identifiers cannot be compared across shards).
-type CorpusPlan struct {
-	// Rendered is the label-structure form, e.g. "cd[title[concerto]]".
-	Rendered string
-	// Cost is the embedding cost every result of this plan receives.
-	Cost Cost
-	// Results is the retrieved-subtree count summed over shards.
-	Results int
-	// Shards counts the shards whose schema generates this plan.
-	Shards int
+	return stream(ctx, c.c, query, opts, fn)
 }
 
 // Explain returns the best k second-level queries across the corpus with
-// their costs and total result counts, merged over shards. It is the
-// corpus analog of Database.Explain; counts come from the count-only
-// execution path.
+// their costs and total result counts, merged over shards by label
+// structure. It is the corpus analog of Database.Explain; counts come from
+// the count-only execution path.
 func (c *Corpus) Explain(query string, k int, opts ...QueryOption) ([]CorpusPlan, error) {
 	return c.ExplainContext(context.Background(), query, k, opts...)
 }
 
 // ExplainContext is Explain with cancellation.
 func (c *Corpus) ExplainContext(ctx context.Context, query string, k int, opts ...QueryOption) ([]CorpusPlan, error) {
-	qc := queryOptions(opts)
-	x, err := parseExpand(query, &qc)
-	if err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		k = 10
-	}
-	plans, err := c.c.Explain(ctx, x, k, qc.corpusConfig(SchemaDriven))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CorpusPlan, len(plans))
-	for i, p := range plans {
-		out[i] = CorpusPlan{Rendered: p.Rendered, Cost: p.Cost, Results: p.Results, Shards: p.Shards}
-	}
-	return out, nil
+	return explain(ctx, c.c, query, k, opts)
 }
 
 // DocView addresses one corpus document: its name, root, and rendering
@@ -307,10 +269,6 @@ func (c *Corpus) Doc(id DocID) DocView {
 	}
 	return DocView{c: c.c, id: id}
 }
-
-// DocOf returns the document containing the shard-local node of a hit.
-// It is the identity on h.Doc, provided for symmetry.
-func (c *Corpus) DocOf(h Hit) DocView { return c.Doc(h.Doc) }
 
 // ID returns the document's DocID.
 func (d DocView) ID() DocID { return d.id }
@@ -424,14 +382,12 @@ func (c *Corpus) SaveBundle(path string) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		if err := persistInto(cs.Postings, func(s *storage.DB) error {
+		if err := storage.Persist(cs.Postings, func(s *storage.DB) error {
 			return index.Save(mem.Index(), s)
 		}); err != nil {
 			return err
 		}
-		if err := persistInto(cs.Secondary, func(s *storage.DB) error {
-			return mem.Schema().SaveSec(s)
-		}); err != nil {
+		if err := storage.Persist(cs.Secondary, mem.Schema().SaveSec); err != nil {
 			return err
 		}
 		m.Shards = append(m.Shards, cs)

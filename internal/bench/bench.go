@@ -7,10 +7,8 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -165,12 +163,12 @@ func (r *Runner) openStored(tree *xmltree.Tree) error {
 	postPath := filepath.Join(dir, "postings.db")
 	secPath := filepath.Join(dir, "secondary.db")
 	sch := schema.Build(tree)
-	if err := persist(postPath, func(s *storage.DB) error {
+	if err := storage.Persist(postPath, func(s *storage.DB) error {
 		return index.Save(index.Build(tree), s)
 	}); err != nil {
 		return err
 	}
-	if err := persist(secPath, sch.SaveSec); err != nil {
+	if err := storage.Persist(secPath, sch.SaveSec); err != nil {
 		return err
 	}
 	be, err := backend.OpenStoredOptions(tree, postPath, secPath, backend.StoredOptions{
@@ -182,22 +180,6 @@ func (r *Runner) openStored(tree *xmltree.Tree) error {
 	r.be = be
 	r.sch = sch
 	return nil
-}
-
-// persist writes a fresh store at path; a store already there is replaced.
-func persist(path string, save func(*storage.DB) error) error {
-	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	s, err := storage.Open(path, nil)
-	if err != nil {
-		return err
-	}
-	if err := save(s); err != nil {
-		s.Close()
-		return err
-	}
-	return s.Close()
 }
 
 // Close releases the backend and removes the stored backend's temporary

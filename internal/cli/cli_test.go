@@ -115,7 +115,7 @@ func TestQueryModes(t *testing.T) {
 		`cd[title["concerto"]]`}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "results") || !strings.Contains(out.String(), "cd@") {
+	if !strings.Contains(out.String(), "results") || !strings.Contains(out.String(), "cd[title[concerto]]") {
 		t.Errorf("explain output:\n%s", out.String())
 	}
 

@@ -110,10 +110,6 @@ func ServeContext(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	if *shardNode && *nodes != "" {
 		return fmt.Errorf("axqlserve: -shard-node and -nodes are mutually exclusive (a process is a shard node or a gatherer, not both)")
 	}
-	corpusBundle := *dbPath != "" && approxql.IsCorpusBundle(*dbPath)
-	if *shards != "" && !corpusBundle {
-		return fmt.Errorf("axqlserve: -shards requires a corpus bundle -db")
-	}
 	shardIdx, err := parseShardList(*shards)
 	if err != nil {
 		return err
@@ -151,8 +147,8 @@ func ServeContext(ctx context.Context, args []string, stdout, stderr io.Writer) 
 			total++
 		}
 		serving = fmt.Sprintf("gatherer over %d nodes", total)
-	case corpusBundle:
-		c, err := approxql.Open(*dbPath, &approxql.OpenOptions{Model: model, CacheEntries: *cache, Shards: shardIdx, MMap: *mmap})
+	default:
+		c, err := openCorpus(*dbPath, *xml, model, *cache, shardIdx, *mmap)
 		if err != nil {
 			return err
 		}
@@ -161,20 +157,6 @@ func ServeContext(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		srvCfg.ShardNode = *shardNode
 		st := c.Stats()
 		serving = fmt.Sprintf("%d nodes, %d docs, %d shards", st.Nodes, st.Docs, st.Shards)
-		if *shardNode {
-			serving += ", shard node"
-		}
-	default:
-		db, err := openDatabase(*dbPath, *xml, model, *cache, *mmap)
-		if err != nil {
-			return err
-		}
-		defer db.Close()
-		if srvCfg.Corpus, err = db.Corpus(); err != nil {
-			return err
-		}
-		srvCfg.ShardNode = *shardNode
-		serving = fmt.Sprintf("%d nodes", db.Len())
 		if *shardNode {
 			serving += ", shard node"
 		}
@@ -242,11 +224,15 @@ func splitList(s string) []string {
 	return out
 }
 
-// openCorpus opens any artifact (or on-the-fly XML) as a corpus — the
-// gatherer's local-shards target.
+// openCorpus opens any artifact (or on-the-fly XML) as a corpus: the
+// served corpus, or a gatherer's local shards. Shards is rejected unless
+// dbPath is a corpus bundle.
 func openCorpus(dbPath, xml string, model *approxql.CostModel, cache int, shards []int, mmap bool) (*approxql.Corpus, error) {
 	if dbPath != "" {
 		return approxql.Open(dbPath, &approxql.OpenOptions{Model: model, CacheEntries: cache, Shards: shards, MMap: mmap})
+	}
+	if len(shards) > 0 {
+		return nil, fmt.Errorf("axqlserve: -shards requires a corpus bundle -db")
 	}
 	db, err := openDatabase("", xml, model, cache, false)
 	if err != nil {

@@ -52,6 +52,18 @@ type ClusterHit struct {
 	Subtree string
 }
 
+// Present resolves a hit on one of c's own documents into the fields only
+// the owning node can fill: the document name, the label-type path of the
+// root, and, when render is set, the rendered subtree.
+func (c *Corpus) Present(h Hit, render bool) ClusterHit {
+	tree := c.ShardOf(h.Doc).Backend().Tree()
+	ch := ClusterHit{Hit: h, DocName: c.DocName(h.Doc), Path: tree.LabelTypePath(h.Root)}
+	if render {
+		ch.Subtree = tree.RenderString(h.Root)
+	}
+	return ch
+}
+
 // NodeInfo is what one node driver reports about its part of a search.
 type NodeInfo struct {
 	// Hits counts the hits the node delivered into the merge; Stopped
@@ -344,13 +356,7 @@ func (ln *LocalShards) Query(ctx context.Context, cq ClusterQuery, offer func(Cl
 	cfg.Metrics = &m
 	var info NodeInfo
 	err := ln.c.ServeStream(ctx, cq.X, cq.N, bw.Current, cfg, func(h Hit) bool {
-		ch := ClusterHit{Hit: h, DocName: ln.c.DocName(h.Doc)}
-		tree := ln.c.ShardOf(h.Doc).Backend().Tree()
-		ch.Path = tree.LabelTypePath(h.Root)
-		if cq.Render {
-			ch.Subtree = tree.RenderString(h.Root)
-		}
-		if !offer(ch) {
+		if !offer(ln.c.Present(h, cq.Render)) {
 			info.Stopped = true
 			return false
 		}

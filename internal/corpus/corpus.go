@@ -18,9 +18,10 @@
 //     displace a global top-n entry.
 //
 // A single database is the one-shard case: the public Database runs its
-// searches and streams through this package too, inline on the caller's
-// goroutine. The package works on expanded queries (lang.Expanded);
-// parsing, cost models, and rendering live in the public facade.
+// searches, streams, and explanations through this package too, searches
+// and streams inline on the caller's goroutine. The package works on
+// expanded queries (lang.Expanded); parsing and cost models live in the
+// public facade.
 package corpus
 
 import (

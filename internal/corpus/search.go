@@ -12,16 +12,25 @@ import (
 	"approxql/internal/cost"
 	"approxql/internal/eval"
 	"approxql/internal/exec"
+	"approxql/internal/kbest"
 	"approxql/internal/lang"
 	"approxql/internal/plan"
 )
 
 // ranked ties the gather heap to the corpus's (cost, doc, root) total
 // order: any element type that can surface the Hit it is ranked by. Hit
-// qualifies trivially; ClusterHit embeds one and inherits the method.
+// qualifies trivially; ClusterHit and planned embed one and inherit the
+// method.
 type ranked interface{ rankKey() Hit }
 
 func (h Hit) rankKey() Hit { return h }
+
+// planned is an entry of a search's gather heap: a hit and the
+// second-level query that retrieved it, nil for a direct shard's hit.
+type planned struct {
+	Hit
+	plan *kbest.Entry
+}
 
 // topn is the gathering side of a corpus search: a bounded max-heap over
 // the (cost, doc, root) total order, shared by every shard worker (or, on
@@ -139,19 +148,21 @@ func resolveWorkers(cfg Config, shards int) int {
 
 // Search returns the global best n hits for the expanded query, ranked by
 // ascending (cost, doc, root) and converted by conv into the caller's
-// element type. n <= 0 returns all approximate hits. The ranking is
-// bit-identical across shard counts, strategies, and parallelism settings:
-// the heap's total order makes gathering arrival-order independent, and
-// each shard contributes a superset of its part of the global answer
-// (schema-driven shards run unbounded under the cutoff; direct shards
-// compute exact per-shard top-n, which within a shard coincides with the
-// global order restricted to it).
-func Search[T any](ctx context.Context, c *Corpus, x *lang.Expanded, n int, cfg Config, conv func(Hit) T) ([]T, error) {
+// element type; conv also receives the second-level query that retrieved
+// the hit, nil when a direct shard found it. n <= 0 returns all
+// approximate hits. The ranking is bit-identical across shard counts,
+// strategies, and parallelism settings: the heap's total order makes
+// gathering arrival-order independent, and each shard contributes a
+// superset of its part of the global answer (schema-driven shards run
+// unbounded under the cutoff; direct shards compute exact per-shard top-n,
+// which within a shard coincides with the global order restricted to it).
+func Search[T any](ctx context.Context, c *Corpus, x *lang.Expanded, n int, cfg Config, conv func(Hit, *kbest.Entry) T) ([]T, error) {
 	active, pruned := c.filterShards(x)
 	if len(active) == 1 {
 		return searchOne(ctx, active[0], pruned, x, n, cfg, conv)
 	}
-	heap := newTopN[Hit](n)
+	heap := newTopN[planned](n)
+	offerHit := func(h Hit) bool { return heap.Offer(planned{Hit: h}) }
 	merged := &exec.Metrics{}
 	merged.Shards = len(active)
 	merged.ShardsPruned = pruned
@@ -172,7 +183,7 @@ func Search[T any](ctx context.Context, c *Corpus, x *lang.Expanded, n int, cfg 
 					var m exec.Metrics
 					var err error
 					if decideShard(sh, x, n, cfg, &m) {
-						err = searchShardDirect(ctx2, sh, x, n, &m, heap.Offer)
+						err = searchShardDirect(ctx2, sh, x, n, &m, offerHit)
 					} else {
 						err = searchShardSchema(ctx2, sh, x, &m, heap)
 					}
@@ -213,14 +224,14 @@ func Search[T any](ctx context.Context, c *Corpus, x *lang.Expanded, n int, cfg 
 // A Database is a one-shard corpus, so every Database search takes this
 // path. A direct shard's output is already the exact answer in (cost,
 // doc, root) order and needs no gather heap.
-func searchOne[T any](ctx context.Context, sh *Shard, pruned int, x *lang.Expanded, n int, cfg Config, conv func(Hit) T) ([]T, error) {
+func searchOne[T any](ctx context.Context, sh *Shard, pruned int, x *lang.Expanded, n int, cfg Config, conv func(Hit, *kbest.Entry) T) ([]T, error) {
 	m := cfg.Metrics
 	if m != nil {
 		m.Shards++
 		m.ShardsPruned += pruned
 	}
 	if !decideShard(sh, x, n, cfg, m) {
-		heap := newTopN[Hit](n)
+		heap := newTopN[planned](n)
 		if err := searchShardSchema(ctx, sh, x, m, heap); err != nil {
 			return nil, err
 		}
@@ -232,7 +243,7 @@ func searchOne[T any](ctx context.Context, sh *Shard, pruned int, x *lang.Expand
 	}
 	out := make([]T, 0, len(res))
 	err = sh.offerAll(res, func(h Hit) bool {
-		out = append(out, conv(h))
+		out = append(out, conv(h, nil))
 		return true
 	})
 	if err != nil {
@@ -242,10 +253,10 @@ func searchOne[T any](ctx context.Context, sh *Shard, pruned int, x *lang.Expand
 }
 
 // convert maps ranked hits into the caller's element type.
-func convert[T any](hits []Hit, conv func(Hit) T) []T {
+func convert[T any](hits []planned, conv func(Hit, *kbest.Entry) T) []T {
 	out := make([]T, len(hits))
 	for i, h := range hits {
-		out[i] = conv(h)
+		out[i] = conv(h.Hit, h.plan)
 	}
 	return out
 }
@@ -296,7 +307,7 @@ func finishPlanner(merged *exec.Metrics, cfg Config) {
 // a sole shard: the engine's emission order within an equal-cost tier
 // follows its second-level queries, not the corpus (cost, doc, root) order,
 // so its own n-truncation could keep the wrong members of a tie set.
-func searchShardSchema(ctx context.Context, sh *Shard, x *lang.Expanded, m *exec.Metrics, heap *topn[Hit]) error {
+func searchShardSchema(ctx context.Context, sh *Shard, x *lang.Expanded, m *exec.Metrics, heap *topn[planned]) error {
 	eng := exec.New(sh.be.Schema(), sh.be, exec.Config{
 		Metrics: m,
 		Bound:   heap.Bound,
@@ -306,7 +317,7 @@ func searchShardSchema(ctx context.Context, sh *Shard, x *lang.Expanded, m *exec
 		if !ok {
 			return true
 		}
-		return heap.Offer(Hit{Doc: doc, Root: it.Root, Cost: it.Cost})
+		return heap.Offer(planned{Hit{Doc: doc, Root: it.Root, Cost: it.Cost}, it.Plan})
 	})
 }
 

@@ -1,9 +1,8 @@
 // Package exec runs both evaluation strategies over one backend. Direct
 // (direct.go) is the one call sequence of the direct algorithm. The rest is
 // the execution engine of the schema-driven strategy (Section 7.4,
-// Figure 6). Search, Stream and Results reach both through internal/corpus,
-// one run per shard (a Database is a one-shard corpus); SearchExplained and
-// Explain run the engine directly.
+// Figure 6). Every query of the public package reaches both through
+// internal/corpus, one run per shard (a Database is a one-shard corpus).
 //
 // Figure 6 plans the best k second-level queries, executes them, and
 // re-plans with a larger k when they found too few results. Here planning

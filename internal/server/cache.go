@@ -9,11 +9,12 @@ import (
 )
 
 // resultCache is the normalized-query result LRU. Keys combine the
-// canonical parse-tree fingerprint (approxql.Fingerprint) with n and the
-// strategy, so syntactically different spellings of one query share an
-// entry while different result counts or forced strategies do not. Values
-// are complete rankings: a hit reproduces the cold path's response
-// byte-for-byte (the ranking is deterministic, see exec's ordered fan-in).
+// canonical parse-tree fingerprint (approxql.Fingerprint) with n, the
+// strategy and render, so syntactically different spellings of one query
+// share an entry while different result counts, forced strategies or
+// render settings do not. Values are complete rankings: a hit reproduces
+// the cold path's response byte-for-byte (the ranking is deterministic, see
+// exec's ordered fan-in).
 //
 // The cache belongs to one database: invalidate drops every entry when the
 // database is swapped, by bumping a generation stamped into live entries —
@@ -30,14 +31,14 @@ type resultCache struct {
 	misses int64
 }
 
-// cachedRanking is a cache value: the ranking plus the planner view that
-// produced it, so a hit reproduces the cold path's planner fields too.
+// cachedRanking is a cache value: the response rows plus the planner view
+// that produced them, so a hit reproduces the cold path's planner fields
+// too. The rows are resolved once, at miss time, on either target: a
+// corpus presents its own hits, a gatherer's hits arrive presented by
+// their owning nodes. Rendered subtrees are part of the rows, so render is
+// part of the key.
 type cachedRanking struct {
-	results []approxql.Hit // never mutated after insertion
-	// cluster replaces results on a gatherer: gathered hits carry their
-	// node-resolved presentation fields (and, with render, subtrees — the
-	// cache key then includes render). Never a partial gather.
-	cluster []approxql.ShardHit
+	results []QueryResult // never mutated after insertion
 	// strategy is the effective strategy that produced the ranking;
 	// planner is "auto" or "forced"; estimate is the planner's
 	// approximate-result-count estimate.
@@ -61,8 +62,12 @@ func newResultCache(capacity int) *resultCache {
 }
 
 // cacheKey builds the lookup key for one evaluation.
-func cacheKey(fingerprint string, n int, strategy approxql.Strategy) string {
-	return fmt.Sprintf("%s/%d/%s", fingerprint, n, strategy)
+func cacheKey(fingerprint string, n int, strategy approxql.Strategy, render bool) string {
+	key := fmt.Sprintf("%s/%d/%s", fingerprint, n, strategy)
+	if render {
+		key += "/r"
+	}
+	return key
 }
 
 // get returns the cached ranking for key, if present.

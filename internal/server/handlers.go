@@ -161,16 +161,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.recordQuery(canonical, n, strategy, fingerprint)
 	}
 
-	key := cacheKey(fingerprint, n, strategy)
-	if s.cluster != nil && req.Render {
-		// A gatherer's cached rankings embed the rendered subtrees the
-		// nodes returned (the gatherer holds no documents to render
-		// from), so render participates in its cache key. The corpus
-		// path renders per response from the shared ranking.
-		key += "/r"
-	}
+	key := cacheKey(fingerprint, n, strategy, req.Render)
 	if rk, ok := s.cache.get(key); ok {
-		s.writeRanking(w, r, req, canonical, fingerprint, n, rk, true, start, false, nil)
+		writeRanking(w, canonical, fingerprint, n, rk, true, start, false, nil)
 		return
 	}
 
@@ -201,41 +194,37 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var qm approxql.QueryMetrics
 	opts = append(opts, approxql.WithMetrics(&qm))
 
+	var (
+		rows    []QueryResult
+		partial bool
+		nodes   []QueryNode
+	)
 	if s.cluster != nil {
-		res, err := s.cluster.SearchContext(ctx, req.Query, n, req.Render, opts...)
+		var res approxql.ClusterResult
+		res, err = s.cluster.SearchContext(ctx, req.Query, n, req.Render, opts...)
 		s.metrics.mergeExec(&qm)
 		s.metrics.observeCluster(res.Nodes, res.Partial)
-		if err != nil {
-			var ne *approxql.NodeError
-			switch {
-			case errors.As(err, &ne):
-				// Fail-closed: one dead node breaks the whole query.
-				writeError(w, http.StatusBadGateway, err.Error(), nil)
-			case errors.Is(err, context.DeadlineExceeded):
-				writeError(w, http.StatusGatewayTimeout,
-					fmt.Sprintf("query exceeded its %v deadline", timeout), nil)
-			case errors.Is(err, context.Canceled):
-				writeError(w, 499, "client closed request", nil)
-			default:
-				writeError(w, http.StatusInternalServerError, err.Error(), nil)
-			}
-			return
+		// Gathered hits arrive presented by their owning nodes.
+		rows = make([]QueryResult, len(res.Hits))
+		for i, h := range res.Hits {
+			rows[i] = row(i, h)
 		}
-		rk := cachedRanking{cluster: res.Hits}
-		s.plannerFields(&rk, strategy, &qm, req.Query, n, opts)
-		if !res.Partial {
-			// A partial ranking is the degraded answer of this moment;
-			// caching it would keep serving the outage after recovery.
-			s.cache.put(key, rk)
+		partial, nodes = res.Partial, queryNodes(res.Nodes)
+	} else {
+		var hits []approxql.Hit
+		hits, err = s.corpus.SearchContext(ctx, req.Query, n, opts...)
+		s.metrics.mergeExec(&qm)
+		rows = make([]QueryResult, len(hits))
+		for i, h := range hits {
+			rows[i] = row(i, s.corpus.Present(h, req.Render))
 		}
-		s.writeRanking(w, r, req, canonical, fingerprint, n, rk, false, start, res.Partial, queryNodes(res.Nodes))
-		return
 	}
-
-	results, err := s.corpus.SearchContext(ctx, req.Query, n, opts...)
-	s.metrics.mergeExec(&qm)
 	if err != nil {
+		var ne *approxql.NodeError
 		switch {
+		case errors.As(err, &ne):
+			// Fail-closed: one dead node breaks the whole query.
+			writeError(w, http.StatusBadGateway, err.Error(), nil)
 		case errors.Is(err, context.DeadlineExceeded):
 			writeError(w, http.StatusGatewayTimeout,
 				fmt.Sprintf("query exceeded its %v deadline", timeout), nil)
@@ -249,10 +238,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rk := cachedRanking{results: results}
+	rk := cachedRanking{results: rows}
 	s.plannerFields(&rk, strategy, &qm, req.Query, n, opts)
-	s.cache.put(key, rk)
-	s.writeRanking(w, r, req, canonical, fingerprint, n, rk, false, start, false, nil)
+	if !partial {
+		// A partial ranking is the degraded answer of this moment;
+		// caching it would keep serving the outage after recovery.
+		s.cache.put(key, rk)
+	}
+	writeRanking(w, canonical, fingerprint, n, rk, false, start, partial, nodes)
+}
+
+// row is the response row of the hit ranked at 0-based position i.
+func row(i int, h approxql.ShardHit) QueryResult {
+	return QueryResult{
+		Rank:    i + 1,
+		Doc:     h.Doc,
+		DocName: h.DocName,
+		Root:    h.Root,
+		Cost:    int64(h.Cost),
+		Path:    h.Path,
+		Subtree: h.Subtree,
+	}
 }
 
 // plannerFields fills a ranking's strategy/planner/estimate view: the
@@ -299,11 +305,9 @@ func queryNodes(nodes []approxql.NodeStatus) []QueryNode {
 	return out
 }
 
-func (s *Server) writeRanking(w http.ResponseWriter, _ *http.Request, req QueryRequest,
-	canonical, fingerprint string, n int, rk cachedRanking, cached bool, start time.Time,
-	partial bool, nodes []QueryNode) {
-
-	resp := QueryResponse{
+func writeRanking(w http.ResponseWriter, canonical, fingerprint string, n int,
+	rk cachedRanking, cached bool, start time.Time, partial bool, nodes []QueryNode) {
+	writeJSON(w, http.StatusOK, QueryResponse{
 		Query:          canonical,
 		Fingerprint:    fingerprint,
 		N:              n,
@@ -314,43 +318,8 @@ func (s *Server) writeRanking(w http.ResponseWriter, _ *http.Request, req QueryR
 		TookMS:         float64(time.Since(start).Microseconds()) / 1000,
 		Partial:        partial,
 		Nodes:          nodes,
-	}
-	if s.cluster != nil {
-		// Gathered hits carry their presentation fields from the owning
-		// nodes; there is no local corpus to resolve them against.
-		resp.Results = make([]QueryResult, len(rk.cluster))
-		for i, res := range rk.cluster {
-			resp.Results[i] = QueryResult{
-				Rank:    i + 1,
-				Doc:     res.Doc,
-				DocName: res.DocName,
-				Root:    res.Root,
-				Cost:    int64(res.Cost),
-				Path:    res.Path,
-				Subtree: res.Subtree,
-			}
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	results := rk.results
-	resp.Results = make([]QueryResult, len(results))
-	for i, res := range results {
-		doc := s.corpus.Doc(res.Doc)
-		qr := QueryResult{
-			Rank:    i + 1,
-			Doc:     res.Doc,
-			DocName: doc.Name(),
-			Root:    res.Root,
-			Cost:    int64(res.Cost),
-			Path:    doc.Path(res.Root),
-		}
-		if req.Render {
-			qr.Subtree = doc.RenderNode(res.Root)
-		}
-		resp.Results[i] = qr
-	}
-	writeJSON(w, http.StatusOK, resp)
+		Results:        rk.results,
+	})
 }
 
 // HealthResponse is the GET /healthz body.
@@ -411,7 +380,7 @@ func (s *Server) handleClusterHealthz(w http.ResponseWriter, r *http.Request) {
 		} else {
 			resp.Docs += p.Docs
 			resp.Shards += p.Shards
-			resp.Nodes += p.TreeNodes
+			resp.Nodes += p.Nodes
 		}
 		resp.ClusterNodes = append(resp.ClusterNodes, nh)
 	}

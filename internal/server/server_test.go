@@ -356,6 +356,43 @@ func TestCacheHitReturnsIdenticalRanking(t *testing.T) {
 	}
 }
 
+// TestRenderIsPartOfTheCacheKey: cached rows carry their rendered
+// subtrees, so a render request and a plain one for the same query are
+// two cache entries, and a repeat of either is a hit with the miss's rows.
+func TestRenderIsPartOfTheCacheKey(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, render := range []bool{true, false} {
+		req := QueryRequest{Query: `cd[title["concerto"]]`, N: 5, Render: render}
+		resp, body := postQuery(t, ts.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("render=%v: status = %d, body %s", render, resp.StatusCode, body)
+		}
+		miss := decodeResponse(t, body)
+		if miss.Cached {
+			t.Errorf("render=%v: first request served from cache", render)
+		}
+		if len(miss.Results) == 0 {
+			t.Fatalf("render=%v: no results", render)
+		}
+		for _, r := range miss.Results {
+			if (r.Subtree != "") != render {
+				t.Errorf("render=%v: result %d has subtree %q", render, r.Rank, r.Subtree)
+			}
+		}
+		resp, body = postQuery(t, ts.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("render=%v: repeat status = %d, body %s", render, resp.StatusCode, body)
+		}
+		hit := decodeResponse(t, body)
+		if !hit.Cached {
+			t.Errorf("render=%v: repeat missed the cache", render)
+		}
+		if !reflect.DeepEqual(hit.Results, miss.Results) {
+			t.Errorf("render=%v: cached results differ:\nmiss %+v\nhit  %+v", render, miss.Results, hit.Results)
+		}
+	}
+}
+
 func TestInvalidateCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	req := QueryRequest{Query: `mc[title]`, N: 3}

@@ -1,10 +1,8 @@
 package approxql
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"approxql/internal/corpus"
@@ -213,7 +211,7 @@ func (db *Database) SearchContext(ctx context.Context, query string, n int, opts
 
 // search runs one search over a corpus — a Database's one shard or a
 // Corpus's many — converting each ranked hit by conv.
-func search[T any](ctx context.Context, c *corpus.Corpus, query string, n int, opts []QueryOption, conv func(corpus.Hit) T) ([]T, error) {
+func search[T any](ctx context.Context, c *corpus.Corpus, query string, n int, opts []QueryOption, conv func(corpus.Hit, *kbest.Entry) T) ([]T, error) {
 	qc := queryOptions(opts)
 	x, err := parseExpand(query, &qc)
 	if err != nil {
@@ -225,8 +223,8 @@ func search[T any](ctx context.Context, c *corpus.Corpus, query string, n int, o
 	return corpus.Search(ctx, c, x, n, qc.corpusConfig(qc.strategy), conv)
 }
 
-// hitResult drops a corpus hit's document: a Database's result.
-func hitResult(h corpus.Hit) Result { return Result{Root: h.Root, Cost: h.Cost} }
+// hitResult drops a corpus hit's document and plan: a Database's result.
+func hitResult(h corpus.Hit, _ *kbest.Entry) Result { return Result{Root: h.Root, Cost: h.Cost} }
 
 // Stream retrieves results incrementally in ascending cost order, calling
 // fn for each; fn returns false to stop. Within a cost tier, results arrive
@@ -242,7 +240,7 @@ func (db *Database) Stream(query string, fn func(Result) bool, opts ...QueryOpti
 // StreamContext is Stream with cancellation. When fn stops the stream the
 // return is nil; when the context fires first it is ctx.Err().
 func (db *Database) StreamContext(ctx context.Context, query string, fn func(Result) bool, opts ...QueryOption) error {
-	return stream(ctx, db.c, query, opts, func(h corpus.Hit) bool { return fn(hitResult(h)) })
+	return stream(ctx, db.c, query, opts, func(h corpus.Hit) bool { return fn(hitResult(h, nil)) })
 }
 
 // stream runs one schema-driven stream over a corpus.
@@ -273,43 +271,10 @@ func (db *Database) SearchExplained(query string, n int, opts ...QueryOption) ([
 
 // SearchExplainedContext is SearchExplained with cancellation.
 func (db *Database) SearchExplainedContext(ctx context.Context, query string, n int, opts ...QueryOption) ([]ExplainedResult, error) {
-	c := queryOptions(opts)
-	x, err := parseExpand(query, &c)
-	if err != nil {
-		return nil, err
-	}
-	// The engine runs under its own n-th emitted cost as the bound, so it
-	// finishes the n-th cost tier; sorting by (cost, root) before the cut
-	// keeps the tier's lowest roots, exactly as Search does.
-	var out []ExplainedResult
-	bound := cost.Inf
-	eng := exec.New(db.Schema(), db.be, exec.Config{
-		Metrics: c.metrics,
-		Bound:   func() cost.Cost { return bound },
+	opts = append(opts[:len(opts):len(opts)], WithStrategy(SchemaDriven))
+	return search(ctx, db.c, query, n, opts, func(h corpus.Hit, e *kbest.Entry) ExplainedResult {
+		return ExplainedResult{Result: hitResult(h, e), Plan: kbest.Render(e)}
 	})
-	err = eng.Run(ctx, x, func(it exec.Item) bool {
-		out = append(out, ExplainedResult{
-			Result: Result{Root: it.Root, Cost: it.Cost},
-			Plan:   kbest.Render(it.Plan),
-		})
-		if len(out) == n {
-			bound = it.Cost
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	slices.SortFunc(out, func(a, b ExplainedResult) int {
-		if c := cmp.Compare(a.Cost, b.Cost); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Root, b.Root)
-	})
-	if n > 0 && n < len(out) {
-		out = out[:n]
-	}
-	return out, nil
 }
 
 // MatchStep reports the fate of one query selector in the cheapest
@@ -382,47 +347,38 @@ func (db *Database) SuggestCostModel(query string, opt SuggestOptions) (*CostMod
 	return a.ModelFor(labels), nil
 }
 
-// SecondLevelQuery describes one transformed query produced by the
-// schema-driven planner, for Explain.
-type SecondLevelQuery struct {
-	// Rendered is a compact textual form, e.g. "cd@3[title@5[#text@6]]".
-	Rendered string
-	// Cost is the embedding cost every result of this query receives.
-	Cost Cost
-	// Results is the number of data subtrees the query retrieves.
-	Results int
-}
+// CorpusPlan is one transformed query of an Explain, aggregated by its
+// label structure: a shard's second-level queries that share labels,
+// nesting, and cost are one plan, and so are those of different shards
+// (shard schemas are independent, so schema-class identifiers cannot be
+// compared across shards).
+type CorpusPlan = corpus.Plan
 
 // Explain returns the best k second-level queries for an approXQL query —
 // the transformed queries the schema-driven strategy would execute — with
 // their costs and result counts. It is the introspection tool for cost-model
-// tuning. Result counts come from a count-only execution path: no result
-// list is materialized or retained.
-func (db *Database) Explain(query string, k int, opts ...QueryOption) ([]SecondLevelQuery, error) {
+// tuning. The planner's first k queries are merged by label structure, so
+// fewer than k plans come back when several schema classes plan one shape.
+// Result counts come from a count-only execution path: no result list is
+// materialized or retained.
+func (db *Database) Explain(query string, k int, opts ...QueryOption) ([]CorpusPlan, error) {
 	return db.ExplainContext(context.Background(), query, k, opts...)
 }
 
 // ExplainContext is Explain with cancellation.
-func (db *Database) ExplainContext(ctx context.Context, query string, k int, opts ...QueryOption) ([]SecondLevelQuery, error) {
-	c := queryOptions(opts)
-	x, err := parseExpand(query, &c)
+func (db *Database) ExplainContext(ctx context.Context, query string, k int, opts ...QueryOption) ([]CorpusPlan, error) {
+	return explain(ctx, db.c, query, k, opts)
+}
+
+// explain runs one Explain over a corpus; k <= 0 asks for 10 plans.
+func explain(ctx context.Context, c *corpus.Corpus, query string, k int, opts []QueryOption) ([]CorpusPlan, error) {
+	qc := queryOptions(opts)
+	x, err := parseExpand(query, &qc)
 	if err != nil {
 		return nil, err
 	}
 	if k <= 0 {
 		k = 10
 	}
-	plans, err := exec.New(db.Schema(), db.be, exec.Config{Metrics: c.metrics}).Explain(ctx, x, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SecondLevelQuery, len(plans))
-	for i, p := range plans {
-		out[i] = SecondLevelQuery{
-			Rendered: kbest.Render(p.Entry),
-			Cost:     p.Entry.Cost,
-			Results:  p.Results,
-		}
-	}
-	return out, nil
+	return c.Explain(ctx, x, k, qc.corpusConfig(SchemaDriven))
 }

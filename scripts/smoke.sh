@@ -224,6 +224,18 @@ response=$(curl -sSf -X POST -H 'Content-Type: application/json' -d "$body" "$ba
 echo "$response" | grep -q '"rank":1' || fail "no ranked corpus results in: $response"
 echo "$response" | grep -q '"doc_name":' || fail "no document names in: $response"
 
+echo "smoke: corpus: render:true then render:false for one query"
+# Cached rows hold their rendered subtrees, so render must key the cache.
+response=$(curl -sSf -X POST -H 'Content-Type: application/json' \
+    -d "{\"query\":\"$cname\",\"n\":5,\"render\":true}" "$base/query")
+echo "$response" | grep -q '"subtree":' || fail "render:true returned no subtrees: $response"
+response=$(curl -sSf -X POST -H 'Content-Type: application/json' \
+    -d "{\"query\":\"$cname\",\"n\":5,\"render\":false}" "$base/query")
+echo "$response" | grep -q '"rank":1' || fail "no ranked results for render:false: $response"
+if echo "$response" | grep -q '"subtree":'; then
+    fail "render:false returned subtrees: $response"
+fi
+
 # --- query log: every /query arrival lands in the -record log ---------------
 
 echo "smoke: record: posting four more queries"
