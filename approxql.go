@@ -161,7 +161,7 @@ func newDatabase(tree *xmltree.Tree) *Database {
 // empty summary, which admits every label: one shard has nothing to
 // prune, so the summary walk is skipped.
 func databaseOver(be backend.Backend) *Database {
-	return &Database{be: be, c: oneShard(be, &backend.Summary{})}
+	return &Database{be: be, c: corpus.OneShard(be, &backend.Summary{})}
 }
 
 // Schema returns the database's structural summary, building it on first
@@ -194,7 +194,9 @@ func (db *Database) Render(root NodeID) string {
 func (db *Database) Label(u NodeID) string { return db.be.Tree().Label(u) }
 
 // Path returns the label-type path of a node, e.g. "<root>/catalog/cd".
-func (db *Database) Path(u NodeID) string { return db.be.Tree().LabelTypePath(u) }
+// Once the database has built its schema, element paths are memoized per
+// schema class; Path never builds the schema itself.
+func (db *Database) Path(u NodeID) string { return db.c.Shards()[0].Path(u) }
 
 // Len returns the number of nodes in the collection, including the
 // synthetic super-root.

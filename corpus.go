@@ -191,19 +191,7 @@ func (c *Corpus) Close() error { return c.c.Close() }
 // corpus shares the database's backend; DocIDs follow the order the
 // documents were added to the database's builder, with empty names.
 func (db *Database) Corpus() (*Corpus, error) {
-	return &Corpus{c: oneShard(db.be, nil)}, nil
-}
-
-// oneShard wraps a single backend — holding one or many documents — as a
-// one-shard corpus with an unnamed document table. A nil summary is
-// computed from the shard tree (corpus.NewShard).
-func oneShard(be backend.Backend, summary *backend.Summary) *corpus.Corpus {
-	sh := corpus.NewShard(be, summary)
-	c, err := corpus.New([]*corpus.Shard{sh}, make([]backend.ManifestDoc, sh.NumDocs()))
-	if err != nil {
-		panic(err) // unreachable: the table assigns the shard exactly its documents
-	}
-	return c
+	return &Corpus{c: corpus.OneShard(db.be, nil)}, nil
 }
 
 // Search returns the best n hits for an approXQL query across the whole
@@ -221,8 +209,9 @@ func (c *Corpus) SearchContext(ctx context.Context, query string, n int, opts ..
 
 // Plan runs only the planner for a query across the corpus: the per-shard
 // strategy split an Auto search would use, without executing anything
-// beyond count-only index probes. Strategy is the majority pick; Estimate
-// sums the per-shard estimates. It is the corpus analog of Database.Plan.
+// beyond count-only index probes. Strategy is the majority pick; Price
+// sums the per-shard prices of the direct algorithm. It is the corpus
+// analog of Database.Plan.
 func (c *Corpus) Plan(query string, n int, opts ...QueryOption) (PlanDecision, error) {
 	return planQuery(c.c, query, n, opts)
 }
@@ -297,7 +286,7 @@ func (d DocView) Label(u NodeID) string {
 // Path returns the label-type path of a node of this document's shard
 // tree, e.g. "<root>/catalog/cd".
 func (d DocView) Path(u NodeID) string {
-	return d.c.ShardOf(d.id).Backend().Tree().LabelTypePath(u)
+	return d.c.ShardOf(d.id).Path(u)
 }
 
 // CorpusStats summarizes a corpus.

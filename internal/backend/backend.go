@@ -21,12 +21,14 @@ import (
 )
 
 // Backend is one indexed collection behind a uniform read surface: the data
-// tree, the structural summary, the primary postings (index.Source), and
-// the secondary postings (schema.SecSource, schema.SecCounter). All methods
+// tree, the structural summary, the primary postings (index.Source) and
+// their sizes (CountSource), and the secondary postings (schema.SecSource,
+// schema.SecCounter). All methods
 // are safe for concurrent use; the execution engine shares one Backend
 // between its worker goroutines.
 type Backend interface {
 	index.Source      // Struct, Text: the primary postings
+	CountSource       // StructCount, TextCount: their sizes
 	schema.SecSource  // SecInstances, SecTermInstances: the I_sec postings
 	schema.SecCounter // count-only I_sec access for Explain
 
@@ -35,6 +37,9 @@ type Backend interface {
 	// Schema returns the structural summary, building it on first use.
 	// The returned schema is shared and must be treated as read-only.
 	Schema() *schema.Schema
+	// HasSchema reports whether Schema has been built, without building
+	// it.
+	HasSchema() bool
 	// CacheStats reports the cumulative posting-fetch counters of the
 	// backend's shared cache layer; in-memory backends report zeros.
 	CacheStats() index.CacheStats
@@ -43,12 +48,12 @@ type Backend interface {
 	Close() error
 }
 
-// CountSource is the optional count-only capability of a backend: primary
-// posting sizes without decoding (or even materializing) the postings. The
-// query planner probes backends for it to estimate approximate-result
-// counts cheaply; both bundled backends implement it — the in-memory one
-// exactly from its posting slices, the stored one from encoded posting
-// headers (on counter-format stores a single O(log n) descent per label).
+// CountSource is the count-only surface of a backend: primary posting sizes
+// without decoding (or even materializing) the postings. The query planner
+// prices the direct algorithm with it (plan.Price); the in-memory backend
+// answers exactly from its posting slices, the stored one from encoded
+// posting headers (on counter-format stores a single O(log n) descent per
+// label).
 type CountSource interface {
 	// StructCount returns the number of struct nodes labeled name.
 	StructCount(name string) (int, error)
@@ -57,8 +62,6 @@ type CountSource interface {
 }
 
 var (
-	_ Backend     = (*Memory)(nil)
-	_ Backend     = (*Stored)(nil)
-	_ CountSource = (*Memory)(nil)
-	_ CountSource = (*Stored)(nil)
+	_ Backend = (*Memory)(nil)
+	_ Backend = (*Stored)(nil)
 )

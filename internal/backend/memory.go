@@ -2,6 +2,7 @@ package backend
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"approxql/internal/index"
 	"approxql/internal/schema"
@@ -16,7 +17,7 @@ type Memory struct {
 	ix   *index.Memory
 
 	schemaOnce sync.Once
-	sch        *schema.Schema
+	sch        atomic.Pointer[schema.Schema]
 }
 
 // NewMemory indexes tree and returns the in-memory backend over it.
@@ -33,9 +34,12 @@ func (m *Memory) Index() *index.Memory { return m.ix }
 
 // Schema implements Backend, building the structural summary on first use.
 func (m *Memory) Schema() *schema.Schema {
-	m.schemaOnce.Do(func() { m.sch = schema.Build(m.tree) })
-	return m.sch
+	m.schemaOnce.Do(func() { m.sch.Store(schema.Build(m.tree)) })
+	return m.sch.Load()
 }
+
+// HasSchema implements Backend.
+func (m *Memory) HasSchema() bool { return m.sch.Load() != nil }
 
 // Struct implements index.Source.
 func (m *Memory) Struct(name string) ([]xmltree.NodeID, error) { return m.ix.Struct(name) }

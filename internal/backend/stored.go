@@ -3,6 +3,7 @@ package backend
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"approxql/internal/index"
 	"approxql/internal/schema"
@@ -25,7 +26,7 @@ type Stored struct {
 	lru    *index.LRU
 
 	schemaOnce sync.Once
-	sch        *schema.Schema
+	sch        atomic.Pointer[schema.Schema]
 
 	closeOnce sync.Once
 	closeErr  error
@@ -81,9 +82,12 @@ func (s *Stored) Tree() *xmltree.Tree { return s.tree }
 
 // Schema implements Backend, building the structural summary on first use.
 func (s *Stored) Schema() *schema.Schema {
-	s.schemaOnce.Do(func() { s.sch = schema.Build(s.tree) })
-	return s.sch
+	s.schemaOnce.Do(func() { s.sch.Store(schema.Build(s.tree)) })
+	return s.sch.Load()
 }
+
+// HasSchema implements Backend.
+func (s *Stored) HasSchema() bool { return s.sch.Load() != nil }
 
 // Struct implements index.Source.
 func (s *Stored) Struct(name string) ([]xmltree.NodeID, error) { return s.post.Struct(name) }

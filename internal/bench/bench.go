@@ -15,13 +15,14 @@ import (
 	"time"
 
 	"approxql/internal/backend"
+	"approxql/internal/corpus"
 	"approxql/internal/cost"
 	"approxql/internal/datagen"
 	"approxql/internal/eval"
 	"approxql/internal/exec"
 	"approxql/internal/index"
+	"approxql/internal/kbest"
 	"approxql/internal/lang"
-	"approxql/internal/plan"
 	"approxql/internal/querygen"
 	"approxql/internal/schema"
 	"approxql/internal/storage"
@@ -72,8 +73,9 @@ const (
 	Direct Algo = "direct"
 	// Schema is the schema-driven incremental approach.
 	Schema Algo = "schema"
-	// Auto lets the query planner pick Direct or Schema per query, with the
-	// k schedule it decides, exactly as the production Auto path does.
+	// Auto runs the production Auto path: Direct for n = ∞, otherwise
+	// Schema under the direct algorithm's price, switching to Direct when
+	// the run spends it (internal/plan).
 	Auto Algo = "auto"
 )
 
@@ -100,7 +102,8 @@ type Runner struct {
 	tree   *xmltree.Tree
 	be     backend.Backend
 	sch    *schema.Schema
-	tmpDir string // the stored backend's index files, removed by Close
+	c      *corpus.Corpus // be as a one-shard corpus, for Auto
+	tmpDir string         // the stored backend's index files, removed by Close
 
 	// sets[pattern][renamings] is one pre-generated query set.
 	sets map[string]map[int][]*querygen.Generated
@@ -134,6 +137,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	default:
 		return nil, fmt.Errorf("bench: unknown backend %q", cfg.Backend)
 	}
+	r.c = corpus.OneShard(r.be, &backend.Summary{})
 	qg, err := querygen.New(tree, cfg.QuerySeed)
 	if err != nil {
 		return nil, err
@@ -230,24 +234,21 @@ func (r *Runner) EvaluateStats(g *querygen.Generated, n int, algo Algo) (int, ex
 	return r.evaluate(lang.Expand(g.Query, g.Model), n, algo)
 }
 
+// evaluate runs x with one algorithm. Auto runs the switch that ships: a
+// Database search over the runner's one-shard corpus.
 func (r *Runner) evaluate(x *lang.Expanded, n int, algo Algo) (int, exec.Metrics, error) {
-	cfg := schemaConfig(n)
-	if algo == Auto {
-		cs, _ := r.be.(backend.CountSource)
-		d := plan.Decide(r.sch, cs, x, n)
-		algo = Direct
-		if d.Strategy != plan.Direct {
-			algo = Schema
-			cfg = exec.Config{} // the engine's own schedule
-		}
-	}
 	switch algo {
 	case Direct:
 		res, err := exec.Direct(context.Background(), r.tree, r.be, x, n, nil)
 		return len(res), exec.Metrics{}, err
 	case Schema:
-		res, m, err := schemaBestN(r.sch, r.be, x, n, cfg)
+		res, m, err := schemaBestN(r.sch, r.be, x, n, schemaConfig(n))
 		return len(res), m, err
+	case Auto:
+		var m exec.Metrics
+		hits, err := corpus.Search(context.Background(), r.c, x, n, corpus.Config{Auto: true, Metrics: &m},
+			func(h corpus.Hit, _ *kbest.Entry) corpus.Hit { return h })
+		return len(hits), m, err
 	}
 	return 0, exec.Metrics{}, fmt.Errorf("bench: unknown algorithm %q", algo)
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"approxql/internal/lang"
@@ -33,6 +34,9 @@ func (r *Runner) MeasureStrategy(pattern string, renamings, n int, algo Algo, mi
 		}
 		return results, nil
 	}
+	// The previous measurement's garbage is collected up front, not
+	// billed to this one.
+	runtime.GC()
 	results, err := runSet() // warm-up, untimed
 	if err != nil {
 		return Measurement{}, err

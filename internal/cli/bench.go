@@ -23,7 +23,7 @@ func Bench(args []string, stdout, stderr io.Writer) error {
 		queries  = fs.Int("queries", 10, "queries averaged per point")
 		seed     = fs.Int64("seed", 2002, "query-generation seed")
 		backendF = fs.String("backend", "memory", "posting source: memory (in-memory indexes) or stored (persisted B+tree indexes)")
-		pcheck   = fs.Bool("plannercheck", false, "instead of the Figure 7 panels, time the planner's auto pick against both forced strategies at n=10 and fail when auto is 2x or more slower than the best forced strategy on any paper-pattern point")
+		pcheck   = fs.Bool("plannercheck", false, "instead of the Figure 7 panels, time the planner's auto pick against both forced strategies at n=10 and n=100 and fail when auto is 2x or more slower than the best forced strategy on any paper-pattern point")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -80,26 +80,27 @@ func Bench(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// plannerCheck prints the planner table — the Auto pick against both
-// forced strategies, serial, at n=10 on every paper-pattern point — and
-// gates on it with checkPlannerSuite.
+// plannerCheck prints the planner tables — the Auto pick against both
+// forced strategies, serial, on every paper-pattern point, one table for
+// n=10 and one for n=100 — and gates on them with checkPlannerSuite.
 func plannerCheck(runner *bench.Runner, stdout, stderr io.Writer) error {
-	const (
-		evalN       = 10
-		pointBudget = 300 * time.Millisecond
-	)
-	ps, err := runner.PlannerSuite(evalN, pointBudget)
-	if err != nil {
-		return err
+	const pointBudget = 300 * time.Millisecond
+	var all []bench.Measurement
+	for _, n := range []int{10, 100} {
+		ps, err := runner.PlannerSuite(n, pointBudget)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "=== planner suite (n=%d) ===\n", n)
+		fmt.Fprintf(stdout, "%-10s %-10s %-8s %14s %12s\n",
+			"pattern", "renamings", "strategy", "ns/query", "mean_results")
+		for _, m := range ps {
+			fmt.Fprintf(stdout, "%-10s %-10d %-8s %14d %12.1f\n",
+				m.Pattern, m.Renamings, m.Algo, m.MeanTime.Nanoseconds(), m.MeanResults)
+		}
+		all = append(all, ps...)
 	}
-	fmt.Fprintf(stdout, "=== planner suite (n=%d) ===\n", evalN)
-	fmt.Fprintf(stdout, "%-10s %-10s %-8s %14s %12s\n",
-		"pattern", "renamings", "strategy", "ns/query", "mean_results")
-	for _, m := range ps {
-		fmt.Fprintf(stdout, "%-10s %-10d %-8s %14d %12.1f\n",
-			m.Pattern, m.Renamings, m.Algo, m.MeanTime.Nanoseconds(), m.MeanResults)
-	}
-	if err := checkPlannerSuite(ps, stderr); err != nil {
+	if err := checkPlannerSuite(all, stderr); err != nil {
 		return err
 	}
 	fmt.Fprintln(stderr, "planner check passed: auto within 2x of the best forced strategy on every point")
@@ -107,18 +108,19 @@ func plannerCheck(runner *bench.Runner, stdout, stderr io.Writer) error {
 }
 
 // checkPlannerSuite gates on the planner suite: on every (pattern,
-// renamings) point the auto measurement must stay under twice the best
-// forced strategy's time. A failure means the planner's crossover rule picks
-// the losing strategy badly enough to matter.
+// renamings, n) point the auto measurement must stay under twice the best
+// forced strategy's time. A failure means Auto's switch pays too much for
+// the strategy it starts with.
 func checkPlannerSuite(ps []bench.Measurement, stderr io.Writer) error {
 	type point struct {
 		pattern   string
 		renamings int
+		n         int
 	}
 	best := make(map[point]time.Duration)
 	auto := make(map[point]time.Duration)
 	for _, m := range ps {
-		p := point{m.Pattern, m.Renamings}
+		p := point{m.Pattern, m.Renamings, m.N}
 		switch m.Algo {
 		case bench.Auto:
 			auto[p] = m.MeanTime
@@ -136,8 +138,8 @@ func checkPlannerSuite(ps []bench.Measurement, stderr io.Writer) error {
 		}
 		if a >= 2*b {
 			bad++
-			fmt.Fprintf(stderr, "planner check: %s/%d: auto %d ns/query vs best forced %d (%.2fx)\n",
-				p.pattern, p.renamings, a.Nanoseconds(), b.Nanoseconds(), float64(a)/float64(b))
+			fmt.Fprintf(stderr, "planner check: %s/%d n=%d: auto %d ns/query vs best forced %d (%.2fx)\n",
+				p.pattern, p.renamings, p.n, a.Nanoseconds(), b.Nanoseconds(), float64(a)/float64(b))
 		}
 	}
 	if bad > 0 {

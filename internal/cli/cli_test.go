@@ -146,12 +146,12 @@ func TestQueryModes(t *testing.T) {
 
 // TestExplainPlannerHeader pins the format of the planner line that
 // -explain prints before the second-level plans: consumers scrape the
-// strategy, estimated_count, and planner fields from it.
+// strategy, price, and planner fields from it.
 func TestExplainPlannerHeader(t *testing.T) {
 	dir := t.TempDir()
 	xml := writeFile(t, dir, "catalog.xml", catalogXML)
 
-	autoLine := regexp.MustCompile(`^planner strategy=(direct|schema) estimated_count=\d+ plan_space=\d+ planner=auto$`)
+	autoLine := regexp.MustCompile(`^planner strategy=(direct|schema) price=\d+ planner=auto$`)
 	var out bytes.Buffer
 	if err := Query([]string{"-xml", xml, "-papercosts", "-explain", "-n", "2",
 		`cd[title["concerto"]]`}, &out, io.Discard); err != nil {
@@ -162,7 +162,7 @@ func TestExplainPlannerHeader(t *testing.T) {
 		t.Errorf("auto planner header = %q, want match for %v", first, autoLine)
 	}
 
-	forcedLine := regexp.MustCompile(`^planner strategy=schema estimated_count=\d+ plan_space=\d+ planner=forced$`)
+	forcedLine := regexp.MustCompile(`^planner strategy=schema price=\d+ planner=forced$`)
 	out.Reset()
 	if err := Query([]string{"-xml", xml, "-papercosts", "-explain", "-strategy", "schema", "-n", "2",
 		`cd[title["concerto"]]`}, &out, io.Discard); err != nil {
@@ -385,7 +385,7 @@ func TestBenchStoredBackend(t *testing.T) {
 }
 
 // TestBenchPlannerCheck runs the planner regret check at a tiny scale: one
-// row per (pattern, renamings, strategy). Whether the gate passes depends
+// row per (n, pattern, renamings, strategy). Whether the gate passes depends
 // on timings, so its own failure is not a test failure.
 func TestBenchPlannerCheck(t *testing.T) {
 	if testing.Short() {
@@ -397,8 +397,8 @@ func TestBenchPlannerCheck(t *testing.T) {
 		t.Fatalf("Bench -plannercheck: %v\n%s", err, stderr.String())
 	}
 	rows := regexp.MustCompile(`(?m)^pattern[123] +[05] +(direct|schema|auto) `).FindAllString(out.String(), -1)
-	if len(rows) != 3*2*3 {
-		t.Errorf("planner table has %d rows, want 18:\n%s", len(rows), out.String())
+	if len(rows) != 2*3*2*3 {
+		t.Errorf("planner tables have %d rows, want 36:\n%s", len(rows), out.String())
 	}
 }
 
@@ -535,7 +535,7 @@ func TestCorpusIndexAndQueryEndToEnd(t *testing.T) {
 	if !strings.Contains(out.String(), "shards") {
 		t.Errorf("corpus explain output:\n%s", out.String())
 	}
-	corpusHeader := regexp.MustCompile(`^planner strategy=(direct|schema) estimated_count=\d+ plan_space=\d+ planner=auto shards=direct:\d+,schema:\d+$`)
+	corpusHeader := regexp.MustCompile(`^planner strategy=(direct|schema) price=\d+ planner=auto shards=direct:\d+,schema:\d+$`)
 	if first, _, _ := strings.Cut(out.String(), "\n"); !corpusHeader.MatchString(first) {
 		t.Errorf("corpus planner header = %q, want match for %v", first, corpusHeader)
 	}

@@ -286,8 +286,9 @@ func queryCorpus(f corpusQueryFlags, args []string, stdout io.Writer) error {
 }
 
 // plannerLine renders the -explain header reporting the planner's view of
-// the query: the effective strategy, the approximate-result-count estimate,
-// and whether the strategy was planner-resolved or forced by -strategy.
+// the query: the starting strategy, the direct algorithm's price (the
+// budget of a schema-driven start), and whether the strategy was
+// planner-resolved or forced by -strategy.
 func plannerLine(dec approxql.PlanDecision, strategyFlag string) string {
 	chosen := dec.Strategy.String()
 	planner := "auto"
@@ -295,8 +296,7 @@ func plannerLine(dec approxql.PlanDecision, strategyFlag string) string {
 		chosen = strategyFlag
 		planner = "forced"
 	}
-	return fmt.Sprintf("planner strategy=%s estimated_count=%d plan_space=%d planner=%s",
-		chosen, dec.Estimate, dec.PlanSpace, planner)
+	return fmt.Sprintf("planner strategy=%s price=%d planner=%s", chosen, dec.Price, planner)
 }
 
 // printHit prints one ranked corpus hit, naming the document it came from.

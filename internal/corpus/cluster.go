@@ -56,10 +56,10 @@ type ClusterHit struct {
 // the owning node can fill: the document name, the label-type path of the
 // root, and, when render is set, the rendered subtree.
 func (c *Corpus) Present(h Hit, render bool) ClusterHit {
-	tree := c.ShardOf(h.Doc).Backend().Tree()
-	ch := ClusterHit{Hit: h, DocName: c.DocName(h.Doc), Path: tree.LabelTypePath(h.Root)}
+	sh := c.ShardOf(h.Doc)
+	ch := ClusterHit{Hit: h, DocName: c.DocName(h.Doc), Path: sh.Path(h.Root)}
 	if render {
-		ch.Subtree = tree.RenderString(h.Root)
+		ch.Subtree = sh.be.Tree().RenderString(h.Root)
 	}
 	return ch
 }
@@ -77,7 +77,8 @@ type NodeInfo struct {
 	// Planner and bound counters aggregated from the node's shards.
 	PlannerDirect int
 	PlannerSchema int
-	Estimate      int
+	Price         int
+	Switched      int
 	BoundSkipped  int
 	BoundStops    int
 	Shards        int
@@ -247,7 +248,8 @@ func (cl *Cluster) Search(ctx context.Context, cq ClusterQuery, m *exec.Metrics)
 	for _, st := range statuses {
 		agg.PlannerDirect += st.PlannerDirect
 		agg.PlannerSchema += st.PlannerSchema
-		agg.PlannerEstimate += st.Estimate
+		agg.Price += st.Price
+		agg.Switched += st.Switched
 		agg.BoundSkipped += st.BoundSkipped
 		agg.BoundStops += st.BoundStops
 		agg.Shards += st.Shards
@@ -365,7 +367,8 @@ func (ln *LocalShards) Query(ctx context.Context, cq ClusterQuery, offer func(Cl
 	})
 	info.PlannerDirect = m.PlannerDirect
 	info.PlannerSchema = m.PlannerSchema
-	info.Estimate = m.PlannerEstimate
+	info.Price = m.Price
+	info.Switched = m.Switched
 	info.BoundSkipped = m.BoundSkipped
 	info.BoundStops = m.BoundStops
 	info.Shards = m.Shards

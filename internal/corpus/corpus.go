@@ -28,6 +28,8 @@ import (
 	"cmp"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"approxql/internal/backend"
 	"approxql/internal/cost"
@@ -71,6 +73,9 @@ type Shard struct {
 	// globalIDs[i] is the corpus-wide DocID of the document at docRoots[i].
 	docRoots  []xmltree.NodeID
 	globalIDs []DocID
+	// paths memoizes Path per schema class, filled lazily.
+	pathsOnce sync.Once
+	paths     []atomic.Pointer[string]
 }
 
 // NewShard wraps a backend as a corpus shard. summary may be nil (a v3
@@ -91,6 +96,29 @@ func (s *Shard) Backend() backend.Backend { return s.be }
 
 // Summary returns the shard's pruning summary (read-only).
 func (s *Shard) Summary() *backend.Summary { return &s.summary }
+
+// Path returns the label-type path of node u of the shard tree, e.g.
+// "<root>/catalog/cd". A struct node's path is the one label-type path of
+// its DataGuide class (schema.ClassOf), so once the backend has built its
+// schema the path is built once per class and shared by every later
+// caller. A text node's path ends in its own word and is built each time,
+// and so is every path of a shard whose schema is not built: a direct-only
+// caller is not made to build it. Safe for concurrent use.
+func (s *Shard) Path(u xmltree.NodeID) string {
+	tree := s.be.Tree()
+	if tree.Kind(u) == cost.Text || !s.be.HasSchema() {
+		return tree.LabelTypePath(u)
+	}
+	sch := s.be.Schema()
+	s.pathsOnce.Do(func() { s.paths = make([]atomic.Pointer[string], sch.Len()) })
+	slot := &s.paths[sch.ClassOf(u)]
+	if p := slot.Load(); p != nil {
+		return *p
+	}
+	p := tree.LabelTypePath(u)
+	slot.Store(&p)
+	return p
+}
 
 // NumDocs returns the shard's document count.
 func (s *Shard) NumDocs() int { return len(s.docRoots) }
@@ -188,6 +216,19 @@ func NewSubset(shards []*Shard, shardIdx []int, totalShards int, docs []backend.
 		}
 	}
 	return c, nil
+}
+
+// OneShard wraps a single backend — holding one or many documents — as a
+// one-shard corpus with an unnamed document table. A nil summary is
+// computed from the shard tree (NewShard); an empty one admits every
+// label.
+func OneShard(be backend.Backend, summary *backend.Summary) *Corpus {
+	sh := NewShard(be, summary)
+	c, err := New([]*Shard{sh}, make([]backend.ManifestDoc, sh.NumDocs()))
+	if err != nil {
+		panic(err) // unreachable: the table assigns the shard exactly its documents
+	}
+	return c
 }
 
 // NumShards returns the shard count.
@@ -297,12 +338,13 @@ type Config struct {
 	// Direct selects the direct strategy (full per-shard evaluation with
 	// per-shard best-n pruning) instead of the schema-driven engine.
 	Direct bool
-	// Auto lets the planner pick the strategy per shard from each
-	// shard's own schema statistics and count probes (internal/plan);
-	// Direct is ignored when Auto is set. Mixing strategies across
-	// shards keeps the ranking bit-identical: either strategy delivers a
-	// superset of the shard's part of the global answer into the shared
-	// top-n heap.
+	// Auto resolves the strategy per shard with the planner's switch
+	// (internal/plan): Direct for n <= 0, otherwise schema-driven under
+	// the budget of the direct algorithm's price, falling back to Direct
+	// when the run spends it. Direct is ignored when Auto is set. Mixing
+	// strategies across shards keeps the ranking bit-identical: either
+	// strategy delivers a superset of the shard's part of the global
+	// answer into the shared top-n heap.
 	Auto bool
 	// Parallelism bounds the shard-level worker pool (zero: GOMAXPROCS).
 	// It is the only concurrency of a search: each shard's engine runs
@@ -311,4 +353,8 @@ type Config struct {
 	// Metrics, when non-nil, accumulates the merged per-shard counters
 	// plus the corpus-level Shards/ShardsPruned counts.
 	Metrics *exec.Metrics
+	// budget replaces the Auto budget in this package's tests: a positive
+	// value is the budget, a negative one runs without a budget, zero uses
+	// the price.
+	budget int
 }

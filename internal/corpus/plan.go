@@ -1,42 +1,35 @@
 package corpus
 
 import (
-	"approxql/internal/backend"
 	"approxql/internal/lang"
 	"approxql/internal/plan"
 )
 
-// PlanSummary aggregates the per-shard planner decisions for one query
-// without executing anything: the shards each strategy would get, the
-// summed result-count estimate, and the largest plan space.
+// PlanSummary aggregates the per-shard starting picks for one query
+// without executing anything: the shards each strategy would start with,
+// and the summed prices of the schema-driven starts.
 type PlanSummary struct {
-	// DirectShards and SchemaShards count the active shards the planner
-	// routes to each strategy; PrunedShards counts shards skipped up
-	// front by their schema summaries.
+	// DirectShards and SchemaShards count the active shards starting
+	// with each strategy; PrunedShards counts shards skipped up front by
+	// their schema summaries.
 	DirectShards int
 	SchemaShards int
 	PrunedShards int
-	// Estimate sums the per-shard approximate-result-count estimates;
-	// Probes the count-only index probes issued.
-	Estimate int
-	Probes   int
-	// PlanSpace is the largest per-shard second-level-query bound.
-	PlanSpace int
+	// Price sums the per-shard direct-algorithm prices (the budgets of
+	// the schema-driven starts); Probes the count-only index probes.
+	Price  int
+	Probes int
 }
 
-// Plan runs only the planner against every active shard — the decision an
+// Plan runs only the planner against every active shard — the start an
 // Auto search of (x, n) would make, for introspection surfaces.
 func (c *Corpus) Plan(x *lang.Expanded, n int) PlanSummary {
 	active, pruned := c.filterShards(x)
 	s := PlanSummary{PrunedShards: pruned}
 	for _, sh := range active {
-		cs, _ := sh.be.(backend.CountSource)
-		d := plan.Decide(sh.be.Schema(), cs, x, n)
-		s.Estimate += d.Estimate
+		d := plan.Decide(nil, sh.be, x, n)
+		s.Price += d.Price
 		s.Probes += d.Probes
-		if d.PlanSpace > s.PlanSpace {
-			s.PlanSpace = d.PlanSpace
-		}
 		if d.Strategy == plan.Direct {
 			s.DirectShards++
 		} else {

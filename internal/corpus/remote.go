@@ -61,16 +61,17 @@ type ShardHitLine struct {
 // mid-stream failure surfaces here (Error non-empty): the HTTP status was
 // already committed when streaming began.
 type ShardDoneLine struct {
-	Done           bool   `json:"done"`
-	Hits           int    `json:"hits"`
-	Error          string `json:"error,omitempty"`
-	PlannerDirect  int    `json:"planner_direct,omitempty"`
-	PlannerSchema  int    `json:"planner_schema,omitempty"`
-	EstimatedCount int    `json:"estimated_count,omitempty"`
-	BoundSkipped   int    `json:"bound_skipped,omitempty"`
-	BoundStops     int    `json:"bound_stops,omitempty"`
-	Shards         int    `json:"shards,omitempty"`
-	ShardsPruned   int    `json:"shards_pruned,omitempty"`
+	Done          bool   `json:"done"`
+	Hits          int    `json:"hits"`
+	Error         string `json:"error,omitempty"`
+	PlannerDirect int    `json:"planner_direct,omitempty"`
+	PlannerSchema int    `json:"planner_schema,omitempty"`
+	Price         int    `json:"price,omitempty"`
+	Switched      int    `json:"switched,omitempty"`
+	BoundSkipped  int    `json:"bound_skipped,omitempty"`
+	BoundStops    int    `json:"bound_stops,omitempty"`
+	Shards        int    `json:"shards,omitempty"`
+	ShardsPruned  int    `json:"shards_pruned,omitempty"`
 }
 
 // shardStreamLine is the read-side union of hit and done lines.
@@ -291,7 +292,8 @@ func (r *RemoteShard) attempt(ctx context.Context, cq ClusterQuery, attempt int,
 			}
 			info.PlannerDirect += l.PlannerDirect
 			info.PlannerSchema += l.PlannerSchema
-			info.Estimate += l.EstimatedCount
+			info.Price += l.Price
+			info.Switched += l.Switched
 			info.BoundSkipped += l.BoundSkipped
 			info.BoundStops += l.BoundStops
 			info.Shards += l.Shards

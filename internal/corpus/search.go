@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sync"
 
-	"approxql/internal/backend"
 	"approxql/internal/cost"
 	"approxql/internal/eval"
 	"approxql/internal/exec"
@@ -153,9 +152,9 @@ func resolveWorkers(cfg Config, shards int) int {
 // approximate hits. The ranking is bit-identical across shard counts,
 // strategies, and parallelism settings: the heap's total order makes
 // gathering arrival-order independent, and each shard contributes a
-// superset of its part of the global answer (schema-driven shards run
-// unbounded under the cutoff; direct shards compute exact per-shard top-n,
-// which within a shard coincides with the global order restricted to it).
+// superset of its part of the global answer (see searchShard for the
+// schema-driven side; direct shards compute exact per-shard top-n, which
+// within a shard coincides with the global order restricted to it).
 func Search[T any](ctx context.Context, c *Corpus, x *lang.Expanded, n int, cfg Config, conv func(Hit, *kbest.Entry) T) ([]T, error) {
 	active, pruned := c.filterShards(x)
 	if len(active) == 1 {
@@ -181,11 +180,14 @@ func Search[T any](ctx context.Context, c *Corpus, x *lang.Expanded, n int, cfg 
 				defer wg.Done()
 				for sh := range jobs {
 					var m exec.Metrics
-					var err error
-					if decideShard(sh, x, n, cfg, &m) {
+					hits, direct, err := searchShard(ctx2, sh, x, n, cfg, heap.Bound, &m)
+					if direct {
 						err = searchShardDirect(ctx2, sh, x, n, &m, offerHit)
-					} else {
-						err = searchShardSchema(ctx2, sh, x, &m, heap)
+					}
+					for _, h := range hits {
+						if !heap.Offer(h) {
+							break
+						}
 					}
 					mu.Lock()
 					merged.Merge(&m)
@@ -222,7 +224,7 @@ func Search[T any](ctx context.Context, c *Corpus, x *lang.Expanded, n int, cfg 
 // searchOne is Search over its one active shard, run inline on the
 // caller's goroutine with the counters written straight into cfg.Metrics.
 // A Database is a one-shard corpus, so every Database search takes this
-// path. A direct shard's output is already the exact answer in (cost,
+// path. Either strategy's output is already the exact answer in (cost,
 // doc, root) order and needs no gather heap.
 func searchOne[T any](ctx context.Context, sh *Shard, pruned int, x *lang.Expanded, n int, cfg Config, conv func(Hit, *kbest.Entry) T) ([]T, error) {
 	m := cfg.Metrics
@@ -230,12 +232,12 @@ func searchOne[T any](ctx context.Context, sh *Shard, pruned int, x *lang.Expand
 		m.Shards++
 		m.ShardsPruned += pruned
 	}
-	if !decideShard(sh, x, n, cfg, m) {
-		heap := newTopN[planned](n)
-		if err := searchShardSchema(ctx, sh, x, m, heap); err != nil {
-			return nil, err
-		}
-		return convert(heap.Sorted(), conv), nil
+	hits, direct, err := searchShard(ctx, sh, x, n, cfg, nil, m)
+	if err != nil {
+		return nil, err
+	}
+	if !direct {
+		return convert(hits, conv), nil
 	}
 	res, err := exec.Direct(ctx, sh.be.Tree(), sh.be, x, n, m)
 	if err != nil {
@@ -261,28 +263,34 @@ func convert[T any](hits []planned, conv func(Hit, *kbest.Entry) T) []T {
 	return out
 }
 
-// decideShard reports whether one shard runs the direct strategy: the
-// forced strategy from cfg, or — under Auto — the planner's pick from the
-// shard's own schema and count-only index probes. Either strategy makes the
-// shard contribute a superset of its part of the global answer, so mixing
-// strategies across shards cannot change the merged ranking.
-func decideShard(sh *Shard, x *lang.Expanded, n int, cfg Config, m *exec.Metrics) bool {
+// startShard resolves one shard's starting strategy. direct reports a shard
+// that runs the direct algorithm outright: forced Direct, or Auto with
+// n <= 0. Every other shard starts schema-driven under budget (zero:
+// none); only Auto sets one, the direct algorithm's price (plan.Decide).
+func startShard(sh *Shard, x *lang.Expanded, n int, cfg Config, m *exec.Metrics) (direct bool, budget int) {
 	if !cfg.Auto {
-		return cfg.Direct
+		return cfg.Direct, 0
 	}
-	cs, _ := sh.be.(backend.CountSource)
-	d := plan.Decide(sh.be.Schema(), cs, x, n)
+	d := plan.Decide(nil, sh.be, x, n)
 	if m != nil {
 		m.PlannerStrategy = d.Strategy.String()
-		m.PlannerEstimate += d.Estimate
 		m.PlannerProbes += d.Probes
+		m.Price += d.Price
 		if d.Strategy == plan.Direct {
 			m.PlannerDirect++
 		} else {
 			m.PlannerSchema++
 		}
 	}
-	return d.Strategy == plan.Direct
+	switch {
+	case d.Strategy == plan.Direct:
+		return true, 0
+	case cfg.budget != 0:
+		return false, max(cfg.budget, 0)
+	}
+	// A zero price (no posting of any query label) still gets a budget:
+	// zero would mean none.
+	return false, max(d.Price, 1)
 }
 
 // finishPlanner names the majority per-shard pick in the merged metrics of
@@ -298,27 +306,59 @@ func finishPlanner(merged *exec.Metrics, cfg Config) {
 	}
 }
 
-// searchShardSchema runs one shard's plan stream unbounded (N = 0) under
-// the heap's cutoff. Unbounded matters for correctness at tie boundaries:
-// an engine asked for n results stops at the second-level query delivering
-// the n-th, which could truncate an equal-cost tie set another shard's hits
-// would have pushed past n. Under the cutoff the engine still terminates as
-// soon as pulled costs cross the global n-th cost. N = 0 matters even for
-// a sole shard: the engine's emission order within an equal-cost tier
-// follows its second-level queries, not the corpus (cost, doc, root) order,
-// so its own n-truncation could keep the wrong members of a tie set.
-func searchShardSchema(ctx context.Context, sh *Shard, x *lang.Expanded, m *exec.Metrics, heap *topn[planned]) error {
-	eng := exec.New(sh.be.Schema(), sh.be, exec.Config{
-		Metrics: m,
-		Bound:   heap.Bound,
-	})
-	return eng.Run(ctx, x, func(it exec.Item) bool {
+// searchShard runs one shard's part of a search for the best n (n <= 0:
+// all) under the external cutoff bound (nil: none). When the shard runs
+// schema-driven to the end it returns its hits in ascending (cost, doc,
+// root) order. The engine writes them into a shard-local top n and stops
+// at the first second-level query costlier than min(local n-th cost,
+// bound), so they are a superset of the shard's part of the global answer:
+// the global top n holds no more than n of the shard's hits, and under the
+// (cost, doc, root) order those are the shard's own best n.
+//
+// The engine runs with N = 0 and only the cutoff stops it. An engine asked
+// for n results stops at the second-level query delivering the n-th, and
+// its emission order within an equal-cost tier follows its second-level
+// queries, not the (cost, doc, root) order, so its own n-truncation could
+// keep the wrong members of a tie set.
+//
+// direct reports that the caller must evaluate the shard with the direct
+// algorithm instead: its start is Direct, or its schema run spent the Auto
+// budget (exec.ErrBudget). A run that spent its budget has delivered
+// nothing — its hits are dropped here — so no caller's output ever goes
+// out of order, and Switched counts the fallback.
+func searchShard(ctx context.Context, sh *Shard, x *lang.Expanded, n int, cfg Config, bound func() cost.Cost, m *exec.Metrics) (hits []planned, direct bool, err error) {
+	direct, budget := startShard(sh, x, n, cfg, m)
+	if direct {
+		return nil, true, nil
+	}
+	local := newTopN[planned](n)
+	cut := local.Bound
+	if bound != nil {
+		cut = func() cost.Cost { return min(local.Bound(), bound()) }
+	}
+	var emitted int
+	if m != nil {
+		emitted = m.ResultsEmitted
+	}
+	eng := exec.New(sh.be.Schema(), sh.be, exec.Config{Metrics: m, Bound: cut, Budget: budget})
+	err = eng.Run(ctx, x, func(it exec.Item) bool {
 		doc, ok := sh.docOf(it.Root)
 		if !ok {
 			return true
 		}
-		return heap.Offer(planned{Hit{Doc: doc, Root: it.Root, Cost: it.Cost}, it.Plan})
+		return local.Offer(planned{Hit{Doc: doc, Root: it.Root, Cost: it.Cost}, it.Plan})
 	})
+	if errors.Is(err, exec.ErrBudget) {
+		if m != nil {
+			m.Switched++
+			m.ResultsEmitted = emitted
+		}
+		return nil, true, nil
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	return local.Sorted(), false, nil
 }
 
 // searchShardDirect evaluates one shard with the direct algorithm,

@@ -20,9 +20,9 @@ type streamItem struct {
 }
 
 // streamJob parameterizes one per-shard stream producer beyond the shared
-// Config: the per-shard result bound direct shards evaluate to, the
-// external cost cutoff, and whether the per-shard strategy is resolved
-// (Auto/Direct from cfg) instead of forced schema-driven.
+// Config: whether it serves ServeStream (the per-shard strategy resolved
+// from cfg, as in Search) rather than Stream (forced schema-driven), and
+// for ServeStream the per-shard result bound and the external cost cutoff.
 type streamJob struct {
 	n       int
 	bound   func() cost.Cost
@@ -49,14 +49,14 @@ func (c *Corpus) Stream(ctx context.Context, x *lang.Expanded, cfg Config, fn fu
 
 // ServeStream is the shard-node primitive of a cluster: it streams the
 // corpus's hits in ascending (cost, doc, root) order like Stream, but
-// resolves the per-shard strategy from cfg (Auto/Direct, like Search) and
-// runs under an external cost cutoff. bound must be monotone
-// non-increasing, returning cost.Inf while no bound is known — typically a
-// gatherer's current global n-th cost. Hits whose cost strictly exceeds
-// the bound at emission time are never delivered; equal-cost hits always
-// are, preserving the gather heap's tie-exactness. n bounds each direct
-// shard's per-shard BestN (n <= 0: all results); schema shards run
-// unbounded under the cutoff, exactly as in Search.
+// runs each shard like Search does — the strategy resolved from cfg, n
+// bounding the shard's part (n <= 0: all results) — and under an external
+// cost cutoff. bound must be monotone non-increasing, returning cost.Inf
+// while no bound is known — typically a gatherer's current global n-th
+// cost. Hits whose cost strictly exceeds the bound at emission time are
+// never delivered; equal-cost hits always are, preserving the gather
+// heap's tie-exactness. A schema-driven shard sends its hits once its run
+// has ended (see streamShard).
 func (c *Corpus) ServeStream(ctx context.Context, x *lang.Expanded, n int, bound func() cost.Cost, cfg Config, fn func(Hit) bool) error {
 	return c.stream(ctx, x, cfg, streamJob{n: n, bound: bound, resolve: true}, fn)
 }
@@ -176,20 +176,22 @@ func (c *Corpus) stream(ctx context.Context, x *lang.Expanded, cfg Config, job s
 
 // streamShard runs one shard and passes its hits to send in (cost, doc,
 // root)-ascending order until send returns false; a stop by send returns
-// nil. Schema-driven shards buffer and root-sort each equal-cost tier (the
-// engine emits tiers in plan order), so a stop ends the engine after the
-// current tier; direct shards are already (cost, root)-sorted and forward
-// as-is. It returns the shard engine's error.
+// nil. It returns the shard engine's error.
+//
+// Under ServeStream (job.resolve) the shard runs like a Search shard
+// (searchShard): a schema-driven run's hits are held back until the run
+// has ended within its budget and then sent in order, or dropped for the
+// direct algorithm when it spent the budget; direct output is already
+// (cost, root)-sorted and forwards as-is. Hits past the external cutoff
+// at sending time are withheld.
+//
+// Under Stream the shard runs schema-driven, unbounded, and sends each
+// equal-cost tier as soon as the engine has finished it, buffered and
+// root-sorted (the engine emits a tier in plan order); a stop ends the
+// engine after the current tier.
 func streamShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, job streamJob, m *exec.Metrics, send func(Hit) bool) error {
-	if job.resolve && decideShard(sh, x, job.n, cfg, m) {
-		return searchShardDirect(ctx, sh, x, job.n, m, func(h Hit) bool {
-			if job.bound != nil && h.Cost > job.bound() {
-				// Delivery is cost-ascending and the bound monotone
-				// non-increasing: every later hit is cut too.
-				return false
-			}
-			return send(h)
-		})
+	if job.resolve {
+		return serveShard(ctx, sh, x, cfg, job, m, send)
 	}
 	var tier []Hit
 	tierCost := cost.Cost(0)
@@ -205,10 +207,7 @@ func streamShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, j
 		tier = tier[:0]
 		return true
 	}
-	eng := exec.New(sh.be.Schema(), sh.be, exec.Config{
-		Metrics: m,
-		Bound:   job.bound,
-	})
+	eng := exec.New(sh.be.Schema(), sh.be, exec.Config{Metrics: m})
 	err := eng.Run(ctx, x, func(it exec.Item) bool {
 		doc, ok := sh.docOf(it.Root)
 		if !ok {
@@ -225,5 +224,27 @@ func streamShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, j
 		return err
 	}
 	flush()
+	return nil
+}
+
+// serveShard is streamShard under ServeStream.
+func serveShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, job streamJob, m *exec.Metrics, send func(Hit) bool) error {
+	// Delivery is cost-ascending and the bound monotone non-increasing:
+	// once a hit is cut, every later one is too.
+	deliver := func(h Hit) bool {
+		return (job.bound == nil || h.Cost <= job.bound()) && send(h)
+	}
+	hits, direct, err := searchShard(ctx, sh, x, job.n, cfg, job.bound, m)
+	if err != nil {
+		return err
+	}
+	if direct {
+		return searchShardDirect(ctx, sh, x, job.n, m, deliver)
+	}
+	for _, h := range hits {
+		if !deliver(h.Hit) {
+			break
+		}
+	}
 	return nil
 }

@@ -17,6 +17,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"approxql/internal/cost"
@@ -51,7 +52,18 @@ type Config struct {
 	// contract a stop can never discard a query that a later, tighter
 	// bound would have wanted. Return cost.Inf while no bound is known.
 	Bound func() cost.Cost
+	// Budget, when positive, caps the run's charge: second-level queries
+	// pulled plus instance postings scanned. The charge is checked before
+	// each second-level execution; a run whose charge exceeds the budget
+	// stops with ErrBudget. The corpus's Auto strategy sets it to the
+	// price of the direct algorithm (plan.Price) and falls back to Direct
+	// on ErrBudget. Zero runs without a budget.
+	Budget int
 }
+
+// ErrBudget is Run's error when the charge exceeded Config.Budget. The
+// items emitted before it are correct but may be incomplete.
+var ErrBudget = errors.New("exec: budget spent")
 
 // Item is one emitted result: a distinct root, the cost of the cheapest
 // second-level query that retrieved it, and that query itself.
@@ -117,7 +129,7 @@ func (g *Engine) snapshotCacheStats(m *Metrics) func() {
 // Run stops at the boundary of the second-level query that delivered the
 // N-th result (all roots of that query are emitted), mirroring the
 // sequential reference algorithm, so callers wanting exactly N must
-// truncate.
+// truncate. Under a Budget it may instead stop with ErrBudget.
 func (g *Engine) Run(ctx context.Context, x *lang.Expanded, emit func(Item) bool) error {
 	m := g.cfg.Metrics
 	if m == nil {
@@ -165,8 +177,9 @@ func (g *Engine) Run(ctx context.Context, x *lang.Expanded, emit func(Item) bool
 	// The stream can yield two queries with one skeleton signature when
 	// the query repeats a subexpression; the later one is never cheaper
 	// and retrieves the same roots, so it is skipped. Signatures are built
-	// in one reused buffer; only an insert copies one out.
-	executed := make(map[string]bool)
+	// in one reused buffer and kept in a pooled slab.
+	executed := getSigSet()
+	defer executed.release()
 	var sig []byte
 	emitted := 0
 	for {
@@ -191,11 +204,13 @@ func (g *Engine) Run(ctx context.Context, x *lang.Expanded, emit func(Item) bool
 			return nil
 		}
 		sig = kbest.AppendSignature(sig[:0], e)
-		if executed[string(sig)] {
+		if !executed.add(sig) {
 			m.Deduped++
 			continue
 		}
-		executed[string(sig)] = true
+		if g.cfg.Budget > 0 && pulled+ex.Stats().PostingsScanned > g.cfg.Budget {
+			return ErrBudget
+		}
 
 		m.Executed++
 		t0 = time.Now()

@@ -40,7 +40,7 @@ type Metrics struct {
 	Deduped int
 	// Executed counts second-level queries executed against the
 	// secondary index: Planned minus Deduped, less the one query a bound
-	// stop pulls without running.
+	// or budget stop pulls without running.
 	Executed int
 	// EmptyExecuted counts executed second-level queries that retrieved
 	// no root: skeletons the schema admits but no data subtree
@@ -100,19 +100,21 @@ type Metrics struct {
 	BoundStops   int
 
 	// The Planner* fields describe how the Auto strategy was resolved;
-	// they stay zero/empty when the caller forced a strategy.
-	// PlannerStrategy names the strategy the planner picked ("direct" or
-	// "schema"); PlannerEstimate is its approximate-result-count estimate
-	// R̂; PlannerProbes counts the count-only index probes the estimate
-	// issued. In a sharded evaluation the planner decides per shard:
-	// PlannerDirect/PlannerSchema count the shards routed to each
-	// strategy, PlannerEstimate sums the per-shard estimates, and
-	// PlannerStrategy names the majority pick.
+	// they stay zero/empty when the caller forced a strategy. Auto starts
+	// every shard with n > 0 schema-driven under a budget of Price and
+	// every n <= 0 shard direct. PlannerStrategy names the starting pick
+	// ("direct" or "schema"; in a sharded evaluation the majority pick);
+	// PlannerDirect/PlannerSchema count the shards started with each.
+	// Price sums the shards' direct-algorithm prices (plan.Price), and
+	// PlannerProbes counts the count-only index probes that priced them.
+	// Switched counts schema-started shards that spent their budget,
+	// discarded their hits, and ran Direct.
 	PlannerStrategy string
-	PlannerEstimate int
 	PlannerProbes   int
 	PlannerDirect   int
 	PlannerSchema   int
+	Price           int
+	Switched        int
 
 	// ResultsEmitted counts distinct result roots delivered.
 	ResultsEmitted int
@@ -161,10 +163,11 @@ func (m *Metrics) Merge(o *Metrics) {
 	if o.PlannerStrategy != "" {
 		m.PlannerStrategy = o.PlannerStrategy
 	}
-	m.PlannerEstimate += o.PlannerEstimate
 	m.PlannerProbes += o.PlannerProbes
 	m.PlannerDirect += o.PlannerDirect
 	m.PlannerSchema += o.PlannerSchema
+	m.Price += o.Price
+	m.Switched += o.Switched
 	m.ResultsEmitted += o.ResultsEmitted
 	m.Truncated = m.Truncated || o.Truncated
 }
@@ -214,11 +217,11 @@ func (m *Metrics) String() string {
 	}
 	if m.PlannerStrategy != "" {
 		if m.PlannerDirect+m.PlannerSchema > 1 {
-			w("planner           %s  (estimate %d, %d probes; %d direct / %d schema shards)",
-				m.PlannerStrategy, m.PlannerEstimate, m.PlannerProbes, m.PlannerDirect, m.PlannerSchema)
+			w("planner           %s  (price %d, %d probes; %d direct / %d schema shards, %d switched)",
+				m.PlannerStrategy, m.Price, m.PlannerProbes, m.PlannerDirect, m.PlannerSchema, m.Switched)
 		} else {
-			w("planner           %s  (estimate %d, %d probes)",
-				m.PlannerStrategy, m.PlannerEstimate, m.PlannerProbes)
+			w("planner           %s  (price %d, %d probes, %d switched)",
+				m.PlannerStrategy, m.Price, m.PlannerProbes, m.Switched)
 		}
 	}
 	w("results emitted   %d", m.ResultsEmitted)

@@ -89,8 +89,13 @@ var plannerPool struct {
 // plannerPoolBytes bounds the memory idle planners retain.
 const plannerPoolBytes = 8 << 20
 
+// maxPooledMapEntries keeps planners whose memo maps grew large out of the
+// pool: a map keeps its peak size, and clearing it would cost that size on
+// every later run.
+const maxPooledMapEntries = 1 << 12
+
 // footprint is the memory held by p's slabs and scratch, in bytes. The memo
-// maps are left out: they hold one entry per query node and fetch.
+// maps are left out; putPlanner bounds them by their entry count.
 func (p *planner) footprint() int {
 	b := cap(p.nodes)*int(unsafe.Sizeof(node{})) +
 		(cap(p.kids)+cap(p.idx)+cap(p.opnds)+cap(p.sel)+cap(p.order))*4 +
@@ -142,12 +147,16 @@ func putPlanner(p *planner) {
 	p.nheaps = 0
 	p.variants, p.sel, p.order = p.variants[:0], p.sel[:0], p.order[:0]
 	p.ents, p.ptrs = nil, nil
+	mapEntries := len(p.fetchID) + len(p.innerMemo) + len(p.evalMemo) + len(p.exported)
 	clear(p.fetches)
 	p.fetches = p.fetches[:0]
 	clear(p.fetchID)
 	clear(p.innerMemo)
 	clear(p.evalMemo)
 	clear(p.exported)
+	if mapEntries > maxPooledMapEntries {
+		return
+	}
 	b := p.footprint()
 	plannerPool.mu.Lock()
 	defer plannerPool.mu.Unlock()

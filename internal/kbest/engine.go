@@ -354,40 +354,3 @@ func (en *Engine) SecondaryCount(ctx context.Context, e *Entry) (int, error) {
 	}
 	return en.defaultExec.SecondaryCount(ctx, e)
 }
-
-// PlanBoundCeiling saturates PlanBound's product so it cannot overflow. A
-// bound at the ceiling proves nothing about the plan space.
-const PlanBoundCeiling = 1 << 30
-
-// PlanBound returns an upper bound on the number of distinct second-level
-// queries that planning can generate for x against sch, derived from the
-// schema: every skeleton assigns to each selector node either one of its
-// candidate classes (for its label or any renaming) or "deleted", so the
-// product of (candidates + 1) over all selector nodes bounds the number of
-// skeletons. The strategy planner reports it as the plan space. The
-// product saturates at PlanBoundCeiling for pathological cost models whose
-// closure is astronomically large.
-func PlanBound(sch *schema.Schema, x *lang.Expanded) int {
-	bound := 1
-	for _, u := range x.Nodes {
-		if u.Rep != lang.RepNode && u.Rep != lang.RepLeaf {
-			continue
-		}
-		cand := classCount(sch, u.Label, u.Kind)
-		for _, r := range u.Renamings {
-			cand += classCount(sch, r.To, u.Kind)
-		}
-		if bound > PlanBoundCeiling/(cand+1) {
-			return PlanBoundCeiling
-		}
-		bound *= cand + 1
-	}
-	return bound
-}
-
-func classCount(sch *schema.Schema, label string, kind cost.Kind) int {
-	if kind == cost.Text {
-		return len(sch.TextClasses(label))
-	}
-	return len(sch.StructClasses(label))
-}

@@ -1,26 +1,28 @@
-// Package plan is the query planner: it resolves the Auto strategy into a
-// concrete evaluation strategy — the paper's direct algorithm (Section 6) or
-// the schema-driven incremental engine (Section 7) — per (query, schema,
-// backend). The schema-driven engine's k/δ schedule is the engine's own
-// (internal/exec); the planner does not set it.
+// Package plan is the query planner: it resolves the Auto strategy into the
+// paper's direct algorithm (Section 6) or the schema-driven incremental
+// engine (Section 7) per (query, shard).
 //
-// The decision follows the crossover of the paper's Figure 7: the
-// schema-driven strategy wins when the requested result count n is small
-// relative to the number of approximate results, and the direct algorithm
-// wins as n approaches that count. The planner therefore estimates the
-// approximate-result count R̂ from schema statistics and cheap count-only
-// index probes (backend.CountSource — O(log n) header reads on
-// counter-format stores), then picks Direct when n is zero (all results
-// wanted), when n is within half of R̂, or when the expected number of
-// second-level queries before n results surface (n·PlanSpace/R̂) reaches R̂
-// itself — the plan space outgrowing the data is the regime where the
-// incremental engine enumerates low-yield queries; SchemaDriven otherwise.
+// The paper's Figure 7 puts the crossover between the two at an n that
+// depends on the data, the query, and the cost model, so Auto does not
+// predict it: it runs a ski-rental switch (Karlin, Manasse, Rudolph &
+// Sleator, 1988). The direct algorithm reads every posting of every label
+// and renaming of the expanded query, and count-only index probes
+// (backend.CountSource — O(log n) header reads on counter-format stores)
+// give that number up front: Price. A shard asked for all results
+// (n <= 0) runs Direct at once, the right end of Figure 7. Every other
+// shard rents: it starts schema-driven under a budget of the price
+// (exec.Config.Budget), charged one unit per second-level query pulled
+// and per instance posting scanned. A run that passes the budget discards
+// its hits and buys: it runs Direct. A shard therefore never spends more
+// than the price twice over, plus Direct's own work when it switches — the
+// deterministic ski-rental bound, 2-competitive in units of the charge —
+// and no constant is fitted to a collection. The switch itself lives in
+// internal/corpus, which all Auto paths share.
 package plan
 
 import (
 	"approxql/internal/backend"
 	"approxql/internal/cost"
-	"approxql/internal/kbest"
 	"approxql/internal/lang"
 	"approxql/internal/schema"
 )
@@ -43,142 +45,57 @@ func (s Strategy) String() string {
 	return "direct"
 }
 
-// Decision is the planner's resolution of Auto for one query: the chosen
-// strategy and the estimate that drove the choice.
+// Decision is the planner's starting pick for one query on one shard.
 type Decision struct {
 	Strategy Strategy
-	// Estimate is R̂, the planner's upper-bound estimate of the
-	// approximate-result count (see Estimate).
-	Estimate int
-	// PlanSpace is kbest.PlanBound(sch, x): the maximum number of
-	// distinct second-level queries the plan can generate.
-	PlanSpace int
-	// Probes counts the count-only index probes the estimate issued.
+	// Price is the direct algorithm's price, the budget of a
+	// schema-driven start (see Price); zero for a direct start.
+	Price int
+	// Probes counts the count-only index probes that priced it.
 	Probes int
 }
 
-// Decide resolves Auto for one query: x is the expanded query, n the
-// requested result count (<= 0 means all results), counts the backend's
-// count-only capability (nil falls back to schema instance lists). The
-// returned decision is deterministic for fixed (sch, counts, x, n).
-func Decide(sch *schema.Schema, counts backend.CountSource, x *lang.Expanded, n int) Decision {
-	d := Decision{Strategy: Direct}
-	d.Estimate, d.Probes = Estimate(sch, counts, x)
-	d.PlanSpace = kbest.PlanBound(sch, x)
+// Decide returns the starting pick for x and the requested result count n:
+// Direct when n <= 0 (all results wanted), otherwise SchemaDriven with the
+// direct algorithm's price as its budget. The schema argument is unused;
+// the pick needs only the counts.
+func Decide(_ *schema.Schema, counts backend.CountSource, x *lang.Expanded, n int) Decision {
 	if n <= 0 {
-		// All results wanted: the schema-driven engine would have to
-		// enumerate the full closure; the direct algorithm computes the
-		// same set in one pass (the right end of Figure 7).
-		return d
+		return Decision{Strategy: Direct}
 	}
-	if 2*n >= d.Estimate {
-		// n within half of the estimated result count: the incremental
-		// engine would grow k until it reproduced most of the direct
-		// algorithm's work, paying the planning overhead on top.
-		return d
-	}
-	// Expected second-level queries before n results surface, if the R̂
-	// estimated results spread evenly over the plan space.
-	scaled := (n*d.PlanSpace + d.Estimate - 1) / d.Estimate
-	if scaled >= d.Estimate {
-		// The incremental engine would likely enumerate more second-level
-		// queries than there are candidate data nodes for the direct
-		// algorithm to scan — renaming-heavy cost models and deep patterns
-		// inflate the plan space far past the data, and each extra
-		// second-level query retrieves (near) nothing. Direct wins even at
-		// small n.
-		return d
-	}
-	d.Strategy = SchemaDriven
-	return d
+	price, probes := Price(counts, x)
+	return Decision{Strategy: SchemaDriven, Price: price, Probes: probes}
 }
 
-// Estimate returns R̂, an estimate of the query's approximate-result count,
-// and the number of count probes issued. Every approximate result embeds
-// each *required* query node — a node on every conjunctive path from the
-// root, with deletion forbidden — into a data node carrying its label or one
-// of its renamings. The number of such data nodes therefore estimates the
-// result count from above for flat corpora (deeply self-nested data can
-// exceed it), and the minimum over all required nodes is the tightest such
-// figure; the root term reproduces the engine's root-result bound.
-//
-// With a CountSource each label figure is one count-only probe (O(log n) on
-// counter-format stores); without one it falls back to the schema's
-// in-memory instance lists.
-func Estimate(sch *schema.Schema, counts backend.CountSource, x *lang.Expanded) (int, int) {
-	est := -1
-	probes := 0
-	for _, u := range requiredNodes(x) {
-		m := labelCount(sch, counts, u.Label, u.Kind, &probes)
+// Price returns the price of answering x with the direct algorithm — the
+// summed posting counts of every selector label and renaming of the
+// expanded query, each one posting list the algorithm reads — and the
+// number of count probes issued. A failed probe counts zero postings.
+func Price(counts backend.CountSource, x *lang.Expanded) (price, probes int) {
+	for _, u := range x.Nodes {
+		if u.Rep != lang.RepNode && u.Rep != lang.RepLeaf {
+			continue
+		}
+		price += count(counts, u.Label, u.Kind)
 		for _, r := range u.Renamings {
-			m += labelCount(sch, counts, r.To, u.Kind, &probes)
+			price += count(counts, r.To, u.Kind)
 		}
-		if est < 0 || m < est {
-			est = m
-		}
+		probes += 1 + len(u.Renamings)
 	}
-	if est < 0 {
-		est = 0
-	}
-	return est, probes
+	return price, probes
 }
 
-// requiredNodes collects the selector nodes every embedding must map: nodes
-// reachable from the root through RepNode content and RepAnd edges only.
-// Descendants of a RepOr are optional — whether it is a user-written "or"
-// (either branch suffices) or a deletion bridge (the node below may be
-// deleted) — and a RepLeaf with a finite delete cost may be dropped without
-// any bridge.
-func requiredNodes(x *lang.Expanded) []*lang.XNode {
-	var out []*lang.XNode
-	var walk func(u *lang.XNode)
-	walk = func(u *lang.XNode) {
-		if u == nil {
-			return
-		}
-		switch u.Rep {
-		case lang.RepNode:
-			out = append(out, u)
-			walk(u.Child)
-		case lang.RepLeaf:
-			if cost.IsInf(u.DelCost) {
-				out = append(out, u)
-			}
-		case lang.RepAnd:
-			walk(u.Left)
-			walk(u.Right)
-		case lang.RepOr:
-			// Optional subtree: contributes no required nodes.
-		}
-	}
-	walk(x.Root)
-	return out
-}
-
-// labelCount returns the number of data nodes carrying label, preferring a
-// count-only index probe and falling back to the schema's instance lists.
-func labelCount(sch *schema.Schema, counts backend.CountSource, label string, kind cost.Kind, probes *int) int {
-	if counts != nil {
-		*probes++
-		if kind == cost.Text {
-			if n, err := counts.TextCount(label); err == nil {
-				return n
-			}
-		} else {
-			if n, err := counts.StructCount(label); err == nil {
-				return n
-			}
-		}
-	}
-	total := 0
+// count is one count-only probe.
+func count(counts backend.CountSource, label string, kind cost.Kind) int {
+	var n int
+	var err error
 	if kind == cost.Text {
-		for _, c := range sch.TextClasses(label) {
-			total += len(sch.TermInstances(c, label))
-		}
+		n, err = counts.TextCount(label)
 	} else {
-		for _, c := range sch.StructClasses(label) {
-			total += len(sch.Instances(c))
-		}
+		n, err = counts.StructCount(label)
 	}
-	return total
+	if err != nil {
+		return 0
+	}
+	return n
 }

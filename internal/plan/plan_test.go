@@ -53,106 +53,49 @@ func expand(t *testing.T, query string, model *cost.Model) *lang.Expanded {
 	return lang.Expand(q, model)
 }
 
+// TestDecideCrossover pins the starting pick: the right end of Figure 7
+// (all results) starts direct and issues no probe; every n > 0 starts
+// schema-driven, priced at the direct algorithm's postings.
 func TestDecideCrossover(t *testing.T) {
-	_, sch, be := buildWorld(t)
+	_, _, be := buildWorld(t)
 	x := expand(t, `cd[title]`, nil)
 
-	// All results wanted: always direct, whatever the estimate says.
-	if d := plan.Decide(sch, be, x, 0); d.Strategy != plan.Direct {
-		t.Errorf("n=0: strategy = %v, want direct", d.Strategy)
+	if d := plan.Decide(nil, be, x, 0); d != (plan.Decision{Strategy: plan.Direct}) {
+		t.Errorf("n=0: decision = %+v, want a bare direct start", d)
 	}
-	// Small n against ~40 estimated results: schema-driven.
-	d := plan.Decide(sch, be, x, 3)
-	if d.Strategy != plan.SchemaDriven {
-		t.Errorf("n=3: strategy = %v (estimate %d), want schema", d.Strategy, d.Estimate)
-	}
-	if d.Estimate != 40 {
-		t.Errorf("n=3: estimate = %d, want 40 (the cd count)", d.Estimate)
-	}
-	// n within half the estimate: direct.
-	if d := plan.Decide(sch, be, x, 20); d.Strategy != plan.Direct {
-		t.Errorf("n=20: strategy = %v (estimate %d), want direct", d.Strategy, d.Estimate)
-	}
-	if d := plan.Decide(sch, be, x, 1000); d.Strategy != plan.Direct {
-		t.Errorf("n=1000: strategy = %v, want direct", d.Strategy)
-	}
-}
-
-// TestDecideSchedule: a schema-driven decision reports the plan space the
-// engine's k schedule is bounded by; the schedule itself is the engine's.
-func TestDecideSchedule(t *testing.T) {
-	_, sch, be := buildWorld(t)
-	x := expand(t, `cd[title]`, nil)
-	d := plan.Decide(sch, be, x, 3)
-	if d.Strategy != plan.SchemaDriven {
-		t.Fatalf("strategy = %v, want schema", d.Strategy)
-	}
-	if d.PlanSpace <= 0 {
-		t.Errorf("PlanSpace = %d, want > 0", d.PlanSpace)
-	}
-}
-
-func TestEstimateTakesRarestRequiredNode(t *testing.T) {
-	_, sch, be := buildWorld(t)
-
-	// "concerto" occurs in 12 titles: rarer than cd (40) and title (46).
-	est, probes := plan.Estimate(sch, be, expand(t, `cd[title["concerto"]]`, nil))
-	if est != 12 {
-		t.Errorf("estimate = %d, want 12 (the concerto count)", est)
-	}
-	if probes == 0 {
-		t.Error("no count probes issued despite a CountSource")
-	}
-
-	// An absent label drives the estimate to zero.
-	if est, _ := plan.Estimate(sch, be, expand(t, `cd[isbn]`, nil)); est != 0 {
-		t.Errorf("estimate = %d for a query with an absent required label, want 0", est)
-	}
-}
-
-func TestEstimateSkipsOptionalNodes(t *testing.T) {
-	_, sch, be := buildWorld(t)
-
-	// Under "or" neither term is required: the estimate falls back to the
-	// cd/title counts, not min(concerto, sonata).
-	est, _ := plan.Estimate(sch, be, expand(t, `cd[title["concerto" or "zzz"]]`, nil))
-	if est != 40 {
-		t.Errorf("or-query estimate = %d, want 40 (or-branches must not count)", est)
-	}
-
-	// A deletable leaf is not required either.
-	model := cost.NewModel()
-	model.SetDelete("isbn", cost.Struct, 2)
-	est, _ = plan.Estimate(sch, be, expand(t, `cd[isbn]`, model))
-	if est != 40 {
-		t.Errorf("deletable-leaf estimate = %d, want 40", est)
-	}
-
-	// A renaming widens a required node's count instead of zeroing it.
-	model = cost.NewModel()
-	model.AddRenaming("dvd", "cd", cost.Struct, 1)
-	est, _ = plan.Estimate(sch, be, expand(t, `dvd[title]`, model))
-	if est != 40 {
-		t.Errorf("renamed-root estimate = %d, want 40 (cd via renaming)", est)
-	}
-}
-
-func TestEstimateSchemaFallback(t *testing.T) {
-	_, sch, be := buildWorld(t)
-	for _, query := range []string{
-		`cd[title]`,
-		`cd[title["concerto"]]`,
-		`catalog[cd and mc]`,
-		`cd[title["concerto" or "sonata"]]`,
-	} {
-		x := expand(t, query, nil)
-		withCounts, probes := plan.Estimate(sch, be, x)
-		fallback, noProbes := plan.Estimate(sch, nil, x)
-		if withCounts != fallback {
-			t.Errorf("%s: CountSource estimate %d != schema fallback %d", query, withCounts, fallback)
+	for _, n := range []int{1, 3, 20, 1000} {
+		d := plan.Decide(nil, be, x, n)
+		if d.Strategy != plan.SchemaDriven {
+			t.Errorf("n=%d: strategy = %v, want schema", n, d.Strategy)
 		}
-		if probes == 0 || noProbes != 0 {
-			t.Errorf("%s: probes = %d with counts, %d without", query, probes, noProbes)
+		// 40 cds and 46 titles.
+		if d.Price != 86 || d.Probes != 2 {
+			t.Errorf("n=%d: price %d after %d probes, want 86 after 2", n, d.Price, d.Probes)
+		}
+	}
+}
+
+// TestPriceSumsEveryLabel: the price counts every label and renaming the
+// direct algorithm reads — optional ("or", deletable) nodes included, an
+// absent label as zero.
+func TestPriceSumsEveryLabel(t *testing.T) {
+	_, _, be := buildWorld(t)
+	model := cost.NewModel()
+	model.AddRenaming("dvd", "cd", cost.Struct, 1)
+	model.AddRenaming("dvd", "mc", cost.Struct, 2)
+	model.SetDelete("isbn", cost.Struct, 2)
+	for _, tc := range []struct {
+		query         string
+		price, probes int
+	}{
+		{`cd[title["concerto"]]`, 40 + 46 + 12, 3},
+		{`cd[title["concerto" or "sonata"]]`, 40 + 46 + 12 + 28, 4},
+		{`cd[isbn]`, 40, 2},
+		{`dvd[title]`, 0 + 40 + 5 + 46, 4},
+	} {
+		price, probes := plan.Price(be, expand(t, tc.query, model))
+		if price != tc.price || probes != tc.probes {
+			t.Errorf("%s: price %d after %d probes, want %d after %d", tc.query, price, probes, tc.price, tc.probes)
 		}
 	}
 }

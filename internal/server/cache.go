@@ -39,12 +39,13 @@ type resultCache struct {
 // part of the key.
 type cachedRanking struct {
 	results []QueryResult // never mutated after insertion
-	// strategy is the effective strategy that produced the ranking;
-	// planner is "auto" or "forced"; estimate is the planner's
-	// approximate-result-count estimate.
+	// strategy is the forced strategy or the planner's starting pick;
+	// planner is "auto" or "forced"; price is the direct algorithm's
+	// price and switched the shards that fell back to it.
 	strategy string
 	planner  string
-	estimate int
+	price    int
+	switched int
 }
 
 type cacheEntry struct {

@@ -61,16 +61,19 @@ type QueryResponse struct {
 	Fingerprint string `json:"fingerprint"`
 	// N is the effective result bound after clamping.
 	N int `json:"n"`
-	// Strategy is the strategy that produced the ranking: the forced one,
-	// or — for "auto" requests — the planner's pick (the majority pick
-	// across shards of a corpus).
+	// Strategy is the forced strategy, or — for "auto" requests — the
+	// planner's starting pick (the majority pick across shards of a
+	// corpus).
 	Strategy string `json:"strategy"`
 	// Planner reports how Strategy was chosen: "auto" (planner-resolved)
 	// or "forced" (requested by the client).
 	Planner string `json:"planner"`
-	// EstimatedCount is the planner's approximate-result-count estimate
-	// for the query, summed across shards.
-	EstimatedCount int `json:"estimated_count"`
+	// Price is the direct algorithm's price for the query, summed across
+	// the shards that started schema-driven: the budget of those runs.
+	Price int `json:"price"`
+	// Switched counts the shards of an "auto" request whose schema-driven
+	// run spent its budget and fell back to the direct algorithm.
+	Switched int `json:"switched"`
 	// Cached reports that the ranking was served from the result cache.
 	Cached bool `json:"cached"`
 	// TookMS is the server-side handling time in milliseconds.
@@ -261,13 +264,14 @@ func row(i int, h approxql.ShardHit) QueryResult {
 	}
 }
 
-// plannerFields fills a ranking's strategy/planner/estimate view: the
-// planner's pick for Auto requests, the forced strategy otherwise.
+// plannerFields fills a ranking's strategy/planner/price view: the
+// planner's starting pick for Auto requests, the forced strategy
+// otherwise.
 func (s *Server) plannerFields(rk *cachedRanking, strategy approxql.Strategy, qm *approxql.QueryMetrics, query string, n int, opts []approxql.QueryOption) {
+	rk.price, rk.switched = qm.Price, qm.Switched
 	if strategy == approxql.Auto {
 		rk.planner = "auto"
 		rk.strategy = qm.PlannerStrategy
-		rk.estimate = qm.PlannerEstimate
 		if rk.strategy == "" {
 			// Every shard was pruned: nothing ran, report the trivial pick.
 			rk.strategy = approxql.Direct.String()
@@ -276,13 +280,12 @@ func (s *Server) plannerFields(rk *cachedRanking, strategy approxql.Strategy, qm
 	}
 	rk.planner = "forced"
 	rk.strategy = strategy.String()
-	// The planner did not run; its estimate is still cheap (count-only
+	// The planner did not run; its price is still cheap (count-only
 	// probes) and keeps the response shape uniform. A gatherer has no
 	// corpus to probe and reports what the nodes' done lines summed.
-	rk.estimate = qm.PlannerEstimate
 	if s.corpus != nil {
 		if dec, err := s.corpus.Plan(query, n, opts...); err == nil {
-			rk.estimate = dec.Estimate
+			rk.price = dec.Price
 		}
 	}
 }
@@ -308,17 +311,18 @@ func queryNodes(nodes []approxql.NodeStatus) []QueryNode {
 func writeRanking(w http.ResponseWriter, canonical, fingerprint string, n int,
 	rk cachedRanking, cached bool, start time.Time, partial bool, nodes []QueryNode) {
 	writeJSON(w, http.StatusOK, QueryResponse{
-		Query:          canonical,
-		Fingerprint:    fingerprint,
-		N:              n,
-		Strategy:       rk.strategy,
-		Planner:        rk.planner,
-		EstimatedCount: rk.estimate,
-		Cached:         cached,
-		TookMS:         float64(time.Since(start).Microseconds()) / 1000,
-		Partial:        partial,
-		Nodes:          nodes,
-		Results:        rk.results,
+		Query:       canonical,
+		Fingerprint: fingerprint,
+		N:           n,
+		Strategy:    rk.strategy,
+		Planner:     rk.planner,
+		Price:       rk.price,
+		Switched:    rk.switched,
+		Cached:      cached,
+		TookMS:      float64(time.Since(start).Microseconds()) / 1000,
+		Partial:     partial,
+		Nodes:       nodes,
+		Results:     rk.results,
 	})
 }
 

@@ -232,6 +232,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"axql_exec_secondary_fetches_total", "I_sec posting fetches during execution.", int64(ex.SecondaryFetches)},
 		{"axql_exec_postings_scanned_total", "Instance-posting entries touched.", int64(ex.PostingsScanned)},
 		{"axql_exec_results_emitted_total", "Distinct result roots delivered by the engine.", int64(ex.ResultsEmitted)},
+		{"axql_planner_switched_total", "Auto shards whose schema-driven run spent its budget and fell back to the direct algorithm.", int64(ex.Switched)},
 		{"axql_backend_fetches_total", "Posting fetches through a stored backend's cache layer.", int64(ex.BackendFetches)},
 		{"axql_backend_cache_hits_total", "Stored-backend fetches served from the shared LRU.", int64(ex.BackendHits)},
 		{"axql_backend_bytes_decoded_total", "Raw posting bytes decoded from storage.", ex.BackendBytesDecoded},

@@ -141,7 +141,7 @@ func TestQueryMatchesDatabaseSearch(t *testing.T) {
 }
 
 // TestPlannerResponseFields pins the planner's wire format: every /query
-// response carries "strategy", "planner", and "estimated_count", resolved
+// response carries "strategy", "planner", "price", and "switched", resolved
 // by the planner for auto requests and echoed for forced ones, identically
 // on cache hits.
 func TestPlannerResponseFields(t *testing.T) {
@@ -162,7 +162,7 @@ func TestPlannerResponseFields(t *testing.T) {
 		if err := json.Unmarshal(body, &raw); err != nil {
 			t.Fatal(err)
 		}
-		for _, field := range []string{"strategy", "planner", "estimated_count"} {
+		for _, field := range []string{"strategy", "planner", "price", "switched"} {
 			if _, ok := raw[field]; !ok {
 				t.Errorf("strategy=%q: response misses %q: %s", req.Strategy, field, body)
 			}
@@ -180,8 +180,8 @@ func TestPlannerResponseFields(t *testing.T) {
 				t.Errorf("forced %q: planner = %q strategy = %q", req.Strategy, qr.Planner, qr.Strategy)
 			}
 		}
-		if qr.EstimatedCount <= 0 {
-			t.Errorf("strategy=%q: estimated_count = %d, want > 0", req.Strategy, qr.EstimatedCount)
+		if qr.Price <= 0 {
+			t.Errorf("strategy=%q: price = %d, want > 0", req.Strategy, qr.Price)
 		}
 
 		// A cache hit must reproduce the same planner view.
@@ -190,10 +190,10 @@ func TestPlannerResponseFields(t *testing.T) {
 		if !hit.Cached {
 			t.Errorf("strategy=%q: second response not cached", req.Strategy)
 		}
-		if hit.Strategy != qr.Strategy || hit.Planner != qr.Planner || hit.EstimatedCount != qr.EstimatedCount {
-			t.Errorf("strategy=%q: cache hit planner view %q/%q/%d != cold %q/%q/%d",
-				req.Strategy, hit.Strategy, hit.Planner, hit.EstimatedCount,
-				qr.Strategy, qr.Planner, qr.EstimatedCount)
+		if hit.Strategy != qr.Strategy || hit.Planner != qr.Planner || hit.Price != qr.Price || hit.Switched != qr.Switched {
+			t.Errorf("strategy=%q: cache hit planner view %q/%q/%d/%d != cold %q/%q/%d/%d",
+				req.Strategy, hit.Strategy, hit.Planner, hit.Price, hit.Switched,
+				qr.Strategy, qr.Planner, qr.Price, qr.Switched)
 		}
 	}
 }

@@ -183,15 +183,16 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	s.metrics.mergeExec(&qm)
 
 	done := corpus.ShardDoneLine{
-		Done:           true,
-		Hits:           hits,
-		PlannerDirect:  qm.PlannerDirect,
-		PlannerSchema:  qm.PlannerSchema,
-		EstimatedCount: qm.PlannerEstimate,
-		BoundSkipped:   qm.BoundSkipped,
-		BoundStops:     qm.BoundStops,
-		Shards:         qm.Shards,
-		ShardsPruned:   qm.ShardsPruned,
+		Done:          true,
+		Hits:          hits,
+		PlannerDirect: qm.PlannerDirect,
+		PlannerSchema: qm.PlannerSchema,
+		Price:         qm.Price,
+		Switched:      qm.Switched,
+		BoundSkipped:  qm.BoundSkipped,
+		BoundStops:    qm.BoundStops,
+		Shards:        qm.Shards,
+		ShardsPruned:  qm.ShardsPruned,
 	}
 	if err != nil {
 		done.Error = err.Error()

@@ -18,12 +18,12 @@ import (
 type Strategy int
 
 const (
-	// Auto lets the planner pick: it estimates the approximate-result
-	// count from schema statistics and count-only index probes and
-	// resolves to SchemaDriven when the requested n is small relative to
-	// the estimate, Direct otherwise — the paper's Figure 7 crossover
-	// applied per query (and, for a corpus, per shard). See
-	// internal/plan and docs/PLANNER.md.
+	// Auto lets the planner pick, per query and (for a corpus) per
+	// shard: Direct when all results are wanted (n <= 0); otherwise
+	// SchemaDriven under a budget of the direct algorithm's price, priced
+	// by count-only index probes, switching to Direct if the run spends
+	// the budget — a ski-rental switch across the paper's Figure 7
+	// crossover. See internal/plan and docs/PLANNER.md.
 	Auto Strategy = iota
 	// Direct computes all approximate results with algorithm primary
 	// against the data indexes, sorts, and prunes (Section 6).
@@ -141,38 +141,36 @@ func parseExpand(query string, c *queryConfig) (*lang.Expanded, error) {
 	return x, nil
 }
 
-// PlanDecision reports how the planner resolves Auto for one query: the
-// strategy it picks and the approximate-result-count estimate R̂ that drove
-// the choice. For a corpus the planner decides per shard;
-// DirectShards/SchemaShards give the split, Estimate sums the per-shard
-// estimates, and Strategy is the majority pick.
+// PlanDecision reports how Auto starts one query: Direct when all results
+// are wanted, otherwise SchemaDriven under a budget of the direct
+// algorithm's price (a run that spends it switches to Direct). For a
+// corpus the planner starts each shard; DirectShards/SchemaShards give the
+// split, Price sums the per-shard prices, and Strategy is the majority
+// pick.
 type PlanDecision struct {
-	// Strategy is the planner's pick: Direct or SchemaDriven.
+	// Strategy is the planner's starting pick: Direct or SchemaDriven.
 	Strategy Strategy
-	// Estimate is R̂, the planner's upper-bound estimate of the
-	// approximate-result count.
-	Estimate int
-	// PlanSpace bounds the number of distinct second-level queries the
-	// schema can generate for this query (the k termination bound).
-	PlanSpace int
-	// Probes counts the count-only index probes the estimate issued.
+	// Price is the direct algorithm's price, the summed posting counts of
+	// the query's labels and renamings; zero for a Direct start.
+	Price int
+	// Probes counts the count-only index probes that priced it.
 	Probes int
-	// DirectShards and SchemaShards count the shards routed to each
+	// DirectShards and SchemaShards count the shards starting with each
 	// strategy (1/0 or 0/1 for a single database).
 	DirectShards int
 	SchemaShards int
 }
 
-// Plan runs only the planner for a query: the strategy Auto would resolve
-// to, without executing anything beyond count-only index probes. It is the
-// introspection surface behind axql -explain and the server's planner
-// fields.
+// Plan runs only the planner for a query: the strategy Auto would start
+// with and its price, without executing anything beyond count-only index
+// probes. It is the introspection surface behind axql -explain and the
+// server's planner fields.
 func (db *Database) Plan(query string, n int, opts ...QueryOption) (PlanDecision, error) {
 	return planQuery(db.c, query, n, opts)
 }
 
 // planQuery is Plan over a corpus: the per-shard strategy split, with the
-// majority pick as Strategy and the summed estimates.
+// majority pick as Strategy and the summed prices.
 func planQuery(c *corpus.Corpus, query string, n int, opts []QueryOption) (PlanDecision, error) {
 	qc := queryOptions(opts)
 	x, err := parseExpand(query, &qc)
@@ -181,8 +179,7 @@ func planQuery(c *corpus.Corpus, query string, n int, opts []QueryOption) (PlanD
 	}
 	s := c.Plan(x, n)
 	out := PlanDecision{
-		Estimate:     s.Estimate,
-		PlanSpace:    s.PlanSpace,
+		Price:        s.Price,
 		Probes:       s.Probes,
 		DirectShards: s.DirectShards,
 		SchemaShards: s.SchemaShards,
