@@ -61,8 +61,9 @@ bench:
 # (fuzzer-chosen key sets and value sizes, read back through every lookup,
 # count and rank operation), the collection-file reader, the packed
 # dictionary reader and its lookups (which must agree with the interning
-# dictionary), and direct and schema-driven evaluation against the
-# reference evaluator (fuzzer-chosen models, trees and queries); longer
+# dictionary), direct and schema-driven evaluation against the reference
+# evaluator (fuzzer-chosen models, trees and queries), and the gatherer's
+# reader of shard-node response streams (arbitrary bodies); longer
 # local runs: go test -fuzz <target> in the respective package.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzManifest -fuzztime 30s ./internal/backend/
@@ -72,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzPackedLookup -fuzztime 30s ./internal/dict/
 	$(GO) test -run xxx -fuzz FuzzPrimaryMatchesReference -fuzztime 30s ./internal/eval/
 	$(GO) test -run xxx -fuzz FuzzSchemaMatchesReference -fuzztime 30s ./internal/kbest/
+	$(GO) test -run xxx -fuzz FuzzShardStream -fuzztime 30s ./internal/corpus/
 
 # CI gate for the query planner (docs/PLANNER.md): on every paper-pattern
 # point, at n = 10 and n = 100, Auto must stay under twice the best forced

@@ -11,10 +11,11 @@ import (
 	"time"
 
 	"approxql/internal/corpus"
+	"approxql/internal/kbest"
 )
 
 // This file is the public surface of distributed shard serving: a Corpus
-// opened on a subset of a bundle's shards (OpenOptions.Shards) streams its
+// opened on a subset of a bundle's shards (OpenOptions.Shards) answers its
 // part of a query through ServeShard, and a Cluster gathers such nodes —
 // reached over HTTP or served in-process — into one exact global ranking.
 // The wire protocol and soundness argument live in docs/CLUSTER.md.
@@ -31,29 +32,30 @@ type ShardHit = corpus.ClusterHit
 // in-process node of a Cluster present their hits the same way.
 func (c *Corpus) Present(h Hit, render bool) ShardHit { return c.c.Present(h, render) }
 
-// ServeShard streams this corpus's hits for a query in ascending (cost,
-// doc, root) order, calling fn for each until fn returns false. It is the
-// shard-node primitive of a cluster: the per-shard strategy resolves like
-// Search (Auto by default, WithStrategy forces one), and bound — when
-// non-nil — is an external cost cutoff that must be monotone
-// non-increasing, returning Inf while unknown; hits whose cost strictly
-// exceeds it are withheld, equal-cost hits always delivered (the
-// gatherer's tie-exactness depends on that). n bounds each direct shard's
-// per-shard evaluation (n <= 0: all results); render attaches
+// ServeShard is the shard-node primitive of a cluster: it runs Search for
+// the corpus's best n hits (n <= 0: all) and calls fn for each, in
+// ascending (cost, doc, root) order, until fn returns false. n bounds the
+// node's answer: a gatherer's global top n holds at most n of this node's
+// hits, and those are its best n. The strategy resolves like Search (Auto
+// by default, WithStrategy forces one). bound, when non-nil, is an
+// external cost cutoff that must be monotone non-increasing, returning Inf
+// while unknown; schema-driven shards stop at it, and hits whose cost
+// strictly exceeds it are withheld, equal-cost hits always delivered (the
+// gatherer's tie-exactness depends on that). render attaches
 // pretty-printed subtrees.
 func (c *Corpus) ServeShard(ctx context.Context, query string, n int, bound func() Cost, render bool, fn func(ShardHit) bool, opts ...QueryOption) error {
-	qc := queryOptions(opts)
-	x, err := parseExpand(query, &qc)
+	hits, err := search(ctx, c.c, query, n, bound, opts, func(h Hit, _ *kbest.Entry) ShardHit {
+		return c.c.Present(h, render)
+	})
 	if err != nil {
 		return err
 	}
-	strategy := qc.strategy
-	if strategy != Auto && strategy != Direct && strategy != SchemaDriven {
-		return fmt.Errorf("approxql: unknown strategy %d", strategy)
+	for _, h := range hits {
+		if (bound != nil && h.Cost > bound()) || !fn(h) {
+			break
+		}
 	}
-	return c.c.ServeStream(ctx, x, n, bound, qc.corpusConfig(strategy), func(h Hit) bool {
-		return fn(c.c.Present(h, render))
-	})
+	return nil
 }
 
 // ClusterOptions tunes NewCluster. The zero value selects the defaults

@@ -204,7 +204,7 @@ func (c *Corpus) Search(query string, n int, opts ...QueryOption) ([]Hit, error)
 
 // SearchContext is Search with cancellation.
 func (c *Corpus) SearchContext(ctx context.Context, query string, n int, opts ...QueryOption) ([]Hit, error) {
-	return search(ctx, c.c, query, n, opts, func(h Hit, _ *kbest.Entry) Hit { return h })
+	return search(ctx, c.c, query, n, nil, opts, func(h Hit, _ *kbest.Entry) Hit { return h })
 }
 
 // Plan runs only the planner for a query across the corpus: the per-shard

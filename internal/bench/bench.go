@@ -246,7 +246,7 @@ func (r *Runner) evaluate(x *lang.Expanded, n int, algo Algo) (int, exec.Metrics
 		return len(res), m, err
 	case Auto:
 		var m exec.Metrics
-		hits, err := corpus.Search(context.Background(), r.c, x, n, corpus.Config{Auto: true, Metrics: &m},
+		hits, err := corpus.Search(context.Background(), r.c, x, n, nil, corpus.Config{Auto: true, Metrics: &m},
 			func(h corpus.Hit, _ *kbest.Entry) corpus.Hit { return h })
 		return len(hits), m, err
 	}

@@ -250,8 +250,7 @@ func queryCorpus(f corpusQueryFlags, args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "%s shards=direct:%d,schema:%d\n",
-			plannerLine(dec, f.strategy), dec.DirectShards, dec.SchemaShards)
+		fmt.Fprintln(stdout, plannerLine(dec, f.strategy))
 		plans, err := c.ExplainContext(ctx, query, f.n, opts...)
 		if err != nil {
 			return err

@@ -9,17 +9,19 @@ import (
 
 	"approxql/internal/cost"
 	"approxql/internal/exec"
+	"approxql/internal/kbest"
 	"approxql/internal/lang"
-	"approxql/internal/plan"
 )
 
 // This file is the gatherer side of a shard cluster: a set of Nodes — each
 // serving disjoint shards of one corpus bundle — fanned out over and merged
 // through the same top-n heap as an in-process Search. The merge stays
-// exact because every node streams its hits in ascending (cost, doc, root)
-// order: the heap's Offer returning false is a sound early-stop signal for
-// the node, and the heap's current n-th cost is pushed to in-flight nodes
-// as the monotone non-increasing cutoff their engines already understand.
+// exact because every node answers with its own best n in ascending (cost,
+// doc, root) order: the global top n holds at most n of a node's hits, and
+// those are the node's best n. The heap's Offer returning false is a sound
+// early-stop signal for the node, and the heap's current n-th cost is
+// pushed to in-flight nodes as the monotone non-increasing cutoff their
+// engines already understand.
 //
 // All nodes must serve the same bundle (same global document table, same
 // cost model); DocIDs are the cross-node identity hits merge under.
@@ -74,15 +76,50 @@ type NodeInfo struct {
 	// counts mid-stream bound updates pushed over the wire.
 	Retries     int
 	BoundPushes int
-	// Planner and bound counters aggregated from the node's shards.
-	PlannerDirect int
-	PlannerSchema int
-	Price         int
-	Switched      int
-	BoundSkipped  int
-	BoundStops    int
-	Shards        int
-	ShardsPruned  int
+	NodeCounters
+}
+
+// NodeCounters are the planner and bound counters of one node's part of a
+// search, summed over its shards. A shard node reports them on its done
+// line under these JSON names.
+type NodeCounters struct {
+	// Strategy is the starting pick of the node's shards, "direct" or
+	// "schema" (every shard of a query starts the same way); empty when
+	// the strategy was forced.
+	Strategy     string `json:"strategy,omitempty"`
+	Price        int    `json:"price,omitempty"`
+	Switched     int    `json:"switched,omitempty"`
+	BoundSkipped int    `json:"bound_skipped,omitempty"`
+	BoundStops   int    `json:"bound_stops,omitempty"`
+	Shards       int    `json:"shards,omitempty"`
+	ShardsPruned int    `json:"shards_pruned,omitempty"`
+}
+
+// CountersOf takes a node's counters from the metrics of its search.
+func CountersOf(m *exec.Metrics) NodeCounters {
+	return NodeCounters{
+		Strategy:     m.PlannerStrategy,
+		Price:        m.Price,
+		Switched:     m.Switched,
+		BoundSkipped: m.BoundSkipped,
+		BoundStops:   m.BoundStops,
+		Shards:       m.Shards,
+		ShardsPruned: m.ShardsPruned,
+	}
+}
+
+// metrics is the inverse of CountersOf: the counters as search metrics,
+// every other field zero.
+func (c NodeCounters) metrics() exec.Metrics {
+	return exec.Metrics{
+		PlannerStrategy: c.Strategy,
+		Price:           c.Price,
+		Switched:        c.Switched,
+		BoundSkipped:    c.BoundSkipped,
+		BoundStops:      c.BoundStops,
+		Shards:          c.Shards,
+		ShardsPruned:    c.ShardsPruned,
+	}
 }
 
 // NodeStatus is NodeInfo plus identity, latency, and failure detail, as
@@ -116,10 +153,10 @@ func (e *NodeError) Unwrap() error { return e.Err }
 type Node interface {
 	// Name identifies the node in statuses, metrics, and errors.
 	Name() string
-	// Query streams the node's hits into offer in ascending (cost, doc,
-	// root) order, watching bw for tightening global bounds; offer
-	// returning false stops the node early (not an error). It returns
-	// what it can report about the run even on failure.
+	// Query delivers the node's best cq.N hits into offer in ascending
+	// (cost, doc, root) order, watching bw for tightening global bounds;
+	// offer returning false stops the node early (not an error). It
+	// returns what it can report about the run even on failure.
 	Query(ctx context.Context, cq ClusterQuery, offer func(ClusterHit) bool, bw *BoundWatch) (NodeInfo, error)
 	// Stats probes the node's corpus summary for health reporting.
 	Stats(ctx context.Context) (NodeStats, error)
@@ -243,30 +280,12 @@ func (cl *Cluster) Search(ctx context.Context, cq ClusterQuery, m *exec.Metrics)
 	wg.Wait()
 
 	res := GatherResult{Nodes: statuses}
-	agg := exec.Metrics{}
-	direct, schema := 0, 0
-	for _, st := range statuses {
-		agg.PlannerDirect += st.PlannerDirect
-		agg.PlannerSchema += st.PlannerSchema
-		agg.Price += st.Price
-		agg.Switched += st.Switched
-		agg.BoundSkipped += st.BoundSkipped
-		agg.BoundStops += st.BoundStops
-		agg.Shards += st.Shards
-		agg.ShardsPruned += st.ShardsPruned
-		agg.ResultsEmitted += st.Hits
-		direct += st.PlannerDirect
-		schema += st.PlannerSchema
-	}
-	if direct+schema > 0 {
-		if direct >= schema {
-			agg.PlannerStrategy = plan.Direct.String()
-		} else {
-			agg.PlannerStrategy = plan.SchemaDriven.String()
-		}
-	}
 	if m != nil {
-		m.Merge(&agg)
+		for _, st := range statuses {
+			nm := st.metrics()
+			nm.ResultsEmitted = st.Hits
+			m.Merge(&nm)
+		}
 	}
 
 	for _, st := range statuses {
@@ -345,8 +364,8 @@ func (ln *LocalShards) Stats(context.Context) (NodeStats, error) {
 	return st, nil
 }
 
-// Query implements Node over ServeStream, reading the shared bound
-// directly — no wire hop, no push latency.
+// Query implements Node over Search under the shared bound, read directly
+// — no wire hop, no push latency.
 func (ln *LocalShards) Query(ctx context.Context, cq ClusterQuery, offer func(ClusterHit) bool, bw *BoundWatch) (NodeInfo, error) {
 	if cq.X == nil {
 		return NodeInfo{}, errors.New("corpus: local cluster node needs the parsed query")
@@ -356,22 +375,16 @@ func (ln *LocalShards) Query(ctx context.Context, cq ClusterQuery, offer func(Cl
 	cfg.Direct = cq.Strategy == "direct"
 	var m exec.Metrics
 	cfg.Metrics = &m
-	var info NodeInfo
-	err := ln.c.ServeStream(ctx, cq.X, cq.N, bw.Current, cfg, func(h Hit) bool {
-		if !offer(ln.c.Present(h, cq.Render)) {
+	hits, err := Search(ctx, ln.c, cq.X, cq.N, bw.Current, cfg, func(h Hit, _ *kbest.Entry) ClusterHit {
+		return ln.c.Present(h, cq.Render)
+	})
+	info := NodeInfo{NodeCounters: CountersOf(&m)}
+	for _, h := range hits {
+		if !offer(h) {
 			info.Stopped = true
-			return false
+			break
 		}
 		info.Hits++
-		return true
-	})
-	info.PlannerDirect = m.PlannerDirect
-	info.PlannerSchema = m.PlannerSchema
-	info.Price = m.Price
-	info.Switched = m.Switched
-	info.BoundSkipped = m.BoundSkipped
-	info.BoundStops = m.BoundStops
-	info.Shards = m.Shards
-	info.ShardsPruned = m.ShardsPruned
+	}
 	return info, err
 }

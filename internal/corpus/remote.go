@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -19,8 +20,8 @@ import (
 
 // The shard-node wire protocol (docs/CLUSTER.md). A gatherer POSTs a
 // ShardQueryRequest to /shard/query and reads back one JSON object per
-// line (application/x-ndjson): hit lines in ascending (cost, doc, root)
-// order, flushed per cost tier, terminated by one summary line with
+// line (application/x-ndjson): the node's best n hit lines in strictly
+// ascending (cost, doc, root) order, terminated by one summary line with
 // "done": true. Mid-stream the gatherer POSTs tightening cost bounds to
 // /shard/bound, correlated by qid; /shard/stats serves the node's corpus
 // summary. Costs travel as int64 with -1 for "no bound" (cost 0 is a
@@ -61,17 +62,10 @@ type ShardHitLine struct {
 // mid-stream failure surfaces here (Error non-empty): the HTTP status was
 // already committed when streaming began.
 type ShardDoneLine struct {
-	Done          bool   `json:"done"`
-	Hits          int    `json:"hits"`
-	Error         string `json:"error,omitempty"`
-	PlannerDirect int    `json:"planner_direct,omitempty"`
-	PlannerSchema int    `json:"planner_schema,omitempty"`
-	Price         int    `json:"price,omitempty"`
-	Switched      int    `json:"switched,omitempty"`
-	BoundSkipped  int    `json:"bound_skipped,omitempty"`
-	BoundStops    int    `json:"bound_stops,omitempty"`
-	Shards        int    `json:"shards,omitempty"`
-	ShardsPruned  int    `json:"shards_pruned,omitempty"`
+	Done  bool   `json:"done"`
+	Hits  int    `json:"hits"`
+	Error string `json:"error,omitempty"`
+	NodeCounters
 }
 
 // shardStreamLine is the read-side union of hit and done lines.
@@ -274,30 +268,46 @@ func (r *RemoteShard) attempt(ctx context.Context, cq ClusterQuery, attempt int,
 	watchdog := time.AfterFunc(r.cfg.ReadTimeout, cancel)
 	defer watchdog.Stop()
 
-	sc := bufio.NewScanner(resp.Body)
+	err = readShardStream(resp.Body, func() { watchdog.Reset(r.cfg.ReadTimeout) }, offer, info)
+	if err != nil && ctx.Err() != nil {
+		// Watchdog expiry cancels actx, not ctx; a dead parent context
+		// (gather cancelled) is not this node's failure to report.
+		return ctx.Err()
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", r.base, err)
+	}
+	return nil
+}
+
+// readShardStream decodes a /shard/query response body into offer until
+// the done line, whose counters it stores in info, or until offer returns
+// false, which hangs up on the node (info.Stopped) — the remote analog of
+// the in-process early stop. tick runs for every line read. Hit lines
+// must ascend strictly in (cost, doc, root): the gather's early stop and
+// its tie-exactness rest on that order, so a reordered or repeated hit is
+// an error, as are a malformed line, a failure the done line reports, and
+// a body that ends without a done line.
+func readShardStream(body io.Reader, tick func(), offer func(ClusterHit) bool, info *NodeInfo) error {
+	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64<<10), 16<<20)
+	var prev Hit
+	seen := false
 	for sc.Scan() {
-		watchdog.Reset(r.cfg.ReadTimeout)
+		tick()
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
 		var l shardStreamLine
 		if err := json.Unmarshal(line, &l); err != nil {
-			return fmt.Errorf("%s: malformed stream line: %w", r.base, err)
+			return fmt.Errorf("malformed stream line: %w", err)
 		}
 		if l.Done {
 			if l.Error != "" {
-				return fmt.Errorf("%s: %s", r.base, l.Error)
+				return errors.New(l.Error)
 			}
-			info.PlannerDirect += l.PlannerDirect
-			info.PlannerSchema += l.PlannerSchema
-			info.Price += l.Price
-			info.Switched += l.Switched
-			info.BoundSkipped += l.BoundSkipped
-			info.BoundStops += l.BoundStops
-			info.Shards += l.Shards
-			info.ShardsPruned += l.ShardsPruned
+			info.NodeCounters = l.NodeCounters
 			return nil
 		}
 		h := ClusterHit{
@@ -306,24 +316,20 @@ func (r *RemoteShard) attempt(ctx context.Context, cq ClusterQuery, attempt int,
 			Path:    l.Path,
 			Subtree: l.Subtree,
 		}
+		if seen && !less(prev, h.Hit) {
+			return fmt.Errorf("hit %+v does not follow %+v in (cost, doc, root) order", h.Hit, prev)
+		}
+		prev, seen = h.Hit, true
 		info.Hits++
 		if !offer(h) {
-			// The heap cannot be displaced by anything this node still
-			// holds; hanging up is the remote analog of the in-process
-			// early stop.
 			info.Stopped = true
 			return nil
 		}
 	}
-	if ctx.Err() != nil {
-		// Watchdog expiry cancels actx, not ctx; a dead parent context
-		// (gather cancelled) is not this node's failure to report.
-		return ctx.Err()
-	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("%s: stream read: %w", r.base, err)
+		return fmt.Errorf("stream read: %w", err)
 	}
-	return fmt.Errorf("%s: stream truncated before done line", r.base)
+	return errors.New("stream truncated before done line")
 }
 
 // pushBounds forwards every tightening of bw to the node, coalesced (one

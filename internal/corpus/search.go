@@ -155,12 +155,24 @@ func resolveWorkers(cfg Config, shards int) int {
 // superset of its part of the global answer (see searchShard for the
 // schema-driven side; direct shards compute exact per-shard top-n, which
 // within a shard coincides with the global order restricted to it).
-func Search[T any](ctx context.Context, c *Corpus, x *lang.Expanded, n int, cfg Config, conv func(Hit, *kbest.Entry) T) ([]T, error) {
+//
+// bound, when non-nil, is an external cost cutoff — typically a cluster
+// gatherer's current global n-th cost — that must be monotone
+// non-increasing, returning cost.Inf while no bound is known.
+// Schema-driven shards stop at min(bound, the search's own n-th cost);
+// direct shards ignore it. The returned hits no costlier than bound's
+// final value are those of the unbounded search; costlier ones may not
+// be, and the caller drops them.
+func Search[T any](ctx context.Context, c *Corpus, x *lang.Expanded, n int, bound func() cost.Cost, cfg Config, conv func(Hit, *kbest.Entry) T) ([]T, error) {
 	active, pruned := c.filterShards(x)
 	if len(active) == 1 {
-		return searchOne(ctx, active[0], pruned, x, n, cfg, conv)
+		return searchOne(ctx, active[0], pruned, x, n, bound, cfg, conv)
 	}
 	heap := newTopN[planned](n)
+	cut := heap.Bound
+	if bound != nil {
+		cut = func() cost.Cost { return min(heap.Bound(), bound()) }
+	}
 	offerHit := func(h Hit) bool { return heap.Offer(planned{Hit: h}) }
 	merged := &exec.Metrics{}
 	merged.Shards = len(active)
@@ -180,7 +192,7 @@ func Search[T any](ctx context.Context, c *Corpus, x *lang.Expanded, n int, cfg 
 				defer wg.Done()
 				for sh := range jobs {
 					var m exec.Metrics
-					hits, direct, err := searchShard(ctx2, sh, x, n, cfg, heap.Bound, &m)
+					hits, direct, err := searchShard(ctx2, sh, x, n, cfg, cut, &m)
 					if direct {
 						err = searchShardDirect(ctx2, sh, x, n, &m, offerHit)
 					}
@@ -214,7 +226,6 @@ func Search[T any](ctx context.Context, c *Corpus, x *lang.Expanded, n int, cfg 
 			return nil, err
 		}
 	}
-	finishPlanner(merged, cfg)
 	if cfg.Metrics != nil {
 		cfg.Metrics.Merge(merged)
 	}
@@ -226,13 +237,13 @@ func Search[T any](ctx context.Context, c *Corpus, x *lang.Expanded, n int, cfg 
 // A Database is a one-shard corpus, so every Database search takes this
 // path. Either strategy's output is already the exact answer in (cost,
 // doc, root) order and needs no gather heap.
-func searchOne[T any](ctx context.Context, sh *Shard, pruned int, x *lang.Expanded, n int, cfg Config, conv func(Hit, *kbest.Entry) T) ([]T, error) {
+func searchOne[T any](ctx context.Context, sh *Shard, pruned int, x *lang.Expanded, n int, bound func() cost.Cost, cfg Config, conv func(Hit, *kbest.Entry) T) ([]T, error) {
 	m := cfg.Metrics
 	if m != nil {
 		m.Shards++
 		m.ShardsPruned += pruned
 	}
-	hits, direct, err := searchShard(ctx, sh, x, n, cfg, nil, m)
+	hits, direct, err := searchShard(ctx, sh, x, n, cfg, bound, m)
 	if err != nil {
 		return nil, err
 	}
@@ -276,11 +287,6 @@ func startShard(sh *Shard, x *lang.Expanded, n int, cfg Config, m *exec.Metrics)
 		m.PlannerStrategy = d.Strategy.String()
 		m.PlannerProbes += d.Probes
 		m.Price += d.Price
-		if d.Strategy == plan.Direct {
-			m.PlannerDirect++
-		} else {
-			m.PlannerSchema++
-		}
 	}
 	switch {
 	case d.Strategy == plan.Direct:
@@ -291,19 +297,6 @@ func startShard(sh *Shard, x *lang.Expanded, n int, cfg Config, m *exec.Metrics)
 	// A zero price (no posting of any query label) still gets a budget:
 	// zero would mean none.
 	return false, max(d.Price, 1)
-}
-
-// finishPlanner names the majority per-shard pick in the merged metrics of
-// an Auto search.
-func finishPlanner(merged *exec.Metrics, cfg Config) {
-	if !cfg.Auto || merged.PlannerDirect+merged.PlannerSchema == 0 {
-		return
-	}
-	if merged.PlannerDirect >= merged.PlannerSchema {
-		merged.PlannerStrategy = plan.Direct.String()
-	} else {
-		merged.PlannerStrategy = plan.SchemaDriven.String()
-	}
 }
 
 // searchShard runs one shard's part of a search for the best n (n <= 0:

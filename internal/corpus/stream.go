@@ -19,16 +19,6 @@ type streamItem struct {
 	err  error
 }
 
-// streamJob parameterizes one per-shard stream producer beyond the shared
-// Config: whether it serves ServeStream (the per-shard strategy resolved
-// from cfg, as in Search) rather than Stream (forced schema-driven), and
-// for ServeStream the per-shard result bound and the external cost cutoff.
-type streamJob struct {
-	n       int
-	bound   func() cost.Cost
-	resolve bool
-}
-
 // Stream retrieves hits incrementally in ascending global (cost, doc,
 // root) order, calling fn for each; fn returns false to stop. Every active
 // shard streams its own engine's emission concurrently; the merger
@@ -43,45 +33,24 @@ type streamJob struct {
 // Streams run without the top-n cutoff (the consumer decides when to
 // stop), so a stopped stream has done per-shard work proportional to how
 // far the costs ran.
+//
+// A sole active shard streams inline on the caller's goroutine, its
+// counters written straight into cfg.Metrics.
 func (c *Corpus) Stream(ctx context.Context, x *lang.Expanded, cfg Config, fn func(Hit) bool) error {
-	return c.stream(ctx, x, cfg, streamJob{}, fn)
-}
-
-// ServeStream is the shard-node primitive of a cluster: it streams the
-// corpus's hits in ascending (cost, doc, root) order like Stream, but
-// runs each shard like Search does — the strategy resolved from cfg, n
-// bounding the shard's part (n <= 0: all results) — and under an external
-// cost cutoff. bound must be monotone non-increasing, returning cost.Inf
-// while no bound is known — typically a gatherer's current global n-th
-// cost. Hits whose cost strictly exceeds the bound at emission time are
-// never delivered; equal-cost hits always are, preserving the gather
-// heap's tie-exactness. A schema-driven shard sends its hits once its run
-// has ended (see streamShard).
-func (c *Corpus) ServeStream(ctx context.Context, x *lang.Expanded, n int, bound func() cost.Cost, cfg Config, fn func(Hit) bool) error {
-	return c.stream(ctx, x, cfg, streamJob{n: n, bound: bound, resolve: true}, fn)
-}
-
-// stream is the shared scatter/merge body of Stream and ServeStream. A
-// sole active shard streams inline on the caller's goroutine, its counters
-// written straight into cfg.Metrics.
-func (c *Corpus) stream(ctx context.Context, x *lang.Expanded, cfg Config, job streamJob, fn func(Hit) bool) error {
 	active, pruned := c.filterShards(x)
 	if len(active) == 1 {
 		if cfg.Metrics != nil {
 			cfg.Metrics.Shards++
 			cfg.Metrics.ShardsPruned += pruned
 		}
-		return streamShard(ctx, active[0], x, cfg, job, cfg.Metrics, fn)
+		return streamShard(ctx, active[0], x, cfg.Metrics, fn)
 	}
 	merged := &exec.Metrics{}
 	merged.Shards = len(active)
 	merged.ShardsPruned = pruned
-	defer func() {
-		finishPlanner(merged, cfg)
-		if cfg.Metrics != nil {
-			cfg.Metrics.Merge(merged)
-		}
-	}()
+	if cfg.Metrics != nil {
+		defer cfg.Metrics.Merge(merged)
+	}
 	if len(active) == 0 {
 		return nil
 	}
@@ -105,7 +74,7 @@ func (c *Corpus) stream(ctx context.Context, x *lang.Expanded, cfg Config, job s
 					return false
 				}
 			}
-			err := streamShard(ctx2, sh, x, cfg, job, &metrics[i], func(h Hit) bool {
+			err := streamShard(ctx2, sh, x, &metrics[i], func(h Hit) bool {
 				return send(streamItem{hit: h})
 			})
 			if errors.Is(err, context.Canceled) && ctx2.Err() != nil {
@@ -174,25 +143,13 @@ func (c *Corpus) stream(ctx context.Context, x *lang.Expanded, cfg Config, job s
 	}
 }
 
-// streamShard runs one shard and passes its hits to send in (cost, doc,
-// root)-ascending order until send returns false; a stop by send returns
-// nil. It returns the shard engine's error.
-//
-// Under ServeStream (job.resolve) the shard runs like a Search shard
-// (searchShard): a schema-driven run's hits are held back until the run
-// has ended within its budget and then sent in order, or dropped for the
-// direct algorithm when it spent the budget; direct output is already
-// (cost, root)-sorted and forwards as-is. Hits past the external cutoff
-// at sending time are withheld.
-//
-// Under Stream the shard runs schema-driven, unbounded, and sends each
-// equal-cost tier as soon as the engine has finished it, buffered and
-// root-sorted (the engine emits a tier in plan order); a stop ends the
+// streamShard runs one shard schema-driven and unbounded, passing its hits
+// to send in (cost, doc, root)-ascending order until send returns false; a
+// stop by send returns nil. It returns the shard engine's error. Each
+// equal-cost tier is sent as soon as the engine has finished it, buffered
+// and root-sorted (the engine emits a tier in plan order); a stop ends the
 // engine after the current tier.
-func streamShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, job streamJob, m *exec.Metrics, send func(Hit) bool) error {
-	if job.resolve {
-		return serveShard(ctx, sh, x, cfg, job, m, send)
-	}
+func streamShard(ctx context.Context, sh *Shard, x *lang.Expanded, m *exec.Metrics, send func(Hit) bool) error {
 	var tier []Hit
 	tierCost := cost.Cost(0)
 	stopped := false
@@ -224,27 +181,5 @@ func streamShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, j
 		return err
 	}
 	flush()
-	return nil
-}
-
-// serveShard is streamShard under ServeStream.
-func serveShard(ctx context.Context, sh *Shard, x *lang.Expanded, cfg Config, job streamJob, m *exec.Metrics, send func(Hit) bool) error {
-	// Delivery is cost-ascending and the bound monotone non-increasing:
-	// once a hit is cut, every later one is too.
-	deliver := func(h Hit) bool {
-		return (job.bound == nil || h.Cost <= job.bound()) && send(h)
-	}
-	hits, direct, err := searchShard(ctx, sh, x, job.n, cfg, job.bound, m)
-	if err != nil {
-		return err
-	}
-	if direct {
-		return searchShardDirect(ctx, sh, x, job.n, m, deliver)
-	}
-	for _, h := range hits {
-		if !deliver(h.Hit) {
-			break
-		}
-	}
 	return nil
 }

@@ -112,7 +112,7 @@ func hitsOf[T ranked](in []T) []Hit {
 
 func searchHits(t *testing.T, c *Corpus, x *lang.Expanded, n int, cfg Config) []Hit {
 	t.Helper()
-	hits, err := Search(context.Background(), c, x, n, cfg, func(h Hit, _ *kbest.Entry) Hit { return h })
+	hits, err := Search(context.Background(), c, x, n, nil, cfg, func(h Hit, _ *kbest.Entry) Hit { return h })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,16 +127,21 @@ func firstN(hits []Hit, n int) []Hit {
 	return hits
 }
 
-func ascending(hits []Hit) bool {
-	return slices.IsSortedFunc(hits, compare)
+// upTo keeps the hits of a cost-ascending ranking no costlier than b.
+func upTo(hits []Hit, b cost.Cost) []Hit {
+	i := 0
+	for i < len(hits) && hits[i].Cost <= b {
+		i++
+	}
+	return hits[:i]
 }
 
 // TestCorpusSwitchEquivalence forces the Auto switch at both extremes — budget 1,
 // which spends the budget after the first executed second-level query has
 // already found hits, and no budget — and checks every Auto path against
 // forced Direct on the full (cost, doc, root) order: Search over four
-// shards, searchOne over one, Stream and ServeStream, each shard's own
-// ServeStream producer, and a two-node cluster.
+// shards, searchOne over one, both under an external cutoff as a cluster
+// node runs them, Stream, and a two-node cluster.
 func TestCorpusSwitchEquivalence(t *testing.T) {
 	docs := switchDocs(t)
 	bes, table := shardBackends(t, docs, 2)
@@ -191,30 +196,23 @@ func TestCorpusSwitchEquivalence(t *testing.T) {
 					cfg.Metrics = nil
 					check("searchOne", searchHits(t, one, x, n, cfg), wantOne)
 
-					var served []Hit
-					err := c.ServeStream(ctx, x, n, nil, cfg, func(h Hit) bool {
-						served = append(served, h)
-						return true
-					})
-					if err != nil {
-						t.Fatal(err)
+					// Under any external cutoff b the hits up to b are
+					// exact: at the n-th cost that is the whole answer.
+					if len(want) == 0 {
+						t.Fatalf("%s: no hits", name)
 					}
-					if !ascending(served) {
-						t.Fatalf("%s: ServeStream out of order: %v", name, served)
-					}
-					check("ServeStream", firstN(served, n), want)
-					for i, sh := range c.Shards() {
-						var part []Hit
-						job := streamJob{n: n, resolve: true}
-						err := streamShard(ctx, sh, x, cfg, job, nil, func(h Hit) bool {
-							part = append(part, h)
-							return true
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !ascending(part) {
-							t.Fatalf("%s: shard %d stream out of order: %v", name, i, part)
+					for _, b := range []cost.Cost{want[0].Cost, want[len(want)-1].Cost} {
+						bound := func() cost.Cost { return b }
+						for path, sc := range map[string]*Corpus{"Search": c, "searchOne": one} {
+							got, err := Search(ctx, sc, x, n, bound, cfg, func(h Hit, _ *kbest.Entry) Hit { return h })
+							if err != nil {
+								t.Fatal(err)
+							}
+							w := want
+							if sc == one {
+								w = wantOne
+							}
+							check(fmt.Sprintf("%s, bound %d", path, b), upTo(got, b), upTo(w, b))
 						}
 					}
 
@@ -278,9 +276,9 @@ func TestSwitchMetrics(t *testing.T) {
 			t.Fatalf("par=%d: auto %v, direct %v", par, got, want)
 		}
 		// Each shard's price: eight a and eight b postings.
-		if m.PlannerSchema != 2 || m.PlannerDirect != 0 || m.Switched != 1 || m.Price != 32 || m.PlannerProbes != 4 {
-			t.Errorf("par=%d: planner %d schema / %d direct, %d switched, price %d, %d probes; want 2/0, 1, 32, 4",
-				par, m.PlannerSchema, m.PlannerDirect, m.Switched, m.Price, m.PlannerProbes)
+		if m.Shards != 2 || m.Switched != 1 || m.Price != 32 || m.PlannerProbes != 4 {
+			t.Errorf("par=%d: %d shards, %d switched, price %d, %d probes; want 2, 1, 32, 4",
+				par, m.Shards, m.Switched, m.Price, m.PlannerProbes)
 		}
 		if m.PlannerStrategy != "schema" {
 			t.Errorf("par=%d: planner strategy %q", par, m.PlannerStrategy)
@@ -295,19 +293,19 @@ func TestSwitchMetrics(t *testing.T) {
 		}
 	}
 
-	// The node-side path reports the same switch.
-	var m exec.Metrics
-	err = c.ServeStream(context.Background(), x, 1, nil, Config{Auto: true, Metrics: &m}, func(Hit) bool { return true })
+	// A cluster node reports the same switch.
+	info, err := NewLocalShards(c, Config{}).Query(context.Background(), ClusterQuery{X: x, N: 1},
+		func(ClusterHit) bool { return true }, NewBoundWatch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Switched != 1 || m.PlannerSchema != 2 {
-		t.Errorf("ServeStream: %d switched of %d schema starts, want 1 of 2", m.Switched, m.PlannerSchema)
+	if info.Strategy != "schema" || info.Shards != 2 || info.Switched != 1 || info.Price != 32 {
+		t.Errorf("cluster node: counters %+v, want schema start, 2 shards, 1 switched, price 32", info.NodeCounters)
 	}
 	// All results wanted: both shards start direct, nothing is priced.
-	m = exec.Metrics{}
+	var m exec.Metrics
 	searchHits(t, c, x, 0, Config{Auto: true, Metrics: &m})
-	if m.PlannerDirect != 2 || m.Switched != 0 || m.Price != 0 || m.PlannerProbes != 0 {
+	if m.Shards != 2 || m.PlannerStrategy != "direct" || m.Switched != 0 || m.Price != 0 || m.PlannerProbes != 0 {
 		t.Errorf("n=0: %+v", m)
 	}
 }

@@ -103,16 +103,13 @@ type Metrics struct {
 	// they stay zero/empty when the caller forced a strategy. Auto starts
 	// every shard with n > 0 schema-driven under a budget of Price and
 	// every n <= 0 shard direct. PlannerStrategy names the starting pick
-	// ("direct" or "schema"; in a sharded evaluation the majority pick);
-	// PlannerDirect/PlannerSchema count the shards started with each.
+	// ("direct" or "schema"), which every shard of a query shares.
 	// Price sums the shards' direct-algorithm prices (plan.Price), and
 	// PlannerProbes counts the count-only index probes that priced them.
 	// Switched counts schema-started shards that spent their budget,
 	// discarded their hits, and ran Direct.
 	PlannerStrategy string
 	PlannerProbes   int
-	PlannerDirect   int
-	PlannerSchema   int
 	Price           int
 	Switched        int
 
@@ -124,7 +121,9 @@ type Metrics struct {
 }
 
 // Merge accumulates another evaluation's metrics into m: durations and
-// counters add, MaxK/FinalK keep the maximum seen, and Truncated ors. It is the aggregation primitive for long-running
+// counters add, MaxK/FinalK keep the maximum seen, Truncated ors, and
+// PlannerStrategy keeps the last pick named (every shard of a query
+// starts the same way). It is the aggregation primitive for long-running
 // processes (the query server) that fold per-request metrics into one
 // cumulative view. The caller provides synchronization.
 func (m *Metrics) Merge(o *Metrics) {
@@ -164,8 +163,6 @@ func (m *Metrics) Merge(o *Metrics) {
 		m.PlannerStrategy = o.PlannerStrategy
 	}
 	m.PlannerProbes += o.PlannerProbes
-	m.PlannerDirect += o.PlannerDirect
-	m.PlannerSchema += o.PlannerSchema
 	m.Price += o.Price
 	m.Switched += o.Switched
 	m.ResultsEmitted += o.ResultsEmitted
@@ -216,13 +213,8 @@ func (m *Metrics) String() string {
 		w("bound cutoff      %d queries skipped, %d shard stops", m.BoundSkipped, m.BoundStops)
 	}
 	if m.PlannerStrategy != "" {
-		if m.PlannerDirect+m.PlannerSchema > 1 {
-			w("planner           %s  (price %d, %d probes; %d direct / %d schema shards, %d switched)",
-				m.PlannerStrategy, m.Price, m.PlannerProbes, m.PlannerDirect, m.PlannerSchema, m.Switched)
-		} else {
-			w("planner           %s  (price %d, %d probes, %d switched)",
-				m.PlannerStrategy, m.Price, m.PlannerProbes, m.Switched)
-		}
+		w("planner           %s  (price %d, %d probes, %d switched)",
+			m.PlannerStrategy, m.Price, m.PlannerProbes, m.Switched)
 	}
 	w("results emitted   %d", m.ResultsEmitted)
 	if m.Truncated {

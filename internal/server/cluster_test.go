@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -172,6 +173,47 @@ func TestShardQueryHeadersBeforeEvaluation(t *testing.T) {
 	}
 	if !done.Done || done.Error != "" || done.Hits == 0 {
 		t.Fatalf("done = %+v, want a clean non-empty stream", done)
+	}
+}
+
+// TestShardQueryNodeBestN: a node answers with its own best n, not n per
+// shard. Each of its two shards holds a match, the costlier one in the
+// first document; with n = 1 the node sends exactly one hit line, its best
+// under (cost, doc, root).
+func TestShardQueryNodeBestN(t *testing.T) {
+	cb := approxql.NewCorpusBuilder(approxql.PaperCostModel())
+	cb.SetShardSize(1)
+	for i, doc := range []string{
+		`<catalog><mc><title>Concerto</title></mc></catalog>`,
+		`<catalog><cd><title>Concerto</title></cd></catalog>`,
+	} {
+		if _, err := cb.AddDocumentString(fmt.Sprintf("doc%d", i), doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := cb.Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const query = `cd[title["concerto"]]`
+	all, err := c.Search(query, 0, approxql.WithCostModel(approxql.PaperCostModel()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 2 || all[0].Doc != 1 || all[1].Doc != 0 {
+		t.Fatalf("fixture: want one match per shard, doc 1 the cheaper; got %+v", all)
+	}
+
+	_, ts := newTestServer(t, Config{ShardNode: true, Corpus: c})
+	_, hits, done := postShardQuery(t, ts.URL, corpus.ShardQueryRequest{QID: "t.0", Query: query, N: 1, Bound: -1})
+	if done.Error != "" || done.Shards != 2 {
+		t.Fatalf("done = %+v, want no error over 2 shards", done)
+	}
+	if len(hits) != 1 || done.Hits != 1 {
+		t.Fatalf("n = 1: %d hit lines (done counts %d), want 1: %+v", len(hits), done.Hits, hits)
+	}
+	if h := hits[0]; h.Doc != all[0].Doc || h.Root != all[0].Root || h.Cost != int64(all[0].Cost) {
+		t.Fatalf("hit %+v, want the node's best %+v", h, all[0])
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 )
 
 // This file implements the shard-node side of the cluster wire protocol
-// (docs/CLUSTER.md): /shard/query streams this node's hits for one query
-// as ndjson in ascending (cost, doc, root) order, flushed per cost tier;
+// (docs/CLUSTER.md): /shard/query answers with this node's best n hits for
+// one query as ndjson in ascending (cost, doc, root) order, written once
+// the node's shards have finished and flushed once;
 // /shard/bound lowers the in-flight query's cost cutoff mid-stream;
 // /shard/stats serves the node's corpus summary for gatherer health
 // probes. The wire types live in internal/corpus next to their client.
@@ -158,19 +159,11 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 
 	enc := json.NewEncoder(w)
 	hits := 0
-	lastCost := int64(-1)
 	err = s.corpus.ServeShard(ctx, req.Query, req.N, bv.current, req.Render, func(h approxql.ShardHit) bool {
-		c := int64(h.Cost)
-		if hits > 0 && c != lastCost {
-			// A tier boundary: everything cheaper is complete, let the
-			// gatherer merge it now.
-			flush()
-		}
-		lastCost = c
 		if err := enc.Encode(corpus.ShardHitLine{
 			Doc:     h.Doc,
 			Root:    h.Root,
-			Cost:    c,
+			Cost:    int64(h.Cost),
 			DocName: h.DocName,
 			Path:    h.Path,
 			Subtree: h.Subtree,
@@ -182,18 +175,7 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	}, opts...)
 	s.metrics.mergeExec(&qm)
 
-	done := corpus.ShardDoneLine{
-		Done:          true,
-		Hits:          hits,
-		PlannerDirect: qm.PlannerDirect,
-		PlannerSchema: qm.PlannerSchema,
-		Price:         qm.Price,
-		Switched:      qm.Switched,
-		BoundSkipped:  qm.BoundSkipped,
-		BoundStops:    qm.BoundStops,
-		Shards:        qm.Shards,
-		ShardsPruned:  qm.ShardsPruned,
-	}
+	done := corpus.ShardDoneLine{Done: true, Hits: hits, NodeCounters: corpus.CountersOf(&qm)}
 	if err != nil {
 		done.Error = err.Error()
 		if errors.Is(err, context.DeadlineExceeded) {

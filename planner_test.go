@@ -73,9 +73,9 @@ func TestAutoMatchesPlannedStrategy(t *testing.T) {
 							t.Fatalf("%s n=%d: metrics name %q, Plan picked %v",
 								query, n, m.PlannerStrategy, p.Strategy)
 						}
-						if m.PlannerDirect+m.PlannerSchema != 1 {
-							t.Fatalf("%s n=%d: planner shard counters %d/%d",
-								query, n, m.PlannerDirect, m.PlannerSchema)
+						if m.Shards != 1 {
+							t.Fatalf("%s n=%d: planner ran over %d shards, want 1",
+								query, n, m.Shards)
 						}
 						switch p.Strategy {
 						case Direct:

@@ -12,6 +12,7 @@ import (
 	"approxql/internal/exec"
 	"approxql/internal/kbest"
 	"approxql/internal/lang"
+	"approxql/internal/plan"
 )
 
 // Strategy selects the best-n evaluation algorithm.
@@ -144,9 +145,8 @@ func parseExpand(query string, c *queryConfig) (*lang.Expanded, error) {
 // PlanDecision reports how Auto starts one query: Direct when all results
 // are wanted, otherwise SchemaDriven under a budget of the direct
 // algorithm's price (a run that spends it switches to Direct). For a
-// corpus the planner starts each shard; DirectShards/SchemaShards give the
-// split, Price sums the per-shard prices, and Strategy is the majority
-// pick.
+// corpus the planner starts each shard, every one the same way, and Price
+// sums the per-shard prices.
 type PlanDecision struct {
 	// Strategy is the planner's starting pick: Direct or SchemaDriven.
 	Strategy Strategy
@@ -155,10 +155,6 @@ type PlanDecision struct {
 	Price int
 	// Probes counts the count-only index probes that priced it.
 	Probes int
-	// DirectShards and SchemaShards count the shards starting with each
-	// strategy (1/0 or 0/1 for a single database).
-	DirectShards int
-	SchemaShards int
 }
 
 // Plan runs only the planner for a query: the strategy Auto would start
@@ -169,8 +165,8 @@ func (db *Database) Plan(query string, n int, opts ...QueryOption) (PlanDecision
 	return planQuery(db.c, query, n, opts)
 }
 
-// planQuery is Plan over a corpus: the per-shard strategy split, with the
-// majority pick as Strategy and the summed prices.
+// planQuery is Plan over a corpus: the shards' shared pick and their
+// summed prices.
 func planQuery(c *corpus.Corpus, query string, n int, opts []QueryOption) (PlanDecision, error) {
 	qc := queryOptions(opts)
 	x, err := parseExpand(query, &qc)
@@ -178,15 +174,8 @@ func planQuery(c *corpus.Corpus, query string, n int, opts []QueryOption) (PlanD
 		return PlanDecision{}, err
 	}
 	s := c.Plan(x, n)
-	out := PlanDecision{
-		Price:        s.Price,
-		Probes:       s.Probes,
-		DirectShards: s.DirectShards,
-		SchemaShards: s.SchemaShards,
-	}
-	if s.DirectShards >= s.SchemaShards {
-		out.Strategy = Direct
-	} else {
+	out := PlanDecision{Strategy: Direct, Price: s.Price, Probes: s.Probes}
+	if s.Strategy == plan.SchemaDriven {
 		out.Strategy = SchemaDriven
 	}
 	return out, nil
@@ -203,12 +192,13 @@ func (db *Database) Search(query string, n int, opts ...QueryOption) ([]Result, 
 // execution check the context between steps, so a cancelled or
 // deadline-bounded context stops the evaluation with ctx.Err().
 func (db *Database) SearchContext(ctx context.Context, query string, n int, opts ...QueryOption) ([]Result, error) {
-	return search(ctx, db.c, query, n, opts, hitResult)
+	return search(ctx, db.c, query, n, nil, opts, hitResult)
 }
 
 // search runs one search over a corpus — a Database's one shard or a
-// Corpus's many — converting each ranked hit by conv.
-func search[T any](ctx context.Context, c *corpus.Corpus, query string, n int, opts []QueryOption, conv func(corpus.Hit, *kbest.Entry) T) ([]T, error) {
+// Corpus's many — under the external cost cutoff bound (nil: none; see
+// corpus.Search), converting each ranked hit by conv.
+func search[T any](ctx context.Context, c *corpus.Corpus, query string, n int, bound func() Cost, opts []QueryOption, conv func(corpus.Hit, *kbest.Entry) T) ([]T, error) {
 	qc := queryOptions(opts)
 	x, err := parseExpand(query, &qc)
 	if err != nil {
@@ -217,7 +207,7 @@ func search[T any](ctx context.Context, c *corpus.Corpus, query string, n int, o
 	if s := qc.strategy; s != Auto && s != Direct && s != SchemaDriven {
 		return nil, fmt.Errorf("approxql: unknown strategy %d", s)
 	}
-	return corpus.Search(ctx, c, x, n, qc.corpusConfig(qc.strategy), conv)
+	return corpus.Search(ctx, c, x, n, bound, qc.corpusConfig(qc.strategy), conv)
 }
 
 // hitResult drops a corpus hit's document and plan: a Database's result.
@@ -269,7 +259,7 @@ func (db *Database) SearchExplained(query string, n int, opts ...QueryOption) ([
 // SearchExplainedContext is SearchExplained with cancellation.
 func (db *Database) SearchExplainedContext(ctx context.Context, query string, n int, opts ...QueryOption) ([]ExplainedResult, error) {
 	opts = append(opts[:len(opts):len(opts)], WithStrategy(SchemaDriven))
-	return search(ctx, db.c, query, n, opts, func(h corpus.Hit, e *kbest.Entry) ExplainedResult {
+	return search(ctx, db.c, query, n, nil, opts, func(h corpus.Hit, e *kbest.Entry) ExplainedResult {
 		return ExplainedResult{Result: hitResult(h, e), Plan: kbest.Render(e)}
 	})
 }
