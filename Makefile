@@ -62,9 +62,10 @@ bench:
 # count and rank operation), the collection-file reader, the packed
 # dictionary reader and its lookups (which must agree with the interning
 # dictionary), direct and schema-driven evaluation against the reference
-# evaluator (fuzzer-chosen models, trees and queries), and the gatherer's
-# reader of shard-node response streams (arbitrary bodies); longer
-# local runs: go test -fuzz <target> in the respective package.
+# evaluator (fuzzer-chosen models, trees and queries), join and outerjoin
+# against the nested loop (fuzzer-chosen tree shapes and thinnings), and
+# the gatherer's reader of shard-node response streams (arbitrary bodies);
+# longer local runs: go test -fuzz <target> in the respective package.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzManifest -fuzztime 30s ./internal/backend/
 	$(GO) test -run xxx -fuzz FuzzBuild -fuzztime 30s ./internal/storage/
@@ -72,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzOpenPacked -fuzztime 30s ./internal/dict/
 	$(GO) test -run xxx -fuzz FuzzPackedLookup -fuzztime 30s ./internal/dict/
 	$(GO) test -run xxx -fuzz FuzzPrimaryMatchesReference -fuzztime 30s ./internal/eval/
+	$(GO) test -run xxx -fuzz FuzzJoinMatchesNestedLoop -fuzztime 30s ./internal/eval/
 	$(GO) test -run xxx -fuzz FuzzSchemaMatchesReference -fuzztime 30s ./internal/kbest/
 	$(GO) test -run xxx -fuzz FuzzShardStream -fuzztime 30s ./internal/corpus/
 

@@ -299,7 +299,9 @@ func readShardStream(body io.Reader, tick func(), offer func(ClusterHit) bool, i
 		if len(line) == 0 {
 			continue
 		}
-		var l shardStreamLine
+		// A hit line's numbers start negative, which no valid line holds,
+		// so that a missing one shows.
+		l := shardStreamLine{ShardHitLine: ShardHitLine{Doc: -1, Root: -1, Cost: -1}}
 		if err := json.Unmarshal(line, &l); err != nil {
 			return fmt.Errorf("malformed stream line: %w", err)
 		}
@@ -309,6 +311,9 @@ func readShardStream(body io.Reader, tick func(), offer func(ClusterHit) bool, i
 			}
 			info.NodeCounters = l.NodeCounters
 			return nil
+		}
+		if l.Doc < 0 || l.Root < 0 || l.ShardHitLine.Cost < 0 {
+			return fmt.Errorf("malformed hit line %.200q: doc, root and cost must be present and non-negative", line)
 		}
 		h := ClusterHit{
 			Hit:     Hit{Doc: l.Doc, Root: l.Root, Cost: cost.Cost(l.ShardHitLine.Cost)},

@@ -66,6 +66,26 @@ func TestGatherRejectsDisorderedNode(t *testing.T) {
 	}
 }
 
+// TestGatherRejectsMalformedHit: a hit line that lacks doc, root or cost,
+// or holds a negative one, fails the node's part of the query. Unchecked,
+// each of these lines is read as a hit on document 0 or on a document and
+// root that do not exist, and the gather returns it unflagged.
+func TestGatherRejectsMalformedHit(t *testing.T) {
+	const done = `{"done":true,"hits":1}` + "\n"
+	for _, line := range []string{`{}`, `null`, `{"doc":-3,"root":-1,"cost":-7}`, `{"doc":0,"root":1}`} {
+		node := fakeNode(t, line+"\n"+done)
+		cq := ClusterQuery{ID: "t", Query: "a", N: 5}
+		res, err := NewCluster([]Node{node}, ClusterConfig{}).Search(context.Background(), cq, nil)
+		if err != nil {
+			t.Fatalf("%s: fail-open gather: %v", line, err)
+		}
+		if !res.Partial || len(res.Hits) != 0 || !strings.Contains(res.Nodes[0].Err, "malformed hit") {
+			t.Fatalf("%s: partial %v, node error %q, hits %v; want partial with a malformed-hit error and no hits",
+				line, res.Partial, res.Nodes[0].Err, hitsOf(res.Hits))
+		}
+	}
+}
+
 // FuzzShardStream feeds arbitrary response bodies to the gatherer's
 // stream reader: it must not panic, and it either fails or delivers a
 // strictly ascending, duplicate-free hit sequence from a body that holds
@@ -78,6 +98,9 @@ func FuzzShardStream(f *testing.F) {
 		`{"doc":0,"root":1,"cost":0}` + "\n",
 		`{"done":true,"error":"boom"}` + "\n",
 		`{"doc":0,"root":1,"cost":` + "\n",
+		`{}` + "\n" + `{"done":true}` + "\n",
+		`null` + "\n" + `{"done":true}` + "\n",
+		`{"doc":-3,"root":-1,"cost":-7}` + "\n" + `{"done":true}` + "\n",
 		"",
 	} {
 		f.Add([]byte(seed))
@@ -91,6 +114,11 @@ func FuzzShardStream(f *testing.F) {
 		}, &info)
 		if err != nil {
 			return
+		}
+		for _, h := range got {
+			if h.Doc < 0 || h.Root < 0 || h.Cost < 0 {
+				t.Fatalf("accepted hit %+v with a negative field", h)
+			}
 		}
 		for i := 1; i < len(got); i++ {
 			if !less(got[i-1], got[i]) {

@@ -46,11 +46,14 @@ func TestListOpAllocBudgets(t *testing.T) {
 
 	// An inner list over lA: lB's entries override the default 2.
 	view := &List{entries: lB.entries, dflt: 2, base: lA.entries}
+	up := appendEnclosing(nil, lA.entries)
+	upDst := make([]int32, 0, len(lA.entries))
 
 	ops := map[string]func(){
-		"join":              func() { dst = appendJoin(dst[:0], tree, lA.entries, lD, 1, cost.Inf) },
-		"join/base":         func() { dst = appendJoin(dst[:0], tree, lA.entries, view, 1, cost.Inf) },
-		"outerjoin":         func() { dst = appendJoin(dst[:0], tree, lA.entries, lD, 1, 5) },
+		"join":              func() { dst, _ = appendJoin(dst[:0], tree, lA.entries, up, lD, 1, cost.Inf) },
+		"join/base":         func() { dst, _ = appendJoin(dst[:0], tree, lA.entries, up, view, 1, cost.Inf) },
+		"outerjoin":         func() { dst, _ = appendJoin(dst[:0], tree, lA.entries, up, lD, 1, 5) },
+		"appendEnclosing":   func() { upDst = appendEnclosing(upDst[:0], lA.entries) },
 		"appendIntersect":   func() { dst, _ = appendIntersect(dst[:0], lA.entries, lB.entries, cost.Inf, cost.Inf, 1) },
 		"appendIntersect/d": func() { dst, _ = appendIntersect(dst[:0], lA.entries, lB.entries, 3, 4, 1) },
 		"appendUnion":       func() { dst, _ = appendUnion(dst[:0], lA.entries, lB.entries, cost.Inf, cost.Inf, 0, 1) },

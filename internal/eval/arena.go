@@ -107,13 +107,16 @@ func (a *entryArena) commitList(s []Entry, dflt cost.Cost) *List {
 }
 
 // opScratch holds the reusable buffers of the list operations: the variant
-// heap of the label merge and the join's output, which is copied into the
-// arena at its exact length. Scratch is acquired from a process-wide pool
-// per evaluation and released afterwards, so concurrent evaluators reuse
-// each other's buffers between queries but never share them during one.
+// heap of the label merge, the join's output, which is copied into the
+// arena at its exact length, and a stack of the enclosing-entry arrays of
+// the ancestor lists under evaluation, one per nesting level. Scratch is
+// acquired from a process-wide pool per evaluation and released
+// afterwards, so concurrent evaluators reuse each other's buffers between
+// queries but never share them during one.
 type opScratch struct {
 	variants []variant
 	join     []Entry
+	up       []int32
 }
 
 // chunkPool recycles arena chunks between evaluators that opt in via

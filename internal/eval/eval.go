@@ -29,6 +29,8 @@ type Stats struct {
 	MemoHits    int // evaluations answered from the DP memo
 	Evaluations int // evaluations actually performed
 
+	AncestorsVisited int // ancestor-list entries the joins stepped onto
+
 	ArenaChunks   int // entry-arena chunks allocated
 	ArenaEntries  int // entries placed in arena chunks
 	ScratchHits   int // scratch sets served from the pool
@@ -357,10 +359,17 @@ func (ev *Evaluator) innerNode(u *lang.XNode) (*List, error) {
 	if err != nil {
 		return nil, err
 	}
+	// lv's enclosing-entry array lives on the scratch stack for as long as
+	// the content is evaluated against it.
+	sc := ev.sc
+	mark := len(sc.up)
+	sc.up = appendEnclosing(sc.up, lv.entries)
+	lv.up = sc.up[mark:]
 	// computeEval, not eval: lv is private to u, so nothing else evaluates
 	// against it, and the fresh result is not shared until it is returned,
 	// so the charges may go into it in place.
 	l, err := ev.computeEval(u.Child, lv)
+	sc.up, lv.up = sc.up[:mark], nil
 	if err != nil {
 		return nil, err
 	}
@@ -443,7 +452,9 @@ func (ev *Evaluator) computeEval(u *lang.XNode, lA *List) (*List, error) {
 			cDel = u.DelCost
 		}
 		sc := ev.sc
-		sc.join = appendJoin(sc.join[:0], ev.tree, lA.entries, ld, 0, cDel)
+		var visited int
+		sc.join, visited = appendJoin(sc.join[:0], ev.tree, lA.entries, lA.up, ld, 0, cDel)
+		ev.stats.AncestorsVisited += visited
 		dst := ev.arena.alloc(len(sc.join))
 		return ev.arena.commitList(append(dst, sc.join...), cDel), nil
 	case lang.RepAnd:

@@ -17,10 +17,12 @@
 // |l|+|r|, intersect ≤ min(|l|,|r|) when both defaults are ∞ and at most
 // |l|+|r| otherwise, see intersectBound). The join, which keeps only the
 // matched ancestors, writes into a reused scratch buffer instead and is
-// copied into the arena at its exact length. Thin wrappers that allocate
-// fresh slices and produce dense lists (every position held) are the
-// paper's definitions of the operations, which the tests check the cores
-// against; the evaluator never calls them.
+// copied into the arena at its exact length. It skips the ancestors that
+// hold no descendant along the ancestor list's enclosing-entry array,
+// which is built once per ancestor list on a scratch stack. Thin wrappers
+// that allocate fresh slices and produce dense lists (every position held)
+// are the paper's definitions of the operations, which the tests check
+// the cores against; the evaluator never calls them.
 // docs/PERFORMANCE.md describes the discipline.
 //
 // The package also contains an independent reference evaluator
@@ -68,10 +70,15 @@ type Entry struct {
 // a position of base missing from entries costs dflt plus its renaming
 // charge, base's EmbCost. base is nil on every other list, and joins read
 // dflt only through it.
+//
+// While content is evaluated against it, an ancestor list also carries up,
+// its enclosing-entry array (see appendEnclosing), which the joins skip
+// along; up is nil on every other list.
 type List struct {
 	entries []Entry
 	dflt    cost.Cost
 	base    []Entry
+	up      []int32
 }
 
 // Len returns the number of entries.
@@ -180,31 +187,40 @@ func addCharges(l, lv []Entry) {
 // query-leaf match. Ancestors without descendants cost the default
 // cDel+cEdge and hold no entry, and entries of infinite cost are dropped,
 // so join is the case cDel = ∞. Distances come from t, the data tree both
-// lists were fetched from. Appends at most the matched ancestors.
+// lists were fetched from, and up is lA's enclosing-entry array (see
+// appendEnclosing). Appends at most the matched ancestors, and returns the
+// extended slice and the number of ancestors visited.
 //
 // A subtree is the preorder interval (pre, bound] (Section 6.2), so an
 // ancestor's descendants are one run of lD, found by galloping from the
 // previous ancestor's run. Each descendant is read once per ancestor that
 // contains it, at most l times (the recursivity of the data tree): the
-// paper's O(s·l) bound. The descendants are the positions of lD: its
-// entries, or, on an inner list with a base, every entry of the base, where
-// an entry of lD overrides the default cost; a second cursor walks the
-// entries over the base, so the defaults are never written out.
-func appendJoin(dst []Entry, t *xmltree.Tree, lA []Entry, lD *List, cEdge, cDel cost.Cost) []Entry {
+// paper's O(s·l) bound. An ancestor whose run is empty is not followed by
+// the next entry of lA but by skipAncestors, which jumps to the next one
+// that ends at or after the next descendant, so the ancestors visited
+// follow the matches rather than the length of lA. The descendants are the positions
+// of lD: its entries, or, on an inner list with a base, every entry of the
+// base, where an entry of lD overrides the default cost; a second cursor
+// walks the entries over the base, so the defaults are never written out.
+func appendJoin(dst []Entry, t *xmltree.Tree, lA []Entry, up []int32, lD *List, cEdge, cDel cost.Cost) ([]Entry, int) {
 	pos, sp := lD.entries, lD.entries
 	viewed := lD.base != nil
 	if viewed {
 		pos = lD.base
 	}
+	visited := 0
 	j, k := 0, 0
-	for _, a := range lA {
+	for i := 0; i < len(lA); i++ {
+		visited++
+		a := lA[i]
 		if j = after(pos, j, a.Pre); j == len(pos) {
 			break
 		}
-		end := after(pos, j, a.Bound)
-		if end == j {
-			continue // no descendants
+		if x := pos[j].Pre; a.Bound < x {
+			i = skipAncestors(lA, up, i, x) - 1 // no descendants
+			continue
 		}
+		end := after(pos, j, a.Bound)
 		emb, leaf := cost.Inf, cost.Inf
 		if viewed {
 			k = after(sp, k, a.Pre)
@@ -228,17 +244,61 @@ func appendJoin(dst []Entry, t *xmltree.Tree, lA []Entry, lD *List, cEdge, cDel 
 			dst = append(dst, Entry{Pre: a.Pre, Bound: a.Bound, EmbCost: c, LeafCost: cost.Add(leaf, cEdge)})
 		}
 	}
+	return dst, visited
+}
+
+// skipAncestors returns the index of the first entry of lA after i that
+// ends at or after x, given that lA[i] ends before x, the first descendant
+// past lA[i].Pre: the next ancestor that may hold a descendant. Such an
+// entry starts at or after x, and the first of those is p+1, where p is the
+// last entry before x; or it starts before x and holds x, and then it is p
+// or encloses p, so it lies on the chain that up links from p outwards. A
+// link inside lA[i] ends before x, and so does every later link still
+// after i; the walk stops there and keeps the outermost link that holds x.
+func skipAncestors(lA []Entry, up []int32, i int, x xmltree.NodeID) int {
+	bound := lA[i].Bound
+	p := after(lA, i+1, x-1) - 1
+	next := p + 1
+	for q := p; q > i && lA[q].Pre > bound; q = int(up[q]) {
+		if lA[q].Bound >= x {
+			next = q
+		}
+	}
+	return next
+}
+
+// appendEnclosing appends lA's enclosing-entry array to dst: for each entry
+// i, the index of the nearest earlier entry of lA whose subtree holds it,
+// or -1. The entries enclosing entry i-1 are a chain through the array, and
+// entry i's nearest encloser is the first link of that chain, starting at
+// i-1, that ends at or after entry i; the links passed over have ended and
+// enclose no later entry either, so the pass is linear.
+func appendEnclosing(dst []int32, lA []Entry) []int32 {
+	base := len(dst)
+	for i, e := range lA {
+		q := int32(i - 1)
+		for q >= 0 && lA[q].Bound < e.Pre {
+			q = dst[base+int(q)]
+		}
+		dst = append(dst, q)
+	}
 	return dst
 }
 
 // after returns the index of the first entry of l at or after j whose Pre
-// exceeds pre. It gallops (steps 1, 2, 4, …) and then binary-searches the
-// last step, so a short gap costs a few comparisons and a long one
-// O(log gap).
+// exceeds pre. The check of l[j] is inlined into the callers, as most
+// calls end there; a longer gap is galloped.
 func after(l []Entry, j int, pre xmltree.NodeID) int {
-	if j == len(l) || l[j].Pre > pre {
-		return j
+	if j < len(l) && l[j].Pre <= pre {
+		j = gallop(l, j, pre)
 	}
+	return j
+}
+
+// gallop is after past l[j], which is at or before pre: it steps 1, 2, 4,
+// … and then binary-searches the last step, so a short gap costs a few
+// comparisons and a long one O(log gap).
+func gallop(l []Entry, j int, pre xmltree.NodeID) int {
 	step := 1
 	for j+step < len(l) && l[j+step].Pre <= pre {
 		j += step
@@ -410,14 +470,17 @@ func merge(lL, lR *List, cRen cost.Cost) *List {
 // join returns copies of the entries from lA that have descendants in lD;
 // see appendJoin.
 func join(t *xmltree.Tree, lA, lD *List, cEdge cost.Cost) *List {
-	return dense(appendJoin(make([]Entry, 0, lA.Len()), t, lA.entries, lD, cEdge, cost.Inf))
+	up := appendEnclosing(nil, lA.entries)
+	dst, _ := appendJoin(make([]Entry, 0, lA.Len()), t, lA.entries, up, lD, cEdge, cost.Inf)
+	return dense(dst)
 }
 
 // outerjoin returns copies of all entries from lA with the deletion rule
 // applied: the sparse result of appendJoin with its default written out
 // at every unmatched ancestor.
 func outerjoin(t *xmltree.Tree, lA, lD *List, cEdge, cDel cost.Cost) *List {
-	sp := appendJoin(make([]Entry, 0, lA.Len()), t, lA.entries, lD, cEdge, cDel)
+	up := appendEnclosing(nil, lA.entries)
+	sp, _ := appendJoin(make([]Entry, 0, lA.Len()), t, lA.entries, up, lD, cEdge, cDel)
 	return dense(fillDefault(lA.entries, sp, cost.Add(cDel, cEdge)))
 }
 

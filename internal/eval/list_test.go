@@ -1,12 +1,15 @@
 package eval
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"approxql/internal/cost"
+	"approxql/internal/index"
+	"approxql/internal/lang"
 	"approxql/internal/xmltree"
 )
 
@@ -336,27 +339,211 @@ func naiveJoin(tr *xmltree.Tree, lA, lD *List, cEdge, cDel cost.Cost, outer bool
 	return out
 }
 
+// checkJoin compares join and outerjoin of lA with lD against the nested
+// loop; name prefixes a failure.
+func checkJoin(t *testing.T, name string, tr *xmltree.Tree, lA, lD *List, cEdge, cDel cost.Cost) {
+	t.Helper()
+	check := func(op string, got, want *List) {
+		t.Helper()
+		if !reflect.DeepEqual(presOf(got), presOf(want)) || !reflect.DeepEqual(costsOf(got), costsOf(want)) {
+			t.Fatalf("%s%s = %v %v, nested loop %v %v", name, op,
+				presOf(got), costsOf(got), presOf(want), costsOf(want))
+		}
+	}
+	check("join", join(tr, lA, lD, cEdge), naiveJoin(tr, lA, lD, cEdge, 0, false))
+	check("outerjoin", outerjoin(tr, lA, lD, cEdge, cDel), naiveJoin(tr, lA, lD, cEdge, cDel, true))
+}
+
 // TestJoinMatchesNestedLoop checks join and outerjoin against the nested
 // loop on trees whose descendant lists have long uncovered runs — the
-// stretches the join gallops over.
+// stretches the join gallops over — and, every other trial, on sparse
+// descendant lists over the nested ancestors, where most ancestors hold no
+// descendant and the join skips along the enclosing-entry chains.
 func TestJoinMatchesNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 300; trial++ {
+	for trial := 0; trial < 600; trial++ {
 		tr := runTree(rng)
 		lA := labelList(rng, tr, "a", 0.8)
-		lD := labelList(rng, tr, "d", 0.9)
+		keep := 0.9
+		if trial%2 == 1 {
+			keep = 0.05 + 0.15*rng.Float64()
+		}
+		lD := labelList(rng, tr, "d", keep)
 		cEdge, cDel := cost.Cost(rng.Intn(3)), cost.Cost(rng.Intn(8))
 		if rng.Intn(4) == 0 {
 			cDel = cost.Inf
 		}
-		check := func(op string, got, want *List) {
-			if !reflect.DeepEqual(presOf(got), presOf(want)) || !reflect.DeepEqual(costsOf(got), costsOf(want)) {
-				t.Fatalf("trial %d: %s = %v %v, nested loop %v %v", trial, op,
-					presOf(got), costsOf(got), presOf(want), costsOf(want))
+		checkJoin(t, fmt.Sprintf("trial %d: ", trial), tr, lA, lD, cEdge, cDel)
+	}
+}
+
+// shapeTree builds a tree under an r root from shape: each byte opens an
+// a, d or x element below the open one or closes it. Insert costs are
+// random per label.
+func shapeTree(rng *rand.Rand, shape []byte) *xmltree.Tree {
+	m := cost.NewModel()
+	for _, l := range []string{"r", "a", "d", "x"} {
+		m.SetInsert(l, cost.Struct, cost.Cost(rng.Intn(5)))
+	}
+	b := xmltree.NewBuilder(m)
+	b.BeginElement("r")
+	depth := 0
+	for _, c := range shape {
+		switch c % 4 {
+		case 0:
+			if depth > 0 {
+				b.End()
+				depth--
+			}
+		default:
+			b.BeginElement([]string{"a", "d", "x"}[c%4-1])
+			depth++
+		}
+	}
+	for ; depth >= 0; depth-- {
+		b.End()
+	}
+	tr, err := b.Finish()
+	if err != nil {
+		panic(err)
+	}
+	return tr
+}
+
+// FuzzJoinMatchesNestedLoop runs join and outerjoin against the nested
+// loop on fuzzer-chosen trees (see shapeTree) and thinnings: keepA and
+// keepD, out of 255, are the shares of the a and d nodes the two lists
+// keep, and the seed drives the insert costs, which nodes are kept, and
+// the edge and deletion costs.
+func FuzzJoinMatchesNestedLoop(f *testing.F) {
+	f.Add(int64(1), uint8(200), uint8(40), []byte{1, 1, 3, 0, 1, 2, 0, 0, 0, 1, 1, 0, 2, 0, 0, 2})
+	f.Add(int64(2), uint8(255), uint8(20), []byte{1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 2, 0, 2, 0, 2})
+	f.Add(int64(3), uint8(128), uint8(255), []byte{3, 1, 2, 0, 0, 1, 1, 2, 2, 0, 3, 0, 0, 2})
+	f.Add(int64(4), uint8(255), uint8(255), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, keepA, keepD uint8, shape []byte) {
+		if len(shape) > 256 {
+			shape = shape[:256] // the nested loop is cubic on deep trees
+		}
+		rng := rand.New(rand.NewSource(seed))
+		tr := shapeTree(rng, shape)
+		lA := labelList(rng, tr, "a", float64(keepA)/255)
+		lD := labelList(rng, tr, "d", float64(keepD)/255)
+		cEdge, cDel := cost.Cost(rng.Intn(3)), cost.Cost(rng.Intn(8))
+		if rng.Intn(4) == 0 {
+			cDel = cost.Inf
+		}
+		checkJoin(t, "", tr, lA, lD, cEdge, cDel)
+	})
+}
+
+// nestedTree returns a chain of depth nested a elements whose first
+// matched have a d as their last child, so that the d nodes follow every
+// a in preorder: the ancestors matched+1..depth hold no descendant.
+func nestedTree(tb testing.TB, depth, matched int) *xmltree.Tree {
+	tb.Helper()
+	b := xmltree.NewBuilder(cost.NewModel())
+	for k := 0; k < depth; k++ {
+		b.BeginElement("a")
+	}
+	for k := depth; k > 0; k-- {
+		if k <= matched {
+			b.BeginElement("d")
+			b.End()
+		}
+		b.End()
+	}
+	tr, err := b.Finish()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
+// TestAppendEnclosing checks the enclosing-entry array against a scan of
+// the earlier entries for the nearest one whose subtree holds the entry,
+// on thinned runTree lists, a deep chain and the empty list.
+func TestAppendEnclosing(t *testing.T) {
+	check := func(name string, l []Entry) {
+		t.Helper()
+		up := appendEnclosing([]int32{7, 7}, l)[2:] // appends after what dst holds
+		if len(up) != len(l) {
+			t.Fatalf("%s: %d links for %d entries", name, len(up), len(l))
+		}
+		for i, e := range l {
+			want := int32(-1)
+			for q := i - 1; q >= 0; q-- {
+				if l[q].Bound >= e.Pre {
+					want = int32(q)
+					break
+				}
+			}
+			if up[i] != want {
+				t.Fatalf("%s: up[%d] = %d, want %d", name, i, up[i], want)
 			}
 		}
-		check("join", join(tr, lA, lD, cEdge), naiveJoin(tr, lA, lD, cEdge, 0, false))
-		check("outerjoin", outerjoin(tr, lA, lD, cEdge, cDel), naiveJoin(tr, lA, lD, cEdge, cDel, true))
+	}
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 200; trial++ {
+		tr := runTree(rng)
+		for _, label := range []string{"a", "d", "x"} {
+			check(label, labelList(rng, tr, label, 0.2+0.8*rng.Float64()).entries)
+		}
+	}
+	deep := nestedTree(t, 500, 7)
+	check("deep a", labelList(rng, deep, "a", 1).entries)
+	check("deep a thinned", labelList(rng, deep, "a", 0.5).entries)
+	check("empty", nil)
+}
+
+// TestSkipAncestors checks skipAncestors against its definition, the
+// first entry after i that ends at or after x, for every entry i of thinned
+// runTree lists and every x past its subtree, and that the enclosing-entry
+// walk lands on an entry other than p+1 and i+1 in some of those cases.
+func TestSkipAncestors(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	walked := 0
+	for trial := 0; trial < 200; trial++ {
+		tr := runTree(rng)
+		lA := labelList(rng, tr, "a", 0.6+0.4*rng.Float64()).entries
+		up := appendEnclosing(nil, lA)
+		for i, a := range lA {
+			for x := a.Bound + 1; int(x) < tr.Len(); x++ {
+				want := i + 1
+				for want < len(lA) && lA[want].Bound < x {
+					want++
+				}
+				got := skipAncestors(lA, up, i, x)
+				if got != want {
+					t.Fatalf("trial %d: skipAncestors(i=%d, x=%d) = %d, want %d", trial, i, x, got, want)
+				}
+				if p := after(lA, i+1, x-1) - 1; got != p+1 && got != i+1 {
+					walked++
+				}
+			}
+		}
+	}
+	if walked == 0 {
+		t.Fatal("no case skipped to an entry that holds x past i+1")
+	}
+}
+
+// TestJoinVisitsFollowMatches pins the ancestor skip through the
+// evaluator's count: a[d] over 10 000 nested a elements of which the
+// outermost 10 hold a d visits at most the matched ancestors, plus one per
+// descendant and one more, where visiting every ancestor would take 10 000.
+func TestJoinVisitsFollowMatches(t *testing.T) {
+	const depth, matched = 10_000, 10
+	tr := nestedTree(t, depth, matched)
+	ev := New(tr, index.Build(tr))
+	res, err := ev.BestN(lang.Expand(lang.MustParse(`a[d]`), cost.NewModel()), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != matched {
+		t.Fatalf("%d results, want %d", len(res), matched)
+	}
+	if got, most := ev.Stats().AncestorsVisited, matched+matched+1; got > most {
+		t.Errorf("joins visited %d ancestors, want at most %d", got, most)
 	}
 }
 
@@ -563,7 +750,8 @@ func TestSparseOpsMatchDense(t *testing.T) {
 			cDel = cost.Inf
 		}
 		do := cost.Add(cDel, c)
-		o := appendJoin(nil, tr, lA.entries, lD, c, cDel)
+		up := appendEnclosing(nil, lA.entries)
+		o, _ := appendJoin(nil, tr, lA.entries, up, lD, c, cDel)
 		check("outerjoin", dense(fillDefault(lA.entries, o, do)), naiveJoin(tr, lA, lD, c, cDel, true))
 
 		base := labelList(rng, tr, "d", 0.9).entries
@@ -575,8 +763,9 @@ func TestSparseOpsMatchDense(t *testing.T) {
 			d = 1 // innerNode keeps a base only under a finite default
 		}
 		inner := &List{entries: sp, dflt: d, base: base}
-		check("join(inner)", dense(appendJoin(nil, tr, lA.entries, inner, c, cost.Inf)), join(tr, lA, chargedDense(inner), c))
-		o = appendJoin(nil, tr, lA.entries, inner, c, cDel)
+		j, _ := appendJoin(nil, tr, lA.entries, up, inner, c, cost.Inf)
+		check("join(inner)", dense(j), join(tr, lA, chargedDense(inner), c))
+		o, _ = appendJoin(nil, tr, lA.entries, up, inner, c, cDel)
 		check("outerjoin(inner)", dense(fillDefault(lA.entries, o, do)), naiveJoin(tr, lA, chargedDense(inner), c, cDel, true))
 	}
 }

@@ -28,6 +28,7 @@ func Direct(ctx context.Context, tree *xmltree.Tree, src index.Source, x *lang.E
 		m.EvalArenaEntries += st.ArenaEntries
 		m.EvalScratchHits += st.ScratchHits
 		m.EvalScratchMisses += st.ScratchMisses
+		m.EvalAncestorsVisited += st.AncestorsVisited
 		m.ResultsEmitted += len(res)
 	}
 	ev.Release()

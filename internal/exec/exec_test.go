@@ -526,3 +526,25 @@ func TestBudgetStopsRun(t *testing.T) {
 }
 
 func sameItem(a, b exec.Item) bool { return a.Root == b.Root && a.Cost == b.Cost }
+
+// TestDirectCountsAncestorsVisited: Direct copies the joins' ancestor
+// count into the metrics, and the count of one query repeats exactly.
+func TestDirectCountsAncestorsVisited(t *testing.T) {
+	w := getWorld(t)
+	g, err := w.gen.Generate(querygen.PaperPatterns[1], 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := lang.Expand(g.Query, g.Model)
+	var counts [2]int
+	for i := range counts {
+		var m exec.Metrics
+		if _, err := exec.Direct(context.Background(), w.tree, index.Build(w.tree), x, 0, &m); err != nil {
+			t.Fatal(err)
+		}
+		counts[i] = m.EvalAncestorsVisited
+	}
+	if counts[0] == 0 || counts[0] != counts[1] {
+		t.Errorf("ancestors visited = %v over two runs, want one positive count twice", counts)
+	}
+}

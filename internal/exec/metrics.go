@@ -79,11 +79,14 @@ type Metrics struct {
 	// EvalArenaChunks and EvalArenaEntries count entry-arena chunks
 	// allocated and entries carved from them; EvalScratchHits and
 	// EvalScratchMisses count pooled scratch and chunk acquisitions served
-	// from a pool versus freshly allocated.
-	EvalArenaChunks   int
-	EvalArenaEntries  int
-	EvalScratchHits   int
-	EvalScratchMisses int
+	// from a pool versus freshly allocated. EvalAncestorsVisited counts
+	// the ancestor-list entries the joins stepped onto; the ones that hold
+	// no descendant are skipped, so it follows the matches.
+	EvalArenaChunks      int
+	EvalArenaEntries     int
+	EvalScratchHits      int
+	EvalScratchMisses    int
+	EvalAncestorsVisited int
 
 	// The corpus counters describe a sharded scatter-gather evaluation
 	// (internal/corpus); a Database query searches its one shard.
@@ -155,6 +158,7 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.EvalArenaEntries += o.EvalArenaEntries
 	m.EvalScratchHits += o.EvalScratchHits
 	m.EvalScratchMisses += o.EvalScratchMisses
+	m.EvalAncestorsVisited += o.EvalAncestorsVisited
 	m.Shards += o.Shards
 	m.ShardsPruned += o.ShardsPruned
 	m.BoundSkipped += o.BoundSkipped
@@ -204,6 +208,7 @@ func (m *Metrics) String() string {
 	}
 	if m.EvalArenaEntries > 0 {
 		w("eval arena        %d entries in %d chunks", m.EvalArenaEntries, m.EvalArenaChunks)
+		w("eval ancestors    %d visited by the joins", m.EvalAncestorsVisited)
 		w("eval scratch      %d pool hits, %d misses", m.EvalScratchHits, m.EvalScratchMisses)
 	}
 	if m.Shards > 0 {
